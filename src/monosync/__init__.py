@@ -50,7 +50,6 @@ from .families import (
     apply_map,
     builtin_family_ids,
     classify_monotonicity,
-    default_probe_box,
     family_from_config,
     family_to_config,
     image_box,

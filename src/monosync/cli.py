@@ -4,8 +4,8 @@ Every run resolves its configuration (built-in defaults, then a JSON config
 file, then explicit flags), writes the resolved configuration to
 ``manifest.json`` in the output directory, and emits per-command CSV/JSON
 artifacts.  Re-running with ``--config manifest.json`` reproduces the
-artifacts byte for byte; ``--threads`` and ``--out`` affect scheduling and
-placement only, never content.
+artifacts byte for byte; ``--out`` affects placement only, never content,
+and ``--threads`` is accepted and has no effect.
 
 Exit codes: 0 success, 1 usage error, 2 soft failure (hypotheses
 unverified or a limit that did not converge).
@@ -33,10 +33,10 @@ from .errors import (
 from .families import (
     FiniteNoise,
     Monotonicity,
+    _default_probe,
     classify_monotonicity,
     family_from_config,
     family_to_config,
-    probe_cloud,
 )
 
 EXIT_OK = 0
@@ -69,7 +69,7 @@ def _add_common(p: _Parser) -> None:
     p.add_argument("--config", type=str, default=None, help="JSON config or manifest to start from")
     p.add_argument("--family", type=str, default=None, help="built-in family id")
     p.add_argument("--seed", type=int, default=None, help="root seed (default 0)")
-    p.add_argument("--threads", type=int, default=1, help="worker cap; never changes results")
+    p.add_argument("--threads", type=int, default=1, help="accepted; has no effect")
     p.add_argument("--out", type=str, default="monosync-out", help="output directory")
 
 
@@ -220,7 +220,7 @@ def _write_manifest(outdir: Path, cfg: dict, fam, ordr) -> None:
     _write_json(outdir / "manifest.json", manifest)
 
 
-def _run_check_monotone(cfg, fam, ordr, outdir, threads) -> int:
+def _run_check_monotone(cfg, fam, ordr, outdir) -> int:
     probe = fam.probe_box()
     seed = cfg["seed"]
     if isinstance(fam.noise, FiniteNoise):
@@ -263,7 +263,7 @@ def _splitting_report(cfg, fam, ordr):
     )
 
 
-def _run_check_splitting(cfg, fam, ordr, outdir, threads) -> int:
+def _run_check_splitting(cfg, fam, ordr, outdir) -> int:
     report = _splitting_report(cfg, fam, ordr)
     doc = report.to_dict()
     doc["seed"] = cfg["seed"]
@@ -271,7 +271,7 @@ def _run_check_splitting(cfg, fam, ordr, outdir, threads) -> int:
     return EXIT_OK if report.verified else EXIT_UNVERIFIED
 
 
-def _run_sigma_decay(cfg, fam, ordr, outdir, threads) -> int:
+def _run_sigma_decay(cfg, fam, ordr, outdir) -> int:
     seed = cfg["seed"]
     m = int(cfg["m"])
     scan_cfg = {"m_max": m, "method": "auto", "n_blocks": 64, "seed": seed}
@@ -300,7 +300,7 @@ def _run_sigma_decay(cfg, fam, ordr, outdir, threads) -> int:
     return EXIT_OK if report.verified else EXIT_UNVERIFIED
 
 
-def _run_sync_rate(cfg, fam, ordr, outdir, threads) -> int:
+def _run_sync_rate(cfg, fam, ordr, outdir) -> int:
     seed = cfg["seed"]
     series = sync_mod.diameter_series(
         fam, None, n_max=int(cfg["n_max"]), replicas=int(cfg["replicas"]), seed=seed
@@ -316,7 +316,7 @@ def _run_sync_rate(cfg, fam, ordr, outdir, threads) -> int:
     return EXIT_OK
 
 
-def _run_forward_gap(cfg, fam, ordr, outdir, threads) -> int:
+def _run_forward_gap(cfg, fam, ordr, outdir) -> int:
     seed = cfg["seed"]
     x0 = _parse_point(cfg.get("x0"), fam.dim, fam.probe_box().center)
     gaps = sync_mod.forward_attractor_gap(
@@ -326,7 +326,7 @@ def _run_forward_gap(cfg, fam, ordr, outdir, threads) -> int:
     return EXIT_OK
 
 
-def _run_stationary(cfg, fam, ordr, outdir, threads) -> int:
+def _run_stationary(cfg, fam, ordr, outdir) -> int:
     seed = cfg["seed"]
     mu = trans_mod.pullback_sample(
         fam,
@@ -334,7 +334,6 @@ def _run_stationary(cfg, fam, ordr, outdir, threads) -> int:
         int(cfg["n_samples"]),
         tol=float(cfg["tol"]),
         n_max=int(cfg["n_max"]),
-        threads=threads,
     )
     mu.write_csv(outdir / "stationary.csv", seed=seed)
     _write_json(
@@ -350,7 +349,7 @@ def _run_stationary(cfg, fam, ordr, outdir, threads) -> int:
     return EXIT_OK
 
 
-def _run_w1_decay(cfg, fam, ordr, outdir, threads) -> int:
+def _run_w1_decay(cfg, fam, ordr, outdir) -> int:
     seed = cfg["seed"]
     x0 = _parse_point(cfg.get("initial_point"), fam.dim, fam.probe_box().center)
     initial = trans_mod.EmpiricalMeasure.dirac(x0, n_points=1)
@@ -361,7 +360,6 @@ def _run_w1_decay(cfg, fam, ordr, outdir, threads) -> int:
         n_particles=int(cfg["n_particles"]),
         seed=seed,
         ref_size=int(cfg["ref_size"]),
-        threads=threads,
     )
     curve.write_csv(outdir / "w1_decay.csv", seed=seed)
     doc = {
@@ -375,7 +373,7 @@ def _run_w1_decay(cfg, fam, ordr, outdir, threads) -> int:
     return EXIT_OK
 
 
-def _run_clt(cfg, fam, ordr, outdir, threads) -> int:
+def _run_clt(cfg, fam, ordr, outdir) -> int:
     seed = cfg["seed"]
     report, ensemble = clt_mod.run_clt_analysis(
         fam,
@@ -386,7 +384,6 @@ def _run_clt(cfg, fam, ordr, outdir, threads) -> int:
         mu_size=int(cfg["mu_size"]),
         grid_size=int(cfg["grid_size"]),
         tol=float(cfg["tol"]),
-        threads=threads,
     )
     doc = report.to_dict()
     doc["seed"] = seed
@@ -396,14 +393,14 @@ def _run_clt(cfg, fam, ordr, outdir, threads) -> int:
     return EXIT_OK
 
 
-def _run_simulate(cfg, fam, ordr, outdir, threads) -> int:
+def _run_simulate(cfg, fam, ordr, outdir) -> int:
     seed = cfg["seed"]
     x0 = _parse_point(cfg.get("x0"), fam.dim, fam.probe_box().center)
     block = sample_block(fam.noise, seed, int(cfg["stream_id"]), int(cfg["n"]))
     if cfg["direction"] == "forward":
         trace = forward_orbit(fam, block, x0)
     else:
-        trace = reverse_orbit(fam, block, x0, probe_points=probe_cloud(fam.probe_box()))
+        trace = reverse_orbit(fam, block, x0, probe_points=_default_probe(fam))
     trace.write_csv(outdir / "orbit.csv", seed=seed)
     return EXIT_OK
 
@@ -430,7 +427,7 @@ def main(argv=None) -> int:
         outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)
         _write_manifest(outdir, cfg, fam, ordr)
-        return _RUNNERS[args.command](cfg, fam, ordr, outdir, max(1, int(args.threads)))
+        return _RUNNERS[args.command](cfg, fam, ordr, outdir)
     except _CliUsage as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -26,14 +26,14 @@ import numpy as np
 from scipy import stats as sps
 from scipy.spatial import cKDTree
 
-from .engine import _BlockTable, _clamp_points, pullback_batch
+from .engine import _BlockTable, _draw_noise, _step, _write_csv, pullback_batch
 from .errors import (
     NoDecayError,
     NonPositiveSigmaError,
     NotConvergedError,
     UsageError,
 )
-from .families import FiniteNoise, MapFamily, probe_cloud
+from .families import FiniteNoise, MapFamily, _default_probe
 from .transport import EmpiricalMeasure, pullback_sample
 from .streams import derive_seed, stream_generator
 
@@ -149,20 +149,6 @@ def make_observable(spec, mu: EmpiricalMeasure, center: float | None = None) -> 
     )
 
 
-def _advance_particles(fam: MapFamily, cur: np.ndarray, col: np.ndarray) -> np.ndarray:
-    """One chain step for a block of particles, grouped by noise value."""
-    if isinstance(fam.noise, FiniteNoise):
-        for a in np.unique(col):
-            rows = col == a
-            out, _ = _clamp_points(fam.raw_batch(int(a), cur[rows]), fam.clamp_bound)
-            cur[rows] = out
-    else:
-        for r in range(cur.shape[0]):
-            out, _ = _clamp_points(fam.raw_batch(col[r], cur[r : r + 1]), fam.clamp_bound)
-            cur[r] = out[0]
-    return cur
-
-
 def stationary_mean(
     fam: MapFamily,
     obs: Observable,
@@ -178,7 +164,7 @@ def stationary_mean(
     burn-in bias) and the raw observable is averaged over all replicas and
     steps; the error scales like sqrt(var / (replicas * steps)).
     """
-    probe = probe_cloud(fam.probe_box())
+    probe = _default_probe(fam)
     batch = pullback_batch(
         fam, seed, range(replicas), probe, pullback_tol, pullback_n_max, label="ergodic-start"
     )
@@ -190,7 +176,7 @@ def stationary_mean(
     total = float(np.sum(obs.raw(cur)))
     count = replicas
     for j in range(steps):
-        cur = _advance_particles(fam, cur, table.values[:, j])
+        cur, _ = _step(fam, table.values[:, j], cur)
         total += float(np.sum(obs.raw(cur)))
         count += replicas
     return total / count
@@ -221,25 +207,21 @@ def transfer_apply(
         for a, p in enumerate(fam.noise.probs, start=1):
             if p == 0.0:
                 continue
-            img, _ = _clamp_points(fam.raw_batch(a, pts), fam.clamp_bound)
+            img, _ = fam.apply_batch(a, pts)
             out += p * np.asarray(phi(img))
         return out
     if n_inner < 100:
         raise UsageError("need at least 100 inner samples")
-    gen = stream_generator(seed, label)
+    draws = _draw_noise(fam.noise, stream_generator(seed, label), (n_inner,))
     out = np.zeros(pts.shape[0])
     if isinstance(fam.noise, FiniteNoise):
-        cum = np.cumsum(fam.noise.probs)
-        syms = np.clip(np.searchsorted(cum, gen.random(n_inner), side="right") + 1, 1, fam.noise.q)
-        vals, counts = np.unique(syms, return_counts=True)
+        vals, counts = np.unique(draws, return_counts=True)
         for a, c in zip(vals, counts):
-            img, _ = _clamp_points(fam.raw_batch(int(a), pts), fam.clamp_bound)
+            img, _ = fam.apply_batch(int(a), pts)
             out += (c / n_inner) * np.asarray(phi(img))
         return out
-    box = fam.noise.box
-    draws = box.lo + gen.random((n_inner, box.dim)) * (box.hi - box.lo)
     for alpha in draws:
-        img, _ = _clamp_points(fam.raw_batch(alpha, pts), fam.clamp_bound)
+        img, _ = fam.apply_batch(alpha, pts)
         out += np.asarray(phi(img))
     return out / n_inner
 
@@ -252,7 +234,7 @@ def _pj_exact(fam: MapFamily, phi, pts: np.ndarray, j: int) -> np.ndarray:
     for a, p in enumerate(fam.noise.probs, start=1):
         if p == 0.0:
             continue
-        img, _ = _clamp_points(fam.raw_batch(a, pts), fam.clamp_bound)
+        img, _ = fam.apply_batch(a, pts)
         acc += p * _pj_exact(fam, phi, img, j - 1)
     return acc
 
@@ -269,34 +251,17 @@ class _McChains:
         self.depth = 0
         self._cache: dict[int, np.ndarray] = {0: np.asarray(phi(pts), dtype=float)}
 
-    def _step(self) -> None:
+    def _advance(self) -> None:
         fam = self.fam
-        flatten = self.states.reshape(self.n_chains, -1)
-        if isinstance(fam.noise, FiniteNoise):
-            cum = np.cumsum(fam.noise.probs)
-            syms = np.clip(
-                np.searchsorted(cum, self.gen.random(self.n_chains), side="right") + 1,
-                1,
-                fam.noise.q,
-            )
-            for a in np.unique(syms):
-                rows = syms == a
-                block = self.states[rows].reshape(-1, fam.dim)
-                out, _ = _clamp_points(fam.raw_batch(int(a), block), fam.clamp_bound)
-                self.states[rows] = out.reshape(int(rows.sum()), -1, fam.dim)
-        else:
-            box = fam.noise.box
-            draws = box.lo + self.gen.random((self.n_chains, box.dim)) * (box.hi - box.lo)
-            for m in range(self.n_chains):
-                out, _ = _clamp_points(fam.raw_batch(draws[m], self.states[m]), fam.clamp_bound)
-                self.states[m] = out
+        alphas = _draw_noise(fam.noise, self.gen, (self.n_chains,))
+        self.states, _ = _step(fam, alphas, self.states)
         self.depth += 1
         vals = self.phi(self.states.reshape(-1, fam.dim)).reshape(self.n_chains, -1)
         self._cache[self.depth] = vals.mean(axis=0)
 
     def term(self, j: int) -> np.ndarray:
         while self.depth < j:
-            self._step()
+            self._advance()
         return self._cache[j]
 
 
@@ -321,21 +286,16 @@ class _TermEvaluator:
     def method_for(self, j: int) -> str:
         return "exact" if j <= self.exact_j_max else "monte-carlo"
 
-    def terms_on(self, pts: np.ndarray, j_list, label: str) -> list[np.ndarray]:
+    def terms_on(self, pts: np.ndarray, j_list, label: str):
+        """Yield P^j phi on ``pts`` for each j in turn, so a caller may stop early."""
         chains = None
-        out = []
         for j in j_list:
             if j <= self.exact_j_max:
-                out.append(_pj_exact(self.fam, self.phi, pts, j))
+                yield _pj_exact(self.fam, self.phi, pts, j)
             else:
                 if chains is None:
                     chains = _McChains(self.fam, self.phi, pts, self.n_chains, self.seed, label)
-                out.append(chains.term(j))
-        return out
-
-    def psi_on(self, pts: np.ndarray, j_trunc: int, label: str) -> np.ndarray:
-        terms = self.terms_on(pts, range(j_trunc + 1), label)
-        return np.sum(terms, axis=0)
+                yield chains.term(j)
 
 
 @dataclass
@@ -410,14 +370,7 @@ def poisson_solve(
     norms: list[float] = []
     streak = 0
     converged = False
-    chains = None
-    for j in range(j_max + 1):
-        if j <= ev.exact_j_max:
-            raw = _pj_exact(fam, phi, grid, j)
-        else:
-            if chains is None:
-                chains = _McChains(fam, phi, grid, n_chains, seed, "poisson-chain")
-            raw = chains.term(j)
+    for j, raw in enumerate(ev.terms_on(grid, range(j_max + 1), "poisson-chain")):
         m = float(raw.mean())
         t = raw - m
         terms.append(t)
@@ -503,15 +456,12 @@ class PathEnsemble:
     final_sums: np.ndarray  # (replicas,) un-normalized S_n
 
     def write_csv(self, path, seed: int | None = None) -> None:
-        lines = []
-        if seed is not None:
-            lines.append(f"# seed={seed}")
-        lines.append("replica,t,y")
-        for r in range(self.paths.shape[0]):
-            for t, y in zip(self.grid_t, self.paths[r]):
-                lines.append(f"{r},{t:.17g},{y:.17g}")
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+        rows = (
+            f"{r},{t:.17g},{y:.17g}"
+            for r in range(self.paths.shape[0])
+            for t, y in zip(self.grid_t, self.paths[r])
+        )
+        _write_csv(path, seed, "replica,t,y", rows)
 
 
 def partial_sum_paths(
@@ -546,7 +496,7 @@ def partial_sum_paths(
     if isinstance(start, str):
         if start != "stationary":
             raise UsageError("start must be 'stationary' or a point")
-        probe = probe_cloud(fam.probe_box())
+        probe = _default_probe(fam)
         batch = pullback_batch(
             fam, seed, range(replicas), probe, pullback_tol, pullback_n_max, label="clt-start"
         )
@@ -565,7 +515,7 @@ def partial_sum_paths(
     for i in np.nonzero(checkpoints == 0)[0]:
         paths[:, i] = sums * scale
     for j in range(1, n + 1):
-        cur = _advance_particles(fam, cur, table.values[:, j - 1])
+        cur, _ = _step(fam, table.values[:, j - 1], cur)
         sums += phi(cur)
         for i in np.nonzero(checkpoints == j)[0]:
             paths[:, i] = sums * scale
@@ -659,7 +609,6 @@ def run_clt_analysis(
     j_max: int = 60,
     grid_t: np.ndarray | None = None,
     pullback_tol: float = 1e-9,
-    threads: int = 1,
     center_replicas: int = 512,
     center_steps: int = 40_000,
 ) -> tuple[CltReport, PathEnsemble]:
@@ -671,7 +620,7 @@ def run_clt_analysis(
     n = 10^4 needs the stationary mean a couple of orders of magnitude
     tighter than a 4096-point sample provides.
     """
-    mu = pullback_sample(fam, seed, mu_size, pullback_tol, threads=threads)
+    mu = pullback_sample(fam, seed, mu_size, pullback_tol)
     phi0 = make_observable(observable_spec, mu)
     center = stationary_mean(
         fam,

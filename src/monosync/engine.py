@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import NotConvergedError, UsageError
-from .families import FiniteNoise, MapFamily, NoiseSpec
+from .families import FiniteNoise, MapFamily, NoiseSpec, _clamp_points
 from .order import Box
 from .streams import stream_generator, uniforms_at
 
@@ -39,18 +39,38 @@ __all__ = [
 DEFAULT_STREAM_LABEL = "noise"
 
 
-def _map_uniforms(noise: NoiseSpec, u: np.ndarray) -> np.ndarray:
-    """Map uniform draws to noise values (symbols or parameter vectors)."""
+def _noise_values(noise: NoiseSpec, u: np.ndarray) -> np.ndarray:
+    """Noise values from uniforms: one uniform per symbol, ``dim`` per box draw.
+
+    Probabilities may sum to slightly less than 1, so a uniform past the
+    last cumulative mass still selects symbol q.
+    """
     if isinstance(noise, FiniteNoise):
         cum = np.cumsum(noise.probs)
-        vals = np.searchsorted(cum, u, side="right") + 1
-        return np.clip(vals, 1, noise.q).astype(np.int64)
+        sym = np.searchsorted(cum, u, side="right") + 1
+        return np.minimum(sym, noise.q).astype(np.int64, copy=False)
     box = noise.box
     return box.lo + u * (box.hi - box.lo)
 
 
-def _values_per_draw(noise: NoiseSpec) -> int:
-    return 1 if isinstance(noise, FiniteNoise) else noise.dim
+def _draw_noise(noise: NoiseSpec, gen: np.random.Generator, shape: tuple) -> np.ndarray:
+    """An array of ``shape`` i.i.d. noise values, drawn with one ``gen.random`` call.
+
+    Symbols come back with exactly ``shape``; box parameters carry a
+    trailing axis of the box dimension.
+    """
+    if isinstance(noise, FiniteNoise):
+        return _noise_values(noise, gen.random(shape))
+    return _noise_values(noise, gen.random((*shape, noise.dim)))
+
+
+def _write_csv(path, seed: int | None, header: str, rows) -> None:
+    """Write an artifact: a seed comment line when the seed is known, the header, the rows."""
+    lines = [] if seed is None else [f"# seed={seed}"]
+    lines.append(header)
+    lines.extend(rows)
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 @dataclass(frozen=True)
@@ -81,12 +101,7 @@ def sample_block(
     if n < 0:
         raise UsageError("block length must be >= 0")
     gen = stream_generator(seed, label, int(stream_id))
-    d = _values_per_draw(noise)
-    if isinstance(noise, FiniteNoise):
-        u = gen.random(n)
-    else:
-        u = gen.random((n, d))
-    vals = _map_uniforms(noise, u)
+    vals = _draw_noise(noise, gen, (n,))
     return NoiseBlock(values=vals, seed=int(seed), stream_id=int(stream_id))
 
 
@@ -100,11 +115,10 @@ def noise_at(
     """Value ``j`` of a stream, addressed directly through the Philox counter."""
     if j < 0:
         raise UsageError("index must be >= 0")
-    d = _values_per_draw(noise)
-    u = uniforms_at(seed, (label, int(stream_id)), j * d, d)
     if isinstance(noise, FiniteNoise):
-        return int(_map_uniforms(noise, u[:1])[0])
-    return _map_uniforms(noise, u)
+        return int(_noise_values(noise, uniforms_at(seed, (label, int(stream_id)), j, 1))[0])
+    d = noise.dim
+    return _noise_values(noise, uniforms_at(seed, (label, int(stream_id)), j * d, d))
 
 
 @dataclass
@@ -124,45 +138,58 @@ class OrbitTrace:
             cols += [f"box_lo_{i + 1}" for i in range(dim)]
             cols += [f"box_hi_{i + 1}" for i in range(dim)]
         cols.append("saturated")
-        lines = []
-        if seed is not None:
-            lines.append(f"# seed={seed}")
-        lines.append(",".join(cols))
+        rows = []
         for j in range(self.positions.shape[0]):
             row = [str(j)] + [f"{v:.17g}" for v in self.positions[j]]
             if self.boxes is not None:
                 row += [f"{v:.17g}" for v in self.boxes[j].lo]
                 row += [f"{v:.17g}" for v in self.boxes[j].hi]
             row.append(str(int(self.saturated)))
-            lines.append(",".join(row))
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+            rows.append(",".join(row))
+        _write_csv(path, seed, ",".join(cols), rows)
 
 
-def _clamp_points(raw: np.ndarray, bound: float) -> tuple[np.ndarray, np.ndarray]:
-    """Clamp a point block, returning per-point saturation flags."""
-    finite = np.isfinite(raw)
-    sat = ~finite.all(axis=-1)
-    if sat.any():
-        raw = np.nan_to_num(raw, nan=0.0, posinf=bound, neginf=-bound)
-    over = np.abs(raw) > bound
-    if over.any():
-        sat = sat | over.any(axis=-1)
-        raw = np.clip(raw, -bound, bound)
-    return raw, sat
+def _step(
+    fam: MapFamily, alphas: np.ndarray, pts: np.ndarray, rows: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Advance rows of ``pts`` in place, row ``rows[i]`` through the map ``alphas[i]``.
+
+    ``pts`` is (N, dim) or (N, P, dim) and ``rows`` defaults to all N rows.
+    Returns ``pts``, clamped, and a per-row saturation flag (False for rows
+    not advanced).  Finite noise applies each symbol once to all of its
+    rows, in increasing symbol order; box noise applies one map per row.
+    Advancing a subset through ``rows`` saves copying it out and back.
+    """
+    if rows is None:
+        rows = np.arange(pts.shape[0])
+    sat = np.zeros(pts.shape[0], dtype=bool)
+    dim, bound = fam.dim, fam.clamp_bound
+    if fam.finite:
+        for a in np.unique(alphas):
+            sel = rows[alphas == a]
+            block = pts[sel]
+            img, psat = _clamp_points(fam.raw_batch(int(a), block.reshape(-1, dim)), bound)
+            pts[sel] = img.reshape(block.shape)
+            if psat.any():
+                sat[sel] = psat.reshape(len(sel), -1).any(axis=1)
+    else:
+        for alpha, i in zip(alphas, rows):
+            img, psat = _clamp_points(fam.raw_batch(alpha, pts[i].reshape(-1, dim)), bound)
+            pts[i] = img.reshape(pts.shape[1:])
+            sat[i] = psat.any()
+    return pts, sat
 
 
 def forward_orbit(fam: MapFamily, block: NoiseBlock, x0) -> OrbitTrace:
     """Iterate ``Z_{j+1} = f_{b[j]}(Z_j)`` from ``x0`` along the whole block."""
-    x = np.asarray(x0, dtype=float).reshape(1, fam.dim)
+    x = np.array(x0, dtype=float).reshape(1, fam.dim)  # a copy: _step advances it in place
     n = len(block)
     positions = np.empty((n + 1, fam.dim))
     positions[0] = x[0]
     saturated = False
     for j in range(n):
-        raw = fam.raw_batch(block.values[j], x)
-        x, sat = _clamp_points(raw, fam.clamp_bound)
-        saturated = saturated or bool(sat.any())
+        x, sat = _step(fam, block.values[j : j + 1], x)
+        saturated = saturated or bool(sat[0])
         positions[j + 1] = x[0]
     return OrbitTrace("forward", block, positions, None, saturated)
 
@@ -193,36 +220,11 @@ def image_points_at_depths(
         pts = np.broadcast_to(base, (n_rows,) + base.shape).copy()
     else:
         pts = base.copy()
-    n_probe = pts.shape[1]
     sat = np.zeros(n_rows, dtype=bool)
-    if n_rows == 0 or depths.max(initial=0) == 0:
-        return pts, sat
-    finite = isinstance(fam.noise, FiniteNoise)
-    max_depth = int(depths.max())
-    for stage in range(1, max_depth + 1):
-        live = depths >= stage
-        if not live.any():
-            continue
-        idx = np.nonzero(live)[0]
-        pos = depths[idx] - stage
-        if finite:
-            syms = blocks[idx, pos]
-            for a in np.unique(syms):
-                rows = idx[syms == a]
-                flat = pts[rows].reshape(-1, fam.dim)
-                raw = fam.raw_batch(int(a), flat)
-                out, psat = _clamp_points(raw, fam.clamp_bound)
-                pts[rows] = out.reshape(len(rows), n_probe, fam.dim)
-                if psat.any():
-                    sat[rows] |= psat.reshape(len(rows), n_probe).any(axis=1)
-        else:
-            params = blocks[idx, pos]
-            for t, i in enumerate(idx):
-                raw = fam.raw_batch(params[t], pts[i])
-                out, psat = _clamp_points(raw, fam.clamp_bound)
-                pts[i] = out
-                if psat.any():
-                    sat[i] = True
+    for stage in range(1, int(depths.max(initial=0)) + 1):
+        idx = np.nonzero(depths >= stage)[0]
+        _, psat = _step(fam, blocks[idx, depths[idx] - stage], pts, idx)
+        sat |= psat
     return pts, sat
 
 
@@ -262,33 +264,23 @@ class _BlockTable:
 
     def __init__(self, noise: NoiseSpec, seed: int, label: str, stream_ids: Sequence[int]):
         self.noise = noise
-        self.finite = isinstance(noise, FiniteNoise)
         self._gens = [stream_generator(seed, label, int(s)) for s in stream_ids]
         n = len(self._gens)
-        d = _values_per_draw(noise)
-        if self.finite:
+        if isinstance(noise, FiniteNoise):
             self.values = np.empty((n, 0), dtype=np.int64)
         else:
-            self.values = np.empty((n, 0, d), dtype=float)
+            self.values = np.empty((n, 0, noise.dim), dtype=float)
 
     def ensure(self, depth: int) -> None:
         have = self.values.shape[1]
         if depth <= have:
             return
         extra = depth - have
-        if self.finite:
-            cum = np.cumsum(self.noise.probs)
-            block = np.empty((len(self._gens), extra), dtype=np.int64)
-            for i, g in enumerate(self._gens):
-                u = g.random(extra)
-                block[i] = np.clip(np.searchsorted(cum, u, side="right") + 1, 1, self.noise.q)
-        else:
-            box = self.noise.box
-            d = box.dim
-            block = np.empty((len(self._gens), extra, d), dtype=float)
-            for i, g in enumerate(self._gens):
-                block[i] = box.lo + g.random((extra, d)) * (box.hi - box.lo)
-        self.values = np.concatenate([self.values, block], axis=1)
+        block = np.empty((len(self._gens), extra) + self.values.shape[2:], dtype=self.values.dtype)
+        for i, g in enumerate(self._gens):
+            block[i] = _draw_noise(self.noise, g, (extra,))
+        # concatenating onto the empty table would copy the whole first fill
+        self.values = block if have == 0 else np.concatenate([self.values, block], axis=1)
 
 
 def _taxicab_diams(pts: np.ndarray) -> np.ndarray:

@@ -53,7 +53,6 @@ __all__ = [
     "image_box",
     "classify_monotonicity",
     "probe_cloud",
-    "default_probe_box",
 ]
 
 _PROB_TOL = 1e-12
@@ -321,18 +320,30 @@ class MapFamily:
         Returns the clamped images and whether any component saturated
         (non-finite or beyond the clamp bound).
         """
-        return _clamp(self.raw_batch(alpha, points), self.clamp_bound)
+        pts, sat = _clamp_points(self.raw_batch(alpha, points), self.clamp_bound)
+        return pts, bool(sat.any())
 
 
-def _clamp(raw: np.ndarray, bound: float) -> tuple[np.ndarray, bool]:
+def _clamp_points(raw: np.ndarray, bound: float) -> tuple[np.ndarray, np.ndarray]:
+    """Clamp a point block into [-bound, bound], with per-point saturation flags.
+
+    Non-finite components become 0 (NaN) or +-bound (infinities) and are
+    flagged like components beyond the bound.  A block already inside a
+    finite bound is returned as is, checked by two reductions that allocate
+    nothing; NaN fails that test and takes the full path, and so does every
+    block under an infinite bound, whose infinities must still be flagged.
+    """
+    if -bound <= raw.min(initial=0.0) and raw.max(initial=0.0) <= bound < math.inf:
+        return raw, np.zeros(raw.shape[:-1], dtype=bool)
     finite = np.isfinite(raw)
-    saturated = not finite.all()
-    if saturated:
+    sat = ~finite.all(axis=-1)
+    if sat.any():
         raw = np.nan_to_num(raw, nan=0.0, posinf=bound, neginf=-bound)
-    if np.any(np.abs(raw) > bound):
-        saturated = True
+    over = np.abs(raw) > bound
+    if over.any():
+        sat = sat | over.any(axis=-1)
         raw = np.clip(raw, -bound, bound)
-    return raw, saturated
+    return raw, sat
 
 
 def make_family(
@@ -508,8 +519,11 @@ def probe_cloud(box: Box, n_interior: int = 32) -> np.ndarray:
     return np.unique(np.vstack(parts), axis=0)
 
 
-def default_probe_box(fam: MapFamily) -> Box:
-    return fam.probe_box()
+def _default_probe(fam: MapFamily, probe_points=None) -> np.ndarray:
+    """The given probe points as an (n, dim) array, else the family's default probe cloud."""
+    if probe_points is None:
+        return probe_cloud(fam.probe_box())
+    return np.atleast_2d(np.asarray(probe_points, dtype=float))
 
 
 def _sample_comparable_pairs(

@@ -116,10 +116,6 @@ class Box:
         return float(np.sum(self.hi - self.lo))
 
     @property
-    def volume(self) -> float:
-        return float(np.prod(self.hi - self.lo))
-
-    @property
     def center(self) -> np.ndarray:
         return 0.5 * (self.lo + self.hi)
 
@@ -143,11 +139,6 @@ class Box:
         if other.dim != self.dim:
             raise DimensionMismatchError("box dimensions differ")
         return bool(np.all(other.lo >= self.lo - tol) and np.all(other.hi <= self.hi + tol))
-
-    def union(self, other: "Box") -> "Box":
-        if other.dim != self.dim:
-            raise DimensionMismatchError("box dimensions differ")
-        return Box(np.minimum(self.lo, other.lo), np.maximum(self.hi, other.hi))
 
     def scaled(self, factor: float) -> "Box":
         """Box scaled about its center by ``factor`` >= 0."""

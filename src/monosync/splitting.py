@@ -21,9 +21,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engine import _BlockTable, image_points_at_depths
+from .engine import _BlockTable, _draw_noise, _write_csv, image_points_at_depths
 from .errors import UsageError
-from .families import FiniteNoise, MapFamily, probe_cloud
+from .families import FiniteNoise, MapFamily, _default_probe
 from .fitting import loglinear_fit
 from .order import JOrder
 from .streams import stream_generator
@@ -116,12 +116,6 @@ def _find_ordered_pair(t_lo, t_hi, tol, chunk=512):
     return None
 
 
-def _default_probe(fam: MapFamily, probe_points):
-    if probe_points is None:
-        return probe_cloud(fam.probe_box())
-    return np.atleast_2d(np.asarray(probe_points, dtype=float))
-
-
 def exact_splitting_scan(
     fam: MapFamily,
     order: JOrder,
@@ -200,17 +194,7 @@ def find_splitting_witness(
     probe = _default_probe(fam, probe_points)
     tol = order.strict_tol
     for m in range(1, m_max + 1):
-        gen = stream_generator(seed, "witness", m)
-        if isinstance(fam.noise, FiniteNoise):
-            cum = np.cumsum(fam.noise.probs)
-            u = gen.random((n_blocks, m))
-            blocks = np.clip(
-                np.searchsorted(cum, u, side="right") + 1, 1, fam.noise.q
-            ).astype(np.int64)
-        else:
-            box = fam.noise.box
-            u = gen.random((n_blocks, m, box.dim))
-            blocks = box.lo + u * (box.hi - box.lo)
+        blocks = _draw_noise(fam.noise, stream_generator(seed, "witness", m), (n_blocks, m))
         lo, hi = _block_image_boxes(fam, blocks, m, probe)
         t_lo, t_hi = _signed_box_coords(lo, hi, order)
         pair = _find_ordered_pair(t_lo, t_hi, tol)
@@ -257,16 +241,11 @@ class SigmaDecaySeries:
     truncated_at: int | None = None
 
     def write_csv(self, path, seed: int | None = None) -> None:
-        lines = []
-        if seed is not None:
-            lines.append(f"# seed={seed}")
-        lines.append("j,p_hat,stderr,lambda_pow_j")
-        for j, p, se in zip(self.j, self.p_hat, self.stderr):
-            lines.append(
-                f"{j},{p:.17g},{se:.17g},{self.lambda_bound ** j:.17g}"
-            )
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+        rows = (
+            f"{j},{p:.17g},{se:.17g},{self.lambda_bound ** j:.17g}"
+            for j, p, se in zip(self.j, self.p_hat, self.stderr)
+        )
+        _write_csv(path, seed, "j,p_hat,stderr,lambda_pow_j", rows)
 
 
 def sigma_decay(

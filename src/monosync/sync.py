@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import _BlockTable, image_points_at_depths, _clamp_points, sample_block
+from .engine import _BlockTable, _write_csv, image_points_at_depths, sample_block
 from .errors import DegenerateSeriesError, NotConvergedError, UsageError
-from .families import MapFamily, probe_cloud
+from .families import MapFamily, _default_probe, probe_cloud
 from .fitting import loglinear_fit
 from .order import Box
 from .streams import stream_generator
@@ -68,15 +68,11 @@ class DiamSeries:
         mean = self.mean_diam()
         q05 = np.quantile(self.diam, 0.05, axis=0)
         q95 = np.quantile(self.diam, 0.95, axis=0)
-        lines = []
-        if seed is not None:
-            lines.append(f"# seed={seed}")
-        lines.append("n,mean_diam,q05,q95,bound_c_rn")
+        rows = []
         for n in range(self.n_max + 1):
             bound = "" if fit is None else f"{fit.c_hat * fit.r_hat ** n:.17g}"
-            lines.append(f"{n},{mean[n]:.17g},{q05[n]:.17g},{q95[n]:.17g},{bound}")
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+            rows.append(f"{n},{mean[n]:.17g},{q05[n]:.17g},{q95[n]:.17g},{bound}")
+        _write_csv(path, seed, "n,mean_diam,q05,q95,bound_c_rn", rows)
 
 
 @dataclass(frozen=True)
@@ -133,11 +129,7 @@ def diameter_series(
         raise UsageError("replicas must be >= 1")
     if n_max < 1:
         raise UsageError("n_max must be >= 1")
-    probe = (
-        probe_cloud(fam.probe_box())
-        if probe_points is None
-        else np.atleast_2d(np.asarray(probe_points, dtype=float))
-    )
+    probe = _default_probe(fam, probe_points)
     if probe.shape[0] < 1:
         raise UsageError("probe cloud must be nonempty")
     table = _BlockTable(fam.noise, seed, label, range(replicas))
@@ -288,14 +280,11 @@ class GapSeries:
     seed: int
 
     def write_csv(self, path, seed: int | None = None) -> None:
-        lines = []
-        if seed is not None:
-            lines.append(f"# seed={seed}")
-        lines.append("n,gap,image_diam_bound,pullback_depth")
-        for n, g, b, d in zip(self.checkpoints, self.gap, self.bound, self.depths):
-            lines.append(f"{n},{g:.17g},{b:.17g},{d}")
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+        rows = (
+            f"{n},{g:.17g},{b:.17g},{d}"
+            for n, g, b, d in zip(self.checkpoints, self.gap, self.bound, self.depths)
+        )
+        _write_csv(path, seed, "n,gap,image_diam_bound,pullback_depth", rows)
 
 
 def forward_attractor_gap(
@@ -319,12 +308,7 @@ def forward_attractor_gap(
     if n_checkpoints < 1:
         raise UsageError("need at least one checkpoint")
     x = np.asarray(x0, dtype=float).reshape(1, fam.dim)
-    probe = (
-        probe_cloud(fam.probe_box())
-        if probe_points is None
-        else np.atleast_2d(np.asarray(probe_points, dtype=float))
-    )
-    probe = np.unique(np.vstack([probe, x]), axis=0)
+    probe = np.unique(np.vstack([_default_probe(fam, probe_points), x]), axis=0)
 
     fwd_block = sample_block(fam.noise, seed, 0, n_checkpoints, label="gap-fwd")
     positions = np.empty((n_checkpoints + 1, fam.dim))
@@ -335,8 +319,8 @@ def forward_attractor_gap(
     cur = x.copy()
     for j in range(n_checkpoints):
         a = fwd_block.values[j]
-        cur, _ = _clamp_points(fam.raw_batch(a, cur), fam.clamp_bound)
-        img, _ = _clamp_points(fam.raw_batch(a, img), fam.clamp_bound)
+        cur, _ = fam.apply_batch(a, cur)
+        img, _ = fam.apply_batch(a, img)
         positions[j + 1] = cur[0]
         bound[j + 1] = float((img.max(axis=0) - img.min(axis=0)).sum())
 

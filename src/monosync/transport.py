@@ -9,16 +9,15 @@ say so in the report.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import cdist
 
-from .engine import image_points_at_depths, pullback_batch
+from .engine import _draw_noise, _write_csv, image_points_at_depths, pullback_batch
 from .errors import NotConvergedError, UsageError
-from .families import FiniteNoise, MapFamily, probe_cloud
+from .families import FiniteNoise, MapFamily, _default_probe
 from .fitting import loglinear_fit
 from .streams import derive_seed, stream_generator
 from .sync import RateFit, assumption2_check
@@ -106,14 +105,12 @@ class EmpiricalMeasure:
         return EmpiricalMeasure.uniform(self.points[idx], self.provenance, dict(self.meta))
 
     def write_csv(self, path, seed: int | None = None) -> None:
-        lines = []
-        if seed is not None:
-            lines.append(f"# seed={seed}")
-        lines.append(",".join([f"x_{i + 1}" for i in range(self.dim)] + ["weight"]))
-        for p, w in zip(self.points, self.weights):
-            lines.append(",".join(f"{v:.17g}" for v in p) + f",{w:.17g}")
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+        header = ",".join([f"x_{i + 1}" for i in range(self.dim)] + ["weight"])
+        rows = (
+            ",".join(f"{v:.17g}" for v in p) + f",{w:.17g}"
+            for p, w in zip(self.points, self.weights)
+        )
+        _write_csv(path, seed, header, rows)
 
     @classmethod
     def read_csv(cls, path) -> "EmpiricalMeasure":
@@ -222,7 +219,6 @@ def pullback_sample(
     tol: float = 1e-9,
     n_max: int = 4096,
     probe_points: np.ndarray | None = None,
-    threads: int = 1,
     label: str = "noise",
 ) -> EmpiricalMeasure:
     """Sample the stationary law: one pullback limit per stream id 0..N-1.
@@ -232,25 +228,11 @@ def pullback_sample(
     """
     if n_samples < 1:
         raise UsageError("n_samples must be >= 1")
-    probe = (
-        probe_cloud(fam.probe_box())
-        if probe_points is None
-        else np.atleast_2d(np.asarray(probe_points, dtype=float))
-    )
-    chunks = [
-        range(start, min(start + _PULLBACK_CHUNK, n_samples))
-        for start in range(0, n_samples, _PULLBACK_CHUNK)
-    ]
-
-    def run(chunk):
-        return pullback_batch(fam, seed, chunk, probe, tol, n_max, label=label)
-
-    if threads > 1 and len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run, chunks))
-    else:
-        results = [run(c) for c in chunks]
-
+    probe = _default_probe(fam, probe_points)
+    results = []
+    for start in range(0, n_samples, _PULLBACK_CHUNK):
+        chunk = range(start, min(start + _PULLBACK_CHUNK, n_samples))
+        results.append(pullback_batch(fam, seed, chunk, probe, tol, n_max, label=label))
     points = np.concatenate([r.points for r in results], axis=0)
     converged = np.concatenate([r.converged for r in results])
     saturated = bool(np.concatenate([r.saturated for r in results]).any())
@@ -280,23 +262,11 @@ def push_forward(
         raise UsageError("measure dimension does not match family")
     if steps == 0:
         return EmpiricalMeasure(mu.points, mu.weights, "pushforward", dict(mu.meta))
-    gen = stream_generator(seed, label)
-    n = mu.n
-    if isinstance(fam.noise, FiniteNoise):
-        cum = np.cumsum(fam.noise.probs)
-        u = gen.random((n, steps))
-        blocks = np.clip(np.searchsorted(cum, u, side="right") + 1, 1, fam.noise.q).astype(
-            np.int64
-        )
-    else:
-        box = fam.noise.box
-        u = gen.random((n, steps, box.dim))
-        blocks = box.lo + u * (box.hi - box.lo)
+    blocks = _draw_noise(fam.noise, stream_generator(seed, label), (mu.n, steps))
     # Forward advance equals a reverse-order composition of the reversed
     # rows; rows are i.i.d., so feed them innermost-first directly.
-    rev = blocks[:, ::-1].copy() if blocks.ndim == 2 else blocks[:, ::-1, :].copy()
     pts, sat = image_points_at_depths(
-        fam, rev, np.full(n, steps, dtype=np.int64), mu.points[:, None, :]
+        fam, blocks[:, ::-1], np.full(mu.n, steps, dtype=np.int64), mu.points[:, None, :]
     )
     meta = dict(mu.meta)
     meta["saturated"] = bool(meta.get("saturated", False) or sat.any())
@@ -339,15 +309,11 @@ class W1DecayCurve:
     method: str
 
     def write_csv(self, path, seed: int | None = None) -> None:
-        lines = []
-        if seed is not None:
-            lines.append(f"# seed={seed}")
-        lines.append("n,w1,c_rn_bound")
+        rows = []
         for n, v in zip(self.ns, self.w1):
             bound = "" if self.fit is None else f"{self.fit.c_hat * self.fit.r_hat ** int(n):.17g}"
-            lines.append(f"{n},{v:.17g},{bound}")
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+            rows.append(f"{n},{v:.17g},{bound}")
+        _write_csv(path, seed, "n,w1,c_rn_bound", rows)
 
 
 def _calibrate_floor(ref: EmpiricalMeasure, n_other: int, seed: int, n_splits: int = 5) -> float:
@@ -382,7 +348,6 @@ def w1_decay_curve(
     tol: float = 1e-9,
     pullback_n_max: int = 4096,
     floor_mult: float = 3.0,
-    threads: int = 1,
 ) -> W1DecayCurve:
     """Track W1 between the pushed-forward initial measure and a fixed pullback sample.
 
@@ -395,7 +360,7 @@ def w1_decay_curve(
     """
     if n_max < 1:
         raise UsageError("n_max must be >= 1")
-    ref = pullback_sample(fam, seed, ref_size, tol, pullback_n_max, threads=threads)
+    ref = pullback_sample(fam, seed, ref_size, tol, pullback_n_max)
     floor = _calibrate_floor(ref, n_particles, derive_seed(seed, "w1-floor"))
 
     warnings: list[str] = []

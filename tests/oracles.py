@@ -87,3 +87,38 @@ def iid_partial_sum_var(values, probs, t: float) -> float:
     mean = probs @ values
     var = probs @ (values - mean) ** 2
     return var * t
+
+
+def clamp_two_branch(raw, bound: float):
+    """Clamp into [-bound, bound] with per-point flags: non-finite first, then over-bound."""
+    finite = np.isfinite(raw)
+    sat = ~finite.all(axis=-1)
+    if sat.any():
+        raw = np.nan_to_num(raw, nan=0.0, posinf=bound, neginf=-bound)
+    over = np.abs(raw) > bound
+    if over.any():
+        sat = sat | over.any(axis=-1)
+        raw = np.clip(raw, -bound, bound)
+    return raw, sat
+
+
+def step_rowwise(fam, alphas, pts):
+    """One map per row through the public ``apply_batch``, one call per row."""
+    out = np.array(pts, dtype=float, copy=True)
+    sat = np.zeros(out.shape[0], dtype=bool)
+    for i in range(out.shape[0]):
+        a = int(alphas[i]) if fam.finite else alphas[i]
+        img, s = fam.apply_batch(a, out[i].reshape(-1, fam.dim))
+        out[i] = img.reshape(out.shape[1:])
+        sat[i] = s
+    return out, sat
+
+
+def finite_symbol(u: float, probs) -> int:
+    """Symbol 1..q of one uniform: the first k whose cumulative mass exceeds u, else q."""
+    acc = 0.0
+    for k, p in enumerate(probs, start=1):
+        acc += p
+        if u < acc:
+            return k
+    return len(probs)

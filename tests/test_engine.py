@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -14,8 +16,10 @@ from monosync import (
     sample_block,
     wasserstein1,
 )
-from monosync.engine import pullback_batch
+from monosync.engine import _BlockTable, _draw_noise, _noise_values, _step, pullback_batch
 from monosync.families import FiniteNoise
+from monosync.streams import stream_generator
+from oracles import finite_symbol, step_rowwise
 
 
 def test_degenerate_law_block():
@@ -60,8 +64,10 @@ def test_symbol_frequency(cantor1d):
 def test_forward_orbit_examples(cantor1d):
     tr = forward_orbit(cantor1d, NoiseBlock(np.array([1, 1]), 0, 0), [1.0])
     assert np.allclose(tr.positions.ravel(), [1.0, 1 / 3, 1 / 9])
-    tr2 = forward_orbit(cantor1d, NoiseBlock(np.array([2, 1]), 0, 0), [0.0])
+    x0 = np.array([0.0])
+    tr2 = forward_orbit(cantor1d, NoiseBlock(np.array([2, 1]), 0, 0), x0)
     assert np.allclose(tr2.positions.ravel(), [0.0, 2 / 3, 2 / 9])
+    assert x0[0] == 0.0  # the start point is not advanced in place
     lip = make_family("lip-pair")
     tr3 = forward_orbit(lip, NoiseBlock(np.array([1]), 0, 0), [1.0])
     assert tr3.positions[-1, 0] == pytest.approx(2.0)
@@ -158,3 +164,61 @@ def test_orbit_csv(tmp_path, cantor1d):
     assert lines[0] == "# seed=1"
     assert lines[1].startswith("step,x_1,box_lo_1,box_hi_1")
     assert len(lines) == 2 + 6
+
+
+@pytest.mark.parametrize("fid", ["cantor2d", "slide1d", "exp1d"])
+@pytest.mark.parametrize("n_probe", [None, 5])
+def test_step_matches_rowwise_apply_batch(fid, n_probe):
+    fam = make_family(fid)
+    gen = np.random.default_rng(11)
+    n = 40
+    shape = (n, fam.dim) if n_probe is None else (n, n_probe, fam.dim)
+    # exp1d overflows past ~709, so the wide spread exercises saturation
+    scale = 800.0 if fid == "exp1d" else 1.0
+    pts = scale * gen.uniform(-1.0, 1.0, size=shape)
+    alphas = _draw_noise(fam.noise, gen, (n,))
+    want, want_sat = step_rowwise(fam, alphas, pts)
+    got, got_sat = _step(fam, alphas, pts.copy())
+    assert got.tobytes() == want.tobytes()
+    assert np.array_equal(got_sat, want_sat)
+    if fid == "exp1d":
+        assert want_sat.any() and not want_sat.all()
+
+
+@pytest.mark.parametrize("probs", [(0.5, 0.5), (0.2, 0.3, 0.5), (0.5, 0.5 - 5e-13)])
+def test_finite_draw_matches_cumulative_oracle(probs):
+    noise = FiniteNoise(probs)
+    vals = _draw_noise(noise, stream_generator(3, "draw"), (50, 40))
+    u = stream_generator(3, "draw").random((50, 40))
+    want = np.vectorize(lambda x: finite_symbol(x, noise.probs))(u)
+    assert vals.dtype == np.int64 and np.array_equal(vals, want)
+
+
+def test_finite_draw_short_mass_never_exceeds_q():
+    noise = FiniteNoise((0.5, 0.5 - 5e-13))  # accepted: within the sum tolerance
+    u = np.array([0.0, 0.5, 1.0 - 5e-13, 1.0 - 1e-13, np.nextafter(1.0, 0.0)])
+    assert _noise_values(noise, u).tolist() == [1, 2, 2, 2, 2]
+
+
+def test_box_draw_matches_affine_oracle():
+    fam = make_family("slide1d")
+    vals = _draw_noise(fam.noise, stream_generator(4, "draw"), (7, 3))
+    u = stream_generator(4, "draw").random((7, 3, 1))
+    box = fam.noise.box
+    assert vals.shape == (7, 3, 1)
+    assert vals.tobytes() == (box.lo + u * (box.hi - box.lo)).tobytes()
+
+
+def test_block_table_first_fill_does_not_copy(cantor1d):
+    table = _BlockTable(cantor1d.noise, 0, "mem", range(64))
+    tracemalloc.start()
+    try:
+        table.ensure(20_000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * table.values.nbytes
+    deeper = _BlockTable(cantor1d.noise, 0, "mem", range(64))
+    deeper.ensure(7_000)
+    deeper.ensure(20_000)
+    assert np.array_equal(deeper.values, table.values)

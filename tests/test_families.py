@@ -3,6 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from monosync import (
     Box,
@@ -19,7 +22,9 @@ from monosync import (
     make_family,
     probe_cloud,
 )
-from monosync.families import FiniteNoise
+from monosync.families import FiniteNoise, _clamp_points
+
+from oracles import clamp_two_branch
 
 
 def test_apply_examples(cantor1d, exp1d):
@@ -201,3 +206,23 @@ def test_default_orders_make_builtins_monotone():
         for a in alphas:
             v = classify_monotonicity(fam, a, ordr, fam.probe_box(), 50, seed=2)
             assert v.kind is not Monotonicity.NEITHER, (fid, a)
+
+
+_clamp_blocks = hnp.arrays(
+    np.float64,
+    st.tuples(st.integers(0, 6), st.integers(1, 3)),
+    elements=st.one_of(
+        st.floats(allow_nan=True, allow_infinity=True),
+        st.sampled_from([0.0, -0.0, 2.0, -2.0, 1e300, -1e300, 1e308, -1e308]),
+    ),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(raw=_clamp_blocks, bound=st.sampled_from([1.0, 1e300, math.inf]))
+def test_clamp_matches_two_branch_reference(raw, bound):
+    got, got_sat = _clamp_points(raw.copy(), bound)
+    want, want_sat = clamp_two_branch(raw.copy(), bound)
+    assert got.shape == want.shape and got_sat.shape == want_sat.shape == raw.shape[:1]
+    assert got.tobytes() == want.tobytes()
+    assert np.array_equal(got_sat, want_sat)
