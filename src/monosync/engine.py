@@ -16,6 +16,7 @@ results independent of chunking and worker counts.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -24,7 +25,7 @@ import numpy as np
 from .errors import NotConvergedError, UsageError
 from .families import FiniteNoise, MapFamily, NoiseSpec, _clamp_points
 from .order import Box
-from .streams import stream_generator, uniforms_at
+from .streams import stream_generator, stream_keys, uniforms_at
 
 __all__ = [
     "NoiseBlock",
@@ -37,6 +38,7 @@ __all__ = [
 ]
 
 DEFAULT_STREAM_LABEL = "noise"
+_FILL_CHUNK = 4096  # noise values mapped from uniforms per call when filling a table
 
 
 def _noise_values(noise: NoiseSpec, u: np.ndarray) -> np.ndarray:
@@ -260,14 +262,22 @@ def reverse_orbit(
 
 
 class _BlockTable:
-    """Per-stream noise blocks that can be deepened without replaying prefixes."""
+    """Per-stream noise blocks that can be deepened without replaying prefixes.
+
+    Row ``i`` holds the first draws of stream ``(seed, label, stream_ids[i])``,
+    bit for bit the values ``sample_block`` gives.  The keys of all rows are
+    derived at once and one Philox serves every row: ``ensure`` re-keys it
+    per row and points its counter at the row's next draw.  Finite-noise
+    symbols are stored in the smallest unsigned type that holds q.
+    """
 
     def __init__(self, noise: NoiseSpec, seed: int, label: str, stream_ids: Sequence[int]):
         self.noise = noise
-        self._gens = [stream_generator(seed, label, int(s)) for s in stream_ids]
-        n = len(self._gens)
+        self._keys = stream_keys(seed, label, stream_ids).tolist()
+        self._gen = np.random.Generator(np.random.Philox(0))  # re-keyed before every row
+        n = len(self._keys)
         if isinstance(noise, FiniteNoise):
-            self.values = np.empty((n, 0), dtype=np.int64)
+            self.values = np.empty((n, 0), dtype=np.min_scalar_type(noise.q))
         else:
             self.values = np.empty((n, 0, noise.dim), dtype=float)
 
@@ -276,9 +286,36 @@ class _BlockTable:
         if depth <= have:
             return
         extra = depth - have
-        block = np.empty((len(self._gens), extra) + self.values.shape[2:], dtype=self.values.dtype)
-        for i, g in enumerate(self._gens):
-            block[i] = _draw_noise(self.noise, g, (extra,))
+        tail = self.values.shape[2:]
+        block = np.empty((len(self._keys), extra) + tail, dtype=self.values.dtype)
+        out = block.reshape((-1,) + tail)  # a view: one noise value per entry, row after row
+        width = math.prod(tail)  # uniforms per noise value
+        start = have * width  # every row's next uniform
+        dropped = np.empty(start % 4)  # the draws of start's counter block before start
+        # Uniforms are mapped to noise values a chunk at a time, so the
+        # temporaries stay small whatever the table's size.
+        u = np.empty(_FILL_CHUNK * width)
+        filled = written = 0
+        bitgen = self._gen.bit_generator
+        state = {"bit_generator": "Philox", "buffer": [0, 0, 0, 0], "buffer_pos": 4,
+                 "has_uint32": 0, "uinteger": 0}
+        last = len(self._keys) - 1
+        for row, key in enumerate(self._keys):
+            state["state"] = {"counter": [start // 4, 0, 0, 0], "key": key}
+            bitgen.state = state
+            self._gen.random(out=dropped)
+            left = extra * width
+            while left:
+                take = min(left, u.size - filled)
+                self._gen.random(out=u[filled : filled + take])
+                filled += take
+                left -= take
+                if filled == u.size or (row == last and left == 0):
+                    k = filled // width
+                    vals = _noise_values(self.noise, u[:filled].reshape((k,) + tail))
+                    out[written : written + k] = vals
+                    written += k
+                    filled = 0
         # concatenating onto the empty table would copy the whole first fill
         self.values = block if have == 0 else np.concatenate([self.values, block], axis=1)
 

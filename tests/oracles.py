@@ -6,6 +6,7 @@ sampling) and shares no code with the package paths it checks.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 
 import numpy as np
@@ -122,3 +123,37 @@ def finite_symbol(u: float, probs) -> int:
         if u < acc:
             return k
     return len(probs)
+
+
+def per_stream_table(noise, seed, label, ids, depths):
+    """Noise table deepened to each of ``depths`` in turn, one generator per stream.
+
+    Stream ``(seed, label, id)`` is ``Generator(Philox(SeedSequence([seed mod
+    2**64, label word, id])))``, where an int label is its own word and a
+    string label the little-endian 8-byte blake2b digest of its UTF-8.  Each
+    deepening draws only the missing values of every stream, row by row.
+    """
+    if isinstance(label, int):
+        word = label % 2**64
+    else:
+        digest = hashlib.blake2b(str(label).encode("utf-8"), digest_size=8).digest()
+        word = int.from_bytes(digest, "little")
+    gens = [
+        np.random.Generator(np.random.Philox(np.random.SeedSequence([seed % 2**64, word, int(i)])))
+        for i in ids
+    ]
+    finite = hasattr(noise, "probs")
+    rows = [[] for _ in gens]
+    have = 0
+    for depth in depths:
+        for row, gen in zip(rows, gens):
+            for _ in range(have, depth):
+                if finite:
+                    row.append(finite_symbol(gen.random(), noise.probs))
+                else:
+                    u = gen.random(noise.dim)
+                    row.append(noise.box.lo + u * (noise.box.hi - noise.box.lo))
+        have = max(have, depth)
+    if finite:
+        return np.array(rows, dtype=np.int64).reshape(len(gens), have)
+    return np.array(rows, dtype=float).reshape(len(gens), have, noise.dim)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -143,3 +144,16 @@ def test_threads_do_not_change_artifacts(tmp_path):
     assert run(base + ["--threads", "8", "--out", str(out_8)]) == 0
     for name in ("manifest.json", "stationary.csv", "stationary.json"):
         assert (out_1 / name).read_bytes() == (out_8 / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("args, artifact, digest", [
+    (["stationary", "--family", "cantor1d", "--n-samples", "256", "--seed", "255742855"],
+     "stationary.csv", "ade03685751b7872e7c4bec93a6e7a70a772c37c4461eff8160631e19d37d64f"),
+    (["sync-rate", "--family", "slide1d", "--seed", "4242"],
+     "diam_series.csv", "73c90239aca7582d1daed96e05138c87fb76375f9ebf380d750e1dccf41db061"),
+])
+def test_golden_artifact_digest(tmp_path, args, artifact, digest):
+    # Frozen bytes: any change to the noise streams (finite and box tables) shows here.
+    out = tmp_path / "golden"
+    assert run(args + ["--threads", "1", "--out", str(out)]) == 0
+    assert hashlib.sha256((out / artifact).read_bytes()).hexdigest() == digest
