@@ -20,7 +20,7 @@ uncorrelated increments.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import stats as sps
@@ -137,16 +137,20 @@ def make_observable(spec, mu: EmpiricalMeasure, center: float | None = None) -> 
         raise UsageError(f"unknown observable kind {kind!r}")
     if center is None:
         center = float(mu.weights @ obs.raw(mu.points))
-    return Observable(
-        kind=obs.kind,
-        lipschitz_const=obs.lipschitz_const,
-        center=float(center),
-        coord=obs.coord,
-        coeffs=obs.coeffs,
-        offset=obs.offset,
-        table_points=obs.table_points,
-        table_values=obs.table_values,
-    )
+    return replace(obs, center=float(center))
+
+
+def _stationary_start(
+    fam: MapFamily, seed: int, replicas: int, tol: float, n_max: int, label: str
+) -> np.ndarray:
+    """Per-replica pullback limits of the default probe: a stationary start for chains.
+
+    Raises :class:`NotConvergedError` when any replica's pullback fails.
+    """
+    batch = pullback_batch(fam, seed, range(replicas), _default_probe(fam), tol, n_max, label=label)
+    if not batch.converged.all():
+        raise NotConvergedError(n_max, float(batch.diam.max()))
+    return batch.points
 
 
 def stationary_mean(
@@ -164,13 +168,7 @@ def stationary_mean(
     burn-in bias) and the raw observable is averaged over all replicas and
     steps; the error scales like sqrt(var / (replicas * steps)).
     """
-    probe = _default_probe(fam)
-    batch = pullback_batch(
-        fam, seed, range(replicas), probe, pullback_tol, pullback_n_max, label="ergodic-start"
-    )
-    if not batch.converged.all():
-        raise NotConvergedError(pullback_n_max, float(batch.diam.max()))
-    cur = batch.points.copy()
+    cur = _stationary_start(fam, seed, replicas, pullback_tol, pullback_n_max, "ergodic-start")
     table = _BlockTable(fam.noise, seed, "ergodic-chain", range(replicas))
     table.ensure(steps)
     total = float(np.sum(obs.raw(cur)))
@@ -203,13 +201,7 @@ def transfer_apply(
     if exact:
         if not isinstance(fam.noise, FiniteNoise):
             raise UsageError("exact transfer enumeration requires finite noise")
-        out = np.zeros(pts.shape[0])
-        for a, p in enumerate(fam.noise.probs, start=1):
-            if p == 0.0:
-                continue
-            img, _ = fam.apply_batch(a, pts)
-            out += p * np.asarray(phi(img))
-        return out
+        return _pj_exact(fam, phi, pts, 1)
     if n_inner < 100:
         raise UsageError("need at least 100 inner samples")
     draws = _draw_noise(fam.noise, stream_generator(seed, label), (n_inner,))
@@ -496,13 +488,7 @@ def partial_sum_paths(
     if isinstance(start, str):
         if start != "stationary":
             raise UsageError("start must be 'stationary' or a point")
-        probe = _default_probe(fam)
-        batch = pullback_batch(
-            fam, seed, range(replicas), probe, pullback_tol, pullback_n_max, label="clt-start"
-        )
-        if not batch.converged.all():
-            raise NotConvergedError(pullback_n_max, float(batch.diam.max()))
-        cur = batch.points.copy()
+        cur = _stationary_start(fam, seed, replicas, pullback_tol, pullback_n_max, "clt-start")
     else:
         cur = np.tile(np.asarray(start, dtype=float).reshape(1, fam.dim), (replicas, 1))
 

@@ -44,13 +44,13 @@ _FILL_CHUNK = 4096  # noise values mapped from uniforms per call when filling a 
 def _noise_values(noise: NoiseSpec, u: np.ndarray) -> np.ndarray:
     """Noise values from uniforms: one uniform per symbol, ``dim`` per box draw.
 
-    Probabilities may sum to slightly less than 1, so a uniform past the
-    last cumulative mass still selects symbol q.
+    A symbol is one plus the number of the first q-1 cumulative masses at
+    or below its uniform.  Probabilities may sum to slightly less than 1,
+    so a uniform past the last cumulative mass still selects symbol q.
     """
     if isinstance(noise, FiniteNoise):
         cum = np.cumsum(noise.probs)
-        sym = np.searchsorted(cum, u, side="right") + 1
-        return np.minimum(sym, noise.q).astype(np.int64, copy=False)
+        return np.searchsorted(cum[:-1], u, side="right") + 1
     box = noise.box
     return box.lo + u * (box.hi - box.lo)
 
@@ -348,10 +348,16 @@ def pullback_batch(
 ) -> PullbackBatch:
     """Pullback limits for many streams at once.
 
-    Deepens every stream's reverse composition (exponentially, then by
-    bisection) until the probe image's taxicab diameter is ``<= tol``, and
-    reports the minimal such depth per stream.  Streams that stay above
-    tolerance at ``n_max`` are flagged unconverged.
+    Finds, per stream, the minimal depth at which the probe image's taxicab
+    diameter is ``<= tol``.  Each row keeps a bracket ``(lo, hi]``: ``lo``
+    the deepest depth known to be above tolerance, ``hi`` the shallowest
+    known to be within it.  Every pass of one loop evaluates each open row
+    at its next depth in a single ragged kernel call: ``depth0``, then
+    twice ``lo`` (capped at ``n_max``) while the row has no ``hi``, then the
+    bisection midpoint.  A row's centroid and diameter are kept when it
+    gets a new ``hi``, so no depth is evaluated twice.  A row closes at
+    ``lo + 1 == hi``, or unconverged when it is still above tolerance at
+    ``n_max`` (``n_used`` is -1 and ``diam`` the diameter there).
     """
     if tol <= 0:
         raise UsageError("tol must be positive")
@@ -364,69 +370,37 @@ def pullback_batch(
     table = _BlockTable(fam.noise, seed, label, stream_ids)
 
     points = np.zeros((n, fam.dim))
-    n_used = np.full(n, -1, dtype=np.int64)
-    diam_out = np.full(n, np.inf)
-    converged = np.zeros(n, dtype=bool)
+    diam = np.full(n, np.inf)
     saturated = np.zeros(n, dtype=bool)
 
     base_diam = float(_taxicab_diams(probe[None])[0])
     if base_diam <= tol:
         points[:] = probe.mean(axis=0)
-        n_used[:] = 0
-        diam_out[:] = base_diam
-        converged[:] = True
-        return PullbackBatch(points, n_used, diam_out, converged, saturated)
+        diam[:] = base_diam
+        n_used = np.zeros(n, dtype=np.int64)
+        return PullbackBatch(points, n_used, diam, np.ones(n, dtype=bool), saturated)
 
-    # Exponential phase: find per-stream depth windows (lo_known_above, hi_at_or_below].
-    lo = np.zeros(n, dtype=np.int64)          # deepest depth known to be above tol
-    hi = np.full(n, -1, dtype=np.int64)       # shallowest depth known to be at/below tol
-    active = np.ones(n, dtype=bool)
-    depth = min(depth0, n_max)
-    while active.any():
-        table.ensure(depth)
-        rows = np.nonzero(active)[0]
-        pts, sat = image_points_at_depths(
-            fam, table.values[rows], np.full(len(rows), depth), probe
-        )
+    lo = np.zeros(n, dtype=np.int64)
+    hi = np.full(n, -1, dtype=np.int64)  # -1: no depth within tol found yet
+    rows = np.arange(n)
+    while rows.size:
+        r_lo, r_hi = lo[rows], hi[rows]
+        doubling = r_hi < 0
+        deeper = np.minimum(np.maximum(2 * r_lo, depth0), n_max)
+        depth = np.where(doubling, deeper, (r_lo + r_hi) // 2)
+        table.ensure(int(depth.max()))
+        pts, sat = image_points_at_depths(fam, table.values[rows], depth, probe)
         saturated[rows] |= sat
-        dms = _taxicab_diams(pts)
-        done = dms <= tol
-        hi[rows[done]] = depth
-        active[rows[done]] = False
-        still = rows[~done]
-        lo[still] = depth
-        diam_out[still] = dms[~done]
-        if depth == n_max:
-            break
-        depth = min(2 * depth, n_max)
-
-    failed = hi < 0
-    refine = ~failed
-
-    # Bisection phase: shrink (lo, hi] to the minimal depth per stream.
-    cur_lo = lo.copy()
-    cur_hi = hi.copy()
-    while True:
-        open_rows = np.nonzero(refine & (cur_lo + 1 < cur_hi))[0]
-        if open_rows.size == 0:
-            break
-        mid = (cur_lo[open_rows] + cur_hi[open_rows]) // 2
-        pts, sat = image_points_at_depths(fam, table.values[open_rows], mid, probe)
-        saturated[open_rows] |= sat
         dms = _taxicab_diams(pts)
         ok = dms <= tol
-        cur_hi[open_rows[ok]] = mid[ok]
-        cur_lo[open_rows[~ok]] = mid[~ok]
-
-    rows = np.nonzero(refine)[0]
-    if rows.size:
-        pts, sat = image_points_at_depths(fam, table.values[rows], cur_hi[rows], probe)
-        saturated[rows] |= sat
-        points[rows] = pts.mean(axis=1)
-        diam_out[rows] = _taxicab_diams(pts)
-        n_used[rows] = cur_hi[rows]
-        converged[rows] = True
-    return PullbackBatch(points, n_used, diam_out, converged, saturated)
+        lo[rows[~ok]] = depth[~ok]
+        hi[rows[ok]] = depth[ok]
+        points[rows[ok]] = pts[ok].mean(axis=1)
+        keep = ok | doubling  # a row's diameter is at its hi, or at its deepest depth
+        diam[rows[keep]] = dms[keep]
+        r_lo, r_hi = lo[rows], hi[rows]
+        rows = rows[np.where(r_hi < 0, r_lo < n_max, r_lo + 1 < r_hi)]
+    return PullbackBatch(points, hi, diam, hi >= 0, saturated)
 
 
 def pullback_point(

@@ -157,3 +157,29 @@ def per_stream_table(noise, seed, label, ids, depths):
     if finite:
         return np.array(rows, dtype=np.int64).reshape(len(gens), have)
     return np.array(rows, dtype=float).reshape(len(gens), have, noise.dim)
+
+
+def pullback_linear_scan(fam, blocks, probe, tol, n_max):
+    """Minimal pullback depth per row by trying d = 1, 2, ..., n_max in turn.
+
+    Row ``i`` at depth ``d`` maps the probe through ``f_{blocks[i,0]} o ...
+    o f_{blocks[i,d-1]}``, applied innermost first and recomposed from
+    scratch for every d.  Returns (depths, centroids, diameters): the first
+    d whose taxicab diameter is <= tol, with that image's centroid and
+    diameter, or -1 and the diameter at ``n_max`` when no d qualifies.
+    """
+    probe = np.asarray(probe, dtype=float)
+    depths, cents, diams = [], [], []
+    for row in blocks:
+        for d in range(1, n_max + 1):
+            img = probe
+            for j in range(d - 1, -1, -1):
+                alpha = int(row[j]) if fam.finite else row[j]
+                img, _ = fam.apply_batch(alpha, img)
+            diam = float(sum(img[:, k].max() - img[:, k].min() for k in range(img.shape[1])))
+            if diam <= tol:
+                break
+        depths.append(d if diam <= tol else -1)
+        cents.append(img.mean(axis=0))
+        diams.append(diam)
+    return np.array(depths), np.array(cents), np.array(diams)

@@ -151,9 +151,15 @@ def test_threads_do_not_change_artifacts(tmp_path):
      "stationary.csv", "ade03685751b7872e7c4bec93a6e7a70a772c37c4461eff8160631e19d37d64f"),
     (["sync-rate", "--family", "slide1d", "--seed", "4242"],
      "diam_series.csv", "73c90239aca7582d1daed96e05138c87fb76375f9ebf380d750e1dccf41db061"),
+    # ragged minimal depths with saturating rows, and a box-noise pullback
+    (["stationary", "--family", "exp1d", "--n-samples", "512", "--seed", "90210"],
+     "stationary.csv", "5625c5ab3ae542fdfeefe0d1d2a5f655fa9213f0bbcdb12481ef7015b79c062a"),
+    (["stationary", "--family", "slide1d", "--n-samples", "512", "--seed", "90210"],
+     "stationary.csv", "a5f2c5873b5f681da8bb16d8c6dad36c7a0fb1524db398b79da3e377badc53e1"),
 ])
 def test_golden_artifact_digest(tmp_path, args, artifact, digest):
-    # Frozen bytes: any change to the noise streams (finite and box tables) shows here.
+    # Frozen bytes: any change to the noise streams (finite and box tables) or to the
+    # pullback depth search shows here.
     out = tmp_path / "golden"
     assert run(args + ["--threads", "1", "--out", str(out)]) == 0
     assert hashlib.sha256((out / artifact).read_bytes()).hexdigest() == digest

@@ -16,10 +16,17 @@ from monosync import (
     sample_block,
     wasserstein1,
 )
-from monosync.engine import _BlockTable, _draw_noise, _noise_values, _step, pullback_batch
+from monosync.engine import (
+    _BlockTable,
+    _draw_noise,
+    _noise_values,
+    _step,
+    image_points_at_depths,
+    pullback_batch,
+)
 from monosync.families import FiniteNoise
 from monosync.streams import stream_generator
-from oracles import finite_symbol, step_rowwise
+from oracles import finite_symbol, per_stream_table, pullback_linear_scan, step_rowwise
 
 
 def test_degenerate_law_block():
@@ -141,6 +148,47 @@ def test_pullback_batch_bit_reproducible(cantor1d):
     assert np.array_equal(c.points, a.points[50:100])
 
 
+@pytest.mark.parametrize("fid, tol, n_max", [
+    ("cantor1d", 1e-9, 64),
+    ("cantor2d", 1e-9, 64),
+    ("slide1d", 1e-9, 64),
+    ("const", 1e-9, 64),
+    ("cantor1d", 1e-4, 10),  # n_max below depth0: the answer, 9, is found under the cap
+    ("rot2d", 1e-6, 64),  # no row converges
+])
+def test_pullback_batch_matches_linear_scan(fid, tol, n_max, const_family):
+    fam = const_family if fid == "const" else make_family(fid)
+    probe = probe_cloud(fam.probe_box())
+    ids = [0, 3, 17, 2**32 + 1]
+    blocks = per_stream_table(fam.noise, 21, "noise", ids, [n_max])
+    want_n, want_pts, want_diam = pullback_linear_scan(fam, blocks, probe, tol, n_max)
+    got = pullback_batch(fam, 21, ids, probe, tol, n_max)
+    assert np.array_equal(got.n_used, want_n)
+    conv = want_n >= 0
+    assert np.array_equal(got.converged, conv)
+    assert np.allclose(got.points[conv], want_pts[conv], rtol=0, atol=1e-12)
+    assert np.allclose(got.diam, want_diam, rtol=0, atol=1e-12)
+    if fid == "rot2d":
+        assert not conv.any()
+    if fid == "cantor1d" and n_max == 10:
+        assert (want_n == 9).all()
+
+
+def test_pullback_batch_evaluates_each_depth_once(cantor1d, monkeypatch):
+    calls = []
+
+    def counting(fam, blocks, depths, base_pts):
+        calls.append(sorted(set(np.asarray(depths).tolist())))
+        return image_points_at_depths(fam, blocks, depths, base_pts)
+
+    monkeypatch.setattr("monosync.engine.image_points_at_depths", counting)
+    probe = probe_cloud(cantor1d.probe_box())
+    batch = pullback_batch(cantor1d, 5, range(64), probe, 1e-9, 4096)
+    assert (batch.n_used == 19).all()
+    # doubling to 32, then bisecting (16, 32] down to 19, with no depth repeated
+    assert calls == [[16], [32], [24], [20], [18], [19]]
+
+
 def test_forward_reverse_distributional_duality(cantor1d):
     n, replicas = 6, 2000
     fwd = np.empty(replicas)
@@ -185,7 +233,9 @@ def test_step_matches_rowwise_apply_batch(fid, n_probe):
         assert want_sat.any() and not want_sat.all()
 
 
-@pytest.mark.parametrize("probs", [(0.5, 0.5), (0.2, 0.3, 0.5), (0.5, 0.5 - 5e-13)])
+@pytest.mark.parametrize(
+    "probs", [(0.5, 0.5), (0.2, 0.3, 0.5), (0.5, 0.5 - 5e-13), (1.0,), (0.0, 0.5, 0.0, 0.5)]
+)
 def test_finite_draw_matches_cumulative_oracle(probs):
     noise = FiniteNoise(probs)
     vals = _draw_noise(noise, stream_generator(3, "draw"), (50, 40))
