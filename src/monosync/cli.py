@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -202,16 +203,25 @@ def _resolve_config(args: argparse.Namespace) -> dict:
     return cfg
 
 
-def _json_default(obj):
+def _strict_json(obj):
+    """``obj`` with arrays and numpy scalars as plain values and every non-finite float as None."""
+    if isinstance(obj, dict):
+        return {k: _strict_json(v) for k, v in obj.items()}
     if isinstance(obj, np.ndarray):
-        return obj.tolist()
+        obj = obj.tolist()
+    if isinstance(obj, (list, tuple)):
+        return [_strict_json(v) for v in obj]
     if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    raise TypeError(f"not JSON serializable: {type(obj)}")
+        obj = obj.item()
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None
+    return obj
 
 
 def _write_json(path: Path, obj) -> None:
-    path.write_text(json.dumps(obj, indent=2, sort_keys=True, default=_json_default) + "\n")
+    """Write strict JSON: a value that is not finite is written as null."""
+    text = json.dumps(_strict_json(obj), indent=2, sort_keys=True, allow_nan=False)
+    path.write_text(text + "\n")
 
 
 def _write_manifest(outdir: Path, cfg: dict, fam, ordr) -> None:
@@ -303,7 +313,7 @@ def _run_sigma_decay(cfg, fam, ordr, outdir) -> int:
 def _run_sync_rate(cfg, fam, ordr, outdir) -> int:
     seed = cfg["seed"]
     series = sync_mod.diameter_series(
-        fam, None, n_max=int(cfg["n_max"]), replicas=int(cfg["replicas"]), seed=seed
+        fam, n_max=int(cfg["n_max"]), replicas=int(cfg["replicas"]), seed=seed
     )
     fit = sync_mod.fit_rate(series)
     series.write_csv(outdir / "diam_series.csv", fit=fit, seed=seed)

@@ -53,6 +53,9 @@ __all__ = [
     "run_clt_analysis",
 ]
 
+_START_N_MAX = 4096  # depth cap of the pullbacks that start stationary chains
+_N_CHAINS = 2000  # Monte Carlo chains per P^j phi term, and inner draws of P psi
+
 
 @dataclass(frozen=True)
 class Observable:
@@ -140,16 +143,15 @@ def make_observable(spec, mu: EmpiricalMeasure, center: float | None = None) -> 
     return replace(obs, center=float(center))
 
 
-def _stationary_start(
-    fam: MapFamily, seed: int, replicas: int, tol: float, n_max: int, label: str
-) -> np.ndarray:
-    """Per-replica pullback limits of the default probe: a stationary start for chains.
+def _stationary_start(fam: MapFamily, seed: int, replicas: int, label: str) -> np.ndarray:
+    """Per-replica pullback limits (tol 1e-9) of the default probe: a stationary start for chains.
 
     Raises :class:`NotConvergedError` when any replica's pullback fails.
     """
-    batch = pullback_batch(fam, seed, range(replicas), _default_probe(fam), tol, n_max, label=label)
+    probe = _default_probe(fam)
+    batch = pullback_batch(fam, seed, range(replicas), probe, 1e-9, _START_N_MAX, label=label)
     if not batch.converged.all():
-        raise NotConvergedError(n_max, float(batch.diam.max()))
+        raise NotConvergedError(_START_N_MAX, float(batch.diam.max()))
     return batch.points
 
 
@@ -159,8 +161,6 @@ def stationary_mean(
     seed: int,
     replicas: int = 512,
     steps: int = 40_000,
-    pullback_tol: float = 1e-9,
-    pullback_n_max: int = 4096,
 ) -> float:
     """High-precision stationary mean of the raw observable by ergodic averaging.
 
@@ -168,7 +168,7 @@ def stationary_mean(
     burn-in bias) and the raw observable is averaged over all replicas and
     steps; the error scales like sqrt(var / (replicas * steps)).
     """
-    cur = _stationary_start(fam, seed, replicas, pullback_tol, pullback_n_max, "ergodic-start")
+    cur = _stationary_start(fam, seed, replicas, "ergodic-start")
     table = _BlockTable(fam.noise, seed, "ergodic-chain", range(replicas))
     table.ensure(steps)
     total = float(np.sum(obs.raw(cur)))
@@ -187,7 +187,6 @@ def transfer_apply(
     n_inner: int = 1000,
     seed: int = 0,
     exact: bool | None = None,
-    label: str = "transfer",
 ) -> np.ndarray:
     """One application of the transfer operator to ``phi`` on the grid.
 
@@ -204,7 +203,7 @@ def transfer_apply(
         return _pj_exact(fam, phi, pts, 1)
     if n_inner < 100:
         raise UsageError("need at least 100 inner samples")
-    draws = _draw_noise(fam.noise, stream_generator(seed, label), (n_inner,))
+    draws = _draw_noise(fam.noise, stream_generator(seed, "transfer"), (n_inner,))
     out = np.zeros(pts.shape[0])
     if isinstance(fam.noise, FiniteNoise):
         vals, counts = np.unique(draws, return_counts=True)
@@ -323,10 +322,7 @@ def poisson_solve(
     mu_sample: EmpiricalMeasure,
     grid_size: int = 2048,
     tol: float = 1e-4,
-    j_max: int = 60,
     seed: int = 0,
-    n_chains: int = 2000,
-    exact_cap: int = 4096,
 ) -> PoissonSolution:
     """Build ``psi = sum_{j<=J} P^j phi`` on a grid of stationary sample points.
 
@@ -338,16 +334,18 @@ def poisson_solve(
     (in enumeration mode the residual is literally the first dropped term),
     and changes nothing that the variance estimators can see.
 
-    Truncates at the first centered term whose sup norm drops to ``tol``;
-    raises :class:`NoDecayError` when ten consecutive terms fail to decay
-    by a factor 0.95, which signals a family outside the synchronization
-    regime.  ``P psi`` is evaluated by one more transfer application with
-    the series re-expanded at the queried points (no interpolation).
+    Truncates at the first centered term whose sup norm drops to ``tol``,
+    and at term 60 at the latest; raises :class:`NoDecayError` when ten
+    consecutive terms fail to decay by a factor 0.95, which signals a
+    family outside the synchronization regime.  Terms are exact while q^j
+    stays at most 4096, else means over 2000 common chains.  ``P psi`` is
+    evaluated by one more transfer application with the series re-expanded
+    at the queried points (no interpolation).
     """
     if mu_sample.dim != fam.dim:
         raise UsageError("sample dimension does not match family")
-    if grid_size < 1 or j_max < 1:
-        raise UsageError("grid_size and j_max must be >= 1")
+    if grid_size < 1:
+        raise UsageError("grid_size must be >= 1")
     if mu_sample.n <= grid_size:
         grid = mu_sample.points.copy()
     else:
@@ -356,13 +354,13 @@ def poisson_solve(
         )
         grid = mu_sample.points[np.sort(idx)]
 
-    ev = _TermEvaluator(fam, phi, n_chains, seed, exact_cap)
+    ev = _TermEvaluator(fam, phi, _N_CHAINS, seed, exact_cap=4096)
     terms: list[np.ndarray] = []
     means: list[float] = []
     norms: list[float] = []
     streak = 0
     converged = False
-    for j, raw in enumerate(ev.terms_on(grid, range(j_max + 1), "poisson-chain")):
+    for j, raw in enumerate(ev.terms_on(grid, range(61), "poisson-chain")):
         m = float(raw.mean())
         t = raw - m
         terms.append(t)
@@ -390,7 +388,7 @@ def poisson_solve(
         fam,
         psi_eval,
         grid,
-        n_inner=n_chains,
+        n_inner=_N_CHAINS,
         seed=derive_seed(seed, "poisson-ppsi"),
     )
     p_psi = p_raw - float(p_raw.mean())
@@ -430,9 +428,10 @@ def sigma_estimate(sol: PoissonSolution) -> SigmaEstimates:
     """
     mg = float(np.mean(sol.psi**2) - np.mean(sol.p_psi**2))
     resid = float(np.mean((sol.psi - sol.p_psi) ** 2))
-    if mg <= 0:
+    if not (math.isfinite(mg) and mg > 0):
         raise NonPositiveSigmaError(
-            f"martingale variance {mg:.3e} is non-positive; observable too close to constant"
+            f"martingale variance {mg:.3e} is non-finite or non-positive; "
+            "observable too close to constant or too large on the grid"
         )
     return SigmaEstimates(sigma2_mg=mg, sigma2_resid=resid, discrepancy=abs(mg - resid))
 
@@ -465,16 +464,14 @@ def partial_sum_paths(
     replicas: int,
     seed: int,
     start: str | np.ndarray = "stationary",
-    pullback_tol: float = 1e-9,
-    pullback_n_max: int = 4096,
 ) -> PathEnsemble:
     """Normalized partial sums ``sum_{j<=nt} phi(Z_j) / (sigma sqrt(n))``.
 
     Chains start from per-replica pullback limits by default (a stationary
     start); pass a point to exercise an arbitrary initial condition.
     """
-    if sigma2 <= 0:
-        raise UsageError("sigma2 must be positive")
+    if not (math.isfinite(sigma2) and sigma2 > 0):
+        raise UsageError(f"sigma2 {sigma2!r} is non-finite or non-positive")
     if n < 1 or replicas < 1:
         raise UsageError("n and replicas must be >= 1")
     if grid_t is None:
@@ -488,7 +485,7 @@ def partial_sum_paths(
     if isinstance(start, str):
         if start != "stationary":
             raise UsageError("start must be 'stationary' or a point")
-        cur = _stationary_start(fam, seed, replicas, pullback_tol, pullback_n_max, "clt-start")
+        cur = _stationary_start(fam, seed, replicas, "clt-start")
     else:
         cur = np.tile(np.asarray(start, dtype=float).reshape(1, fam.dim), (replicas, 1))
 
@@ -592,9 +589,6 @@ def run_clt_analysis(
     mu_size: int = 4096,
     grid_size: int = 2048,
     tol: float = 1e-4,
-    j_max: int = 60,
-    grid_t: np.ndarray | None = None,
-    pullback_tol: float = 1e-9,
     center_replicas: int = 512,
     center_steps: int = 40_000,
 ) -> tuple[CltReport, PathEnsemble]:
@@ -606,30 +600,18 @@ def run_clt_analysis(
     n = 10^4 needs the stationary mean a couple of orders of magnitude
     tighter than a 4096-point sample provides.
     """
-    mu = pullback_sample(fam, seed, mu_size, pullback_tol)
+    mu = pullback_sample(fam, seed, mu_size)
     phi0 = make_observable(observable_spec, mu)
     center = stationary_mean(
-        fam,
-        phi0,
-        derive_seed(seed, "center"),
-        replicas=center_replicas,
-        steps=center_steps,
-        pullback_tol=pullback_tol,
+        fam, phi0, derive_seed(seed, "center"), replicas=center_replicas, steps=center_steps
     )
     phi = make_observable(observable_spec, mu, center=center)
     sol = poisson_solve(
-        fam, phi, mu, grid_size=grid_size, tol=tol, j_max=j_max, seed=derive_seed(seed, "poisson")
+        fam, phi, mu, grid_size=grid_size, tol=tol, seed=derive_seed(seed, "poisson")
     )
     est = sigma_estimate(sol)
     ensemble = partial_sum_paths(
-        fam,
-        phi,
-        est.sigma2_mg,
-        n,
-        grid_t,
-        replicas,
-        derive_seed(seed, "paths"),
-        pullback_tol=pullback_tol,
+        fam, phi, est.sigma2_mg, n, None, replicas, derive_seed(seed, "paths")
     )
     stats = fclt_tests(ensemble, min_replicas=min(500, replicas))
     report = CltReport(

@@ -107,20 +107,15 @@ def sample_block(
     return NoiseBlock(values=vals, seed=int(seed), stream_id=int(stream_id))
 
 
-def noise_at(
-    noise: NoiseSpec,
-    seed: int,
-    stream_id: int,
-    j: int,
-    label: str = DEFAULT_STREAM_LABEL,
-):
-    """Value ``j`` of a stream, addressed directly through the Philox counter."""
+def noise_at(noise: NoiseSpec, seed: int, stream_id: int, j: int):
+    """Value ``j`` of a default-label stream, addressed directly through the Philox counter."""
     if j < 0:
         raise UsageError("index must be >= 0")
+    address = (DEFAULT_STREAM_LABEL, int(stream_id))
     if isinstance(noise, FiniteNoise):
-        return int(_noise_values(noise, uniforms_at(seed, (label, int(stream_id)), j, 1))[0])
+        return int(_noise_values(noise, uniforms_at(seed, address, j, 1))[0])
     d = noise.dim
-    return _noise_values(noise, uniforms_at(seed, (label, int(stream_id)), j * d, d))
+    return _noise_values(noise, uniforms_at(seed, address, j * d, d))
 
 
 @dataclass
@@ -344,7 +339,6 @@ def pullback_batch(
     tol: float,
     n_max: int,
     label: str = DEFAULT_STREAM_LABEL,
-    depth0: int = 16,
 ) -> PullbackBatch:
     """Pullback limits for many streams at once.
 
@@ -352,8 +346,8 @@ def pullback_batch(
     diameter is ``<= tol``.  Each row keeps a bracket ``(lo, hi]``: ``lo``
     the deepest depth known to be above tolerance, ``hi`` the shallowest
     known to be within it.  Every pass of one loop evaluates each open row
-    at its next depth in a single ragged kernel call: ``depth0``, then
-    twice ``lo`` (capped at ``n_max``) while the row has no ``hi``, then the
+    at its next depth in a single ragged kernel call: 16, then twice ``lo``
+    (both capped at ``n_max``) while the row has no ``hi``, then the
     bisection midpoint.  A row's centroid and diameter are kept when it
     gets a new ``hi``, so no depth is evaluated twice.  A row closes at
     ``lo + 1 == hi``, or unconverged when it is still above tolerance at
@@ -386,7 +380,7 @@ def pullback_batch(
     while rows.size:
         r_lo, r_hi = lo[rows], hi[rows]
         doubling = r_hi < 0
-        deeper = np.minimum(np.maximum(2 * r_lo, depth0), n_max)
+        deeper = np.minimum(np.maximum(2 * r_lo, 16), n_max)
         depth = np.where(doubling, deeper, (r_lo + r_hi) // 2)
         table.ensure(int(depth.max()))
         pts, sat = image_points_at_depths(fam, table.values[rows], depth, probe)
@@ -410,15 +404,14 @@ def pullback_point(
     probe_pts: np.ndarray,
     tol: float,
     n_max: int = 4096,
-    label: str = DEFAULT_STREAM_LABEL,
 ) -> tuple[np.ndarray, int]:
-    """Pullback limit along one stream: (image centroid, minimal depth used).
+    """Pullback limit along one default-label stream: (image centroid, minimal depth used).
 
     Raises :class:`NotConvergedError` when the probe image is still wider
     than ``tol`` at depth ``n_max``, which signals either a family without
     verified splitting or a tolerance below the attainable resolution.
     """
-    batch = pullback_batch(fam, seed, [stream_id], probe_pts, tol, n_max, label=label)
+    batch = pullback_batch(fam, seed, [stream_id], probe_pts, tol, n_max)
     if not batch.converged[0]:
         raise NotConvergedError(n_max, float(batch.diam[0]))
     return batch.points[0], int(batch.n_used[0])

@@ -506,24 +506,20 @@ def _halton(n: int, dim: int) -> np.ndarray:
     return out
 
 
-def probe_cloud(box: Box, n_interior: int = 32) -> np.ndarray:
-    """Corner-inclusive probe cloud: all corners plus low-discrepancy interior points.
+def probe_cloud(box: Box) -> np.ndarray:
+    """Corner-inclusive probe cloud: all corners plus 32 low-discrepancy interior points.
 
     Corners drive the box extremes of monotone images; the interior points
     guard against corner-only blind spots of non-affine maps.
     """
-    parts = [box.corners()] if box.dim <= 10 else [box.lo[None, :], box.hi[None, :]]
-    if n_interior > 0:
-        u = _halton(n_interior, box.dim)
-        parts.append(box.lo + u * (box.hi - box.lo))
-    return np.unique(np.vstack(parts), axis=0)
+    corners = box.corners() if box.dim <= 10 else np.vstack([box.lo, box.hi])
+    interior = box.lo + _halton(32, box.dim) * (box.hi - box.lo)
+    return np.unique(np.vstack([corners, interior]), axis=0)
 
 
-def _default_probe(fam: MapFamily, probe_points=None) -> np.ndarray:
-    """The given probe points as an (n, dim) array, else the family's default probe cloud."""
-    if probe_points is None:
-        return probe_cloud(fam.probe_box())
-    return np.atleast_2d(np.asarray(probe_points, dtype=float))
+def _default_probe(fam: MapFamily) -> np.ndarray:
+    """The probe cloud of the family's probe box, used by every high-level function."""
+    return probe_cloud(fam.probe_box())
 
 
 def _sample_comparable_pairs(

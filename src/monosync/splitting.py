@@ -2,9 +2,10 @@
 
 The splitting condition asks for two positive-mass sets of length-m noise
 blocks whose block compositions map the whole domain to strictly ordered
-sets.  Verification here is certificate-style: image boxes of a sampled
-probe cloud are compared conservatively, so a positive verdict is sound
-(for the sampled probe) while a negative one is never a disproof.
+sets.  Verification here is certificate-style: image boxes of the family's
+probe cloud (see ``families.probe_cloud``) are compared conservatively, so
+a positive verdict is sound (for the sampled probe) while a negative one is
+never a disproof.
 
 ``sigma_decay`` estimates, per composition depth, the probability that a
 reference value stays inside the projected image of the domain.  Under a
@@ -38,6 +39,7 @@ __all__ = [
 
 _EXACT_SCAN_CAP = 10**6
 _STORE_BLOCKS_CAP = 1024
+_PAIR_CHUNK = 512  # box rows compared against all boxes per pass of the pair search
 
 
 @dataclass(frozen=True)
@@ -103,11 +105,11 @@ def _block_image_boxes(fam: MapFamily, blocks: np.ndarray, m: int, probe: np.nda
     return pts.min(axis=1), pts.max(axis=1)
 
 
-def _find_ordered_pair(t_lo, t_hi, tol, chunk=512):
+def _find_ordered_pair(t_lo, t_hi, tol):
     """First (i, j) with box_i strictly below box_j componentwise, or None."""
     n = t_lo.shape[0]
-    for start in range(0, n, chunk):
-        stop = min(start + chunk, n)
+    for start in range(0, n, _PAIR_CHUNK):
+        stop = min(start + _PAIR_CHUNK, n)
         # below[i, j] iff t_hi[i] + tol < t_lo[j] in every coordinate
         below = np.all(t_hi[start:stop, None, :] + tol < t_lo[None, :, :], axis=2)
         if below.any():
@@ -116,12 +118,7 @@ def _find_ordered_pair(t_lo, t_hi, tol, chunk=512):
     return None
 
 
-def exact_splitting_scan(
-    fam: MapFamily,
-    order: JOrder,
-    m: int,
-    probe_points: np.ndarray | None = None,
-) -> SplittingReport:
+def exact_splitting_scan(fam: MapFamily, order: JOrder, m: int) -> SplittingReport:
     """Enumerate all q^m blocks of a finite-noise family and search for a split.
 
     After a first ordered pair is found, both sides are grown greedily by
@@ -135,7 +132,7 @@ def exact_splitting_scan(
         raise UsageError("block length m must be >= 1")
     if q**m > _EXACT_SCAN_CAP:
         raise UsageError(f"q^m = {q ** m} exceeds the exact-scan cap {_EXACT_SCAN_CAP}")
-    probe = _default_probe(fam, probe_points)
+    probe = _default_probe(fam)
     blocks = np.array(list(itertools.product(range(1, q + 1), repeat=m)), dtype=np.int64)
     lo, hi = _block_image_boxes(fam, blocks, m, probe)
     t_lo, t_hi = _signed_box_coords(lo, hi, order)
@@ -177,7 +174,6 @@ def find_splitting_witness(
     fam: MapFamily,
     order: JOrder,
     m_max: int,
-    probe_points: np.ndarray | None = None,
     n_blocks: int = 32,
     seed: int = 0,
 ) -> SplittingReport:
@@ -191,7 +187,7 @@ def find_splitting_witness(
         raise UsageError("need at least 2 sampled blocks")
     if m_max < 1:
         raise UsageError("m_max must be >= 1")
-    probe = _default_probe(fam, probe_points)
+    probe = _default_probe(fam)
     tol = order.strict_tol
     for m in range(1, m_max + 1):
         blocks = _draw_noise(fam.noise, stream_generator(seed, "witness", m), (n_blocks, m))
@@ -256,7 +252,6 @@ def sigma_decay(
     s: int,
     j_max: int,
     replicas: int,
-    probe_points: np.ndarray | None = None,
     seed: int = 0,
 ) -> SigmaDecaySeries:
     """Monte Carlo estimate of P(x lies in the s-projection of the depth j*m image).
@@ -272,7 +267,7 @@ def sigma_decay(
         raise UsageError(f"coordinate s={s} outside 1..{fam.dim}")
     if j_max < 1 or m < 1:
         raise UsageError("m and j_max must be >= 1")
-    probe = _default_probe(fam, probe_points)
+    probe = _default_probe(fam)
     table = _BlockTable(fam.noise, seed, "sigma", range(replicas))
     table.ensure(j_max * m)
     xval = float(x)

@@ -35,6 +35,10 @@ __all__ = [
 # excluded from log-linear fits.
 DIAM_FIT_FLOOR = 1e3 * np.finfo(float).eps
 
+_N_BOOT = 200  # replica bootstrap resamples behind a rate's confidence interval
+_M0_MAX = 4  # deepest composition tried by the boundedness check
+_TAIL_MAX = 4096  # deepest fresh-noise tail of a forward-gap pullback
+
 
 @dataclass
 class DiamSeries:
@@ -116,23 +120,14 @@ def _detect_m0(box_lo: np.ndarray, box_hi: np.ndarray) -> int:
     return 1
 
 
-def diameter_series(
-    fam: MapFamily,
-    probe_points: np.ndarray | None,
-    n_max: int,
-    replicas: int,
-    seed: int,
-    label: str = "sync",
-) -> DiamSeries:
+def diameter_series(fam: MapFamily, n_max: int, replicas: int, seed: int) -> DiamSeries:
     """Reverse-composition probe-image diameters for every replica and depth."""
     if replicas < 1:
         raise UsageError("replicas must be >= 1")
     if n_max < 1:
         raise UsageError("n_max must be >= 1")
-    probe = _default_probe(fam, probe_points)
-    if probe.shape[0] < 1:
-        raise UsageError("probe cloud must be nonempty")
-    table = _BlockTable(fam.noise, seed, label, range(replicas))
+    probe = _default_probe(fam)
+    table = _BlockTable(fam.noise, seed, "sync", range(replicas))
     table.ensure(n_max)
     diam = np.empty((replicas, n_max + 1))
     box_lo = np.empty((n_max + 1, replicas, fam.dim))
@@ -149,7 +144,7 @@ def diameter_series(
     return DiamSeries(diam=diam, box_lo=box_lo, box_hi=box_hi, m0=m0, seed=seed, saturated=saturated)
 
 
-def fit_rate(series: DiamSeries, n_boot: int = 200) -> RateFit:
+def fit_rate(series: DiamSeries) -> RateFit:
     """Log-linear decay fit of the mean diameter past the burn-in depth.
 
     Replica-mean diameters that hit exact zero early make the series
@@ -179,8 +174,8 @@ def fit_rate(series: DiamSeries, n_boot: int = 200) -> RateFit:
     c_hat = float(np.exp(fit.intercept))
 
     rng = stream_generator(series.seed, "rate-bootstrap")
-    slopes = np.empty(n_boot)
-    for b in range(n_boot):
+    slopes = np.empty(_N_BOOT)
+    for b in range(_N_BOOT):
         idx = rng.integers(0, series.replicas, size=series.replicas)
         bmean = series.diam[idx].mean(axis=0)
         bwin = window & (bmean > DIAM_FIT_FLOOR)
@@ -227,32 +222,27 @@ class BoundednessReport:
         }
 
 
-def assumption2_check(
-    fam: MapFamily,
-    seed: int,
-    replicas: int = 64,
-    m0_max: int = 4,
-    scales: tuple[float, ...] = (1.0, 4.0, 16.0),
-    growth_tol: float = 1.5,
-) -> BoundednessReport:
+def assumption2_check(fam: MapFamily, seed: int, replicas: int = 64) -> BoundednessReport:
     """Detect whether depth-m0 images land in a common bounded set.
 
-    Cannot prove boundedness over the true domain; it reports the smallest
-    depth at which the max image magnitude stops growing with the probe
-    scale across all sampled replicas, or an unbounded verdict.
+    Cannot prove boundedness over the true domain.  It images the probe box
+    scaled by 1, 4 and 16 at depths m0 = 1..4 and reports the smallest depth
+    at which, across all sampled replicas, nothing saturates and the max
+    image magnitude at scale 16 is at most 1.5 times that at scale 1; else
+    an unbounded verdict.
     """
     if fam.domain is not None:
         return BoundednessReport(True, 1, fam.domain, {})
     table = _BlockTable(fam.noise, seed, "bounded", range(replicas))
-    table.ensure(m0_max)
+    table.ensure(_M0_MAX)
     base = fam.probe_box()
     mags: dict = {}
-    for m0 in range(1, m0_max + 1):
+    for m0 in range(1, _M0_MAX + 1):
         per_scale = []
         sat_any = False
         lo_u = None
         hi_u = None
-        for sc in scales:
+        for sc in (1.0, 4.0, 16.0):
             probe = probe_cloud(base.scaled(sc))
             depths = np.full(replicas, m0, dtype=np.int64)
             pts, sat = image_points_at_depths(fam, table.values, depths, probe)
@@ -263,9 +253,9 @@ def assumption2_check(
         mags[m0] = per_scale
         small, big = per_scale[0], per_scale[-1]
         ratio = 1.0 if big <= 1e-12 else big / max(small, 1e-12)
-        if not sat_any and ratio <= growth_tol:
+        if not sat_any and ratio <= 1.5:
             return BoundednessReport(True, m0, Box(lo_u, hi_u), mags)
-    return BoundednessReport(False, m0_max, None, mags)
+    return BoundednessReport(False, _M0_MAX, None, mags)
 
 
 @dataclass
@@ -293,8 +283,6 @@ def forward_attractor_gap(
     x0,
     n_checkpoints: int,
     tail_tol: float = 1e-10,
-    probe_points: np.ndarray | None = None,
-    tail_max: int = 4096,
 ) -> GapSeries:
     """Gap between the forward orbit and the shifted pullback limit.
 
@@ -308,7 +296,7 @@ def forward_attractor_gap(
     if n_checkpoints < 1:
         raise UsageError("need at least one checkpoint")
     x = np.asarray(x0, dtype=float).reshape(1, fam.dim)
-    probe = np.unique(np.vstack([_default_probe(fam, probe_points), x]), axis=0)
+    probe = np.unique(np.vstack([_default_probe(fam), x]), axis=0)
 
     fwd_block = sample_block(fam.noise, seed, 0, n_checkpoints, label="gap-fwd")
     positions = np.empty((n_checkpoints + 1, fam.dim))
@@ -342,9 +330,9 @@ def forward_attractor_gap(
                 pi_point = pts[0].mean(axis=0)
                 depths[cp - 1] = k
                 break
-            if k >= tail_max:
-                raise NotConvergedError(tail_max, dm)
-            k = min(2 * k, tail_max)
+            if k >= _TAIL_MAX:
+                raise NotConvergedError(_TAIL_MAX, dm)
+            k = min(2 * k, _TAIL_MAX)
         gaps[cp - 1] = float(np.abs(positions[cp] - pi_point).sum())
     return GapSeries(
         checkpoints=np.arange(1, n_checkpoints + 1),

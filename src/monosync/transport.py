@@ -93,9 +93,9 @@ class EmpiricalMeasure:
         return cls(pts, w, provenance, meta or {})
 
     @classmethod
-    def dirac(cls, x, n_points: int = 1, provenance: str = "user"):
+    def dirac(cls, x, n_points: int = 1):
         pt = np.asarray(x, dtype=float).reshape(1, -1)
-        return cls.uniform(np.repeat(pt, n_points, axis=0), provenance)
+        return cls.uniform(np.repeat(pt, n_points, axis=0))
 
     def resampled(self, n: int, rng: np.random.Generator) -> "EmpiricalMeasure":
         """Uniform n-point measure drawn from self (exact copy when already so)."""
@@ -218,8 +218,6 @@ def pullback_sample(
     n_samples: int,
     tol: float = 1e-9,
     n_max: int = 4096,
-    probe_points: np.ndarray | None = None,
-    label: str = "noise",
 ) -> EmpiricalMeasure:
     """Sample the stationary law: one pullback limit per stream id 0..N-1.
 
@@ -228,11 +226,11 @@ def pullback_sample(
     """
     if n_samples < 1:
         raise UsageError("n_samples must be >= 1")
-    probe = _default_probe(fam, probe_points)
+    probe = _default_probe(fam)
     results = []
     for start in range(0, n_samples, _PULLBACK_CHUNK):
         chunk = range(start, min(start + _PULLBACK_CHUNK, n_samples))
-        results.append(pullback_batch(fam, seed, chunk, probe, tol, n_max, label=label))
+        results.append(pullback_batch(fam, seed, chunk, probe, tol, n_max))
     points = np.concatenate([r.points for r in results], axis=0)
     converged = np.concatenate([r.converged for r in results])
     saturated = bool(np.concatenate([r.saturated for r in results]).any())
@@ -244,13 +242,7 @@ def pullback_sample(
     return EmpiricalMeasure.uniform(points[converged], provenance="pullback", meta=meta)
 
 
-def push_forward(
-    fam: MapFamily,
-    mu: EmpiricalMeasure,
-    steps: int,
-    seed: int,
-    label: str = "push",
-) -> EmpiricalMeasure:
+def push_forward(fam: MapFamily, mu: EmpiricalMeasure, steps: int, seed: int) -> EmpiricalMeasure:
     """Advance every particle ``steps`` iterations with independent noise.
 
     Weights are preserved; particle i's noise comes from row i of a block
@@ -262,7 +254,7 @@ def push_forward(
         raise UsageError("measure dimension does not match family")
     if steps == 0:
         return EmpiricalMeasure(mu.points, mu.weights, "pushforward", dict(mu.meta))
-    blocks = _draw_noise(fam.noise, stream_generator(seed, label), (mu.n, steps))
+    blocks = _draw_noise(fam.noise, stream_generator(seed, "push"), (mu.n, steps))
     # Forward advance equals a reverse-order composition of the reversed
     # rows; rows are i.i.d., so feed them innermost-first directly.
     pts, sat = image_points_at_depths(
@@ -316,20 +308,20 @@ class W1DecayCurve:
         _write_csv(path, seed, "n,w1,c_rn_bound", rows)
 
 
-def _calibrate_floor(ref: EmpiricalMeasure, n_other: int, seed: int, n_splits: int = 5) -> float:
+def _calibrate_floor(ref: EmpiricalMeasure, n_other: int, seed: int) -> float:
     """Sampling-noise level of W1(sample of size n_other, ref).
 
     Half-splits of the reference measure the noise of two size-R/2 samples
     of the same law; the W1 noise of independent empirical samples scales
     like sqrt(1/N1 + 1/N2), which rescales the split value to the actual
-    sample sizes.  Averaging over several splits tames the half-normal
+    sample sizes.  Averaging over five splits tames the half-normal
     variability of any single draw.
     """
     r = ref.n
     rng = stream_generator(seed, "w1-floor")
     half = r // 2
     vals = []
-    for _ in range(n_splits):
+    for _ in range(5):
         perm = rng.permutation(r)
         a = EmpiricalMeasure.uniform(ref.points[perm[:half]])
         b = EmpiricalMeasure.uniform(ref.points[perm[half : 2 * half]])
@@ -345,22 +337,20 @@ def w1_decay_curve(
     n_particles: int,
     seed: int,
     ref_size: int = 4096,
-    tol: float = 1e-9,
-    pullback_n_max: int = 4096,
-    floor_mult: float = 3.0,
 ) -> W1DecayCurve:
     """Track W1 between the pushed-forward initial measure and a fixed pullback sample.
 
-    The sampling-noise floor is calibrated by half-splitting the reference
-    sample.  The rate fit uses the contiguous initial stretch of steps
-    still above ``floor_mult`` times that floor and subtracts the floor
-    before the log-linear regression: finite-sample W1 values sit roughly
-    floor-above the true distance, and fitting the raw values flattens the
-    tail of the window and biases the rate upward.
+    The reference is a ``ref_size``-point :func:`pullback_sample` at its
+    default tolerance and depth cap.  The sampling-noise floor is
+    calibrated by half-splitting it.  The rate fit uses the contiguous
+    initial stretch of steps still above three times that floor and
+    subtracts the floor before the log-linear regression: finite-sample W1
+    values sit roughly floor-above the true distance, and fitting the raw
+    values flattens the tail of the window and biases the rate upward.
     """
     if n_max < 1:
         raise UsageError("n_max must be >= 1")
-    ref = pullback_sample(fam, seed, ref_size, tol, pullback_n_max)
+    ref = pullback_sample(fam, seed, ref_size)
     floor = _calibrate_floor(ref, n_particles, derive_seed(seed, "w1-floor"))
 
     warnings: list[str] = []
@@ -381,7 +371,7 @@ def w1_decay_curve(
         cur = push_forward(fam, cur, 1, derive_seed(seed, f"w1-push-{n}"))
         vals[n] = wasserstein1(cur, ref).distance
 
-    cutoff = floor_mult * floor
+    cutoff = 3.0 * floor
     usable = []
     for n in range(1, n_max + 1):
         if vals[n] <= cutoff:

@@ -97,12 +97,12 @@ def test_criterion_2_sigma_decay_bound():
 def test_criterion_3_synchronization_rate():
     with _Timer("criterion 3: synchronization rate fits", 5.0):
         cantor = make_family("cantor1d")
-        s1 = diameter_series(cantor, None, n_max=20, replicas=64, seed=5)
+        s1 = diameter_series(cantor, n_max=20, replicas=64, seed=5)
         f1 = fit_rate(s1)
         assert 0.32 <= f1.r_hat <= 0.35
 
         cantor2 = make_family("cantor2d")
-        s2 = diameter_series(cantor2, None, n_max=20, replicas=64, seed=5)
+        s2 = diameter_series(cantor2, n_max=20, replicas=64, seed=5)
         f2 = fit_rate(s2)
         assert 0.32 <= f2.r_hat <= 0.35
         expected = 2.0 * 3.0 ** -np.arange(21)

@@ -156,10 +156,33 @@ def test_threads_do_not_change_artifacts(tmp_path):
      "stationary.csv", "5625c5ab3ae542fdfeefe0d1d2a5f655fa9213f0bbcdb12481ef7015b79c062a"),
     (["stationary", "--family", "slide1d", "--n-samples", "512", "--seed", "90210"],
      "stationary.csv", "a5f2c5873b5f681da8bb16d8c6dad36c7a0fb1524db398b79da3e377badc53e1"),
+    # the family's probe cloud and the fixed constants of sync, splitting and transport
+    (["forward-gap", "--family", "cantor1d", "--n", "20", "--seed", "7"],
+     "forward_gap.csv", "43245119bdf32f1a54e69138dc4c4af21b6a4c898fde0274a3ce419c71eec4fe"),
+    (["sync-rate", "--family", "exp1d", "--seed", "3"],
+     "rate_fit.json", "f844bd5a90a6c6d1637579b2989aaeb9e4c1a6f27133fdc76426f58cbb3c2fec"),
+    (["sigma-decay", "--family", "cantor1d", "--x", "0.1", "--replicas", "500", "--seed", "2"],
+     "sigma_decay.json", "a1514c4a5a62208651c3284a615f74784564d46a024efa36c316f77f5ac7d02b"),
+    (["w1-decay", "--family", "cantor1d", "--n-particles", "512", "--ref-size", "512",
+      "--n-max", "4", "--seed", "11"],
+     "w1_fit.json", "c69099df36862d74fb941fcb3f8385e2a0ca5988d740862d1ab5299c8e79c121"),
 ])
 def test_golden_artifact_digest(tmp_path, args, artifact, digest):
-    # Frozen bytes: any change to the noise streams (finite and box tables) or to the
-    # pullback depth search shows here.
+    # Frozen bytes: any change to the noise streams (finite and box tables), to the
+    # pullback depth search, to the default probe or to the JSON writer shows here.
     out = tmp_path / "golden"
     assert run(args + ["--threads", "1", "--out", str(out)]) == 0
     assert hashlib.sha256((out / artifact).read_bytes()).hexdigest() == digest
+
+
+def test_json_artifacts_are_strict(tmp_path):
+    # saturated exp1d rows make the sample variance overflow to inf
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    out = tmp_path / "strict"
+    args = ["stationary", "--family", "exp1d", "--n-samples", "512", "--seed", "90210"]
+    assert run(args + ["--out", str(out)]) == 0
+    doc = json.loads((out / "stationary.json").read_text(), parse_constant=reject)
+    assert doc["var"] == [None]
+    assert doc["mean"] == [1.953125e297]

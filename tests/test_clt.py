@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -125,6 +127,22 @@ def test_sigma_nonpositive_on_degenerate_support(const_family):
     sol = poisson_solve(const_family, phi, mu, grid_size=64, tol=1e-12, seed=1)
     with pytest.raises(NonPositiveSigmaError):
         sigma_estimate(sol)
+
+
+def test_sigma_nonfinite_raises(cantor1d):
+    mu = pullback_sample(cantor1d, 3, 512)
+    sol = poisson_solve(cantor1d, make_observable("coord:1", mu), mu, grid_size=128, seed=1)
+    huge = np.full_like(sol.psi, 1e300)  # squares overflow, so the martingale form is inf - inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NonPositiveSigmaError, match="non-finite"):
+            sigma_estimate(dataclasses.replace(sol, psi=huge, p_psi=huge))
+
+
+@pytest.mark.parametrize("sigma2", [float("nan"), float("inf")])
+def test_partial_sum_paths_rejects_nonfinite_sigma2(cantor1d, cantor_mu, sigma2):
+    phi = make_observable("coord:1", cantor_mu)
+    with pytest.raises(UsageError, match="non-finite"):
+        partial_sum_paths(cantor1d, phi, sigma2, n=10, grid_t=None, replicas=4, seed=1)
 
 
 def test_make_observable_centering(cantor_mu):

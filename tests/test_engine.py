@@ -153,7 +153,7 @@ def test_pullback_batch_bit_reproducible(cantor1d):
     ("cantor2d", 1e-9, 64),
     ("slide1d", 1e-9, 64),
     ("const", 1e-9, 64),
-    ("cantor1d", 1e-4, 10),  # n_max below depth0: the answer, 9, is found under the cap
+    ("cantor1d", 1e-4, 10),  # n_max under the first depth (16): the answer, 9, is found under the cap
     ("rot2d", 1e-6, 64),  # no row converges
 ])
 def test_pullback_batch_matches_linear_scan(fid, tol, n_max, const_family):

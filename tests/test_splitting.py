@@ -153,7 +153,7 @@ def test_mean_clipped_projection_length_decays_geometrically(exp1d):
     from monosync import diameter_series
     from monosync.fitting import loglinear_fit
 
-    series = diameter_series(exp1d, None, n_max=14, replicas=400, seed=3)
+    series = diameter_series(exp1d, n_max=14, replicas=400, seed=3)
     ell = 3.0
     lo = np.clip(series.box_lo[:, :, 0], -ell, ell)
     hi = np.clip(series.box_hi[:, :, 0], -ell, ell)

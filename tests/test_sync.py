@@ -11,14 +11,14 @@ from monosync import (
 
 
 def test_cantor_diameters_exact(cantor1d):
-    series = diameter_series(cantor1d, None, n_max=15, replicas=16, seed=1)
+    series = diameter_series(cantor1d, n_max=15, replicas=16, seed=1)
     expected = 3.0 ** -np.arange(16)
     assert np.allclose(series.diam, expected[None, :], atol=1e-12, rtol=0)
     assert series.m0 == 1
 
 
 def test_cantor2d_diameters_exact(cantor2d):
-    series = diameter_series(cantor2d, None, n_max=12, replicas=16, seed=1)
+    series = diameter_series(cantor2d, n_max=12, replicas=16, seed=1)
     expected = 2.0 * 3.0 ** -np.arange(13)
     assert np.abs(series.diam - expected[None, :]).max() <= 1e-12
 
@@ -26,13 +26,13 @@ def test_cantor2d_diameters_exact(cantor2d):
 def test_reverse_monotonicity(cantor1d, cantor2d, const_family):
     # nesting needs a forward-invariant probe region; bounded domains qualify
     for fam, n_max in ((cantor1d, 20), (cantor2d, 15), (const_family, 10)):
-        series = diameter_series(fam, None, n_max=n_max, replicas=32, seed=5)
+        series = diameter_series(fam, n_max=n_max, replicas=32, seed=5)
         diffs = np.diff(series.diam[:, 1:], axis=1)
         assert np.all(diffs <= 1e-12)
 
 
 def test_fit_rate_cantor(cantor1d):
-    series = diameter_series(cantor1d, None, n_max=20, replicas=64, seed=3)
+    series = diameter_series(cantor1d, n_max=20, replicas=64, seed=3)
     fit = fit_rate(series)
     assert 0.32 <= fit.r_hat <= 0.35
     assert fit.r_squared >= 0.9
@@ -46,7 +46,7 @@ def test_fit_rate_cantor(cantor1d):
 
 
 def test_fit_rate_constant_family(const_family):
-    series = diameter_series(const_family, None, n_max=10, replicas=8, seed=0)
+    series = diameter_series(const_family, n_max=10, replicas=8, seed=0)
     assert np.all(series.diam[:, 1:] == 0.0)
     fit = fit_rate(series)
     assert fit.degenerate
@@ -55,7 +55,7 @@ def test_fit_rate_constant_family(const_family):
 
 def test_fit_rate_expanding_family_warns():
     fam = make_family("lip-pair")  # linear slopes 2 and 1/2, images overlap
-    series = diameter_series(fam, None, n_max=18, replicas=64, seed=11)
+    series = diameter_series(fam, n_max=18, replicas=64, seed=11)
     fit = fit_rate(series)
     assert fit.r_hat > 1.0
     assert fit.warning is not None
@@ -63,7 +63,7 @@ def test_fit_rate_expanding_family_warns():
 
 def test_fit_rate_contracting_disjoint_pair():
     fam = make_family("lip-pair", params={"mode": "disjoint"})
-    series = diameter_series(fam, None, n_max=18, replicas=64, seed=11)
+    series = diameter_series(fam, n_max=18, replicas=64, seed=11)
     fit = fit_rate(series)
     assert fit.r_hat < 1.0
     assert fit.warning is None
@@ -102,7 +102,7 @@ def test_forward_gap_constant_family(const_family):
 
 
 def test_diam_series_csv(tmp_path, cantor1d):
-    series = diameter_series(cantor1d, None, n_max=5, replicas=4, seed=1)
+    series = diameter_series(cantor1d, n_max=5, replicas=4, seed=1)
     fit = None
     path = tmp_path / "d.csv"
     series.write_csv(path, fit=fit, seed=9)
@@ -120,6 +120,6 @@ def test_m0_detection_spread_boxes():
         params={"mats": [[[0.02]], [[0.02]]], "offs": [[0.0], [100.0]]},
         domain=Box([-200.0], [200.0]),
     )
-    series = diameter_series(fam, None, n_max=6, replicas=32, seed=2)
+    series = diameter_series(fam, n_max=6, replicas=32, seed=2)
     # hull spans ~100 while replica boxes shrink to ~0: rule never fires, fallback 1
     assert series.m0 == 1
