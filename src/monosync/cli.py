@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -35,6 +34,7 @@ from .families import (
     FiniteNoise,
     Monotonicity,
     _default_probe,
+    _jsonable,
     classify_monotonicity,
     family_from_config,
     family_to_config,
@@ -203,31 +203,19 @@ def _resolve_config(args: argparse.Namespace) -> dict:
     return cfg
 
 
-def _strict_json(obj):
-    """``obj`` with arrays and numpy scalars as plain values and every non-finite float as None."""
-    if isinstance(obj, dict):
-        return {k: _strict_json(v) for k, v in obj.items()}
-    if isinstance(obj, np.ndarray):
-        obj = obj.tolist()
-    if isinstance(obj, (list, tuple)):
-        return [_strict_json(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
-        obj = obj.item()
-    if isinstance(obj, float) and not math.isfinite(obj):
-        return None
-    return obj
-
-
 def _write_json(path: Path, obj) -> None:
     """Write strict JSON: a value that is not finite is written as null."""
-    text = json.dumps(_strict_json(obj), indent=2, sort_keys=True, allow_nan=False)
+    text = json.dumps(_jsonable(obj, True), indent=2, sort_keys=True, allow_nan=False)
     path.write_text(text + "\n")
 
 
 def _write_manifest(outdir: Path, cfg: dict, fam, ordr) -> None:
+    """Echo the config that ran; a non-finite value (an infinite clamp) stays
+    ``Infinity`` so that ``--config manifest.json`` replays it."""
     manifest = dict(cfg)
     manifest.update(family_to_config(fam, ordr))
-    _write_json(outdir / "manifest.json", manifest)
+    text = json.dumps(_jsonable(manifest, False), indent=2, sort_keys=True)
+    (outdir / "manifest.json").write_text(text + "\n")
 
 
 def _run_check_monotone(cfg, fam, ordr, outdir) -> int:

@@ -233,21 +233,20 @@ def _pj_exact(fam: MapFamily, phi, pts: np.ndarray, j: int) -> np.ndarray:
 class _McChains:
     """Common-chain Monte Carlo estimates of P^j phi on a fixed point set."""
 
-    def __init__(self, fam: MapFamily, phi, pts: np.ndarray, n_chains: int, seed: int, label: str):
+    def __init__(self, fam: MapFamily, phi, pts: np.ndarray, seed: int, label: str):
         self.fam = fam
         self.phi = phi
-        self.n_chains = n_chains
-        self.states = np.repeat(pts[None, :, :], n_chains, axis=0)
+        self.states = np.repeat(pts[None, :, :], _N_CHAINS, axis=0)
         self.gen = stream_generator(seed, label)
         self.depth = 0
         self._cache: dict[int, np.ndarray] = {0: np.asarray(phi(pts), dtype=float)}
 
     def _advance(self) -> None:
         fam = self.fam
-        alphas = _draw_noise(fam.noise, self.gen, (self.n_chains,))
+        alphas = _draw_noise(fam.noise, self.gen, (_N_CHAINS,))
         self.states, _ = _step(fam, alphas, self.states)
         self.depth += 1
-        vals = self.phi(self.states.reshape(-1, fam.dim)).reshape(self.n_chains, -1)
+        vals = self.phi(self.states.reshape(-1, fam.dim)).reshape(_N_CHAINS, -1)
         self._cache[self.depth] = vals.mean(axis=0)
 
     def term(self, j: int) -> np.ndarray:
@@ -259,15 +258,14 @@ class _McChains:
 class _TermEvaluator:
     """Evaluates P^j phi anywhere: exactly while q^j stays small, else by chains."""
 
-    def __init__(self, fam: MapFamily, phi, n_chains: int, seed: int, exact_cap: int):
+    def __init__(self, fam: MapFamily, phi, seed: int):
         self.fam = fam
         self.phi = phi
-        self.n_chains = n_chains
         self.seed = seed
         if isinstance(fam.noise, FiniteNoise):
             q = fam.noise.q
             j, budget = 0, 1
-            while budget * q <= exact_cap:
+            while budget * q <= 4096:  # exact terms while q^j stays at most 4096
                 budget *= q
                 j += 1
             self.exact_j_max = j
@@ -285,7 +283,7 @@ class _TermEvaluator:
                 yield _pj_exact(self.fam, self.phi, pts, j)
             else:
                 if chains is None:
-                    chains = _McChains(self.fam, self.phi, pts, self.n_chains, self.seed, label)
+                    chains = _McChains(self.fam, self.phi, pts, self.seed, label)
                 yield chains.term(j)
 
 
@@ -354,7 +352,7 @@ def poisson_solve(
         )
         grid = mu_sample.points[np.sort(idx)]
 
-    ev = _TermEvaluator(fam, phi, _N_CHAINS, seed, exact_cap=4096)
+    ev = _TermEvaluator(fam, phi, seed)
     terms: list[np.ndarray] = []
     means: list[float] = []
     norms: list[float] = []

@@ -438,7 +438,7 @@ def family_to_config(fam: MapFamily, ordr: JOrder) -> dict:
     else:
         cfg["noise_box"] = {"lo": fam.noise.box.lo.tolist(), "hi": fam.noise.box.hi.tolist()}
     if fam.params:
-        cfg["params"] = _jsonable(fam.params)
+        cfg["params"] = _jsonable(fam.params, False)
     if fam.domain is not None:
         cfg["domain"] = {"lo": fam.domain.lo.tolist(), "hi": fam.domain.hi.tolist()}
     cfg["clamp"] = fam.clamp_bound
@@ -446,15 +446,21 @@ def family_to_config(fam: MapFamily, ordr: JOrder) -> dict:
     return cfg
 
 
-def _jsonable(obj):
+def _jsonable(obj, strict: bool):
+    """``obj`` with arrays, tuples and numpy scalars as plain JSON values.
+
+    With ``strict`` every float that is not finite becomes None (JSON null).
+    """
     if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
+        return {k: _jsonable(v, strict) for k, v in obj.items()}
     if isinstance(obj, np.ndarray):
-        return obj.tolist()
+        obj = obj.tolist()
+    if isinstance(obj, (list, tuple)):
+        return [_jsonable(v, strict) for v in obj]
     if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
+        obj = obj.item()
+    if strict and isinstance(obj, float) and not math.isfinite(obj):
+        return None
     return obj
 
 

@@ -166,6 +166,9 @@ def test_threads_do_not_change_artifacts(tmp_path):
     (["w1-decay", "--family", "cantor1d", "--n-particles", "512", "--ref-size", "512",
       "--n-max", "4", "--seed", "11"],
      "w1_fit.json", "c69099df36862d74fb941fcb3f8385e2a0ca5988d740862d1ab5299c8e79c121"),
+    # strict JSON: the saturated exp1d variance overflows and is written as null
+    (["stationary", "--family", "exp1d", "--n-samples", "512", "--seed", "90210"],
+     "stationary.json", "2a16996f89d801c5d63578b33bde8d057fa19064cf095a5a422d8308bbb50058"),
 ])
 def test_golden_artifact_digest(tmp_path, args, artifact, digest):
     # Frozen bytes: any change to the noise streams (finite and box tables), to the
@@ -175,14 +178,15 @@ def test_golden_artifact_digest(tmp_path, args, artifact, digest):
     assert hashlib.sha256((out / artifact).read_bytes()).hexdigest() == digest
 
 
-def test_json_artifacts_are_strict(tmp_path):
-    # saturated exp1d rows make the sample variance overflow to inf
-    def reject(name):
-        raise ValueError(f"non-standard JSON constant {name}")
-
-    out = tmp_path / "strict"
-    args = ["stationary", "--family", "exp1d", "--n-samples", "512", "--seed", "90210"]
-    assert run(args + ["--out", str(out)]) == 0
-    doc = json.loads((out / "stationary.json").read_text(), parse_constant=reject)
-    assert doc["var"] == [None]
-    assert doc["mean"] == [1.953125e297]
+def test_manifest_replays_infinite_clamp(tmp_path):
+    # the manifest echoes a non-finite config value as Infinity, so it replays
+    config = tmp_path / "inf.json"
+    config.write_text(json.dumps({"family": "cantor1d", "clamp": float("inf")}))
+    out_a = tmp_path / "A"
+    out_b = tmp_path / "B"
+    args = ["stationary", "--n-samples", "64", "--seed", "5"]
+    assert run(args + ["--config", str(config), "--out", str(out_a)]) == 0
+    assert read_json(out_a / "manifest.json")["clamp"] == float("inf")
+    assert run(["stationary", "--config", str(out_a / "manifest.json"), "--out", str(out_b)]) == 0
+    for name in ("manifest.json", "stationary.csv", "stationary.json"):
+        assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
