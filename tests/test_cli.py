@@ -169,6 +169,18 @@ def test_threads_do_not_change_artifacts(tmp_path):
     # strict JSON: the saturated exp1d variance overflows and is written as null
     (["stationary", "--family", "exp1d", "--n-samples", "512", "--seed", "90210"],
      "stationary.json", "2a16996f89d801c5d63578b33bde8d057fa19064cf095a5a422d8308bbb50058"),
+    # forward chains: the centering pass, the Poisson sigma^2 and the partial sums
+    (["clt", "--family", "cantor1d", "--n", "200", "--replicas", "100", "--mu-size", "512",
+      "--grid-size", "256", "--dump-paths", "--seed", "1234"],
+     "paths.csv", "f1e89f6dde4013df31536686dab1aff9c8bc4a75ba877d421ddfe11ab8bdf28e"),
+    # one forward orbit grouped by symbol, one advanced per row (box noise)
+    (["simulate", "--family", "cantor1d", "--direction", "forward", "--n", "200", "--seed", "1234"],
+     "orbit.csv", "af3a2fd3361085cec102e0a67046af7fdc03fb112807b7e40fcee0f2a2feaad9"),
+    (["simulate", "--family", "slide1d", "--direction", "forward", "--n", "200", "--seed", "1234"],
+     "orbit.csv", "fa9056785a509af33ec105fe6e1f41e9a4e12bfa508c6ef9e732dfd89cd708dc"),
+    # a reverse orbit with its probe-image boxes
+    (["simulate", "--family", "cantor1d", "--direction", "reverse", "--n", "200", "--seed", "1234"],
+     "orbit.csv", "4d7698725d0fed6803a8feebb4bc798700c83f0bfcecb93afe89a4d1a2b7fcf7"),
 ])
 def test_golden_artifact_digest(tmp_path, args, artifact, digest):
     # Frozen bytes: any change to the noise streams (finite and box tables), to the
