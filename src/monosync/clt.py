@@ -19,6 +19,7 @@ uncorrelated increments.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -26,7 +27,7 @@ import numpy as np
 from scipy import stats as sps
 from scipy.spatial import cKDTree
 
-from .engine import _BlockTable, _draw_noise, _step, _write_csv, pullback_batch
+from .engine import _BlockTable, _chain, _draw_noise, _write_csv, pullback_batch
 from .errors import (
     NoDecayError,
     NonPositiveSigmaError,
@@ -55,6 +56,8 @@ __all__ = [
 
 _START_N_MAX = 4096  # depth cap of the pullbacks that start stationary chains
 _N_CHAINS = 2000  # Monte Carlo chains per P^j phi term, and inner draws of P psi
+_J_MAX = 60  # the deepest term of the Poisson series
+_EXACT_CAP = 4096  # terms are enumerated exactly while q^j stays at most this
 
 
 @dataclass(frozen=True)
@@ -172,12 +175,9 @@ def stationary_mean(
     table = _BlockTable(fam.noise, seed, "ergodic-chain", range(replicas))
     table.ensure(steps)
     total = float(np.sum(obs.raw(cur)))
-    count = replicas
-    for j in range(steps):
-        cur, _ = _step(fam, table.values[:, j], cur)
+    for cur, _ in _chain(fam, table.values, cur):
         total += float(np.sum(obs.raw(cur)))
-        count += replicas
-    return total / count
+    return total / (replicas * (steps + 1))
 
 
 def transfer_apply(
@@ -186,31 +186,20 @@ def transfer_apply(
     grid: np.ndarray,
     n_inner: int = 1000,
     seed: int = 0,
-    exact: bool | None = None,
 ) -> np.ndarray:
     """One application of the transfer operator to ``phi`` on the grid.
 
-    Finite noise defaults to exact enumeration over the symbols (zero Monte
-    Carlo error); otherwise ``n_inner`` i.i.d. parameter draws are averaged,
-    the same draws for every grid point.
+    Finite noise is enumerated exactly over the symbols (zero Monte Carlo
+    error); box noise averages ``n_inner`` i.i.d. parameter draws, the same
+    draws for every grid point.
     """
     pts = np.atleast_2d(np.asarray(grid, dtype=float))
-    if exact is None:
-        exact = isinstance(fam.noise, FiniteNoise)
-    if exact:
-        if not isinstance(fam.noise, FiniteNoise):
-            raise UsageError("exact transfer enumeration requires finite noise")
+    if isinstance(fam.noise, FiniteNoise):
         return _pj_exact(fam, phi, pts, 1)
     if n_inner < 100:
         raise UsageError("need at least 100 inner samples")
     draws = _draw_noise(fam.noise, stream_generator(seed, "transfer"), (n_inner,))
     out = np.zeros(pts.shape[0])
-    if isinstance(fam.noise, FiniteNoise):
-        vals, counts = np.unique(draws, return_counts=True)
-        for a, c in zip(vals, counts):
-            img, _ = fam.apply_batch(int(a), pts)
-            out += (c / n_inner) * np.asarray(phi(img))
-        return out
     for alpha in draws:
         img, _ = fam.apply_batch(alpha, pts)
         out += np.asarray(phi(img))
@@ -230,31 +219,6 @@ def _pj_exact(fam: MapFamily, phi, pts: np.ndarray, j: int) -> np.ndarray:
     return acc
 
 
-class _McChains:
-    """Common-chain Monte Carlo estimates of P^j phi on a fixed point set."""
-
-    def __init__(self, fam: MapFamily, phi, pts: np.ndarray, seed: int, label: str):
-        self.fam = fam
-        self.phi = phi
-        self.states = np.repeat(pts[None, :, :], _N_CHAINS, axis=0)
-        self.gen = stream_generator(seed, label)
-        self.depth = 0
-        self._cache: dict[int, np.ndarray] = {0: np.asarray(phi(pts), dtype=float)}
-
-    def _advance(self) -> None:
-        fam = self.fam
-        alphas = _draw_noise(fam.noise, self.gen, (_N_CHAINS,))
-        self.states, _ = _step(fam, alphas, self.states)
-        self.depth += 1
-        vals = self.phi(self.states.reshape(-1, fam.dim)).reshape(_N_CHAINS, -1)
-        self._cache[self.depth] = vals.mean(axis=0)
-
-    def term(self, j: int) -> np.ndarray:
-        while self.depth < j:
-            self._advance()
-        return self._cache[j]
-
-
 class _TermEvaluator:
     """Evaluates P^j phi anywhere: exactly while q^j stays small, else by chains."""
 
@@ -265,7 +229,7 @@ class _TermEvaluator:
         if isinstance(fam.noise, FiniteNoise):
             q = fam.noise.q
             j, budget = 0, 1
-            while budget * q <= 4096:  # exact terms while q^j stays at most 4096
+            while j < _J_MAX and budget * q <= _EXACT_CAP:
                 budget *= q
                 j += 1
             self.exact_j_max = j
@@ -275,16 +239,25 @@ class _TermEvaluator:
     def method_for(self, j: int) -> str:
         return "exact" if j <= self.exact_j_max else "monte-carlo"
 
-    def terms_on(self, pts: np.ndarray, j_list, label: str):
-        """Yield P^j phi on ``pts`` for each j in turn, so a caller may stop early."""
-        chains = None
-        for j in j_list:
-            if j <= self.exact_j_max:
-                yield _pj_exact(self.fam, self.phi, pts, j)
-            else:
-                if chains is None:
-                    chains = _McChains(self.fam, self.phi, pts, self.seed, label)
-                yield chains.term(j)
+    def terms_on(self, pts: np.ndarray, n_terms: int, label: str):
+        """Yield P^j phi on ``pts`` for j = 0, ..., n_terms - 1, so a caller may stop early.
+
+        Terms past ``exact_j_max`` are means over ``_N_CHAINS`` common chains
+        started at ``pts``, all driven by one noise table drawn from the
+        ``label`` stream.
+        """
+        fam = self.fam
+        n_exact = min(n_terms, max(self.exact_j_max, 0) + 1)  # P^0 phi = phi is always exact
+        for j in range(n_exact):
+            yield _pj_exact(fam, self.phi, pts, j)
+        if n_terms == n_exact:
+            return
+        gen = stream_generator(self.seed, label)
+        noise = _draw_noise(fam.noise, gen, (n_terms - 1, _N_CHAINS))  # one row per step
+        states = np.repeat(pts[None, :, :], _N_CHAINS, axis=0)
+        steps = _chain(fam, np.swapaxes(noise, 0, 1), states)
+        for states, _ in itertools.islice(steps, n_exact - 1, None):  # depths n_exact, ...
+            yield self.phi(states.reshape(-1, fam.dim)).reshape(_N_CHAINS, -1).mean(axis=0)
 
 
 @dataclass
@@ -358,7 +331,7 @@ def poisson_solve(
     norms: list[float] = []
     streak = 0
     converged = False
-    for j, raw in enumerate(ev.terms_on(grid, range(61), "poisson-chain")):
+    for j, raw in enumerate(ev.terms_on(grid, _J_MAX + 1, "poisson-chain")):
         m = float(raw.mean())
         t = raw - m
         terms.append(t)
@@ -379,7 +352,7 @@ def poisson_solve(
     psi = np.sum(terms, axis=0)
 
     def psi_eval(pts):
-        raw_terms = ev.terms_on(pts, range(truncation_j + 1), "poisson-reexp")
+        raw_terms = ev.terms_on(pts, truncation_j + 1, "poisson-reexp")
         return np.sum([rt - m for rt, m in zip(raw_terms, means)], axis=0)
 
     p_raw = transfer_apply(
@@ -495,8 +468,7 @@ def partial_sum_paths(
     scale = 1.0 / (math.sqrt(sigma2) * math.sqrt(n))
     for i in np.nonzero(checkpoints == 0)[0]:
         paths[:, i] = sums * scale
-    for j in range(1, n + 1):
-        cur, _ = _step(fam, table.values[:, j - 1], cur)
+    for j, (cur, _) in enumerate(_chain(fam, table.values, cur), start=1):
         sums += phi(cur)
         for i in np.nonzero(checkpoints == j)[0]:
             paths[:, i] = sums * scale

@@ -7,6 +7,11 @@ Composition conventions, fixed once for the whole package:
 * reverse orbit:  ``R_j = f_{b[0]} o ... o f_{b[j-1]}(x0)``, so extending the
   block appends maps innermost and the probe images are nested.
 
+``_chain`` is the one forward composition loop and
+``image_points_at_depths`` the one reverse loop; every orbit, chain and
+pullback of the package runs through one of the two, and they are the only
+callers of the step-and-clamp kernel ``_step``.
+
 The pullback limit deepens the reverse composition on a fixed stream until
 the taxicab diameter of a probe-cloud image drops below tolerance.  All
 noise comes from labeled counter-based streams (see :mod:`monosync.streams`);
@@ -177,17 +182,26 @@ def _step(
     return pts, sat
 
 
+def _chain(fam: MapFamily, values: np.ndarray, pts: np.ndarray):
+    """Advance ``pts`` in place along the forward chain ``Z_{j+1} = f_{values[:, j]}(Z_j)``.
+
+    ``values`` is (N, L) of symbols or (N, L, d) of parameters, one row per
+    row of ``pts`` ((N, dim) or (N, P, dim)).  Yields ``pts`` and the
+    per-row saturation flags of each of the L steps, after the step.
+    """
+    for j in range(values.shape[1]):
+        yield _step(fam, values[:, j], pts)
+
+
 def forward_orbit(fam: MapFamily, block: NoiseBlock, x0) -> OrbitTrace:
     """Iterate ``Z_{j+1} = f_{b[j]}(Z_j)`` from ``x0`` along the whole block."""
-    x = np.array(x0, dtype=float).reshape(1, fam.dim)  # a copy: _step advances it in place
-    n = len(block)
-    positions = np.empty((n + 1, fam.dim))
+    x = np.array(x0, dtype=float).reshape(1, fam.dim)  # a copy: _chain advances it in place
+    positions = np.empty((len(block) + 1, fam.dim))
     positions[0] = x[0]
     saturated = False
-    for j in range(n):
-        x, sat = _step(fam, block.values[j : j + 1], x)
+    for j, (x, sat) in enumerate(_chain(fam, block.values[None], x), start=1):
         saturated = saturated or bool(sat[0])
-        positions[j + 1] = x[0]
+        positions[j] = x[0]
     return OrbitTrace("forward", block, positions, None, saturated)
 
 
@@ -242,17 +256,12 @@ def reverse_orbit(
     """
     n = len(block)
     x = np.asarray(x0, dtype=float).reshape(1, fam.dim)
+    cloud = x if probe_points is None else np.vstack([np.atleast_2d(probe_points), x])
     blocks = np.broadcast_to(block.values, (n + 1,) + block.values.shape)
-    depths = np.arange(n + 1)
-    pts, sat = image_points_at_depths(fam, blocks, depths, x)
-    positions = pts[:, 0, :]
-    boxes = None
+    img, sat = image_points_at_depths(fam, blocks, np.arange(n + 1), cloud)
+    positions = img[:, -1, :]
+    boxes = None if probe_points is None else [Box.hull(img[j, :-1]) for j in range(n + 1)]
     saturated = bool(sat.any())
-    if probe_points is not None:
-        cloud = np.atleast_2d(np.asarray(probe_points, dtype=float))
-        img, psat = image_points_at_depths(fam, blocks, depths, cloud)
-        boxes = [Box.hull(img[j]) for j in range(n + 1)]
-        saturated = saturated or bool(psat.any())
     return OrbitTrace("reverse", block, positions, boxes, saturated)
 
 

@@ -476,22 +476,15 @@ def image_box(fam: MapFamily, block, probe_points: np.ndarray) -> Box:
     The block ``(a_0, ..., a_{m-1})`` composes with ``a_0`` applied last
     (outermost), matching reverse-order iteration.
     """
-    box, _ = image_box_flagged(fam, block, probe_points)
-    return box
-
-
-def image_box_flagged(fam: MapFamily, block, probe_points: np.ndarray) -> tuple[Box, bool]:
     pts = np.atleast_2d(np.asarray(probe_points, dtype=float))
     if pts.shape[0] < 1:
         raise UsageError("probe cloud must be nonempty")
     values = list(block)
     if len(values) < 1:
         raise UsageError("block must have length >= 1")
-    saturated = False
     for a in reversed(values):
-        pts, sat = fam.apply_batch(a, pts)
-        saturated = saturated or sat
-    return Box.hull(pts), saturated
+        pts, _ = fam.apply_batch(a, pts)
+    return Box.hull(pts)
 
 
 def _halton(n: int, dim: int) -> np.ndarray:

@@ -13,7 +13,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import _BlockTable, _write_csv, image_points_at_depths, sample_block
+from .engine import (
+    _BlockTable,
+    _chain,
+    _taxicab_diams,
+    _write_csv,
+    image_points_at_depths,
+    sample_block,
+)
 from .errors import DegenerateSeriesError, NotConvergedError, UsageError
 from .families import MapFamily, _default_probe, probe_cloud
 from .fitting import loglinear_fit
@@ -302,15 +309,11 @@ def forward_attractor_gap(
     positions = np.empty((n_checkpoints + 1, fam.dim))
     positions[0] = x[0]
     bound = np.empty(n_checkpoints + 1)
-    img = probe.copy()
-    bound[0] = float((img.max(axis=0) - img.min(axis=0)).sum())
-    cur = x.copy()
-    for j in range(n_checkpoints):
-        a = fwd_block.values[j]
-        cur, _ = fam.apply_batch(a, cur)
-        img, _ = fam.apply_batch(a, img)
-        positions[j + 1] = cur[0]
-        bound[j + 1] = float((img.max(axis=0) - img.min(axis=0)).sum())
+    bound[0] = float(_taxicab_diams(probe[None])[0])
+    img = np.vstack([probe, x])[None]  # one forward chain: the probe images, then the orbit point
+    for j, (img, _) in enumerate(_chain(fam, fwd_block.values[None], img), start=1):
+        positions[j] = img[0, -1]
+        bound[j] = float(_taxicab_diams(img[:, :-1])[0])
 
     gaps = np.empty(n_checkpoints)
     depths = np.empty(n_checkpoints, dtype=np.int64)

@@ -15,7 +15,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import cdist
 
-from .engine import _draw_noise, _write_csv, image_points_at_depths, pullback_batch
+from .engine import _chain, _draw_noise, _write_csv, pullback_batch
 from .errors import NotConvergedError, UsageError
 from .families import FiniteNoise, MapFamily, _default_probe
 from .fitting import loglinear_fit
@@ -255,14 +255,13 @@ def push_forward(fam: MapFamily, mu: EmpiricalMeasure, steps: int, seed: int) ->
     if steps == 0:
         return EmpiricalMeasure(mu.points, mu.weights, "pushforward", dict(mu.meta))
     blocks = _draw_noise(fam.noise, stream_generator(seed, "push"), (mu.n, steps))
-    # Forward advance equals a reverse-order composition of the reversed
-    # rows; rows are i.i.d., so feed them innermost-first directly.
-    pts, sat = image_points_at_depths(
-        fam, blocks[:, ::-1], np.full(mu.n, steps, dtype=np.int64), mu.points[:, None, :]
-    )
+    pts = np.array(mu.points)  # a copy: _chain advances it in place
     meta = dict(mu.meta)
-    meta["saturated"] = bool(meta.get("saturated", False) or sat.any())
-    return EmpiricalMeasure(pts[:, 0, :], mu.weights, "pushforward", meta)
+    saturated = bool(meta.get("saturated", False))
+    for _, sat in _chain(fam, blocks, pts):
+        saturated = saturated or bool(sat.any())
+    meta["saturated"] = saturated
+    return EmpiricalMeasure(pts, mu.weights, "pushforward", meta)
 
 
 def markov_step(fam: MapFamily, mu: EmpiricalMeasure) -> EmpiricalMeasure:

@@ -51,20 +51,17 @@ def test_transfer_monte_carlo_confidence():
     grid = np.linspace(0, 1, 32)[:, None]
     phi = centered_coord(0.0)
     n_inner = 4000
-    est = transfer_apply(fam, phi, grid, n_inner=n_inner, seed=3, exact=False)
+    est = transfer_apply(fam, phi, grid, n_inner=n_inner, seed=3)
     # E f_a(x) = x/3 + 1/3 with noise sd = (2/3) * sd(U)/sqrt(M)
     truth = grid[:, 0] / 3.0 + 1.0 / 3.0
     se = (2.0 / 3.0) * np.sqrt(1.0 / 12.0 / n_inner)
     assert np.all(np.abs(est - truth) <= 4 * se)
 
 
-def test_transfer_preconditions(cantor1d):
-    grid = np.zeros((4, 1))
-    with pytest.raises(UsageError):
-        transfer_apply(cantor1d, centered_coord(), grid, n_inner=10, exact=False)
+def test_transfer_preconditions():
     fam = make_family("slide1d")
     with pytest.raises(UsageError):
-        transfer_apply(fam, centered_coord(), grid, exact=True)
+        transfer_apply(fam, centered_coord(), np.zeros((4, 1)), n_inner=10)
 
 
 def test_poisson_closed_form(cantor1d, cantor_mu):
@@ -102,6 +99,35 @@ def test_poisson_constant_family(const_family):
     est = sigma_estimate(sol)
     assert est.sigma2_mg == pytest.approx(est.sigma2_resid, rel=1e-12)
     assert est.sigma2_mg == pytest.approx(float(np.mean(sol.phi_values**2)), rel=1e-12)
+
+
+def test_poisson_one_symbol_family_is_exact():
+    # q = 1 keeps q^j at 1, so only the series' deepest term ends the exact range
+    fam = make_family("cantor1d", probs=[1.0])
+    mu = EmpiricalMeasure.uniform(np.linspace(0.0, 1.0, 64)[:, None])
+    sol = poisson_solve(fam, centered_coord(0.5), mu, grid_size=64, tol=1e-4, seed=1)
+    assert sol.method == "exact"
+    # P^j phi(x) = x / 3^j - 1/2, which centers to (x - mean) / 3^j
+    x = sol.grid[:, 0]
+    expected = sum(3.0**-i for i in range(sol.truncation_j + 1)) * (x - x.mean())
+    assert np.allclose(sol.psi, expected, atol=1e-12)
+
+
+def test_poisson_monte_carlo_terms():
+    # q = 2: terms past j = 12 are means over common chains.  Both maps have
+    # slope 0.8, so a chain shifts every grid point alike and centering on the
+    # grid cancels the chain noise: each term is 0.8^j (x - mean) again.
+    fam = make_family(
+        "affine-general",
+        params={"mats": [[[0.8]], [[0.8]]], "offs": [[0.0], [0.2]]},
+        domain=Box([0.0], [1.0]),
+    )
+    mu = EmpiricalMeasure.uniform(np.linspace(0.0, 1.0, 256)[:, None])
+    sol = poisson_solve(fam, centered_coord(0.5), mu, grid_size=256, tol=1e-4, seed=3)
+    assert sol.method == "mixed"
+    x = sol.grid[:, 0]
+    expected = sum(0.8**i for i in range(sol.truncation_j + 1)) * (x - x.mean())
+    assert np.max(np.abs(sol.psi - expected)) <= 1e-12
 
 
 def test_poisson_no_decay_on_identity(identity_family, cantor_mu):

@@ -18,6 +18,7 @@ from monosync import (
 )
 from monosync.engine import (
     _BlockTable,
+    _chain,
     _draw_noise,
     _noise_values,
     _step,
@@ -231,6 +232,16 @@ def test_step_matches_rowwise_apply_batch(fid, n_probe):
     assert np.array_equal(got_sat, want_sat)
     if fid == "exp1d":
         assert want_sat.any() and not want_sat.all()
+    # the forward chain: one step per column of a table, advanced in place
+    table = _draw_noise(fam.noise, gen, (n, 3))
+    chained = pts.copy()
+    want = pts
+    for j, (got, got_sat) in enumerate(_chain(fam, table, chained)):
+        want, want_sat = step_rowwise(fam, table[:, j], want)
+        assert got is chained
+        assert got.tobytes() == want.tobytes()
+        assert np.array_equal(got_sat, want_sat)
+    assert j == table.shape[1] - 1
 
 
 @pytest.mark.parametrize(
