@@ -8,9 +8,10 @@ Composition conventions, fixed once for the whole package:
   block appends maps innermost and the probe images are nested.
 
 ``_chain`` is the one forward composition loop and
-``image_points_at_depths`` the one reverse loop; every orbit, chain and
-pullback of the package runs through one of the two, and they are the only
-callers of the step-and-clamp kernel ``_step``.
+``image_points_at_depths`` the one reverse loop: every orbit, chain and
+pullback runs through one of the two, and they are the only callers of the
+step-and-clamp kernel ``_step``.  (``families.image_box`` composes a single
+hand-given block through ``apply_batch`` on its own.)
 
 The pullback limit deepens the reverse composition on a fixed stream until
 the taxicab diameter of a probe-cloud image drops below tolerance.  All
