@@ -9,8 +9,10 @@ Composition conventions, fixed once for the whole package:
 
 ``_chain`` is the one forward composition loop and
 ``image_points_at_depths`` the one reverse loop: every orbit, chain and
-pullback runs through one of the two, and they are the only callers of the
-step-and-clamp kernel ``_step``.  (``families.image_box`` composes a single
+pullback runs through one of the two.  ``_chain`` groups finite-noise steps
+by symbol itself, a chunk of noise columns at a time, and clamps each step
+once; the step-and-clamp kernel ``_step`` serves the reverse loop and
+box-noise forward steps.  (``families.image_box`` composes a single
 hand-given block through ``apply_batch`` on its own.)
 
 The pullback limit deepens the reverse composition on a fixed stream until
@@ -45,6 +47,9 @@ __all__ = [
 
 DEFAULT_STREAM_LABEL = "noise"
 _FILL_CHUNK = 4096  # noise values mapped from uniforms per call when filling a table
+# Noise columns that _chain groups by symbol at a time: the (width, N) sort
+# indices stay small however long the table is.
+_CHAIN_CHUNK = 256
 
 
 def _noise_values(noise: NoiseSpec, u: np.ndarray) -> np.ndarray:
@@ -162,6 +167,9 @@ def _step(
     not advanced).  Finite noise applies each symbol once to all of its
     rows, in increasing symbol order; box noise applies one map per row.
     Advancing a subset through ``rows`` saves copying it out and back.
+
+    This serves the reverse loop and box-noise forward steps; ``_chain``
+    groups finite-noise forward steps itself.
     """
     if rows is None:
         rows = np.arange(pts.shape[0])
@@ -189,9 +197,43 @@ def _chain(fam: MapFamily, values: np.ndarray, pts: np.ndarray):
     ``values`` is (N, L) of symbols or (N, L, d) of parameters, one row per
     row of ``pts`` ((N, dim) or (N, P, dim)).  Yields ``pts`` and the
     per-row saturation flags of each of the L steps, after the step.
+
+    Box noise advances each row through ``_step``.  Finite noise groups the
+    rows by symbol ``_CHAIN_CHUNK`` columns at a time, with one stable sort
+    per column, so each symbol's rows come in increasing order, as a boolean
+    mask would give them.  Each symbol present applies its map once to its
+    rows, in increasing symbol order, and the whole step is clamped once:
+    the clamp acts point by point, so this matches clamping per symbol.
     """
-    for j in range(values.shape[1]):
-        yield _step(fam, values[:, j], pts)
+    n_steps = values.shape[1]
+    if not fam.finite:
+        for j in range(n_steps):
+            yield _step(fam, values[:, j], pts)
+        return
+    n, dim, bound = pts.shape[0], fam.dim, fam.clamp_bound
+    q = fam.noise.q
+    for start in range(0, n_steps, _CHAIN_CHUNK):
+        cols = np.ascontiguousarray(values[:, start : start + _CHAIN_CHUNK].T)  # (width, N)
+        order = np.argsort(cols, axis=1, kind="stable")
+        ends = np.empty((cols.shape[0], q + 1), dtype=np.intp)  # rows of symbols <= a, per column
+        ends[:, 0] = 0
+        for a in range(1, q):
+            ends[:, a] = np.count_nonzero(cols <= a, axis=1)
+        ends[:, q] = n
+        for rows, bounds in zip(order, ends.tolist()):
+            for a in range(1, q + 1):
+                lo, hi = bounds[a - 1], bounds[a]
+                if lo == hi:
+                    continue
+                sel = rows[lo:hi]
+                block = pts[sel]
+                pts[sel] = fam.raw_batch(a, block.reshape(-1, dim)).reshape(block.shape)
+            img, psat = _clamp_points(pts.reshape(-1, dim), bound)
+            if psat.any():  # the clamp changed a point only if it flagged one
+                pts[...] = img.reshape(pts.shape)
+                yield pts, psat.reshape(n, -1).any(axis=1)
+            else:
+                yield pts, np.zeros(n, dtype=bool)
 
 
 def forward_orbit(fam: MapFamily, block: NoiseBlock, x0) -> OrbitTrace:

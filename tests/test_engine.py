@@ -17,6 +17,7 @@ from monosync import (
     wasserstein1,
 )
 from monosync.engine import (
+    _CHAIN_CHUNK,
     _BlockTable,
     _chain,
     _draw_noise,
@@ -215,10 +216,18 @@ def test_orbit_csv(tmp_path, cantor1d):
     assert len(lines) == 2 + 6
 
 
-@pytest.mark.parametrize("fid", ["cantor2d", "slide1d", "exp1d"])
+# four maps of which two are never drawn, so every column lacks symbols 1 and 3
+_SPARSE_AFFINE = {
+    "probs": (0.0, 0.5, 0.0, 0.5),
+    "params": {"mats": [[[0.5]], [[-0.5]], [[0.25]], [[-0.25]]],
+               "offs": [[0.1], [0.2], [0.3], [0.4]]},
+}
+
+
+@pytest.mark.parametrize("fid", ["cantor2d", "slide1d", "exp1d", "affine-general"])
 @pytest.mark.parametrize("n_probe", [None, 5])
 def test_step_matches_rowwise_apply_batch(fid, n_probe):
-    fam = make_family(fid)
+    fam = make_family(fid, **(_SPARSE_AFFINE if fid == "affine-general" else {}))
     gen = np.random.default_rng(11)
     n = 40
     shape = (n, fam.dim) if n_probe is None else (n, n_probe, fam.dim)
@@ -232,8 +241,9 @@ def test_step_matches_rowwise_apply_batch(fid, n_probe):
     assert np.array_equal(got_sat, want_sat)
     if fid == "exp1d":
         assert want_sat.any() and not want_sat.all()
-    # the forward chain: one step per column of a table, advanced in place
-    table = _draw_noise(fam.noise, gen, (n, 3))
+    # the forward chain: one step per column of a table, advanced in place, over
+    # two whole symbol-grouping chunks and a ragged third
+    table = _draw_noise(fam.noise, gen, (n, 2 * _CHAIN_CHUNK + 3))
     chained = pts.copy()
     want = pts
     for j, (got, got_sat) in enumerate(_chain(fam, table, chained)):
