@@ -58,6 +58,9 @@ _START_N_MAX = 4096  # depth cap of the pullbacks that start stationary chains
 _N_CHAINS = 2000  # Monte Carlo chains per P^j phi term, and inner draws of P psi
 _J_MAX = 60  # the deepest term of the Poisson series
 _EXACT_CAP = 4096  # terms are enumerated exactly while q^j stays at most this
+# sigma below this many float64 rounding units of the observable's magnitude
+# on the grid is rounding noise, not a fluctuation variance
+_SIGMA_ROUNDING_ULPS = 64
 
 
 @dataclass(frozen=True)
@@ -396,6 +399,12 @@ def sigma_estimate(sol: PoissonSolution) -> SigmaEstimates:
     The martingale form is the primary normalizer; the residual form equals
     ``int phi^2`` whenever the Poisson equation holds exactly and is
     reported alongside for comparison.
+
+    Raises :class:`NonPositiveSigmaError` when the martingale variance is
+    non-finite or non-positive, or when its square root is at most 64
+    float64 rounding units of the observable's magnitude on the grid
+    (``max |phi_values| + |term_means[0]|``): a law concentrated on one
+    point leaves only rounding noise there.
     """
     mg = float(np.mean(sol.psi**2) - np.mean(sol.p_psi**2))
     resid = float(np.mean((sol.psi - sol.p_psi) ** 2))
@@ -403,6 +412,13 @@ def sigma_estimate(sol: PoissonSolution) -> SigmaEstimates:
         raise NonPositiveSigmaError(
             f"martingale variance {mg:.3e} is non-finite or non-positive; "
             "observable too close to constant or too large on the grid"
+        )
+    scale = float(np.max(np.abs(sol.phi_values))) + abs(float(sol.term_means[0]))
+    floor = _SIGMA_ROUNDING_ULPS * np.finfo(float).eps * scale
+    if math.sqrt(mg) <= floor:
+        raise NonPositiveSigmaError(
+            f"martingale variance {mg:.3e} is float rounding of an observable of "
+            f"magnitude {scale:.3e} on the grid; the observable is constant there"
         )
     return SigmaEstimates(sigma2_mg=mg, sigma2_resid=resid, discrepancy=abs(mg - resid))
 

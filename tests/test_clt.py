@@ -147,10 +147,19 @@ def test_sigma_estimates_and_scaling(cantor1d, cantor_mu):
     assert s1.sigma2_resid == pytest.approx(0.125, rel=0.1)
 
 
-def test_sigma_nonpositive_on_degenerate_support(const_family):
-    mu = EmpiricalMeasure.uniform(np.full((64, 1), 0.7))
-    phi = make_observable("coord:1", mu)  # centered at 0.7, so phi == 0 on the support
-    sol = poisson_solve(const_family, phi, mu, grid_size=64, tol=1e-12, seed=1)
+@pytest.mark.parametrize("case", ["constant-maps", "one-symbol-cantor"])
+def test_sigma_nonpositive_on_degenerate_support(const_family, case):
+    if case == "constant-maps":
+        mu = EmpiricalMeasure.uniform(np.full((64, 1), 0.7))
+        phi = make_observable("coord:1", mu)  # centered at 0.7, so phi == 0 on the support
+        sol = poisson_solve(const_family, phi, mu, grid_size=64, tol=1e-12, seed=1)
+    else:
+        # the stationary law is a point mass near 0 (the pullback limit, 4.2e-10);
+        # the variance left over is float rounding, about 1e-50
+        fam = make_family("cantor1d", probs=[1.0])
+        mu = pullback_sample(fam, 1, 512)
+        phi = make_observable("coord:1", mu, center=0.0)
+        sol = poisson_solve(fam, phi, mu, grid_size=512, seed=1)
     with pytest.raises(NonPositiveSigmaError):
         sigma_estimate(sol)
 
