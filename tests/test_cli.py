@@ -178,15 +178,15 @@ def test_threads_do_not_change_artifacts(tmp_path):
      "orbit.csv", "af3a2fd3361085cec102e0a67046af7fdc03fb112807b7e40fcee0f2a2feaad9"),
     (["simulate", "--family", "slide1d", "--direction", "forward", "--n", "200", "--seed", "1234"],
      "orbit.csv", "fa9056785a509af33ec105fe6e1f41e9a4e12bfa508c6ef9e732dfd89cd708dc"),
+    # a reverse orbit with its probe-image boxes
+    (["simulate", "--family", "cantor1d", "--direction", "reverse", "--n", "200", "--seed", "1234"],
+     "orbit.csv", "4d7698725d0fed6803a8feebb4bc798700c83f0bfcecb93afe89a4d1a2b7fcf7"),
     # a saturating finite-noise forward orbit: every step takes the clamp's slow path
     (["simulate", "--family", "exp1d", "--direction", "forward", "--n", "200", "--seed", "1234"],
      "orbit.csv", "d901cf9970bcecc3865ad3722dd82eece341ce46c171e6a2ce9f386589d0dac7"),
     # a 2-d forward chain of a whole (N, P, dim) probe cloud
     (["forward-gap", "--family", "cantor2d", "--n", "20", "--seed", "7"],
      "forward_gap.csv", "994efbab7bbbc13041c18c50663769a55213f906381fbdb57b887ed6c3d11782"),
-    # a reverse orbit with its probe-image boxes
-    (["simulate", "--family", "cantor1d", "--direction", "reverse", "--n", "200", "--seed", "1234"],
-     "orbit.csv", "4d7698725d0fed6803a8feebb4bc798700c83f0bfcecb93afe89a4d1a2b7fcf7"),
 ])
 def test_golden_artifact_digest(tmp_path, args, artifact, digest):
     # Frozen bytes: any change to the noise streams (finite and box tables), to the
