@@ -187,6 +187,10 @@ def test_threads_do_not_change_artifacts(tmp_path):
     # a 2-d forward chain of a whole (N, P, dim) probe cloud
     (["forward-gap", "--family", "cantor2d", "--n", "20", "--seed", "7"],
      "forward_gap.csv", "994efbab7bbbc13041c18c50663769a55213f906381fbdb57b887ed6c3d11782"),
+    # 2-d W1 above the exact-matching cap: the sliced kernel over 128 directions
+    (["w1-decay", "--family", "cantor2d", "--n-particles", "1024", "--ref-size", "1024",
+      "--n-max", "3", "--seed", "3"],
+     "w1_decay.csv", "ed9c1f74c90512d91d1fe129377a0fdf5870a63049417aff30fe001fb7a6effe"),
 ])
 def test_golden_artifact_digest(tmp_path, args, artifact, digest):
     # Frozen bytes: any change to the noise streams (finite and box tables), to the
