@@ -79,6 +79,31 @@ def w1_bruteforce_matching(p1, p2) -> float:
     return best
 
 
+def w1_sliced_loop(p1, w1, p2, w2, dirs) -> float:
+    """Sliced W1 with one weighted quantile coupling per direction, in order.
+
+    Each direction sorts both projections with their own stable argsort,
+    builds its own cumulative weights and coupling cells, and adds its cost
+    to a running total; the mean over directions is returned.
+    """
+    p1, p2 = np.asarray(p1, dtype=float), np.asarray(p2, dtype=float)
+    w1, w2 = np.asarray(w1, dtype=float), np.asarray(w2, dtype=float)
+    total = 0.0
+    for d in dirs:
+        x1, x2 = p1 @ d, p2 @ d
+        o1 = np.argsort(x1, kind="stable")
+        o2 = np.argsort(x2, kind="stable")
+        xs1, cw1 = x1[o1], np.cumsum(w1[o1])
+        xs2, cw2 = x2[o2], np.cumsum(w2[o2])
+        edges = np.concatenate([[0.0], np.sort(np.concatenate([cw1[:-1], cw2[:-1]])), [1.0]])
+        widths = np.diff(edges)
+        mids = 0.5 * (edges[:-1] + edges[1:])
+        i1 = np.minimum(np.searchsorted(cw1, mids, side="left"), xs1.size - 1)
+        i2 = np.minimum(np.searchsorted(cw2, mids, side="left"), xs2.size - 1)
+        total += float(np.sum(widths * np.abs(xs1[i1] - xs2[i2])))
+    return total / len(dirs)
+
+
 def iid_partial_sum_var(values, probs, t: float) -> float:
     """Var of the normalized Donsker sum at time t for an i.i.d. sequence."""
     values = np.asarray(values, dtype=float)

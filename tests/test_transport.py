@@ -7,13 +7,19 @@ from monosync import (
     EmpiricalMeasure,
     UsageError,
     make_family,
+    markov_step,
     pullback_sample,
     push_forward,
     w1_decay_curve,
     wasserstein1,
 )
 from monosync.streams import derive_seed
-from monosync.transport import _calibrate_floor, _w1_exact_matching, _w1_quantile_coupling
+from monosync.transport import (
+    _calibrate_floor,
+    _sliced_directions,
+    _w1_exact_matching,
+    _w1_quantile_coupling,
+)
 
 
 def u(points):
@@ -118,6 +124,63 @@ def test_sliced_w1_reasonable_on_shift():
     rep = wasserstein1(EmpiricalMeasure.uniform(pts), EmpiricalMeasure.uniform(shift))
     # sliced W1 of a pure shift is E|<e1, theta>| = 2/pi times the shift
     assert rep.distance == pytest.approx(2 / np.pi, rel=0.1)
+
+
+def _sliced_matches_loop(a, b):
+    rep = wasserstein1(a, b)
+    assert rep.method == "sliced"
+    dirs = _sliced_directions(a.dim, rep.n_projections)
+    loop = oracles.w1_sliced_loop(a.points, a.weights, b.points, b.weights, dirs)
+    assert rep.distance == loop  # bit for bit, no tolerance
+
+
+@pytest.mark.parametrize("n1, n2, dim", [(600, 600, 2), (700, 700, 3), (600, 1000, 2)])
+def test_sliced_w1_equals_per_direction_loop(n1, n2, dim):
+    # far from the origin, a projection rounded differently from the
+    # per-direction ``points @ d`` (a batched matmul, say) shows in the total
+    rng = np.random.default_rng(n1 + n2 + dim)
+    a = EmpiricalMeasure.uniform(rng.normal(size=(n1, dim)) + 1000.0)
+    b = EmpiricalMeasure.uniform(rng.normal(size=(n2, dim)) + 1000.3)
+    _sliced_matches_loop(a, b)
+
+
+def test_sliced_w1_equals_loop_with_ties_and_signed_zeros():
+    # repeated points tie in every projection, so a stable argsort and an
+    # in-place sort may order them differently; points with -0.0 and 0.0
+    # coordinates project to zeros of either sign where the dot product
+    # keeps the sign of an all-(-0.0) sum (a gemv that starts from +0.0, as
+    # OpenBLAS does, makes all of them +0.0)
+    rng = np.random.default_rng(41)
+    grid = rng.integers(-2, 3, size=(700, 2)).astype(float)
+    grid[:50] = [-0.0, -0.0]
+    grid[50:100] = [0.0, -0.0]
+    grid[100:150] = [-0.0, 0.0]
+    other = np.concatenate([grid[::2], rng.integers(-2, 3, size=(300, 2)).astype(float)])
+    a, b = EmpiricalMeasure.uniform(grid), EmpiricalMeasure.uniform(other)
+    assert np.unique(a.points, axis=0).shape[0] < a.n
+    _sliced_matches_loop(a, b)
+    _sliced_matches_loop(b, a)
+
+
+def test_sliced_w1_unequal_weights_keep_general_path():
+    fam = make_family("cantor2d", probs=(0.3, 0.7))
+    rng = np.random.default_rng(43)
+    mu = markov_step(fam, EmpiricalMeasure.uniform(rng.random((300, 2))))
+    assert mu.n == 600 and not np.all(mu.weights == mu.weights[0])
+    ref = EmpiricalMeasure.uniform(rng.random((800, 2)))
+    _sliced_matches_loop(mu, ref)
+    _sliced_matches_loop(ref, mu)
+
+
+@pytest.mark.parametrize("n1, n2", [(600, 600), (513, 900)])
+def test_sliced_w1_metric_axioms(n1, n2):
+    rng = np.random.default_rng(n1 * n2)
+    a = EmpiricalMeasure.uniform(rng.normal(size=(n1, 2)))
+    b = EmpiricalMeasure.uniform(rng.normal(size=(n2, 2)))
+    assert wasserstein1(a, b).method == "sliced"
+    assert wasserstein1(a, b).distance == wasserstein1(b, a).distance
+    assert wasserstein1(a, a).distance == 0.0
+    assert wasserstein1(b, b).distance == 0.0
 
 
 def test_empirical_measure_validation():
