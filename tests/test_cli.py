@@ -191,10 +191,26 @@ def test_threads_do_not_change_artifacts(tmp_path):
     (["w1-decay", "--family", "cantor2d", "--n-particles", "1024", "--ref-size", "1024",
       "--n-max", "3", "--seed", "3"],
      "w1_decay.csv", "ed9c1f74c90512d91d1fe129377a0fdf5870a63049417aff30fe001fb7a6effe"),
+    # a reverse orbit that starts beyond the clamp: rows still waiting for their
+    # first map keep the unclamped start point and are not flagged
+    (["simulate", "--direction", "reverse", "--n", "60", "--x0", "0.9", "--seed", "5",
+      {"family": "cantor1d", "clamp": 0.5}],
+     "orbit.csv", "402aa1433bdf05438b7557f6e452ea0a37cc413819395b72a404050d486fd3ab"),
+    # a 2-d affine pullback whose map bodies are BLAS matmuls
+    (["stationary", "--n-samples", "512", "--seed", "6",
+      {"family": "affine-general",
+       "params": {"mats": [[[0.4, 0.1], [0.1, 0.3]], [[0.3, -0.1], [-0.1, 0.4]]],
+                  "offs": [[0.1, 0.2], [0.5, -0.3]]}}],
+     "stationary.csv", "a0ee3edcaedb3dcdf4c52c60f5720cd38d4f34b66a82dbbbcaa9841a6917d30c"),
 ])
 def test_golden_artifact_digest(tmp_path, args, artifact, digest):
     # Frozen bytes: any change to the noise streams (finite and box tables), to the
     # pullback depth search, to the default probe or to the JSON writer shows here.
+    # A trailing dict in ``args`` is written as a config file (there is no --clamp flag).
+    if isinstance(args[-1], dict):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(args[-1]))
+        args = args[:-1] + ["--config", str(config)]
     out = tmp_path / "golden"
     assert run(args + ["--threads", "1", "--out", str(out)]) == 0
     assert hashlib.sha256((out / artifact).read_bytes()).hexdigest() == digest
