@@ -7,12 +7,12 @@ Composition conventions, fixed once for the whole package:
 * reverse orbit:  ``R_j = f_{b[0]} o ... o f_{b[j-1]}(x0)``, so extending the
   block appends maps innermost and the probe images are nested.
 
-``_chain`` is the one forward composition loop and
-``image_points_at_depths`` the one reverse loop: every orbit, chain and
-pullback runs through one of the two.  ``_chain`` groups finite-noise steps
-by symbol itself, a chunk of noise columns at a time, and clamps each step
-once; the step-and-clamp kernel ``_step`` serves the reverse loop and
-box-noise forward steps.  (``families.image_box`` composes a single
+``_chain`` is the one step-and-clamp kernel: every orbit, chain and
+pullback runs through it.  It groups finite-noise steps by symbol, a chunk
+of noise columns at a time, and clamps each step once.  The reverse loop
+``image_points_at_depths`` is a forward chain over the reversed blocks with
+the rows right-aligned, each joining the chain at the step that leaves it
+exactly its own depth.  (``families.image_box`` composes a single
 hand-given block through ``apply_batch`` on its own.)
 
 The pullback limit deepens the reverse composition on a fixed stream until
@@ -157,66 +157,48 @@ class OrbitTrace:
         _write_csv(path, seed, ",".join(cols), rows)
 
 
-def _step(
-    fam: MapFamily, alphas: np.ndarray, pts: np.ndarray, rows: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Advance rows of ``pts`` in place, row ``rows[i]`` through the map ``alphas[i]``.
-
-    ``pts`` is (N, dim) or (N, P, dim) and ``rows`` defaults to all N rows.
-    Returns ``pts``, clamped, and a per-row saturation flag (False for rows
-    not advanced).  Finite noise applies each symbol once to all of its
-    rows, in increasing symbol order; box noise applies one map per row.
-    Advancing a subset through ``rows`` saves copying it out and back.
-
-    This serves the reverse loop and box-noise forward steps; ``_chain``
-    groups finite-noise forward steps itself.
-    """
-    if rows is None:
-        rows = np.arange(pts.shape[0])
-    sat = np.zeros(pts.shape[0], dtype=bool)
-    dim, bound = fam.dim, fam.clamp_bound
-    if fam.finite:
-        for a in np.unique(alphas):
-            sel = rows[alphas == a]
-            block = pts[sel]
-            img, psat = _clamp_points(fam.raw_batch(int(a), block.reshape(-1, dim)), bound)
-            pts[sel] = img.reshape(block.shape)
-            if psat.any():
-                sat[sel] = psat.reshape(len(sel), -1).any(axis=1)
-    else:
-        for alpha, i in zip(alphas, rows):
-            img, psat = _clamp_points(fam.raw_batch(alpha, pts[i].reshape(-1, dim)), bound)
-            pts[i] = img.reshape(pts.shape[1:])
-            sat[i] = psat.any()
-    return pts, sat
-
-
-def _chain(fam: MapFamily, values: np.ndarray, pts: np.ndarray):
+def _chain(fam: MapFamily, values: np.ndarray, pts: np.ndarray, start: np.ndarray | None = None):
     """Advance ``pts`` in place along the forward chain ``Z_{j+1} = f_{values[:, j]}(Z_j)``.
 
     ``values`` is (N, L) of symbols or (N, L, d) of parameters, one row per
     row of ``pts`` ((N, dim) or (N, P, dim)).  Yields ``pts`` and the
     per-row saturation flags of each of the L steps, after the step.
 
-    Box noise advances each row through ``_step``.  Finite noise groups the
-    rows by symbol ``_CHAIN_CHUNK`` columns at a time, with one stable sort
-    per column, so each symbol's rows come in increasing order, as a boolean
-    mask would give them.  Each symbol present applies its map once to its
-    rows, in increasing symbol order, and the whole step is clamped once:
-    the clamp acts point by point, so this matches clamping per symbol.
+    ``start`` (N,), passed only by the reverse loop, is the step at which
+    each row joins the chain; until then the row keeps its point, neither
+    clamped nor flagged.
+
+    Box noise applies one map per started row.  Finite noise groups the rows
+    by symbol ``_CHAIN_CHUNK`` columns at a time, with one stable sort per
+    column, so each symbol's rows come in increasing order, as a boolean
+    mask would give them; a waiting row carries the symbol 0 in the sorted
+    copy, so it sorts first and no map sees it.  Each symbol present applies
+    its map once to its rows, in increasing symbol order, and the rows that
+    moved are clamped once: the clamp acts point by point, so this matches
+    clamping per symbol.
     """
     n_steps = values.shape[1]
+    n, dim, bound = pts.shape[0], fam.dim, fam.clamp_bound
     if not fam.finite:
         for j in range(n_steps):
-            yield _step(fam, values[:, j], pts)
+            sat = np.zeros(n, dtype=bool)
+            for i in range(n) if start is None else np.flatnonzero(start <= j):
+                raw = fam.raw_batch(values[i, j], pts[i].reshape(-1, dim))
+                img, psat = _clamp_points(raw, bound)
+                pts[i] = img.reshape(pts.shape[1:])
+                sat[i] = psat.any()
+            yield pts, sat
         return
-    n, dim, bound = pts.shape[0], fam.dim, fam.clamp_bound
     q = fam.noise.q
-    for start in range(0, n_steps, _CHAIN_CHUNK):
-        cols = np.ascontiguousarray(values[:, start : start + _CHAIN_CHUNK].T)  # (width, N)
-        order = np.argsort(cols, axis=1, kind="stable")
+    for first in range(0, n_steps, _CHAIN_CHUNK):
+        cols = np.ascontiguousarray(values[:, first : first + _CHAIN_CHUNK].T)  # (width, N)
         ends = np.empty((cols.shape[0], q + 1), dtype=np.intp)  # rows of symbols <= a, per column
         ends[:, 0] = 0
+        if start is not None:
+            wait = np.arange(first, first + cols.shape[0])[:, None] < start
+            cols[wait] = 0
+            ends[:, 0] = np.count_nonzero(wait, axis=1)
+        order = np.argsort(cols, axis=1, kind="stable")
         for a in range(1, q):
             ends[:, a] = np.count_nonzero(cols <= a, axis=1)
         ends[:, q] = n
@@ -228,12 +210,14 @@ def _chain(fam: MapFamily, values: np.ndarray, pts: np.ndarray):
                 sel = rows[lo:hi]
                 block = pts[sel]
                 pts[sel] = fam.raw_batch(a, block.reshape(-1, dim)).reshape(block.shape)
-            img, psat = _clamp_points(pts.reshape(-1, dim), bound)
+            moved = rows[bounds[0] :] if bounds[0] else slice(None)  # a view once all have started
+            block = pts[moved]
+            img, psat = _clamp_points(block.reshape(-1, dim), bound)
+            sat = np.zeros(n, dtype=bool)
             if psat.any():  # the clamp changed a point only if it flagged one
-                pts[...] = img.reshape(pts.shape)
-                yield pts, psat.reshape(n, -1).any(axis=1)
-            else:
-                yield pts, np.zeros(n, dtype=bool)
+                pts[moved] = img.reshape(block.shape)
+                sat[moved] = psat.reshape(block.shape[0], -1).any(axis=1)
+            yield pts, sat
 
 
 def forward_orbit(fam: MapFamily, block: NoiseBlock, x0) -> OrbitTrace:
@@ -263,21 +247,24 @@ def image_points_at_depths(
     (N, P, dim) per row.  Returns the image clouds (N, P, dim) and a
     per-row saturation flag.
 
-    All rows advance in lockstep stages, applying each row's next map
-    grouped by symbol, so the cost is ``sum(depths) * P`` map evaluations
-    regardless of how ragged the depths are.
+    The reverse composition is a forward chain over the reversed block, so
+    this is one ``_chain`` over the columns ``D-1, ..., 0`` with ``D =
+    max(depths)``, each row right-aligned: row ``i`` joins at step ``D -
+    depths[i]``.  The cost is ``sum(depths) * P`` map evaluations however
+    ragged the depths are.
     """
     depths = np.asarray(depths, dtype=np.int64)
     n_rows = depths.shape[0]
+    depth = int(depths.max(initial=0))
+    if depth > blocks.shape[1]:
+        raise UsageError(f"depth {depth} exceeds the block length {blocks.shape[1]}")
     base = np.asarray(base_pts, dtype=float)
     if base.ndim == 2:
         pts = np.broadcast_to(base, (n_rows,) + base.shape).copy()
     else:
         pts = base.copy()
     sat = np.zeros(n_rows, dtype=bool)
-    for stage in range(1, int(depths.max(initial=0)) + 1):
-        idx = np.nonzero(depths >= stage)[0]
-        _, psat = _step(fam, blocks[idx, depths[idx] - stage], pts, idx)
+    for _, psat in _chain(fam, blocks[:, :depth][:, ::-1], pts, start=depth - depths):
         sat |= psat
     return pts, sat
 

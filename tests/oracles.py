@@ -138,6 +138,26 @@ def step_rowwise(fam, alphas, pts):
     return out, sat
 
 
+def reverse_rowwise(fam, blocks, depths, base):
+    """Row ``i`` maps ``base`` through ``f_{blocks[i,0]} o ... o f_{blocks[i,depths[i]-1]}``.
+
+    Composed innermost first, one public ``apply_batch`` call per map and
+    row; the row's flag is the OR of its calls' saturation flags.  ``base``
+    is (P, dim) shared or (N, P, dim) per row.
+    """
+    base = np.asarray(base, dtype=float)
+    out = np.empty((len(depths),) + base.shape[-2:])
+    sat = np.zeros(len(depths), dtype=bool)
+    for i, depth in enumerate(depths):
+        img = base if base.ndim == 2 else base[i]
+        for j in range(depth - 1, -1, -1):
+            alpha = int(blocks[i][j]) if fam.finite else blocks[i][j]
+            img, s = fam.apply_batch(alpha, img)
+            sat[i] = sat[i] or s
+        out[i] = img
+    return out, sat
+
+
 def finite_symbol(u: float, probs) -> int:
     """Symbol 1..q of one uniform: the first k whose cumulative mass exceeds u, else q."""
     acc = 0.0

@@ -22,13 +22,19 @@ from monosync.engine import (
     _chain,
     _draw_noise,
     _noise_values,
-    _step,
     image_points_at_depths,
     pullback_batch,
 )
+from monosync.errors import UsageError
 from monosync.families import FiniteNoise
 from monosync.streams import stream_generator
-from oracles import finite_symbol, per_stream_table, pullback_linear_scan, step_rowwise
+from oracles import (
+    finite_symbol,
+    per_stream_table,
+    pullback_linear_scan,
+    reverse_rowwise,
+    step_rowwise,
+)
 
 
 def test_degenerate_law_block():
@@ -236,7 +242,7 @@ def test_step_matches_rowwise_apply_batch(fid, n_probe):
     pts = scale * gen.uniform(-1.0, 1.0, size=shape)
     alphas = _draw_noise(fam.noise, gen, (n,))
     want, want_sat = step_rowwise(fam, alphas, pts)
-    got, got_sat = _step(fam, alphas, pts.copy())
+    got, got_sat = next(_chain(fam, alphas[:, None], pts.copy()))
     assert got.tobytes() == want.tobytes()
     assert np.array_equal(got_sat, want_sat)
     if fid == "exp1d":
@@ -252,6 +258,40 @@ def test_step_matches_rowwise_apply_batch(fid, n_probe):
         assert got.tobytes() == want.tobytes()
         assert np.array_equal(got_sat, want_sat)
     assert j == table.shape[1] - 1
+
+
+@pytest.mark.parametrize("fid, kwargs", [
+    ("cantor2d", {}),
+    ("slide1d", {}),
+    ("exp1d", {}),
+    ("affine-general", _SPARSE_AFFINE),
+    # start points beyond the clamp: a row that has not started keeps its point
+    ("cantor1d", {"clamp_bound": 0.5}),
+])
+@pytest.mark.parametrize("per_row_base", [False, True])
+def test_image_points_match_reverse_rowwise(fid, kwargs, per_row_base):
+    fam = make_family(fid, **kwargs)
+    gen = np.random.default_rng(12)
+    n, n_probe, length = 24, 5, _CHAIN_CHUNK + 9
+    blocks = _draw_noise(fam.noise, gen, (n, length))
+    # ragged depths over two symbol-grouping chunks, with 0 and the full length
+    depths = gen.integers(0, length + 1, n)
+    depths[:3] = [0, length, length // 2]
+    scale = 800.0 if fid == "exp1d" else 1.0
+    shape = (n, n_probe, fam.dim) if per_row_base else (n_probe, fam.dim)
+    base = scale * gen.uniform(-1.0, 1.0, size=shape)
+    want, want_sat = reverse_rowwise(fam, blocks, depths, base)
+    got, got_sat = image_points_at_depths(fam, blocks, depths, base)
+    assert got.tobytes() == want.tobytes()
+    assert got_sat.tobytes() == want_sat.tobytes()
+    if fid in ("exp1d", "cantor1d"):
+        assert want_sat.any() and not want_sat.all()
+
+
+def test_image_points_reject_depth_beyond_block(cantor1d):
+    blocks = sample_block(cantor1d.noise, 1, 0, 5).values[None]
+    with pytest.raises(UsageError):
+        image_points_at_depths(cantor1d, blocks, np.array([6]), np.zeros((2, 1)))
 
 
 @pytest.mark.parametrize(
