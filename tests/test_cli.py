@@ -202,6 +202,10 @@ def test_threads_do_not_change_artifacts(tmp_path):
        "params": {"mats": [[[0.4, 0.1], [0.1, 0.3]], [[0.3, -0.1], [-0.1, 0.4]]],
                   "offs": [[0.1, 0.2], [0.5, -0.3]]}}],
      "stationary.csv", "a0ee3edcaedb3dcdf4c52c60f5720cd38d4f34b66a82dbbbcaa9841a6917d30c"),
+    # the Poisson corrector's report: truncation, residual and both variance forms
+    (["clt", "--family", "cantor1d", "--n", "200", "--replicas", "100", "--mu-size", "512",
+      "--grid-size", "256", "--dump-paths", "--seed", "1234"],
+     "clt_report.json", "11066e789fd2929ab13ba423f5073b290eb50619b689cecfb868d8dea4dcb3d5"),
 ])
 def test_golden_artifact_digest(tmp_path, args, artifact, digest):
     # Frozen bytes: any change to the noise streams (finite and box tables), to the
