@@ -340,6 +340,7 @@ def _run_stationary(cfg, fam, ordr, outdir) -> int:
             "seed": seed,
             "n_samples": mu.n,
             "n_failed": mu.meta.get("n_failed", 0),
+            "n_saturated": mu.meta["n_saturated"],
             "mean": mu.mean().tolist(),
             "var": mu.var().tolist(),
         },

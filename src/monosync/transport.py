@@ -267,7 +267,9 @@ def pullback_sample(
     """Sample the stationary law: one pullback limit per stream id 0..N-1.
 
     Individual streams that fail to reach tolerance are dropped and
-    counted; more than 1% failures aborts with the worst diameter.
+    counted; more than 1% failures aborts with the worst diameter.  The
+    kept samples whose pullback saturated the clamp are counted in
+    ``meta["n_saturated"]``.
     """
     if n_samples < 1:
         raise UsageError("n_samples must be >= 1")
@@ -278,12 +280,18 @@ def pullback_sample(
         results.append(pullback_batch(fam, seed, chunk, probe, tol, n_max))
     points = np.concatenate([r.points for r in results], axis=0)
     converged = np.concatenate([r.converged for r in results])
-    saturated = bool(np.concatenate([r.saturated for r in results]).any())
+    saturated = np.concatenate([r.saturated for r in results])
     n_failed = int((~converged).sum())
     if n_failed > 0.01 * n_samples:
         worst = max(float(r.diam[~r.converged].max()) for r in results if (~r.converged).any())
         raise NotConvergedError(n_max, worst)
-    meta = {"n_failed": n_failed, "tol": tol, "saturated": saturated, "seed": int(seed)}
+    meta = {
+        "n_failed": n_failed,
+        "n_saturated": int((saturated & converged).sum()),
+        "tol": tol,
+        "saturated": bool(saturated.any()),
+        "seed": int(seed),
+    }
     return EmpiricalMeasure.uniform(points[converged], provenance="pullback", meta=meta)
 
 

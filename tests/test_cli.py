@@ -89,6 +89,7 @@ def test_stationary_command(tmp_path):
     ]) == 0
     doc = read_json(out / "stationary.json")
     assert abs(doc["mean"][0] - 0.5) < 0.05
+    assert doc["n_saturated"] == 0
     assert (out / "stationary.csv").exists()
 
 
@@ -166,9 +167,10 @@ def test_threads_do_not_change_artifacts(tmp_path):
     (["w1-decay", "--family", "cantor1d", "--n-particles", "512", "--ref-size", "512",
       "--n-max", "4", "--seed", "11"],
      "w1_fit.json", "c69099df36862d74fb941fcb3f8385e2a0ca5988d740862d1ab5299c8e79c121"),
-    # strict JSON: the saturated exp1d variance overflows and is written as null
+    # strict JSON: the saturated exp1d variance overflows and is written as null,
+    # next to the count of saturated samples
     (["stationary", "--family", "exp1d", "--n-samples", "512", "--seed", "90210"],
-     "stationary.json", "2a16996f89d801c5d63578b33bde8d057fa19064cf095a5a422d8308bbb50058"),
+     "stationary.json", "bb0a95a4f5210a09b9e40cea643f1c389160976968dadb30ae2b2b05758db25c"),
     # forward chains: the centering pass, the Poisson sigma^2 and the partial sums
     (["clt", "--family", "cantor1d", "--n", "200", "--replicas", "100", "--mu-size", "512",
       "--grid-size", "256", "--dump-paths", "--seed", "1234"],

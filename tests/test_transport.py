@@ -242,6 +242,15 @@ def test_pullback_sample_exp_sign_frequency(exp1d):
     assert abs(frac_neg - 0.5) <= 3 * 0.5 / np.sqrt(mu.n)
 
 
+def test_pullback_sample_counts_saturated_samples(cantor1d, exp1d):
+    assert pullback_sample(cantor1d, 5, 256).meta["n_saturated"] == 0
+    mu = pullback_sample(exp1d, 90210, 256)
+    # every kept sample pinned at the clamp bound saturated on its way there
+    pinned = int(np.count_nonzero(np.abs(mu.points[:, 0]) >= exp1d.clamp_bound))
+    assert 0 < pinned <= mu.meta["n_saturated"] <= mu.n
+    assert mu.meta["saturated"]
+
+
 def test_stationarity_fixed_point(cantor1d):
     n = 2048
     mu = pullback_sample(cantor1d, 31, n, tol=1e-9)
