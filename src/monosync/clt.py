@@ -3,9 +3,10 @@
 The transfer operator ``P`` averages an observable over one noise step.
 Its iterated action on a centered observable decays geometrically once
 orbit synchronization holds, so the fluctuation corrector can be built as
-the truncated series ``psi = sum_j P^j phi`` (the telescoping identity
-gives ``(I - P) psi = phi`` up to the dropped tail).  Two variance
-estimators are reported side by side:
+the truncated series ``psi = sum_{j<=J} P^j phi``.  ``P psi`` is the same
+series shifted by one term, ``sum_{1<=j<=J+1} P^j phi``, so the telescoping
+identity leaves ``psi - P psi - phi`` equal to minus the first dropped term.
+Two variance estimators are reported side by side:
 
 * martingale form   ``int psi^2 - int (P psi)^2``  (used for normalization)
 * residual form     ``int (psi - P psi)^2``        (equals ``int phi^2`` at
@@ -55,7 +56,7 @@ __all__ = [
 ]
 
 _START_N_MAX = 4096  # depth cap of the pullbacks that start stationary chains
-_N_CHAINS = 2000  # Monte Carlo chains per P^j phi term, and inner draws of P psi
+_N_CHAINS = 2000  # Monte Carlo chains per P^j phi term
 _J_MAX = 60  # the deepest term of the Poisson series
 _EXACT_CAP = 4096  # terms are enumerated exactly while q^j stays at most this
 # sigma below this many float64 rounding units of the observable's magnitude
@@ -197,16 +198,10 @@ def transfer_apply(
     draws for every grid point.
     """
     pts = np.atleast_2d(np.asarray(grid, dtype=float))
-    if isinstance(fam.noise, FiniteNoise):
-        return _pj_exact(fam, phi, pts, 1)
-    if n_inner < 100:
+    if not isinstance(fam.noise, FiniteNoise) and n_inner < 100:
         raise UsageError("need at least 100 inner samples")
-    draws = _draw_noise(fam.noise, stream_generator(seed, "transfer"), (n_inner,))
-    out = np.zeros(pts.shape[0])
-    for alpha in draws:
-        img, _ = fam.apply_batch(alpha, pts)
-        out += np.asarray(phi(img))
-    return out / n_inner
+    _, out = next(itertools.islice(_terms(fam, phi, pts, 2, seed, "transfer", n_inner), 1, None))
+    return out
 
 
 def _pj_exact(fam: MapFamily, phi, pts: np.ndarray, j: int) -> np.ndarray:
@@ -222,45 +217,33 @@ def _pj_exact(fam: MapFamily, phi, pts: np.ndarray, j: int) -> np.ndarray:
     return acc
 
 
-class _TermEvaluator:
-    """Evaluates P^j phi anywhere: exactly while q^j stays small, else by chains."""
+def _terms(fam: MapFamily, phi, pts: np.ndarray, n_terms: int, seed: int, label: str, n_chains: int):
+    """Yield ``(method, P^j phi on pts)`` for j = 0, ..., n_terms - 1, so a caller may stop early.
 
-    def __init__(self, fam: MapFamily, phi, seed: int):
-        self.fam = fam
-        self.phi = phi
-        self.seed = seed
-        if isinstance(fam.noise, FiniteNoise):
-            q = fam.noise.q
-            j, budget = 0, 1
-            while j < _J_MAX and budget * q <= _EXACT_CAP:
-                budget *= q
-                j += 1
-            self.exact_j_max = j
-        else:
-            self.exact_j_max = -1
-
-    def method_for(self, j: int) -> str:
-        return "exact" if j <= self.exact_j_max else "monte-carlo"
-
-    def terms_on(self, pts: np.ndarray, n_terms: int, label: str):
-        """Yield P^j phi on ``pts`` for j = 0, ..., n_terms - 1, so a caller may stop early.
-
-        Terms past ``exact_j_max`` are means over ``_N_CHAINS`` common chains
-        started at ``pts``, all driven by one noise table drawn from the
-        ``label`` stream.
-        """
-        fam = self.fam
-        n_exact = min(n_terms, max(self.exact_j_max, 0) + 1)  # P^0 phi = phi is always exact
-        for j in range(n_exact):
-            yield _pj_exact(fam, self.phi, pts, j)
-        if n_terms == n_exact:
-            return
-        gen = stream_generator(self.seed, label)
-        noise = _draw_noise(fam.noise, gen, (n_terms - 1, _N_CHAINS))  # one row per step
-        states = np.repeat(pts[None, :, :], _N_CHAINS, axis=0)
-        steps = _chain(fam, np.swapaxes(noise, 0, 1), states)
-        for states, _ in itertools.islice(steps, n_exact - 1, None):  # depths n_exact, ...
-            yield self.phi(states.reshape(-1, fam.dim)).reshape(_N_CHAINS, -1).mean(axis=0)
+    Finite noise enumerates a term exactly while q^j stays at most
+    ``_EXACT_CAP`` (or q, so P phi always is).  Later terms, and every
+    term of box noise, are means over ``n_chains`` common chains started at
+    ``pts``, all driven by one noise table drawn from the ``label`` stream;
+    term j is the chains' depth j.
+    """
+    n_exact = 1  # P^0 phi = phi
+    if isinstance(fam.noise, FiniteNoise):
+        q = fam.noise.q
+        method = "exact"
+        while n_exact < n_terms and q**n_exact <= max(_EXACT_CAP, q):
+            n_exact += 1
+    else:
+        method = "monte-carlo"
+    for j in range(n_exact):
+        yield method, _pj_exact(fam, phi, pts, j)
+    if n_terms == n_exact:
+        return
+    gen = stream_generator(seed, label)
+    noise = _draw_noise(fam.noise, gen, (n_terms - 1, n_chains))  # one row per step
+    states = np.repeat(pts[None, :, :], n_chains, axis=0)
+    steps = _chain(fam, np.swapaxes(noise, 0, 1), states)
+    for states, _ in itertools.islice(steps, n_exact - 1, None):  # depths n_exact, ...
+        yield "monte-carlo", phi(states.reshape(-1, fam.dim)).reshape(n_chains, -1).mean(axis=0)
 
 
 @dataclass
@@ -304,8 +287,7 @@ def poisson_solve(
     drives any observable toward its stationary mean, and with empirical
     centering that mean is a nonzero constant of the order of the sampling
     error, which constants the operator then preserves forever.  Projecting
-    it out keeps the terms decaying, keeps the truncated telescoping exact
-    (in enumeration mode the residual is literally the first dropped term),
+    it out keeps the terms decaying, keeps the truncated telescoping exact,
     and changes nothing that the variance estimators can see.
 
     Truncates at the first centered term whose sup norm drops to ``tol``,
@@ -313,8 +295,11 @@ def poisson_solve(
     consecutive terms fail to decay by a factor 0.95, which signals a
     family outside the synchronization regime.  Terms are exact while q^j
     stays at most 4096, else means over 2000 common chains.  ``P psi`` is
-    evaluated by one more transfer application with the series re-expanded
-    at the queried points (no interpolation).
+    the sum of the centered terms 1 to J + 1, term J + 1 taken one step
+    further along the same enumeration or chains, so the residual
+    ``psi - P psi - phi`` is minus the centered term J + 1 up to rounding.
+    ``term_norms`` and ``term_means`` cover terms 0 to J; ``method`` covers
+    J + 1 as well.
     """
     if mu_sample.dim != fam.dim:
         raise UsageError("sample dimension does not match family")
@@ -328,18 +313,20 @@ def poisson_solve(
         )
         grid = mu_sample.points[np.sort(idx)]
 
-    ev = _TermEvaluator(fam, phi, seed)
+    stream = _terms(fam, phi, grid, _J_MAX + 2, seed, "poisson-chain", _N_CHAINS)
     terms: list[np.ndarray] = []
     means: list[float] = []
     norms: list[float] = []
+    methods: set[str] = set()
     streak = 0
     converged = False
-    for j, raw in enumerate(ev.terms_on(grid, _J_MAX + 1, "poisson-chain")):
+    for j, (how, raw) in enumerate(itertools.islice(stream, _J_MAX + 1)):
         m = float(raw.mean())
         t = raw - m
         terms.append(t)
         means.append(m)
         norms.append(float(np.max(np.abs(t))))
+        methods.add(how)
         if j >= 1:
             prev = norms[j - 1]
             ratio = np.inf if prev == 0 else norms[j] / prev
@@ -353,22 +340,11 @@ def poisson_solve(
             break
     truncation_j = len(terms) - 1
     psi = np.sum(terms, axis=0)
-
-    def psi_eval(pts):
-        raw_terms = ev.terms_on(pts, truncation_j + 1, "poisson-reexp")
-        return np.sum([rt - m for rt, m in zip(raw_terms, means)], axis=0)
-
-    p_raw = transfer_apply(
-        fam,
-        psi_eval,
-        grid,
-        n_inner=_N_CHAINS,
-        seed=derive_seed(seed, "poisson-ppsi"),
-    )
-    p_psi = p_raw - float(p_raw.mean())
+    how, raw = next(stream)  # term J + 1: P psi is the series shifted by one term
+    methods.add(how)
+    p_psi = np.sum(terms[1:] + [raw - float(raw.mean())], axis=0)
     phi_vals = terms[0]
     residual = psi - p_psi - phi_vals
-    methods = {ev.method_for(j) for j in range(truncation_j + 1)}
     method = methods.pop() if len(methods) == 1 else "mixed"
     return PoissonSolution(
         grid=grid,

@@ -113,6 +113,42 @@ def iid_partial_sum_var(values, probs, t: float) -> float:
     return var * t
 
 
+def transfer_power_enum(fam, phi, pts, j):
+    """P^j phi at ``pts`` for finite noise, by recursion over every symbol word.
+
+    Each branch maps the points through the public ``apply_batch`` and is
+    weighted by its symbol's probability; zero-mass symbols are skipped.
+    """
+    pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    if j == 0:
+        return np.asarray(phi(pts), dtype=float)
+    out = np.zeros(pts.shape[0])
+    for a, p in enumerate(fam.noise.probs, start=1):
+        if p > 0:
+            img, _ = fam.apply_batch(a, pts)
+            out = out + p * transfer_power_enum(fam, phi, img, j - 1)
+    return out
+
+
+def p_psi_reexpansion(fam, phi, grid, term_means):
+    """``P psi`` on the grid by re-expanding the series at every one-step image.
+
+    ``psi(x) = sum_j (P^j phi(x) - term_means[j])`` is evaluated afresh at
+    the images of the grid under each symbol, the images are averaged with
+    the symbols' probabilities, and the result is centered on the grid.
+    """
+    def psi_at(pts):
+        return sum(transfer_power_enum(fam, phi, pts, j) - m for j, m in enumerate(term_means))
+
+    grid = np.atleast_2d(np.asarray(grid, dtype=float))
+    out = np.zeros(grid.shape[0])
+    for a, p in enumerate(fam.noise.probs, start=1):
+        if p > 0:
+            img, _ = fam.apply_batch(a, grid)
+            out = out + p * psi_at(img)
+    return out - out.mean()
+
+
 def clamp_two_branch(raw, bound: float):
     """Clamp into [-bound, bound] with per-point flags: non-finite first, then over-bound."""
     finite = np.isfinite(raw)

@@ -130,6 +130,39 @@ def test_poisson_monte_carlo_terms():
     assert np.max(np.abs(sol.psi - expected)) <= 1e-12
 
 
+@pytest.mark.parametrize("name", ["cantor1d", "cantor2d"])
+def test_poisson_p_psi_matches_reexpansion(name):
+    # P psi is the series' next term; the oracle re-expands psi at every image
+    fam = make_family(name)
+    mu = pullback_sample(fam, 17, 512)
+    phi = make_observable("coord:1", mu)
+    sol = poisson_solve(fam, phi, mu, grid_size=256, tol=1e-4, seed=5)
+    assert sol.method == "exact"
+    ref = oracles.p_psi_reexpansion(fam, phi, sol.grid, sol.term_means)
+    assert np.allclose(sol.p_psi, ref, rtol=0.0, atol=1e-15)
+    # the telescoping leaves minus the centered term J + 1
+    nxt = oracles.transfer_power_enum(fam, phi, sol.grid, sol.truncation_j + 1)
+    nxt = nxt - nxt.mean()
+    assert np.allclose(sol.residual, -nxt, rtol=0.0, atol=1e-15)
+    assert sol.residual_norm == pytest.approx(float(np.max(np.abs(nxt))), rel=0.0, abs=1e-15)
+
+
+def test_poisson_box_noise_terms():
+    # slide1d: every map has slope 1/3, so centering on the grid cancels the
+    # chains' noise and term j is 3^-j (x - mean x) for every chain alike
+    fam = make_family("slide1d")
+    mu = pullback_sample(fam, 4, 1024)
+    sol = poisson_solve(fam, make_observable("coord:1", mu), mu, grid_size=512, tol=1e-4, seed=2)
+    assert sol.method == "monte-carlo"
+    assert sol.converged
+    x = sol.grid[:, 0] - sol.grid[:, 0].mean()
+    j = sol.truncation_j
+    psi = sum(3.0**-i for i in range(j + 1)) * x
+    p_psi = sum(3.0**-i for i in range(1, j + 2)) * x
+    assert np.max(np.abs(sol.psi - psi)) <= 1e-12
+    assert np.max(np.abs(sol.p_psi - p_psi)) <= 1e-12
+
+
 def test_poisson_no_decay_on_identity(identity_family, cantor_mu):
     phi = centered_coord(0.5)
     with pytest.raises(NoDecayError):
