@@ -220,11 +220,12 @@ def _pj_exact(fam: MapFamily, phi, pts: np.ndarray, j: int) -> np.ndarray:
 def _terms(fam: MapFamily, phi, pts: np.ndarray, n_terms: int, seed: int, label: str, n_chains: int):
     """Yield ``(method, P^j phi on pts)`` for j = 0, ..., n_terms - 1, so a caller may stop early.
 
-    Finite noise enumerates a term exactly while q^j stays at most
-    ``_EXACT_CAP`` (or q, so P phi always is).  Later terms, and every
-    term of box noise, are means over ``n_chains`` common chains started at
-    ``pts``, all driven by one noise table drawn from the ``label`` stream;
-    term j is the chains' depth j.
+    Finite noise enumerates term j exactly while q^j stays at most
+    ``_EXACT_CAP`` (or q, so P phi always is).  Later terms, and every term
+    past phi itself for box noise, are means over ``n_chains`` common chains
+    started at ``pts``, all driven by one noise table drawn from the
+    ``label`` stream; term j is the chains' depth j.  Box noise labels every
+    term "monte-carlo".
     """
     n_exact = 1  # P^0 phi = phi
     if isinstance(fam.noise, FiniteNoise):
