@@ -16,10 +16,20 @@ exactly its own depth.  (``families.image_box`` composes a single
 hand-given block through ``apply_batch`` on its own.)
 
 The pullback limit deepens the reverse composition on a fixed stream until
-the taxicab diameter of a probe-cloud image drops below tolerance.  All
-noise comes from labeled counter-based streams (see :mod:`monosync.streams`);
-replica ``r`` of any operation owns stream id ``r`` of its label, which makes
-results independent of chunking and worker counts.
+the taxicab diameter of the probe's image drops below tolerance.  The
+high-level callers probe with the monotone sandwich (see
+``families._default_probe``): for a family whose maps are all monotone in
+one orthant order, the images of the probe box's two extremal corners span
+an order interval holding the image of the whole box, so "converged" means
+the whole box is mapped within ``tol``, and the returned point, the
+interval's midpoint, is within ``tol`` of the image of every point of the
+box.  A family without that order is probed with a sampled cloud, for
+which both hold only at the sampled points.
+
+All noise comes from labeled counter-based streams (see
+:mod:`monosync.streams`); replica ``r`` of any operation owns stream id
+``r`` of its label, which makes results independent of chunking and
+worker counts.
 """
 
 from __future__ import annotations
@@ -363,7 +373,7 @@ def _taxicab_diams(pts: np.ndarray) -> np.ndarray:
 class PullbackBatch:
     """Result of a batched pullback: one limit candidate per stream."""
 
-    points: np.ndarray      # (N, dim) image centroids
+    points: np.ndarray      # (N, dim) probe-image centroids: sandwich midpoints for two corners
     n_used: np.ndarray      # (N,) minimal depth reaching tolerance (-1 on failure)
     diam: np.ndarray        # (N,) diameter at the returned depth
     converged: np.ndarray   # (N,) bool
@@ -444,8 +454,13 @@ def pullback_point(
     tol: float,
     n_max: int = 4096,
 ) -> tuple[np.ndarray, int]:
-    """Pullback limit along one default-label stream: (image centroid, minimal depth used).
+    """Pullback limit along one default-label stream: (probe-image centroid, minimal depth used).
 
+    With the two sandwich corners of ``families._default_probe`` as the
+    probe, the centroid is the midpoint of an order interval that holds
+    the image of the whole probe box, so it is within ``tol`` of the image
+    of every point of the box; with a sampled cloud, that holds for the
+    cloud's points only.
     Raises :class:`NotConvergedError` when the probe image is still wider
     than ``tol`` at depth ``n_max``, which signals either a family without
     verified splitting or a tolerance below the attainable resolution.

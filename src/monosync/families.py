@@ -15,9 +15,15 @@ test systems used throughout the package:
 ``rot2d``         two plane rotations (never order-monotone; negative control)
 ``custom``        in-code callable families, not constructible from configs
 
-Monotonicity is classified empirically on sampled comparable pairs; a
-verdict is a certificate only up to the sampled evidence and carries a
-violating witness whenever the family is neither increasing nor decreasing.
+Every family except ``rot2d`` and ``custom`` declares an orthant order
+under which each of its clamped member maps is increasing or decreasing
+(affine-general only when its matrices admit one; see
+:meth:`MapFamily.monotone_signs`).  Such a declaration is exact, and it
+lets every high-level function probe the family with two box corners (see
+``_default_probe``).  ``classify_monotonicity`` is the empirical check on
+sampled comparable pairs; its verdict is a certificate only up to the
+sampled evidence and carries a violating witness whenever the family is
+neither increasing nor decreasing.
 """
 
 from __future__ import annotations
@@ -106,10 +112,13 @@ class MonotonicityVerdict:
     pairs_tested: int
 
 
-# Registry entry: dimension, default noise, default domain/probe constructors
-# and the vectorized map body.  The body receives the raw parameter value
-# (symbol int for finite noise, parameter vector for box noise) and a point
-# block of shape (n, dim); it returns the unclamped images.
+# Registry entry: dimension, default noise, default domain/probe constructors,
+# the vectorized map body and the monotonicity declaration.  The body receives
+# the raw parameter value (symbol int for finite noise, parameter vector for
+# box noise) and a point block of shape (n, dim); it returns the unclamped
+# images.  ``monotone`` gives the signs (+1 increasing, -1 decreasing
+# coordinate) of an orthant order under which every clamped member map is
+# increasing or decreasing, or None when the family declares no such order.
 @dataclass(frozen=True)
 class _FamilyDef:
     dim: Callable[[dict], int]
@@ -117,6 +126,7 @@ class _FamilyDef:
     default_domain: Callable[[dict], Box | None]
     default_probe: Callable[[dict], Box]
     body: Callable[[dict, object, np.ndarray], np.ndarray]
+    monotone: Callable[[dict], tuple[float, ...] | None] = lambda p: None
     config_ok: bool = True
 
 
@@ -191,6 +201,26 @@ def _affine_dim(params) -> int:
     return len(np.atleast_1d(np.asarray(params["offs"][0], dtype=float)))
 
 
+def _affine_monotone(params) -> tuple[float, ...] | None:
+    """The first signs s, s_1 = +1, with every S A S entrywise >= 0 or <= 0 (S = diag(s)).
+
+    x -> A x + c is increasing in the order of s iff S A S >= 0 entrywise,
+    and decreasing iff S A S <= 0; s and -s give the same S A S, so
+    2^(d-1) patterns cover every order.  None beyond d = 10.
+    """
+    d = _affine_dim(params)
+    if d > 10:
+        return None
+    mats = [np.asarray(m, dtype=float).reshape(d, d) for m in params["mats"]]
+    for bits in range(2 ** (d - 1)):
+        s = np.array([1.0] + [-1.0 if bits >> k & 1 else 1.0 for k in range(d - 1)])
+        sas = [s[:, None] * A * s[None, :] for A in mats]
+        if all((m >= 0).all() or (m <= 0).all() for m in sas):
+            return tuple(s.tolist())
+    return None
+
+
+# Every built-in but affine-general declares the order of its default J = {1}.
 _REGISTRY: dict[str, _FamilyDef] = {
     "cantor1d": _FamilyDef(
         dim=lambda p: 1,
@@ -198,6 +228,7 @@ _REGISTRY: dict[str, _FamilyDef] = {
         default_domain=lambda p: _unit_box(1),
         default_probe=lambda p: _unit_box(1),
         body=_cantor1d_body,
+        monotone=lambda p: (1.0,),
     ),
     "cantor2d": _FamilyDef(
         dim=lambda p: 2,
@@ -205,6 +236,7 @@ _REGISTRY: dict[str, _FamilyDef] = {
         default_domain=lambda p: Box([0.0, -1.0], [1.0, 0.0]),
         default_probe=lambda p: Box([0.0, -1.0], [1.0, 0.0]),
         body=_cantor2d_body,
+        monotone=lambda p: (1.0, -1.0),
     ),
     "exp1d": _FamilyDef(
         dim=lambda p: 1,
@@ -212,6 +244,7 @@ _REGISTRY: dict[str, _FamilyDef] = {
         default_domain=lambda p: None,
         default_probe=lambda p: _sym_box(1, 3.0),
         body=_exp1d_body,
+        monotone=lambda p: (1.0,),
     ),
     "arctanexp2d": _FamilyDef(
         dim=lambda p: 2,
@@ -219,6 +252,7 @@ _REGISTRY: dict[str, _FamilyDef] = {
         default_domain=lambda p: None,
         default_probe=lambda p: _sym_box(2, 1.0),
         body=_arctanexp2d_body,
+        monotone=lambda p: (1.0, -1.0),
     ),
     "lip-pair": _FamilyDef(
         dim=lambda p: 1,
@@ -226,6 +260,7 @@ _REGISTRY: dict[str, _FamilyDef] = {
         default_domain=lambda p: None,
         default_probe=lambda p: _sym_box(1, 3.0),
         body=_lip_pair_body,
+        monotone=lambda p: (1.0,),
     ),
     "affine-general": _FamilyDef(
         dim=_affine_dim,
@@ -235,6 +270,7 @@ _REGISTRY: dict[str, _FamilyDef] = {
         default_domain=lambda p: None,
         default_probe=lambda p: _sym_box(_affine_dim(p), 1.0),
         body=_affine_body,
+        monotone=_affine_monotone,
     ),
     "slide1d": _FamilyDef(
         dim=lambda p: 1,
@@ -242,6 +278,7 @@ _REGISTRY: dict[str, _FamilyDef] = {
         default_domain=lambda p: _unit_box(1),
         default_probe=lambda p: _unit_box(1),
         body=_slide1d_body,
+        monotone=lambda p: (1.0,),
     ),
     "rot2d": _FamilyDef(
         dim=lambda p: 2,
@@ -305,6 +342,19 @@ class MapFamily:
             return self.domain
         return _REGISTRY[self.family].default_probe(self.params)
 
+    def monotone_signs(self) -> np.ndarray | None:
+        """Signs of an orthant order in which every clamped member map is monotone, or None.
+
+        +1 marks an increasing coordinate and -1 a decreasing one.  Under
+        this order each map is increasing or decreasing, so every
+        composition is too, and it maps the probe box into the order
+        interval spanned by the images of the box's two signed-extremal
+        corners.  The declaration is exact, not sampled: it comes from the
+        family's formulas (for affine-general, from the signs of S A S).
+        """
+        signs = _REGISTRY[self.family].monotone(self.params)
+        return None if signs is None else np.array(signs, dtype=float)
+
     def raw_batch(self, alpha, points: np.ndarray) -> np.ndarray:
         """Unclamped images of a validated point block under map ``alpha``."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -332,18 +382,20 @@ def _clamp_points(raw: np.ndarray, bound: float) -> tuple[np.ndarray, np.ndarray
     finite bound is returned as is, checked by two reductions that allocate
     nothing; NaN fails that test and takes the full path, and so does every
     block under an infinite bound, whose infinities must still be flagged.
+    The full path flags through boolean masks and returns ``raw`` itself
+    when nothing saturated; otherwise it clamps one copy, so the block a
+    body returned (possibly its own input) is never written.
     """
     if -bound <= raw.min(initial=0.0) and raw.max(initial=0.0) <= bound < math.inf:
         return raw, np.zeros(raw.shape[:-1], dtype=bool)
-    finite = np.isfinite(raw)
-    sat = ~finite.all(axis=-1)
-    if sat.any():
-        raw = np.nan_to_num(raw, nan=0.0, posinf=bound, neginf=-bound)
-    over = np.abs(raw) > bound
-    if over.any():
-        sat = sat | over.any(axis=-1)
-        raw = np.clip(raw, -bound, bound)
-    return raw, sat
+    inside = np.isfinite(raw)
+    inside &= raw <= bound
+    inside &= raw >= -bound
+    sat = ~inside.all(axis=-1)
+    if not sat.any():
+        return raw, sat
+    out = np.clip(raw, -bound, bound)  # NaN stays NaN; an infinity meets a finite bound
+    return np.nan_to_num(out, copy=False, nan=0.0, posinf=bound, neginf=-bound), sat
 
 
 def make_family(
@@ -508,8 +560,11 @@ def _halton(n: int, dim: int) -> np.ndarray:
 def probe_cloud(box: Box) -> np.ndarray:
     """Corner-inclusive probe cloud: all corners plus 32 low-discrepancy interior points.
 
-    Corners drive the box extremes of monotone images; the interior points
-    guard against corner-only blind spots of non-affine maps.
+    The default probe of a family that declares no monotonicity order
+    (rot2d, custom, affine-general with mixed-sign matrices).  Its image
+    hull is sampled evidence: it bounds the image of the box from inside,
+    so a small image diameter holds for these points, not for the whole
+    box.
     """
     corners = box.corners() if box.dim <= 10 else np.vstack([box.lo, box.hi])
     interior = box.lo + _halton(32, box.dim) * (box.hi - box.lo)
@@ -517,8 +572,24 @@ def probe_cloud(box: Box) -> np.ndarray:
 
 
 def _default_probe(fam: MapFamily) -> np.ndarray:
-    """The probe cloud of the family's probe box, used by every high-level function."""
-    return probe_cloud(fam.probe_box())
+    """The probe of the family's probe box, used by every high-level function.
+
+    For a family with a monotonicity declaration it is the monotone
+    sandwich: the box's lowest and highest corners in the declared order.
+    Any composition maps the whole box into the order interval between
+    their images, and that interval is the hull of the two image points, so
+    an image diameter or image box of the two corners holds for the whole
+    box.  Every point of ``probe_cloud`` maps into that interval, and its
+    corners include these two, so both probes give the same image hull (up
+    to the rounding of batched matrix products).  A family without a
+    declaration gets ``probe_cloud``.
+    """
+    box = fam.probe_box()
+    signs = fam.monotone_signs()
+    if signs is None:
+        return probe_cloud(box)
+    up = signs > 0
+    return np.vstack([np.where(up, box.lo, box.hi), np.where(up, box.hi, box.lo)])
 
 
 def _sample_comparable_pairs(

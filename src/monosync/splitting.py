@@ -3,9 +3,15 @@
 The splitting condition asks for two positive-mass sets of length-m noise
 blocks whose block compositions map the whole domain to strictly ordered
 sets.  Verification here is certificate-style: image boxes of the family's
-probe cloud (see ``families.probe_cloud``) are compared conservatively, so
-a positive verdict is sound (for the sampled probe) while a negative one is
-never a disproof.
+default probe (see ``families._default_probe``) are compared
+conservatively, so a positive verdict is sound while a negative one is
+never a disproof.  For a family that declares a monotonicity order the
+probe is the two extremal corners of its probe box, whose image box holds
+the image of the whole box, so a verdict certifies the whole probe box;
+otherwise the probe is a sampled cloud and the verdict covers its points.
+Both searches grow the two block sets by one greedy rule that keeps every
+cross-side comparison strict, so the reported masses belong to one
+ordered pair of sets.
 
 ``sigma_decay`` estimates, per composition depth, the probability that a
 reference value stays inside the projected image of the domain.  Under a
@@ -46,10 +52,13 @@ _PAIR_CHUNK = 512  # box rows compared against all boxes per pass of the pair se
 class SplittingReport:
     """Outcome of a splitting search at block length ``m``.
 
-    ``verified`` certifies that every stored A-block image box compares
-    strictly below every B-block image box (in the transformed order) on
-    the sampled probe.  Masses are exact for the scan and frequency
-    estimates (with binomial standard errors) for the Monte Carlo search.
+    ``verified`` certifies that every A-block image box compares strictly
+    below every B-block image box (in the transformed order).  The boxes
+    are those of the family's default probe: for a declared-monotone
+    family they hold the image of the whole probe box, for any other
+    family only the image of its sampled cloud.  Masses are exact for the
+    scan and frequency estimates (with binomial standard errors) for the
+    Monte Carlo search; in both, the A and B sets are mutually ordered.
     An unverified report is an absence of witness, never a disproof.
     """
 
@@ -118,6 +127,27 @@ def _find_ordered_pair(t_lo, t_hi, tol):
     return None
 
 
+def _grow_ordered_sides(t_lo, t_hi, ia, ib, candidates, tol):
+    """Grow A = {ia} and B = {ib} greedily over ``candidates``, in their order.
+
+    A candidate joins A when its box lies strictly below every B box, else
+    B when it lies strictly above every A box, so every cross-side pair is
+    strictly ordered.  Returns the sorted indices of A and of B.
+    """
+    a_set, b_set = [ia], [ib]
+    a_top, b_bottom = t_hi[ia].copy(), t_lo[ib].copy()  # max over A of t_hi, min over B of t_lo
+    for c in candidates:
+        if c == ia or c == ib:
+            continue
+        if np.all(t_hi[c] + tol < b_bottom):
+            a_set.append(int(c))
+            np.maximum(a_top, t_hi[c], out=a_top)
+        elif np.all(a_top + tol < t_lo[c]):
+            b_set.append(int(c))
+            np.minimum(b_bottom, t_lo[c], out=b_bottom)
+    return np.array(sorted(a_set)), np.array(sorted(b_set))
+
+
 def exact_splitting_scan(fam: MapFamily, order: JOrder, m: int) -> SplittingReport:
     """Enumerate all q^m blocks of a finite-noise family and search for a split.
 
@@ -143,18 +173,7 @@ def exact_splitting_scan(fam: MapFamily, order: JOrder, m: int) -> SplittingRepo
 
     probs = np.asarray(fam.noise.probs)
     masses = np.prod(probs[blocks - 1], axis=1)
-    tol = order.strict_tol
-
-    a_set = [ia]
-    b_set = [ib]
-    others = [i for i in np.argsort(-masses) if i != ia and i != ib]
-    for c in others:
-        if np.all(t_hi[c] + tol < t_lo[b_set].min(axis=0)):
-            a_set.append(int(c))
-        elif np.all(t_hi[a_set].max(axis=0) + tol < t_lo[c]):
-            b_set.append(int(c))
-    a_idx = np.array(sorted(a_set))
-    b_idx = np.array(sorted(b_set))
+    a_idx, b_idx = _grow_ordered_sides(t_lo, t_hi, ia, ib, np.argsort(-masses), order.strict_tol)
     return SplittingReport(
         m=m,
         verified=True,
@@ -179,9 +198,10 @@ def find_splitting_witness(
 ) -> SplittingReport:
     """Monte Carlo witness search over sampled blocks of increasing length.
 
-    Works for finite and continuous noise alike.  Masses are the sample
-    frequencies of blocks ordered against the opposite witness, with
-    binomial standard errors.
+    Works for finite and continuous noise alike.  From the first ordered
+    pair, the sampled blocks are grown into two mutually ordered sets by
+    the exact scan's greedy rule, in sampling order; masses are the sample
+    frequencies of the two sets, with binomial standard errors.
     """
     if n_blocks < 2:
         raise UsageError("need at least 2 sampled blocks")
@@ -197,10 +217,9 @@ def find_splitting_witness(
         if pair is None:
             continue
         ia, ib = pair
-        below_b = np.all(t_hi + tol < t_lo[ib], axis=1)
-        above_a = np.all(t_hi[ia] + tol < t_lo, axis=1)
-        p_a = float(below_b.mean())
-        p_b = float(above_a.mean())
+        a_idx, b_idx = _grow_ordered_sides(t_lo, t_hi, ia, ib, range(n_blocks), tol)
+        p_a = len(a_idx) / n_blocks
+        p_b = len(b_idx) / n_blocks
         return SplittingReport(
             m=m,
             verified=True,
@@ -211,8 +230,10 @@ def find_splitting_witness(
             mass_b=p_b,
             stderr_a=math.sqrt(p_a * (1 - p_a) / n_blocks),
             stderr_b=math.sqrt(p_b * (1 - p_b) / n_blocks),
-            n_blocks_a=int(below_b.sum()),
-            n_blocks_b=int(above_a.sum()),
+            n_blocks_a=len(a_idx),
+            n_blocks_b=len(b_idx),
+            blocks_a=blocks[a_idx] if len(a_idx) <= _STORE_BLOCKS_CAP else None,
+            blocks_b=blocks[b_idx] if len(b_idx) <= _STORE_BLOCKS_CAP else None,
         )
     return SplittingReport(m=m_max, verified=False, method="monte-carlo")
 
@@ -256,7 +277,7 @@ def sigma_decay(
 ) -> SigmaDecaySeries:
     """Monte Carlo estimate of P(x lies in the s-projection of the depth j*m image).
 
-    Each replica owns one noise stream; the image of the probe cloud is
+    Each replica owns one noise stream; the image of the default probe is
     recomputed from scratch at every depth (reverse-order prefixes do not
     extend incrementally).  The decay constant is fitted by weighted least
     squares on the log of the positive estimates.

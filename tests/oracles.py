@@ -262,3 +262,18 @@ def pullback_linear_scan(fam, blocks, probe, tol, n_max):
         cents.append(img.mean(axis=0))
         diams.append(diam)
     return np.array(depths), np.array(cents), np.array(diams)
+
+
+def sandwich_signs_bruteforce(mats):
+    """Every sign vector s in {-1, +1}^d for which each S A S (S = diag(s)) is >= 0 or <= 0.
+
+    Enumerates all 2^d sign vectors, both s and -s; returns them as tuples.
+    """
+    mats = [np.asarray(m, dtype=float) for m in mats]
+    d = mats[0].shape[0]
+    found = set()
+    for signs in itertools.product((1.0, -1.0), repeat=d):
+        s = np.array(signs)
+        if all((np.outer(s, s) * m >= 0).all() or (np.outer(s, s) * m <= 0).all() for m in mats):
+            found.add(signs)
+    return found

@@ -149,17 +149,17 @@ def test_threads_do_not_change_artifacts(tmp_path):
 
 @pytest.mark.parametrize("args, artifact, digest", [
     (["stationary", "--family", "cantor1d", "--n-samples", "256", "--seed", "255742855"],
-     "stationary.csv", "ade03685751b7872e7c4bec93a6e7a70a772c37c4461eff8160631e19d37d64f"),
+     "stationary.csv", "c323d813b7a5a7fafb0da6c233f1d7861df6dc70750bf2fee98745eeb3245ee2"),
     (["sync-rate", "--family", "slide1d", "--seed", "4242"],
      "diam_series.csv", "73c90239aca7582d1daed96e05138c87fb76375f9ebf380d750e1dccf41db061"),
     # ragged minimal depths with saturating rows, and a box-noise pullback
     (["stationary", "--family", "exp1d", "--n-samples", "512", "--seed", "90210"],
-     "stationary.csv", "5625c5ab3ae542fdfeefe0d1d2a5f655fa9213f0bbcdb12481ef7015b79c062a"),
+     "stationary.csv", "55003e557941dd538218aec1e2d2948ab53b9547d1759f5c63905194668b35bd"),
     (["stationary", "--family", "slide1d", "--n-samples", "512", "--seed", "90210"],
-     "stationary.csv", "a5f2c5873b5f681da8bb16d8c6dad36c7a0fb1524db398b79da3e377badc53e1"),
-    # the family's probe cloud and the fixed constants of sync, splitting and transport
+     "stationary.csv", "1c8ecfa73555426bd87b5483e174a1d4d5b31c6ef23da2286603763746997023"),
+    # the family's default probe and the fixed constants of sync, splitting and transport
     (["forward-gap", "--family", "cantor1d", "--n", "20", "--seed", "7"],
-     "forward_gap.csv", "43245119bdf32f1a54e69138dc4c4af21b6a4c898fde0274a3ce419c71eec4fe"),
+     "forward_gap.csv", "666825b1d3c7556fdadd80f127a76e8737aba0310bbc80b1acde0aa54a6f2c4c"),
     (["sync-rate", "--family", "exp1d", "--seed", "3"],
      "rate_fit.json", "f844bd5a90a6c6d1637579b2989aaeb9e4c1a6f27133fdc76426f58cbb3c2fec"),
     (["sigma-decay", "--family", "cantor1d", "--x", "0.1", "--replicas", "500", "--seed", "2"],
@@ -174,7 +174,7 @@ def test_threads_do_not_change_artifacts(tmp_path):
     # forward chains: the centering pass, the Poisson sigma^2 and the partial sums
     (["clt", "--family", "cantor1d", "--n", "200", "--replicas", "100", "--mu-size", "512",
       "--grid-size", "256", "--dump-paths", "--seed", "1234"],
-     "paths.csv", "f1e89f6dde4013df31536686dab1aff9c8bc4a75ba877d421ddfe11ab8bdf28e"),
+     "paths.csv", "9e83f2d0b34f3a464416599f0a7b8618271394d4c29ce940bb0789bc2a6e8155"),
     # one forward orbit grouped by symbol, one advanced per row (box noise)
     (["simulate", "--family", "cantor1d", "--direction", "forward", "--n", "200", "--seed", "1234"],
      "orbit.csv", "af3a2fd3361085cec102e0a67046af7fdc03fb112807b7e40fcee0f2a2feaad9"),
@@ -188,11 +188,11 @@ def test_threads_do_not_change_artifacts(tmp_path):
      "orbit.csv", "d901cf9970bcecc3865ad3722dd82eece341ce46c171e6a2ce9f386589d0dac7"),
     # a 2-d forward chain of a whole (N, P, dim) probe cloud
     (["forward-gap", "--family", "cantor2d", "--n", "20", "--seed", "7"],
-     "forward_gap.csv", "994efbab7bbbc13041c18c50663769a55213f906381fbdb57b887ed6c3d11782"),
+     "forward_gap.csv", "b00502ffb0f9997595a20190f3c6a3867f29dd26d8a7dcc571c2ca990090b4d0"),
     # 2-d W1 above the exact-matching cap: the sliced kernel over 128 directions
     (["w1-decay", "--family", "cantor2d", "--n-particles", "1024", "--ref-size", "1024",
       "--n-max", "3", "--seed", "3"],
-     "w1_decay.csv", "ed9c1f74c90512d91d1fe129377a0fdf5870a63049417aff30fe001fb7a6effe"),
+     "w1_decay.csv", "a634cc66c2d0ecd9ac0f2e67dc464c24d0d2eaad518336ad42afdfd6878fc6f3"),
     # a reverse orbit that starts beyond the clamp: rows still waiting for their
     # first map keep the unclamped start point and are not flagged
     (["simulate", "--direction", "reverse", "--n", "60", "--x0", "0.9", "--seed", "5",
@@ -207,7 +207,7 @@ def test_threads_do_not_change_artifacts(tmp_path):
     # the Poisson corrector's report: truncation, residual and both variance forms
     (["clt", "--family", "cantor1d", "--n", "200", "--replicas", "100", "--mu-size", "512",
       "--grid-size", "256", "--dump-paths", "--seed", "1234"],
-     "clt_report.json", "ea66213862f5c8707836bfb3632b42385000b559c042ca44e3c0a2dea11e2997"),
+     "clt_report.json", "a804583ad2e0cce2add815b11284c0e0d817e74d2de9f54f173d793a4f9ced9a"),
 ])
 def test_golden_artifact_digest(tmp_path, args, artifact, digest):
     # Frozen bytes: any change to the noise streams (finite and box tables), to the

@@ -26,7 +26,7 @@ from monosync.engine import (
     pullback_batch,
 )
 from monosync.errors import UsageError
-from monosync.families import FiniteNoise
+from monosync.families import FiniteNoise, _default_probe
 from monosync.streams import stream_generator
 from oracles import (
     finite_symbol,
@@ -180,6 +180,37 @@ def test_pullback_batch_matches_linear_scan(fid, tol, n_max, const_family):
         assert not conv.any()
     if fid == "cantor1d" and n_max == 10:
         assert (want_n == 9).all()
+
+
+@pytest.mark.parametrize("fid, params, tol, n_max", [
+    ("cantor1d", {}, 1e-9, 64),
+    ("cantor2d", {}, 1e-9, 64),
+    ("slide1d", {}, 1e-9, 64),
+    ("exp1d", {}, 1e-9, 64),
+    ("lip-pair", {}, 1e-6, 64),
+    ("lip-pair", {"mode": "disjoint", "slopes": [2.0, -0.5]}, 1e-9, 64),
+    ("arctanexp2d", {}, 1e-6, 24),  # no row converges
+])
+def test_sandwich_matches_the_cloud_linear_scan(fid, params, tol, n_max):
+    # the two corners find the cloud's depths and diameters, and the engine agrees
+    fam = make_family(fid, params=params)
+    corners = _default_probe(fam)
+    assert corners.shape[0] == 2
+    ids = [0, 3, 17, 2**32 + 1]
+    blocks = per_stream_table(fam.noise, 21, "noise", ids, [n_max])
+    want_n, want_pts, want_diam = pullback_linear_scan(fam, blocks, probe_cloud(fam.probe_box()), tol, n_max)
+    n, pts, diam = pullback_linear_scan(fam, blocks, corners, tol, n_max)
+    assert np.array_equal(n, want_n)
+    assert np.array_equal(diam, want_diam)
+    got = pullback_batch(fam, 21, ids, corners, tol, n_max)
+    assert np.array_equal(got.n_used, want_n)
+    conv = want_n >= 0
+    assert np.array_equal(got.points[conv], pts[conv])
+    if fid == "arctanexp2d":
+        assert not conv.any()
+    elif fid != "exp1d":  # exp1d's saturated centroids differ by the rounding of a 34-point mean
+        # the midpoint and the cloud centroid lie in one order interval of diameter <= tol
+        assert (np.abs(pts - want_pts).sum(axis=1)[conv] <= tol).all()
 
 
 def test_pullback_batch_evaluates_each_depth_once(cantor1d, monkeypatch):

@@ -22,9 +22,10 @@ from monosync import (
     make_family,
     probe_cloud,
 )
-from monosync.families import FiniteNoise, _clamp_points
+from monosync.engine import _BlockTable, image_points_at_depths
+from monosync.families import FiniteNoise, _clamp_points, _default_probe
 
-from oracles import clamp_two_branch
+from oracles import clamp_two_branch, sandwich_signs_bruteforce
 
 
 def test_apply_examples(cantor1d, exp1d):
@@ -221,8 +222,129 @@ _clamp_blocks = hnp.arrays(
 @settings(max_examples=400, deadline=None)
 @given(raw=_clamp_blocks, bound=st.sampled_from([1.0, 1e300, math.inf]))
 def test_clamp_matches_two_branch_reference(raw, bound):
-    got, got_sat = _clamp_points(raw.copy(), bound)
+    inp = raw.copy()
+    got, got_sat = _clamp_points(inp, bound)
     want, want_sat = clamp_two_branch(raw.copy(), bound)
+    assert inp.tobytes() == raw.tobytes()  # the block a body returned is never written
     assert got.shape == want.shape and got_sat.shape == want_sat.shape == raw.shape[:1]
     assert got.tobytes() == want.tobytes()
     assert np.array_equal(got_sat, want_sat)
+
+
+def test_clamp_leaves_a_custom_body_input_alone():
+    # a custom body may return its input; clamping its images must not write into it
+    fam = make_family("custom", params={"dim": 2, "fn": lambda a, pts: pts}, clamp_bound=1.0)
+    pts = np.array([[0.5, 3.0], [np.nan, -np.inf]])
+    before = pts.copy()
+    img, sat = fam.apply_batch(1, pts)
+    assert sat
+    assert np.array_equal(img, [[0.5, 1.0], [0.0, -1.0]])
+    assert pts.tobytes() == before.tobytes()
+
+
+# Every built-in that declares a monotonicity order, with non-default
+# parameters where the declaration covers them, and the declared signs.
+_MONOTONE_AFFINE = {
+    "mats": [[[0.5, -0.2], [-0.1, 0.4]], [[-0.3, 0.1], [0.2, -0.3]]],
+    "offs": [[0.1, 0.2], [-0.4, 0.3]],
+}
+_DECLARED = {
+    "cantor1d": ("cantor1d", {}, [1.0]),
+    "cantor2d": ("cantor2d", {}, [1.0, -1.0]),
+    "cantor2d-offsets": ("cantor2d", {"offsets": [[0.5, -0.1], [-0.3, 0.7]]}, [1.0, -1.0]),
+    "exp1d": ("exp1d", {}, [1.0]),
+    "arctanexp2d": ("arctanexp2d", {}, [1.0, -1.0]),
+    "slide1d": ("slide1d", {}, [1.0]),
+    "lip-pair": ("lip-pair", {}, [1.0]),
+    "lip-pair-signed": ("lip-pair", {"slopes": [-1.5, 0.5]}, [1.0]),
+    "lip-pair-disjoint": ("lip-pair", {"mode": "disjoint", "slopes": [2.0, -0.5]}, [1.0]),
+    "affine-general": ("affine-general", _MONOTONE_AFFINE, [1.0, -1.0]),
+}
+
+
+def _declared(name):
+    fid, params, _ = _DECLARED[name]
+    return make_family(fid, params=params)
+
+
+def test_undeclared_families_keep_the_probe_cloud():
+    mixed = {"mats": [[[0.4, 0.1], [0.1, 0.3]], [[0.3, -0.1], [-0.1, 0.4]]], "offs": [[0.1, 0.2], [0.5, -0.3]]}
+    for fam in (
+        make_family("rot2d"),
+        make_family("custom", params={"dim": 2, "fn": lambda a, pts: pts / 2}),
+        make_family("affine-general", params=mixed),
+    ):
+        assert fam.monotone_signs() is None, fam.family
+        assert np.array_equal(_default_probe(fam), probe_cloud(fam.probe_box()))
+
+
+def test_sandwich_probe_is_the_two_extremal_corners():
+    fam = make_family("cantor2d")  # probe box [0, 1] x [-1, 0], order (+, -)
+    assert np.array_equal(_default_probe(fam), [[0.0, 0.0], [1.0, -1.0]])
+    fam = make_family("exp1d")
+    assert np.array_equal(_default_probe(fam), [[-3.0], [3.0]])
+
+
+def test_classify_agrees_with_every_declared_direction():
+    for name, (_, _, signs) in _DECLARED.items():
+        fam = _declared(name)
+        assert fam.monotone_signs().tolist() == signs, name
+        ordr = JOrder(fam.dim, frozenset(i + 1 for i, v in enumerate(signs) if v > 0))
+        alphas = range(1, fam.noise.q + 1) if fam.finite else [np.array([v]) for v in (0.0, 0.3, 1.0)]
+        for a in alphas:
+            v = classify_monotonicity(fam, a, ordr, fam.probe_box(), 200, seed=5)
+            assert v.kind is not Monotonicity.NEITHER, (name, a)
+    kinds = [classify_monotonicity(_declared("affine-general"), a, JOrder(2, frozenset([1])),
+                                   Box([-1, -1], [1, 1])).kind for a in (1, 2)]
+    assert kinds == [Monotonicity.INCREASING, Monotonicity.DECREASING]
+
+
+def _affine_params(signs, rng, d, q, mixed):
+    mats = []
+    for _ in range(q):
+        m = np.abs(rng.normal(size=(d, d)))
+        m *= signs[:, None] * signs[None, :] * (1.0 if rng.random() < 0.5 else -1.0)
+        m[rng.random((d, d)) < 0.3] = 0.0
+        mats.append(m)
+    if mixed:  # flip one off-diagonal entry of one matrix: most such sets admit no order
+        i, j = rng.choice(d, 2, replace=False)
+        mats[0][i, j] = -mats[0][i, j] if mats[0][i, j] else 1.0
+    return {"mats": [m.tolist() for m in mats], "offs": rng.normal(size=(q, d)).tolist()}
+
+
+def test_affine_declaration_matches_bruteforce_search():
+    rng = np.random.default_rng(17)
+    seen = {True: 0, False: 0}
+    for trial in range(300):
+        d = int(rng.integers(1, 6))
+        params = _affine_params(rng.choice([-1.0, 1.0], d), rng, d, int(rng.integers(1, 4)),
+                                mixed=d > 1 and trial % 2 == 1)
+        want = sandwich_signs_bruteforce(params["mats"])
+        got = make_family("affine-general", params=params).monotone_signs()
+        seen[got is None] += 1
+        if not want:
+            assert got is None, params
+        else:
+            assert got is not None and got[0] == 1.0 and tuple(got.tolist()) in want, params
+    assert seen[True] > 20 and seen[False] > 100  # both outcomes were exercised
+    eleven = {"mats": [np.eye(11).tolist()], "offs": [[0.0] * 11]}
+    assert make_family("affine-general", params=eleven).monotone_signs() is None
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    name=st.sampled_from(sorted(_DECLARED)),
+    seed=st.integers(0, 2**32 - 1),
+    n_rows=st.integers(1, 24),
+    depth=st.integers(0, 40),
+)
+def test_cloud_images_lie_in_the_sandwich(name, seed, n_rows, depth):
+    fam = _declared(name)
+    table = _BlockTable(fam.noise, seed, "sandwich", range(n_rows))
+    table.ensure(depth)
+    depths = np.random.default_rng(seed).integers(0, depth + 1, n_rows)
+    cloud, _ = image_points_at_depths(fam, table.values, depths, probe_cloud(fam.probe_box()))
+    corners, _ = image_points_at_depths(fam, table.values, depths, _default_probe(fam))
+    lo, hi = corners.min(axis=1), corners.max(axis=1)
+    assert (cloud >= lo[:, None]).all() and (cloud <= hi[:, None]).all()
+    assert np.array_equal(cloud.min(axis=1), lo) and np.array_equal(cloud.max(axis=1), hi)

@@ -3,8 +3,10 @@ import pytest
 
 import oracles
 from monosync import (
+    BoxCmp,
     JOrder,
     UsageError,
+    cmp_boxes,
     exact_splitting_scan,
     find_splitting_witness,
     image_box,
@@ -87,6 +89,37 @@ def test_monte_carlo_continuous_noise(order1):
     box_a = image_box(fam, report.witness_a, probe)
     box_b = image_box(fam, report.witness_b, probe)
     assert box_a.hi[0] < box_b.lo[0]
+
+
+def test_monte_carlo_sides_are_an_ordered_pair(order1):
+    # slide1d at m = 1 maps [0, 1] onto [2a/3, 2a/3 + 1/3], so a block a lies
+    # strictly below a block b iff b - a > 1/2; the two kept sets must be an
+    # ordered pair, whose parameter ranges [0, max A] and [min B, 1] then have
+    # population masses summing below 1/2
+    fam = make_family("slide1d")
+    for seed in range(200):
+        report = find_splitting_witness(fam, order1, m_max=1, n_blocks=32, seed=seed)
+        assert report.verified and report.m == 1, seed
+        a_max, b_min = report.blocks_a.max(), report.blocks_b.min()
+        assert b_min - a_max > 0.5, seed
+        assert a_max + (1.0 - b_min) < 0.5, seed
+        assert report.n_blocks_a == len(report.blocks_a) and report.n_blocks_b == len(report.blocks_b)
+        assert report.mass_a == report.n_blocks_a / 32 and report.mass_b == report.n_blocks_b / 32
+        assert report.witness_a in report.blocks_a and report.witness_b in report.blocks_b
+
+
+def test_monte_carlo_sides_have_ordered_image_boxes(cantor2d, order2_first):
+    fam = make_family("slide1d")
+    cases = [(fam, JOrder(1, frozenset([1])), 2, seed) for seed in range(5)]
+    cases += [(cantor2d, order2_first, 2, seed) for seed in range(5)]
+    for fam, ordr, m_max, seed in cases:
+        report = find_splitting_witness(fam, ordr, m_max=m_max, n_blocks=64, seed=seed)
+        assert report.verified
+        probe = probe_cloud(fam.probe_box())
+        boxes_b = [image_box(fam, blk, probe) for blk in report.blocks_b]
+        for blk in report.blocks_a:
+            box_a = image_box(fam, blk, probe)
+            assert all(cmp_boxes(box_a, box_b, ordr) is BoxCmp.LESS for box_b in boxes_b)
 
 
 def test_sigma_decay_midpoint_never_hit(cantor1d, order1):
