@@ -461,6 +461,7 @@ def pullback_point(
     the image of the whole probe box, so it is within ``tol`` of the image
     of every point of the box; with a sampled cloud, that holds for the
     cloud's points only.
+
     Raises :class:`NotConvergedError` when the probe image is still wider
     than ``tol`` at depth ``n_max``, which signals either a family without
     verified splitting or a tolerance below the attainable resolution.

@@ -206,7 +206,9 @@ def _affine_monotone(params) -> tuple[float, ...] | None:
 
     x -> A x + c is increasing in the order of s iff S A S >= 0 entrywise,
     and decreasing iff S A S <= 0; s and -s give the same S A S, so
-    2^(d-1) patterns cover every order.  None beyond d = 10.
+    2^(d-1) patterns cover every order.  None beyond d = 10.  Overflow is
+    the one exception: a row whose products overflow to opposite
+    infinities gives NaN, which the clamp sets to 0 and flags.
     """
     d = _affine_dim(params)
     if d > 10:
