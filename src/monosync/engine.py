@@ -8,12 +8,14 @@ Composition conventions, fixed once for the whole package:
   block appends maps innermost and the probe images are nested.
 
 ``_chain`` is the one step-and-clamp kernel: every orbit, chain and
-pullback runs through it.  It groups finite-noise steps by symbol, a chunk
-of noise columns at a time, and clamps each step once.  The reverse loop
-``image_points_at_depths`` is a forward chain over the reversed blocks with
-the rows right-aligned, each joining the chain at the step that leaves it
-exactly its own depth.  (``families.image_box`` composes a single
-hand-given block through ``apply_batch`` on its own.)
+pullback runs through it.  Each step is one map-body call on all the rows
+that have started, each row's noise value (a symbol or a parameter vector)
+repeated over its points, then one clamp; finite and box noise take the
+same loop.  The reverse loop ``image_points_at_depths`` is a forward chain
+over the reversed blocks with the rows right-aligned, each joining the
+chain at the step that leaves it exactly its own depth.
+(``families.image_box`` composes a single hand-given block through
+``apply_batch`` on its own.)
 
 The pullback limit deepens the reverse composition on a fixed stream until
 the taxicab diameter of the probe's image drops below tolerance.  The
@@ -57,9 +59,6 @@ __all__ = [
 
 DEFAULT_STREAM_LABEL = "noise"
 _FILL_CHUNK = 4096  # noise values mapped from uniforms per call when filling a table
-# Noise columns that _chain groups by symbol at a time: the (width, N) sort
-# indices stay small however long the table is.
-_CHAIN_CHUNK = 256
 
 
 def _noise_values(noise: NoiseSpec, u: np.ndarray) -> np.ndarray:
@@ -174,60 +173,27 @@ def _chain(fam: MapFamily, values: np.ndarray, pts: np.ndarray, start: np.ndarra
     row of ``pts`` ((N, dim) or (N, P, dim)).  Yields ``pts`` and the
     per-row saturation flags of each of the L steps, after the step.
 
-    ``start`` (N,), passed only by the reverse loop, is the step at which
-    each row joins the chain; until then the row keeps its point, neither
-    clamped nor flagged.
-
-    Box noise applies one map per started row.  Finite noise groups the rows
-    by symbol ``_CHAIN_CHUNK`` columns at a time, with one stable sort per
-    column, so each symbol's rows come in increasing order, as a boolean
-    mask would give them; a waiting row carries the symbol 0 in the sorted
-    copy, so it sorts first and no map sees it.  Each symbol present applies
-    its map once to its rows, in increasing symbol order, and the rows that
-    moved are clamped once: the clamp acts point by point, so this matches
-    clamping per symbol.
+    ``start`` (N,), non-decreasing and passed only by the reverse loop, is
+    the step at which each row joins the chain; until then the row keeps
+    its point, neither clamped nor flagged.  The rows that have started
+    are therefore a prefix ``pts[:k]``.  Each step makes one ``raw_batch``
+    call on the prefix's points, each row's noise value repeated over its
+    P points, and clamps the images once: the map body maps every point
+    under its own row's map, and the clamp acts point by point.
     """
-    n_steps = values.shape[1]
     n, dim, bound = pts.shape[0], fam.dim, fam.clamp_bound
-    if not fam.finite:
-        for j in range(n_steps):
-            sat = np.zeros(n, dtype=bool)
-            for i in range(n) if start is None else np.flatnonzero(start <= j):
-                raw = fam.raw_batch(values[i, j], pts[i].reshape(-1, dim))
-                img, psat = _clamp_points(raw, bound)
-                pts[i] = img.reshape(pts.shape[1:])
-                sat[i] = psat.any()
-            yield pts, sat
-        return
-    q = fam.noise.q
-    for first in range(0, n_steps, _CHAIN_CHUNK):
-        cols = np.ascontiguousarray(values[:, first : first + _CHAIN_CHUNK].T)  # (width, N)
-        ends = np.empty((cols.shape[0], q + 1), dtype=np.intp)  # rows of symbols <= a, per column
-        ends[:, 0] = 0
-        if start is not None:
-            wait = np.arange(first, first + cols.shape[0])[:, None] < start
-            cols[wait] = 0
-            ends[:, 0] = np.count_nonzero(wait, axis=1)
-        order = np.argsort(cols, axis=1, kind="stable")
-        for a in range(1, q):
-            ends[:, a] = np.count_nonzero(cols <= a, axis=1)
-        ends[:, q] = n
-        for rows, bounds in zip(order, ends.tolist()):
-            for a in range(1, q + 1):
-                lo, hi = bounds[a - 1], bounds[a]
-                if lo == hi:
-                    continue
-                sel = rows[lo:hi]
-                block = pts[sel]
-                pts[sel] = fam.raw_batch(a, block.reshape(-1, dim)).reshape(block.shape)
-            moved = rows[bounds[0] :] if bounds[0] else slice(None)  # a view once all have started
-            block = pts[moved]
-            img, psat = _clamp_points(block.reshape(-1, dim), bound)
-            sat = np.zeros(n, dtype=bool)
-            if psat.any():  # the clamp changed a point only if it flagged one
-                pts[moved] = img.reshape(block.shape)
-                sat[moved] = psat.reshape(block.shape[0], -1).any(axis=1)
-            yield pts, sat
+    per_row = math.prod(pts.shape[1:-1])  # the P points that share a row's noise value
+    steps = np.arange(values.shape[1])
+    started = np.full(steps.size, n) if start is None else np.searchsorted(start, steps, side="right")
+    for j, k in enumerate(started.tolist()):
+        block = pts[:k]
+        alphas = values[:k, j] if per_row == 1 else np.repeat(values[:k, j], per_row, axis=0)
+        img, psat = _clamp_points(fam.raw_batch(alphas, block.reshape(-1, dim)), bound)
+        block[...] = img.reshape(block.shape)
+        sat = np.zeros(n, dtype=bool)
+        if psat.any():
+            sat[:k] = psat.reshape(k, per_row).any(axis=1)
+        yield pts, sat
 
 
 def forward_orbit(fam: MapFamily, block: NoiseBlock, x0) -> OrbitTrace:
@@ -260,23 +226,30 @@ def image_points_at_depths(
     The reverse composition is a forward chain over the reversed block, so
     this is one ``_chain`` over the columns ``D-1, ..., 0`` with ``D =
     max(depths)``, each row right-aligned: row ``i`` joins at step ``D -
-    depths[i]``.  The cost is ``sum(depths) * P`` map evaluations however
-    ragged the depths are.
+    depths[i]``.  The rows are ordered by depth, deepest first, so the rows
+    that have started are a prefix, and put back in place at the end.  The
+    cost is ``sum(depths) * P`` map evaluations however ragged the depths
+    are.
     """
     depths = np.asarray(depths, dtype=np.int64)
     n_rows = depths.shape[0]
     depth = int(depths.max(initial=0))
     if depth > blocks.shape[1]:
         raise UsageError(f"depth {depth} exceeds the block length {blocks.shape[1]}")
+    order = np.argsort(-depths, kind="stable")
     base = np.asarray(base_pts, dtype=float)
     if base.ndim == 2:
         pts = np.broadcast_to(base, (n_rows,) + base.shape).copy()
     else:
-        pts = base.copy()
+        pts = base[order]
     sat = np.zeros(n_rows, dtype=bool)
-    for _, psat in _chain(fam, blocks[:, :depth][:, ::-1], pts, start=depth - depths):
+    for _, psat in _chain(fam, blocks[:, :depth][order, ::-1], pts, start=depth - depths[order]):
         sat |= psat
-    return pts, sat
+    out = np.empty_like(pts)
+    out[order] = pts
+    out_sat = np.empty_like(sat)
+    out_sat[order] = sat
+    return out, out_sat
 
 
 def reverse_orbit(

@@ -15,6 +15,11 @@ test systems used throughout the package:
 ``rot2d``         two plane rotations (never order-monotone; negative control)
 ``custom``        in-code callable families, not constructible from configs
 
+A ``custom`` family's ``params["fn"]`` maps an (n, dim) point block.  On
+finite noise it is called as ``fn(symbol, pts)`` with one int symbol for
+the whole block; on box noise as ``fn(alphas, pts)`` with an (n, d) array
+holding each point row's parameter vector.
+
 Every family except ``rot2d`` and ``custom`` declares an orthant order
 under which each of its clamped member maps is increasing or decreasing
 (affine-general only when its matrices admit one; see
@@ -114,18 +119,19 @@ class MonotonicityVerdict:
 
 # Registry entry: dimension, default noise, default domain/probe constructors,
 # the vectorized map body and the monotonicity declaration.  The body receives
-# the raw parameter value (symbol int for finite noise, parameter vector for
-# box noise) and a point block of shape (n, dim); it returns the unclamped
-# images.  ``monotone`` gives the signs (+1 increasing, -1 decreasing
-# coordinate) of an orthant order under which every clamped member map is
-# increasing or decreasing, or None when the family declares no such order.
+# a point block of shape (n, dim) and one parameter per point row: an (n,)
+# array of symbols for finite noise, or an (n, d) array of parameter vectors
+# for box noise; it returns the unclamped images, row i under row i's map.
+# ``monotone`` gives the signs (+1 increasing, -1 decreasing coordinate) of an
+# orthant order under which every clamped member map is increasing or
+# decreasing, or None when the family declares no such order.
 @dataclass(frozen=True)
 class _FamilyDef:
     dim: Callable[[dict], int]
     default_noise: Callable[[dict], NoiseSpec]
     default_domain: Callable[[dict], Box | None]
     default_probe: Callable[[dict], Box]
-    body: Callable[[dict, object, np.ndarray], np.ndarray]
+    body: Callable[[dict, np.ndarray, np.ndarray], np.ndarray]
     monotone: Callable[[dict], tuple[float, ...] | None] = lambda p: None
     config_ok: bool = True
 
@@ -138,20 +144,45 @@ def _sym_box(dim: int, r: float) -> Box:
     return Box(-r * np.ones(dim), r * np.ones(dim))
 
 
+def _per_row(consts, a):
+    """``consts[a - 1]`` for each row's symbol, as (n, k) rows (a scalar constant has k = 1)."""
+    c = np.asarray(consts, dtype=float)
+    return c.reshape(len(c), -1).take(a - 1, axis=0)
+
+
+def _by_symbol(a, pts, fn):
+    """``fn(symbol, rows)`` applied to each symbol's rows of ``pts``, in increasing symbol order.
+
+    A symbol's rows keep their order, so a matrix product sees the same row
+    block as when those rows are mapped on their own, and rounds the same.
+    """
+    lo, hi = (int(a.min()), int(a.max())) if a.size else (1, 1)
+    if lo == hi:
+        return fn(lo, pts)
+    images, rows = [], []
+    for s in range(lo, hi + 1):
+        idx = np.flatnonzero(a == s)
+        if idx.size:
+            images.append(fn(s, pts.take(idx, axis=0)))
+            rows.append(idx)
+    at = np.empty(a.size, dtype=np.intp)  # where each point's image sits in the stacked images
+    at[np.concatenate(rows)] = np.arange(a.size)
+    return np.concatenate(images).take(at, axis=0)
+
+
 def _cantor1d_body(params, a, pts):
-    offs = params.get("offsets", (0.0, 2.0 / 3.0))
-    return pts / 3.0 + offs[a - 1]
+    return pts / 3.0 + _per_row(params.get("offsets", (0.0, 2.0 / 3.0)), a)
 
 
 def _cantor2d_body(params, a, pts):
     offs = params.get("offsets", ((0.0, 0.0), (2.0 / 3.0, -2.0 / 3.0)))
-    return pts / 3.0 + np.asarray(offs[a - 1], dtype=float)
+    return pts / 3.0 + _per_row(offs, a)
 
 
 def _exp1d_body(params, a, pts):
     with np.errstate(over="ignore"):
         img = np.exp(pts)
-    return img if a == 1 else -img
+    return np.where(a[:, None] == 1, img, -img)
 
 
 def _arctanexp2d_body(params, a, pts):
@@ -161,38 +192,44 @@ def _arctanexp2d_body(params, a, pts):
 
 
 def _lip_pair_body(params, a, pts):
-    slopes = params.get("slopes", (2.0, 0.5))
+    slopes = _per_row(params.get("slopes", (2.0, 0.5)), a)
     mode = params.get("mode", "linear")
     if mode == "linear":
-        return slopes[a - 1] * pts
+        return slopes * pts
     if mode == "disjoint":
-        offs = params.get("offsets", (3.0, -2.0))
-        return offs[a - 1] + slopes[a - 1] * np.tanh(pts)
+        return _per_row(params.get("offsets", (3.0, -2.0)), a) + slopes * np.tanh(pts)
     raise UsageError(f"lip-pair mode must be 'linear' or 'disjoint', got {mode!r}")
 
 
 def _affine_body(params, a, pts):
-    mats = params["mats"]
-    offs = params["offs"]
-    A = np.asarray(mats[a - 1], dtype=float)
-    b = np.asarray(offs[a - 1], dtype=float)
-    return pts @ A.T + b
+    def affine(sym, rows):
+        A = np.asarray(params["mats"][sym - 1], dtype=float)
+        b = np.asarray(params["offs"][sym - 1], dtype=float)
+        return rows @ A.T + b
+
+    return _by_symbol(a, pts, affine)
 
 
 def _slide1d_body(params, a, pts):
-    alpha = float(np.asarray(a).reshape(-1)[0])
-    return pts / 3.0 + (2.0 / 3.0) * alpha
+    return pts / 3.0 + (2.0 / 3.0) * a[:, :1]
 
 
 def _rot2d_body(params, a, pts):
     angles = params.get("angles", (math.pi / 6.0, math.sqrt(2.0)))
-    t = angles[a - 1]
-    c, s = math.cos(t), math.sin(t)
-    return pts @ np.array([[c, -s], [s, c]]).T
+
+    def rotate(sym, rows):
+        t = angles[sym - 1]
+        c, s = math.cos(t), math.sin(t)
+        return rows @ np.array([[c, -s], [s, c]]).T
+
+    return _by_symbol(a, pts, rotate)
 
 
 def _custom_body(params, a, pts):
-    return np.asarray(params["fn"](a, pts), dtype=float).reshape(pts.shape)
+    def call(alpha, rows):
+        return np.asarray(params["fn"](alpha, rows), dtype=float).reshape(rows.shape)
+
+    return call(a, pts) if a.ndim == 2 else _by_symbol(a, pts, call)
 
 
 def _affine_dim(params) -> int:
@@ -358,16 +395,25 @@ class MapFamily:
         return None if signs is None else np.array(signs, dtype=float)
 
     def raw_batch(self, alpha, points: np.ndarray) -> np.ndarray:
-        """Unclamped images of a validated point block under map ``alpha``."""
+        """Unclamped images of a validated point block under the maps ``alpha`` selects.
+
+        ``alpha`` is one noise value for the whole block (a symbol, or a
+        (d,) parameter vector) or one per point row ((n,) symbols, or (n, d)
+        parameters); the body always gets one per row.
+        """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if pts.shape[1] != self.dim:
             raise DimensionMismatchError(
                 f"points of dimension {pts.shape[1]} fed to family of dimension {self.dim}"
             )
-        return _REGISTRY[self.family].body(self.params, alpha, pts)
+        rows = (pts.shape[0],) if self.finite else (pts.shape[0], self.noise.dim)
+        a = np.asarray(alpha)
+        if a.shape != rows:
+            a = np.broadcast_to(a, rows)
+        return _REGISTRY[self.family].body(self.params, a, pts)
 
     def apply_batch(self, alpha, points: np.ndarray) -> tuple[np.ndarray, bool]:
-        """Apply the map selected by ``alpha`` to a block of points.
+        """Apply the map selected by ``alpha`` (one value, or one per row) to a block of points.
 
         Returns the clamped images and whether any component saturated
         (non-finite or beyond the clamp bound).

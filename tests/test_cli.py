@@ -175,7 +175,7 @@ def test_threads_do_not_change_artifacts(tmp_path):
     (["clt", "--family", "cantor1d", "--n", "200", "--replicas", "100", "--mu-size", "512",
       "--grid-size", "256", "--dump-paths", "--seed", "1234"],
      "paths.csv", "9e83f2d0b34f3a464416599f0a7b8618271394d4c29ce940bb0789bc2a6e8155"),
-    # one forward orbit grouped by symbol, one advanced per row (box noise)
+    # forward orbits on finite and on box noise, through the same chain loop
     (["simulate", "--family", "cantor1d", "--direction", "forward", "--n", "200", "--seed", "1234"],
      "orbit.csv", "af3a2fd3361085cec102e0a67046af7fdc03fb112807b7e40fcee0f2a2feaad9"),
     (["simulate", "--family", "slide1d", "--direction", "forward", "--n", "200", "--seed", "1234"],

@@ -309,3 +309,13 @@ def test_run_clt_analysis_quick(cantor1d):
     assert ens.paths.shape == (500, 21)
     doc = report.to_dict()
     assert doc["observable"] == "coord:1"
+
+
+def test_run_clt_analysis_box_noise_slide1d():
+    # slide1d: X' = X/3 + 2a/3 with a ~ U[0, 1]; for phi(x) = x - m the corrector
+    # is psi = 3 phi / 2, so sigma^2 = (3/2)^2 Var(2a/3) = 1/12
+    report, _ = run_clt_analysis(
+        make_family("slide1d"), "coord:1", seed=5, n=10_000, replicas=1000, tol=1e-4
+    )
+    assert abs(report.sigma2_mg - 1 / 12) <= 0.1 / 12
+    assert report.residual_norm <= 3 * 1e-4

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from monosync import (
+    Box,
     EmpiricalMeasure,
     NoiseBlock,
     NotConvergedError,
@@ -17,7 +18,6 @@ from monosync import (
     wasserstein1,
 )
 from monosync.engine import (
-    _CHAIN_CHUNK,
     _BlockTable,
     _chain,
     _draw_noise,
@@ -26,7 +26,7 @@ from monosync.engine import (
     pullback_batch,
 )
 from monosync.errors import UsageError
-from monosync.families import FiniteNoise, _default_probe
+from monosync.families import BoxNoise, FiniteNoise, _default_probe
 from monosync.streams import stream_generator
 from oracles import (
     finite_symbol,
@@ -261,10 +261,33 @@ _SPARSE_AFFINE = {
 }
 
 
-@pytest.mark.parametrize("fid", ["cantor2d", "slide1d", "exp1d", "affine-general"])
+def _box_fn(alphas, pts):
+    # both parameter columns act, so a parameter row paired with another row's points shows
+    return np.stack([pts[:, 0] / 2 + alphas[:, 0], pts[:, 1] / 3 - alphas[:, 1] * pts[:, 0]], axis=1)
+
+
+def _finite_fn(a, pts):
+    assert isinstance(a, int)  # one int symbol per call, however the rows are batched
+    return pts[:, ::-1] * [0.5, -0.25] + a
+
+
+# 2-d custom families: box noise with a 2-d parameter, and three symbols
+_CUSTOM_BOX = {"params": {"dim": 2, "fn": _box_fn}, "noise": BoxNoise(Box([0.0, -1.0], [1.0, 2.0]))}
+_CUSTOM_FINITE = {"params": {"dim": 2, "fn": _finite_fn}, "probs": (0.2, 0.3, 0.5)}
+_STEP_FAMILIES = {
+    "affine-general": ("affine-general", _SPARSE_AFFINE),
+    "custom-box": ("custom", _CUSTOM_BOX),
+    "custom-finite": ("custom", _CUSTOM_FINITE),
+}
+
+
+@pytest.mark.parametrize(
+    "fid", ["cantor2d", "slide1d", "exp1d", "affine-general", "custom-box", "custom-finite"]
+)
 @pytest.mark.parametrize("n_probe", [None, 5])
 def test_step_matches_rowwise_apply_batch(fid, n_probe):
-    fam = make_family(fid, **(_SPARSE_AFFINE if fid == "affine-general" else {}))
+    name, kwargs = _STEP_FAMILIES.get(fid, (fid, {}))
+    fam = make_family(name, **kwargs)
     gen = np.random.default_rng(11)
     n = 40
     shape = (n, fam.dim) if n_probe is None else (n, n_probe, fam.dim)
@@ -278,9 +301,8 @@ def test_step_matches_rowwise_apply_batch(fid, n_probe):
     assert np.array_equal(got_sat, want_sat)
     if fid == "exp1d":
         assert want_sat.any() and not want_sat.all()
-    # the forward chain: one step per column of a table, advanced in place, over
-    # two whole symbol-grouping chunks and a ragged third
-    table = _draw_noise(fam.noise, gen, (n, 2 * _CHAIN_CHUNK + 3))
+    # the forward chain: one step per column of a table, advanced in place
+    table = _draw_noise(fam.noise, gen, (n, 67))
     chained = pts.copy()
     want = pts
     for j, (got, got_sat) in enumerate(_chain(fam, table, chained)):
@@ -298,14 +320,21 @@ def test_step_matches_rowwise_apply_batch(fid, n_probe):
     ("affine-general", _SPARSE_AFFINE),
     # start points beyond the clamp: a row that has not started keeps its point
     ("cantor1d", {"clamp_bound": 0.5}),
+    pytest.param("custom", _CUSTOM_BOX, id="custom-box"),
+    pytest.param("custom", _CUSTOM_FINITE, id="custom-finite"),
+    # 2-d matrices: each symbol's rows, taken deepest first, are one matrix product
+    pytest.param("affine-general", {"params": {
+        "mats": [[[0.4, 0.1], [0.1, 0.3]], [[0.3, -0.1], [-0.1, 0.4]], [[0.2, 0.3], [-0.5, 0.1]]],
+        "offs": [[0.1, 0.2], [0.5, -0.3], [0.0, 0.7]],
+    }}, id="affine-2d"),
 ])
 @pytest.mark.parametrize("per_row_base", [False, True])
 def test_image_points_match_reverse_rowwise(fid, kwargs, per_row_base):
     fam = make_family(fid, **kwargs)
     gen = np.random.default_rng(12)
-    n, n_probe, length = 24, 5, _CHAIN_CHUNK + 9
+    n, n_probe, length = 24, 5, 41
     blocks = _draw_noise(fam.noise, gen, (n, length))
-    # ragged depths over two symbol-grouping chunks, with 0 and the full length
+    # ragged depths, with 0 and the full length
     depths = gen.integers(0, length + 1, n)
     depths[:3] = [0, length, length // 2]
     scale = 800.0 if fid == "exp1d" else 1.0
