@@ -87,8 +87,15 @@ class EmpiricalMeasure:
         return self.weights @ self.points
 
     def var(self) -> np.ndarray:
+        """Per-coordinate variance, computed with overflow ignored.
+
+        Saturated points (at +-1e300 by default) have a variance of about
+        1e600, beyond float64, so ``inf`` is the honest value and comes
+        without a warning.
+        """
         m = self.mean()
-        return self.weights @ (self.points - m) ** 2
+        with np.errstate(over="ignore"):
+            return self.weights @ (self.points - m) ** 2
 
     @classmethod
     def uniform(cls, points, provenance: str = "user", meta: dict | None = None):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.stats import wasserstein_distance as scipy_w1
@@ -226,6 +228,15 @@ def test_pullback_sample_moments(cantor1d, cantor2d):
 
     mu2 = pullback_sample(cantor2d, 22, 10_000, tol=1e-9)
     assert np.allclose(mu2.mean(), [0.5, -0.5], atol=0.01)
+
+
+def test_var_of_saturated_points_is_inf_without_warning():
+    # the true variance, about 1e600, is beyond float64
+    mu = u([1e300, -1e300, 1e300, 0.5])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        var = mu.var()
+    assert var.tolist() == [np.inf]
 
 
 def test_pullback_sample_fails_on_nonconvergent_family():
