@@ -208,6 +208,11 @@ def test_threads_do_not_change_artifacts(tmp_path):
     (["clt", "--family", "cantor1d", "--n", "200", "--replicas", "100", "--mu-size", "512",
       "--grid-size", "256", "--dump-paths", "--seed", "1234"],
      "clt_report.json", "a804583ad2e0cce2add815b11284c0e0d817e74d2de9f54f173d793a4f9ced9a"),
+    # the boundedness check's probe of scaled boxes: bounded at m0 = 3, and unbounded
+    (["sync-rate", "--family", "arctanexp2d", "--seed", "5"],
+     "rate_fit.json", "6ebefed1aafb47c1e7e2fa444da9b7bc82a6bb1c99fd417351dc56abd3a855cb"),
+    (["sync-rate", "--family", "lip-pair", "--seed", "5"],
+     "rate_fit.json", "cd48944d83d704a697827d95303ba3c283444afed7ad1f8d235147bd493fe80e"),
 ])
 def test_golden_artifact_digest(tmp_path, args, artifact, digest):
     # Frozen bytes: any change to the noise streams (finite and box tables), to the

@@ -23,7 +23,8 @@ from monosync import (
     probe_cloud,
 )
 from monosync.engine import _BlockTable, image_points_at_depths
-from monosync.families import FiniteNoise, _clamp_points, _default_probe
+from monosync.families import FiniteNoise, _clamp_points, _default_probe, _sample_comparable_pairs
+from monosync.streams import stream_generator
 
 from oracles import clamp_two_branch, sandwich_signs_bruteforce
 
@@ -91,6 +92,18 @@ def test_classify_neither_with_witness():
     from monosync import PointCmp, cmp_points
 
     assert cmp_points(x, y, ordr) is PointCmp.LESS
+
+
+@pytest.mark.parametrize("seed, witness_pair", [(0, (0, 0)), (1, (1, 0)), (2, (2, 2)), (3, (3, 0)), (4, (0, 0))])
+def test_classify_rot2d_witness_is_frozen(seed, witness_pair):
+    # The rot2d verdict's witness, as an index into the sampled pairs, per symbol
+    # 1 and 2: the first pair after which neither direction survives.
+    fam, ordr = family_from_config({"family": "rot2d"})
+    xs, ys = _sample_comparable_pairs(stream_generator(seed, "monotone"), fam.probe_box(), ordr, 200)
+    for a, i in zip((1, 2), witness_pair):
+        v = classify_monotonicity(fam, a, ordr, fam.probe_box(), n_pairs=200, seed=seed)
+        assert v.kind is Monotonicity.NEITHER
+        assert np.array_equal(v.witness[0], xs[i]) and np.array_equal(v.witness[1], ys[i]), (seed, a)
 
 
 def test_classify_stability_under_resampling(cantor1d, order1):
