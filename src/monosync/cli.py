@@ -102,11 +102,16 @@ def _build_parser() -> _Parser:
     p.add_argument("--n-max", type=int, default=None)
     p.add_argument("--replicas", type=int, default=None)
 
-    p = sub.add_parser("forward-gap", help="forward orbit vs shifted pullback limit")
+    p = sub.add_parser(
+        "forward-gap", help="forward orbit vs the pullback attractor carried along the same noise"
+    )
     _add_common(p)
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--x0", type=str, default=None, help="comma-separated start point")
-    p.add_argument("--tail-tol", type=float, default=None)
+    p.add_argument(
+        "--tail-tol", type=float, default=None,
+        help="tolerance of the attractor point's pullback, as stationary --tol",
+    )
 
     p = sub.add_parser("stationary", help="pullback sample of the stationary law")
     _add_common(p)

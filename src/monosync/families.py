@@ -39,6 +39,7 @@ from enum import Enum
 from typing import Callable, Union
 
 import numpy as np
+from scipy.stats import qmc
 
 from .errors import (
     DegenerateProbeError,
@@ -587,24 +588,6 @@ def image_box(fam: MapFamily, block, probe_points: np.ndarray) -> Box:
     return Box.hull(pts)
 
 
-def _halton(n: int, dim: int) -> np.ndarray:
-    """Unscrambled Halton points in [0,1)^dim; deterministic by construction."""
-    primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71]
-    if dim > len(primes):
-        raise ValueError("halton cloud limited to dimension 20")
-    out = np.empty((n, dim))
-    for d in range(dim):
-        b = primes[d]
-        for i in range(n):
-            f, r, idx = 1.0, 0.0, i + 1
-            while idx > 0:
-                f /= b
-                r += f * (idx % b)
-                idx //= b
-            out[i, d] = r
-    return out
-
-
 def probe_cloud(box: Box) -> np.ndarray:
     """Corner-inclusive probe cloud: all corners plus 32 low-discrepancy interior points.
 
@@ -615,12 +598,14 @@ def probe_cloud(box: Box) -> np.ndarray:
     box.
     """
     corners = box.corners() if box.dim <= 10 else np.vstack([box.lo, box.hi])
-    interior = box.lo + _halton(32, box.dim) * (box.hi - box.lo)
+    halton = qmc.Halton(box.dim, scramble=False)
+    halton.fast_forward(1)  # skip the origin, a corner already
+    interior = box.lo + halton.random(32) * (box.hi - box.lo)
     return np.unique(np.vstack([corners, interior]), axis=0)
 
 
-def _default_probe(fam: MapFamily) -> np.ndarray:
-    """The probe of the family's probe box, used by every high-level function.
+def _default_probe(fam: MapFamily, box: Box | None = None) -> np.ndarray:
+    """The probe of ``box`` (default: the family's probe box), used by every high-level function.
 
     For a family with a monotonicity declaration it is the monotone
     sandwich: the box's lowest and highest corners in the declared order.
@@ -632,7 +617,7 @@ def _default_probe(fam: MapFamily) -> np.ndarray:
     to the rounding of batched matrix products).  A family without a
     declaration gets ``probe_cloud``.
     """
-    box = fam.probe_box()
+    box = fam.probe_box() if box is None else box
     signs = fam.monotone_signs()
     if signs is None:
         return probe_cloud(box)
@@ -704,15 +689,6 @@ def classify_monotonicity(
         return MonotonicityVerdict(Monotonicity.INCREASING, None, n_pairs)
     if bool(greater.all()):
         return MonotonicityVerdict(Monotonicity.DECREASING, None, n_pairs)
-    # Find the pair that killed the last surviving hypothesis.
-    inc_alive = True
-    dec_alive = True
-    for i in range(n_pairs):
-        inc_next = inc_alive and bool(less[i])
-        dec_next = dec_alive and bool(greater[i])
-        if not inc_next and not dec_next:
-            return MonotonicityVerdict(
-                Monotonicity.NEITHER, (xs[i].copy(), ys[i].copy()), n_pairs
-            )
-        inc_alive, dec_alive = inc_next, dec_next
-    raise AssertionError("unreachable: some pair must break a non-monotone family")
+    # argmin finds each direction's first violating pair; the later one ends the last survivor
+    i = max(int(np.argmin(less)), int(np.argmin(greater)))
+    return MonotonicityVerdict(Monotonicity.NEITHER, (xs[i].copy(), ys[i].copy()), n_pairs)

@@ -19,10 +19,11 @@ from .engine import (
     _taxicab_diams,
     _write_csv,
     image_points_at_depths,
+    pullback_batch,
     sample_block,
 )
 from .errors import DegenerateSeriesError, NotConvergedError, UsageError
-from .families import MapFamily, _default_probe, probe_cloud
+from .families import MapFamily, _default_probe
 from .fitting import loglinear_fit
 from .order import Box
 from .streams import stream_generator
@@ -44,7 +45,7 @@ DIAM_FIT_FLOOR = 1e3 * np.finfo(float).eps
 
 _N_BOOT = 200  # replica bootstrap resamples behind a rate's confidence interval
 _M0_MAX = 4  # deepest composition tried by the boundedness check
-_TAIL_MAX = 4096  # deepest fresh-noise tail of a forward-gap pullback
+_TAIL_MAX = 4096  # deepest pullback of the forward gap's attractor point
 
 
 @dataclass
@@ -236,7 +237,11 @@ def assumption2_check(fam: MapFamily, seed: int, replicas: int = 64) -> Boundedn
     scaled by 1, 4 and 16 at depths m0 = 1..4 and reports the smallest depth
     at which, across all sampled replicas, nothing saturates and the max
     image magnitude at scale 16 is at most 1.5 times that at scale 1; else
-    an unbounded verdict.
+    an unbounded verdict.  Each scaled box is probed as every high-level
+    function probes (``families._default_probe``): for a family with a
+    monotonicity declaration its two sandwich corners, whose image hull
+    holds the image of the whole box, so the magnitudes and the bound box
+    are those of the whole scaled box.
     """
     if fam.domain is not None:
         return BoundednessReport(True, 1, fam.domain, {})
@@ -250,7 +255,7 @@ def assumption2_check(fam: MapFamily, seed: int, replicas: int = 64) -> Boundedn
         lo_u = None
         hi_u = None
         for sc in (1.0, 4.0, 16.0):
-            probe = probe_cloud(base.scaled(sc))
+            probe = _default_probe(fam, base.scaled(sc))
             depths = np.full(replicas, m0, dtype=np.int64)
             pts, sat = image_points_at_depths(fam, table.values, depths, probe)
             sat_any = sat_any or bool(sat.any())
@@ -272,14 +277,14 @@ class GapSeries:
     checkpoints: np.ndarray
     gap: np.ndarray
     bound: np.ndarray      # forward probe-image diameter at each checkpoint
-    depths: np.ndarray     # backward depth used by each inner pullback
+    depth: int             # minimal backward depth of the attractor point's pullback
     x0: np.ndarray
     seed: int
 
     def write_csv(self, path, seed: int | None = None) -> None:
         rows = (
-            f"{n},{g:.17g},{b:.17g},{d}"
-            for n, g, b, d in zip(self.checkpoints, self.gap, self.bound, self.depths)
+            f"{n},{g:.17g},{b:.17g},{self.depth}"
+            for n, g, b in zip(self.checkpoints, self.gap, self.bound)
         )
         _write_csv(path, seed, "n,gap,image_diam_bound,pullback_depth", rows)
 
@@ -291,57 +296,40 @@ def forward_attractor_gap(
     n_checkpoints: int,
     tail_tol: float = 1e-10,
 ) -> GapSeries:
-    """Gap between the forward orbit and the shifted pullback limit.
+    """Gap between the forward orbit and the pullback attractor along one realization.
 
-    At checkpoint n the attractor point reuses the forward noise at indices
-    n-1, ..., 0 as the outer composition and extends it backward with fresh
-    noise from a checkpoint-specific sub-stream until the probe image is
-    ``tail_tol``-small.  Both the orbit point and the attractor point lie in
-    the forward image of the probe hull, whose diameter is reported as the
-    per-checkpoint bound.
+    The attractor point at time 0 is the pullback limit over the
+    ``gap-tail`` stream: its probe image is ``tail_tol``-small, as
+    ``stationary --tol`` bounds its samples, and ``depth`` is its minimal
+    depth.  By
+    invariance of the attractor, its point at checkpoint n is that
+    pullback carried n steps forward along the forward noise, so it rides
+    the forward chain as one more row, next to the orbit point and the
+    probe images.  The gap is their taxicab distance.  Both the orbit
+    point and the attractor point lie in the forward image of the probe
+    hull, whose diameter is reported as the per-checkpoint bound.
     """
     if n_checkpoints < 1:
         raise UsageError("need at least one checkpoint")
     x = np.asarray(x0, dtype=float).reshape(1, fam.dim)
     probe = np.unique(np.vstack([_default_probe(fam), x]), axis=0)
+    limit = pullback_batch(fam, seed, [0], probe, tail_tol, _TAIL_MAX, label="gap-tail")
+    if not limit.converged[0]:
+        raise NotConvergedError(_TAIL_MAX, float(limit.diam[0]))
 
     fwd_block = sample_block(fam.noise, seed, 0, n_checkpoints, label="gap-fwd")
-    positions = np.empty((n_checkpoints + 1, fam.dim))
-    positions[0] = x[0]
-    bound = np.empty(n_checkpoints + 1)
-    bound[0] = float(_taxicab_diams(probe[None])[0])
-    img = np.vstack([probe, x])[None]  # one forward chain: the probe images, then the orbit point
-    for j, (img, _) in enumerate(_chain(fam, fwd_block.values[None], img), start=1):
-        positions[j] = img[0, -1]
-        bound[j] = float(_taxicab_diams(img[:, :-1])[0])
-
-    gaps = np.empty(n_checkpoints)
-    depths = np.empty(n_checkpoints, dtype=np.int64)
-    for cp in range(1, n_checkpoints + 1):
-        prefix = fwd_block.values[:cp][::-1]
-        tail = _BlockTable(fam.noise, seed, "gap-tail", [cp])
-        k = 16
-        pi_point = None
-        while True:
-            tail.ensure(k)
-            full = np.concatenate([prefix, tail.values[0]])[None, :]
-            pts, _ = image_points_at_depths(
-                fam, full, np.array([cp + k], dtype=np.int64), probe
-            )
-            dm = float((pts[0].max(axis=0) - pts[0].min(axis=0)).sum())
-            if dm <= tail_tol:
-                pi_point = pts[0].mean(axis=0)
-                depths[cp - 1] = k
-                break
-            if k >= _TAIL_MAX:
-                raise NotConvergedError(_TAIL_MAX, dm)
-            k = min(2 * k, _TAIL_MAX)
-        gaps[cp - 1] = float(np.abs(positions[cp] - pi_point).sum())
+    gap = np.empty(n_checkpoints)
+    bound = np.empty(n_checkpoints)
+    # one forward chain: the probe images, then the orbit point, then the attractor point
+    img = np.vstack([probe, x, limit.points])[None]
+    for j, (img, _) in enumerate(_chain(fam, fwd_block.values[None], img)):
+        gap[j] = float(np.abs(img[0, -2] - img[0, -1]).sum())
+        bound[j] = float(_taxicab_diams(img[:, :-2])[0])
     return GapSeries(
         checkpoints=np.arange(1, n_checkpoints + 1),
-        gap=gaps,
-        bound=bound[1:],
-        depths=depths,
+        gap=gap,
+        bound=bound,
+        depth=int(limit.n_used[0]),
         x0=x[0].copy(),
         seed=seed,
     )

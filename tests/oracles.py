@@ -277,3 +277,23 @@ def sandwich_signs_bruteforce(mats):
         if all((np.outer(s, s) * m >= 0).all() or (np.outer(s, s) * m <= 0).all() for m in mats):
             found.add(signs)
     return found
+
+
+def halton_radical_inverse(n: int, dim: int) -> np.ndarray:
+    """Points 1..n of the unscrambled Halton sequence in [0,1)^dim (dim <= 20).
+
+    Coordinate d of point i is the base-p_d radical inverse of i, summed
+    digit by digit in Python floats.
+    """
+    primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71]
+    out = np.empty((n, dim))
+    for d in range(dim):
+        b = primes[d]
+        for i in range(n):
+            f, r, idx = 1.0, 0.0, i + 1
+            while idx > 0:
+                f /= b
+                r += f * (idx % b)
+                idx //= b
+            out[i, d] = r
+    return out

@@ -26,7 +26,7 @@ from monosync.engine import _BlockTable, image_points_at_depths
 from monosync.families import FiniteNoise, _clamp_points, _default_probe, _sample_comparable_pairs
 from monosync.streams import stream_generator
 
-from oracles import clamp_two_branch, sandwich_signs_bruteforce
+from oracles import clamp_two_branch, halton_radical_inverse, sandwich_signs_bruteforce
 
 
 def test_apply_examples(cantor1d, exp1d):
@@ -158,6 +158,15 @@ def test_probe_cloud_includes_corners():
     for corner in box.corners():
         assert np.any(np.all(np.isclose(cloud, corner), axis=1))
     assert np.all(box.contains(cloud))
+
+
+def test_probe_cloud_interior_is_the_halton_sequence():
+    for dim in range(1, 21):
+        box = Box(np.arange(dim) - 1.0, 2.0 * np.arange(dim) + 0.5)
+        corners = box.corners() if dim <= 10 else np.vstack([box.lo, box.hi])
+        interior = box.lo + halton_radical_inverse(32, dim) * (box.hi - box.lo)
+        want = np.unique(np.vstack([corners, interior]), axis=0)
+        assert np.array_equal(probe_cloud(box), want), dim
 
 
 def test_saturation_flag_on_overflow(exp1d):

@@ -90,6 +90,15 @@ def test_forward_gap_cantor(cantor1d):
     assert gaps.gap[-1] < 1e-6
 
 
+def test_forward_gap_follows_one_realization(cantor1d, cantor2d):
+    # every cantor map contracts every coordinate by exactly 1/3, so along one
+    # realization the orbit-to-attractor distance shrinks by 1/3 per step
+    for fam, x0 in ((cantor1d, [0.5]), (cantor2d, [0.5, -0.5])):
+        for seed in range(50):
+            gaps = forward_attractor_gap(fam, seed=seed, x0=x0, n_checkpoints=20)
+            assert np.all(np.abs(gaps.gap[1:] - gaps.gap[:-1] / 3) <= 1e-15), (fam.family, seed)
+
+
 def test_forward_gap_cantor2d(cantor2d):
     gaps = forward_attractor_gap(cantor2d, seed=7, x0=[0.5, -0.5], n_checkpoints=12)
     assert np.all(gaps.gap <= 2.0 * 3.0 ** -gaps.checkpoints.astype(float))
