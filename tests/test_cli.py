@@ -159,7 +159,7 @@ def test_threads_do_not_change_artifacts(tmp_path):
      "stationary.csv", "1c8ecfa73555426bd87b5483e174a1d4d5b31c6ef23da2286603763746997023"),
     # the family's default probe and the fixed constants of sync, splitting and transport
     (["forward-gap", "--family", "cantor1d", "--n", "20", "--seed", "7"],
-     "forward_gap.csv", "666825b1d3c7556fdadd80f127a76e8737aba0310bbc80b1acde0aa54a6f2c4c"),
+     "forward_gap.csv", "c7f2ad7a5019aa00da6e1e3d69843843dbd390c769c01a4aaaa132dd74bfc862"),
     (["sync-rate", "--family", "exp1d", "--seed", "3"],
      "rate_fit.json", "f844bd5a90a6c6d1637579b2989aaeb9e4c1a6f27133fdc76426f58cbb3c2fec"),
     (["sigma-decay", "--family", "cantor1d", "--x", "0.1", "--replicas", "500", "--seed", "2"],
@@ -188,7 +188,7 @@ def test_threads_do_not_change_artifacts(tmp_path):
      "orbit.csv", "d901cf9970bcecc3865ad3722dd82eece341ce46c171e6a2ce9f386589d0dac7"),
     # a 2-d forward chain of a whole (N, P, dim) probe cloud
     (["forward-gap", "--family", "cantor2d", "--n", "20", "--seed", "7"],
-     "forward_gap.csv", "b00502ffb0f9997595a20190f3c6a3867f29dd26d8a7dcc571c2ca990090b4d0"),
+     "forward_gap.csv", "8e4c8e93275ad5db3b6a941dc4a47f4c649288f834c92bae5959d06f94040f00"),
     # 2-d W1 above the exact-matching cap: the sliced kernel over 128 directions
     (["w1-decay", "--family", "cantor2d", "--n-particles", "1024", "--ref-size", "1024",
       "--n-max", "3", "--seed", "3"],
