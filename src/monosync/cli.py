@@ -102,16 +102,11 @@ def _build_parser() -> _Parser:
     p.add_argument("--n-max", type=int, default=None)
     p.add_argument("--replicas", type=int, default=None)
 
-    p = sub.add_parser(
-        "forward-gap", help="forward orbit vs the pullback attractor carried along the same noise"
-    )
+    p = sub.add_parser("forward-gap", help="forward orbit vs the attractor on the same noise")
     _add_common(p)
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--x0", type=str, default=None, help="comma-separated start point")
-    p.add_argument(
-        "--tail-tol", type=float, default=None,
-        help="tolerance of the attractor point's pullback, as stationary --tol",
-    )
+    p.add_argument("--tail-tol", type=float, default=None, help="as stationary --tol, for the attractor")
 
     p = sub.add_parser("stationary", help="pullback sample of the stationary law")
     _add_common(p)

@@ -272,7 +272,11 @@ def assumption2_check(fam: MapFamily, seed: int, replicas: int = 64) -> Boundedn
 
 @dataclass
 class GapSeries:
-    """Distance between the forward orbit and the attractor along the same noise."""
+    """Distance between the forward orbit and the attractor along the same noise.
+
+    ``depth`` is the minimal depth of the one pullback behind the attractor
+    point; ``write_csv`` repeats it on every row.
+    """
 
     checkpoints: np.ndarray
     gap: np.ndarray
@@ -301,13 +305,14 @@ def forward_attractor_gap(
     The attractor point at time 0 is the pullback limit over the
     ``gap-tail`` stream: its probe image is ``tail_tol``-small, as
     ``stationary --tol`` bounds its samples, and ``depth`` is its minimal
-    depth.  By
-    invariance of the attractor, its point at checkpoint n is that
-    pullback carried n steps forward along the forward noise, so it rides
-    the forward chain as one more row, next to the orbit point and the
-    probe images.  The gap is their taxicab distance.  Both the orbit
-    point and the attractor point lie in the forward image of the probe
-    hull, whose diameter is reported as the per-checkpoint bound.
+    depth.  The attractor is invariant, so its point at checkpoint n is
+    that pullback carried n steps forward along the forward noise: it
+    rides the forward chain as one more row, after the probe images and
+    the orbit point, and the gap is the taxicab distance between the last
+    two rows.  Both points lie in the forward image of the probe hull,
+    whose diameter is reported as the per-checkpoint bound.  Raises
+    :class:`NotConvergedError` when the pullback does not reach
+    ``tail_tol`` within depth 4096.
     """
     if n_checkpoints < 1:
         raise UsageError("need at least one checkpoint")

@@ -94,7 +94,9 @@ def test_classify_neither_with_witness():
     assert cmp_points(x, y, ordr) is PointCmp.LESS
 
 
-@pytest.mark.parametrize("seed, witness_pair", [(0, (0, 0)), (1, (1, 0)), (2, (2, 2)), (3, (3, 0)), (4, (0, 0))])
+@pytest.mark.parametrize(
+    "seed, witness_pair", [(0, (0, 0)), (1, (1, 0)), (2, (2, 2)), (3, (3, 0)), (4, (0, 0))]
+)
 def test_classify_rot2d_witness_is_frozen(seed, witness_pair):
     # The rot2d verdict's witness, as an index into the sampled pairs, per symbol
     # 1 and 2: the first pair after which neither direction survives.
