@@ -213,6 +213,11 @@ def test_threads_do_not_change_artifacts(tmp_path):
      "rate_fit.json", "6ebefed1aafb47c1e7e2fa444da9b7bc82a6bb1c99fd417351dc56abd3a855cb"),
     (["sync-rate", "--family", "lip-pair", "--seed", "5"],
      "rate_fit.json", "cd48944d83d704a697827d95303ba3c283444afed7ad1f8d235147bd493fe80e"),
+    # splitting reports: a verified exact scan, and a Monte Carlo search on box noise
+    (["check-splitting", "--family", "cantor2d", "--seed", "5"],
+     "splitting.json", "dee720cbe76575d2773d3c7c60a219758abf19ffd324e5aa742344222b1daff5"),
+    (["check-splitting", "--family", "slide1d", "--seed", "5"],
+     "splitting.json", "e83f72b68ebf3e4379ead40c4eb57f0cd7904b7dc1de23a9d1dc6c0f759b9c05"),
 ])
 def test_golden_artifact_digest(tmp_path, args, artifact, digest):
     # Frozen bytes: any change to the noise streams (finite and box tables), to the
@@ -225,6 +230,15 @@ def test_golden_artifact_digest(tmp_path, args, artifact, digest):
     out = tmp_path / "golden"
     assert run(args + ["--threads", "1", "--out", str(out)]) == 0
     assert hashlib.sha256((out / artifact).read_bytes()).hexdigest() == digest
+
+
+def test_golden_unverified_splitting_digest(tmp_path):
+    # an exact scan that finds no ordered pair up to m = 3: exit 2, and the
+    # report's empty witness fields are frozen too
+    out = tmp_path / "golden"
+    assert run(["check-splitting", "--family", "arctanexp2d", "--seed", "5", "--out", str(out)]) == 2
+    digest = hashlib.sha256((out / "splitting.json").read_bytes()).hexdigest()
+    assert digest == "0a1f06ea15a3dca47ef533692eaa17bc4f55bde17f505c02fa0b74e005b4513e"
 
 
 def test_manifest_replays_infinite_clamp(tmp_path):
