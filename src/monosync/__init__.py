@@ -25,6 +25,7 @@ from .engine import (
     NoiseBlock,
     OrbitTrace,
     forward_orbit,
+    image_box,
     noise_at,
     pullback_point,
     reverse_orbit,
@@ -52,7 +53,6 @@ from .families import (
     classify_monotonicity,
     family_from_config,
     family_to_config,
-    image_box,
     make_family,
     probe_cloud,
 )

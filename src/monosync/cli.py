@@ -204,7 +204,8 @@ def _resolve_config(args: argparse.Namespace) -> dict:
 
 
 def _write_json(path: Path, obj) -> None:
-    """Write strict JSON: a value that is not finite is written as null."""
+    """Write strict JSON: a report object is the dict of its fields, and a
+    value that is not finite is written as null."""
     text = json.dumps(_jsonable(obj, True), indent=2, sort_keys=True, allow_nan=False)
     path.write_text(text + "\n")
 
@@ -263,16 +264,14 @@ def _splitting_report(cfg, fam, ordr):
 
 def _run_check_splitting(cfg, fam, ordr, outdir) -> int:
     report = _splitting_report(cfg, fam, ordr)
-    doc = report.to_dict()
-    doc["seed"] = cfg["seed"]
-    _write_json(outdir / "splitting.json", doc)
+    _write_json(outdir / "splitting.json", {**_jsonable(report, True), "seed": cfg["seed"]})
     return EXIT_OK if report.verified else EXIT_UNVERIFIED
 
 
 def _run_sigma_decay(cfg, fam, ordr, outdir) -> int:
     seed = cfg["seed"]
     m = int(cfg["m"])
-    scan_cfg = {"m_max": m, "method": "auto", "n_blocks": 64, "seed": seed}
+    scan_cfg = dict(_DEFAULTS["check-splitting"], m_max=m, seed=seed)
     report = _splitting_report(scan_cfg, fam, ordr)
     series = split_mod.sigma_decay(
         fam,
@@ -290,7 +289,7 @@ def _run_sigma_decay(cfg, fam, ordr, outdir) -> int:
         {
             "seed": seed,
             "lambda_bound": series.lambda_bound,
-            "splitting": report.to_dict(),
+            "splitting": report,
             "lambda_from_masses": 1.0 - report.rho if report.verified else None,
             "truncated_at": series.truncated_at,
         },
@@ -305,11 +304,8 @@ def _run_sync_rate(cfg, fam, ordr, outdir) -> int:
     )
     fit = sync_mod.fit_rate(series)
     series.write_csv(outdir / "diam_series.csv", fit=fit, seed=seed)
-    doc = fit.to_dict()
-    doc["seed"] = seed
-    doc["m0"] = series.m0
     bounded = sync_mod.assumption2_check(fam, seed)
-    doc["boundedness"] = bounded.to_dict()
+    doc = {**_jsonable(fit, True), "seed": seed, "m0": series.m0, "boundedness": bounded}
     _write_json(outdir / "rate_fit.json", doc)
     return EXIT_OK
 
@@ -366,7 +362,7 @@ def _run_w1_decay(cfg, fam, ordr, outdir) -> int:
         "floor": curve.floor,
         "method": curve.method,
         "warnings": curve.warnings,
-        "fit": None if curve.fit is None else curve.fit.to_dict(),
+        "fit": curve.fit,
     }
     _write_json(outdir / "w1_fit.json", doc)
     return EXIT_OK
@@ -384,9 +380,7 @@ def _run_clt(cfg, fam, ordr, outdir) -> int:
         grid_size=int(cfg["grid_size"]),
         tol=float(cfg["tol"]),
     )
-    doc = report.to_dict()
-    doc["seed"] = seed
-    _write_json(outdir / "clt_report.json", doc)
+    _write_json(outdir / "clt_report.json", {**_jsonable(report, True), "seed": seed})
     if cfg.get("dump_paths"):
         ensemble.write_csv(outdir / "paths.csv", seed=seed)
     return EXIT_OK

@@ -525,23 +525,6 @@ class CltReport:
     replicas: int
     observable: object
 
-    def to_dict(self) -> dict:
-        return {
-            "sigma2_mg": self.sigma2_mg,
-            "sigma2_resid": self.sigma2_resid,
-            "sigma2_direct": self.sigma2_direct,
-            "ks_stat": self.ks_stat,
-            "ks_pvalue": self.ks_pvalue,
-            "var_slope": self.var_slope,
-            "increment_corr": self.increment_corr,
-            "truncation_j": self.truncation_j,
-            "residual_norm": self.residual_norm,
-            "poisson_method": self.poisson_method,
-            "n": self.n,
-            "replicas": self.replicas,
-            "observable": self.observable if not isinstance(self.observable, np.ndarray) else self.observable.tolist(),
-        }
-
 
 def run_clt_analysis(
     fam: MapFamily,

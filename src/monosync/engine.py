@@ -14,8 +14,6 @@ repeated over its points, then one clamp; finite and box noise take the
 same loop.  The reverse loop ``image_points_at_depths`` is a forward chain
 over the reversed blocks with the rows right-aligned, each joining the
 chain at the step that leaves it exactly its own depth.
-(``families.image_box`` composes a single hand-given block through
-``apply_batch`` on its own.)
 
 The pullback limit deepens the reverse composition on a fixed stream until
 the taxicab diameter of the probe's image drops below tolerance.  The
@@ -54,6 +52,7 @@ __all__ = [
     "noise_at",
     "forward_orbit",
     "reverse_orbit",
+    "image_box",
     "pullback_point",
 ]
 
@@ -276,6 +275,22 @@ def reverse_orbit(
     boxes = None if probe_points is None else [Box.hull(img[j, :-1]) for j in range(n + 1)]
     saturated = bool(sat.any())
     return OrbitTrace("reverse", block, positions, boxes, saturated)
+
+
+def image_box(fam: MapFamily, block, probe_points: np.ndarray) -> Box:
+    """Bounding box of the probe cloud under a block composition.
+
+    The block ``(a_0, ..., a_{m-1})`` composes with ``a_0`` applied last
+    (outermost), matching reverse-order iteration.
+    """
+    pts = np.atleast_2d(np.asarray(probe_points, dtype=float))
+    if pts.shape[0] < 1:
+        raise UsageError("probe cloud must be nonempty")
+    values = np.asarray(block)
+    if len(values) < 1:
+        raise UsageError("block must have length >= 1")
+    img, _ = image_points_at_depths(fam, values[None], [len(values)], pts)
+    return Box.hull(img[0])
 
 
 class _BlockTable:

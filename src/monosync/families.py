@@ -34,7 +34,7 @@ neither increasing nor decreasing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 from enum import Enum
 from typing import Callable, Union
 
@@ -62,7 +62,6 @@ __all__ = [
     "family_to_config",
     "builtin_family_ids",
     "apply_map",
-    "image_box",
     "classify_monotonicity",
     "probe_cloud",
 ]
@@ -172,12 +171,17 @@ def _by_symbol(a, pts, fn):
 
 
 def _cantor1d_body(params, a, pts):
-    return pts / 3.0 + _per_row(params.get("offsets", (0.0, 2.0 / 3.0)), a)
+    # built in the gathered constants: one fewer per-point temporary than
+    # ``pts / 3.0 + offsets``, with the same bits since addition commutes
+    img = _per_row(params.get("offsets", (0.0, 2.0 / 3.0)), a)
+    img += pts / 3.0
+    return img
 
 
 def _cantor2d_body(params, a, pts):
-    offs = params.get("offsets", ((0.0, 0.0), (2.0 / 3.0, -2.0 / 3.0)))
-    return pts / 3.0 + _per_row(offs, a)
+    img = _per_row(params.get("offsets", ((0.0, 0.0), (2.0 / 3.0, -2.0 / 3.0))), a)
+    img += pts / 3.0
+    return img
 
 
 def _exp1d_body(params, a, pts):
@@ -548,10 +552,14 @@ def family_to_config(fam: MapFamily, ordr: JOrder) -> dict:
 
 
 def _jsonable(obj, strict: bool):
-    """``obj`` with arrays, tuples and numpy scalars as plain JSON values.
+    """``obj`` with dataclasses, arrays, tuples and numpy scalars as plain JSON values.
 
+    A dataclass instance (every report object, and a nested ``Box``) becomes
+    the dict of its fields; a field declared ``repr=False`` is left out.
     With ``strict`` every float that is not finite becomes None (JSON null).
     """
+    if is_dataclass(obj) and not isinstance(obj, type):
+        obj = {f.name: getattr(obj, f.name) for f in fields(obj) if f.repr}
     if isinstance(obj, dict):
         return {k: _jsonable(v, strict) for k, v in obj.items()}
     if isinstance(obj, np.ndarray):
@@ -569,23 +577,6 @@ def apply_map(fam: MapFamily, alpha, x) -> np.ndarray:
     """Image of a single point under the map selected by ``alpha``."""
     pts, _ = fam.apply_batch(alpha, np.asarray(x, dtype=float).reshape(1, -1))
     return pts[0]
-
-
-def image_box(fam: MapFamily, block, probe_points: np.ndarray) -> Box:
-    """Bounding box of the probe cloud under a block composition.
-
-    The block ``(a_0, ..., a_{m-1})`` composes with ``a_0`` applied last
-    (outermost), matching reverse-order iteration.
-    """
-    pts = np.atleast_2d(np.asarray(probe_points, dtype=float))
-    if pts.shape[0] < 1:
-        raise UsageError("probe cloud must be nonempty")
-    values = list(block)
-    if len(values) < 1:
-        raise UsageError("block must have length >= 1")
-    for a in reversed(values):
-        pts, _ = fam.apply_batch(a, pts)
-    return Box.hull(pts)
 
 
 def probe_cloud(box: Box) -> np.ndarray:

@@ -9,9 +9,11 @@ never a disproof.  For a family that declares a monotonicity order the
 probe is the two extremal corners of its probe box, whose image box holds
 the image of the whole box, so a verdict certifies the whole probe box;
 otherwise the probe is a sampled cloud and the verdict covers its points.
-Both searches grow the two block sets by one greedy rule that keeps every
-cross-side comparison strict, so the reported masses belong to one
-ordered pair of sets.
+Both searches reach their verdict through one body, ``_split``, which
+grows the two block sets by one greedy rule that keeps every cross-side
+comparison strict, so the reported masses belong to one ordered pair of
+sets.  The searches differ only in how they make their blocks and how
+they weigh the two sets.
 
 ``sigma_decay`` estimates, per composition depth, the probability that a
 reference value stays inside the projected image of the domain.  Under a
@@ -59,7 +61,10 @@ class SplittingReport:
     family only the image of its sampled cloud.  Masses are exact for the
     scan and frequency estimates (with binomial standard errors) for the
     Monte Carlo search; in both, the A and B sets are mutually ordered.
-    An unverified report is an absence of witness, never a disproof.
+    ``blocks_a`` and ``blocks_b`` hold those sets when they have at most
+    1024 blocks; they are declared ``repr=False``, so a serialized report
+    leaves them out.  An unverified report is an absence of witness, never
+    a disproof.
     """
 
     m: int
@@ -81,24 +86,6 @@ class SplittingReport:
         """min of the two block-set masses; 1 - rho bounds the membership decay."""
         return min(self.mass_a, self.mass_b)
 
-    def to_dict(self) -> dict:
-        def _blk(v):
-            return None if v is None else np.asarray(v).tolist()
-
-        return {
-            "m": self.m,
-            "verified": self.verified,
-            "method": self.method,
-            "witness_a": _blk(self.witness_a),
-            "witness_b": _blk(self.witness_b),
-            "mass_a": self.mass_a,
-            "mass_b": self.mass_b,
-            "stderr_a": self.stderr_a,
-            "stderr_b": self.stderr_b,
-            "n_blocks_a": self.n_blocks_a,
-            "n_blocks_b": self.n_blocks_b,
-        }
-
 
 def _signed_box_coords(lo: np.ndarray, hi: np.ndarray, order: JOrder):
     """Flip decreasing coordinates so the order becomes componentwise."""
@@ -106,12 +93,6 @@ def _signed_box_coords(lo: np.ndarray, hi: np.ndarray, order: JOrder):
     t_lo = np.where(signs > 0, lo, -hi)
     t_hi = np.where(signs > 0, hi, -lo)
     return t_lo, t_hi
-
-
-def _block_image_boxes(fam: MapFamily, blocks: np.ndarray, m: int, probe: np.ndarray):
-    depths = np.full(blocks.shape[0], m, dtype=np.int64)
-    pts, _ = image_points_at_depths(fam, blocks, depths, probe)
-    return pts.min(axis=1), pts.max(axis=1)
 
 
 def _find_ordered_pair(t_lo, t_hi, tol):
@@ -148,6 +129,39 @@ def _grow_ordered_sides(t_lo, t_hi, ia, ib, candidates, tol):
     return np.array(sorted(a_set)), np.array(sorted(b_set))
 
 
+def _split(fam: MapFamily, order: JOrder, blocks: np.ndarray, m: int, method: str, rank, weigh):
+    """The splitting verdict on ``blocks``, composed at depth ``m``.
+
+    Images the default probe under every block, takes the first strictly
+    ordered pair of image boxes and grows it into two mutually ordered
+    sides over the candidate order ``rank()``, called only once a pair is
+    found (the exact scan's order needs every block's mass).
+    ``weigh(a_idx, b_idx)`` gives the report's mass (and standard error)
+    fields of the two sides.  Without an ordered pair the report is
+    unverified.
+    """
+    depths = np.full(blocks.shape[0], m, dtype=np.int64)
+    pts, _ = image_points_at_depths(fam, blocks, depths, _default_probe(fam))
+    t_lo, t_hi = _signed_box_coords(pts.min(axis=1), pts.max(axis=1), order)
+    pair = _find_ordered_pair(t_lo, t_hi, order.strict_tol)
+    if pair is None:
+        return SplittingReport(m=m, verified=False, method=method)
+    ia, ib = pair
+    a_idx, b_idx = _grow_ordered_sides(t_lo, t_hi, ia, ib, rank(), order.strict_tol)
+    return SplittingReport(
+        m=m,
+        verified=True,
+        method=method,
+        witness_a=blocks[ia].copy(),
+        witness_b=blocks[ib].copy(),
+        n_blocks_a=len(a_idx),
+        n_blocks_b=len(b_idx),
+        blocks_a=blocks[a_idx] if len(a_idx) <= _STORE_BLOCKS_CAP else None,
+        blocks_b=blocks[b_idx] if len(b_idx) <= _STORE_BLOCKS_CAP else None,
+        **weigh(a_idx, b_idx),
+    )
+
+
 def exact_splitting_scan(fam: MapFamily, order: JOrder, m: int) -> SplittingReport:
     """Enumerate all q^m blocks of a finite-noise family and search for a split.
 
@@ -162,31 +176,16 @@ def exact_splitting_scan(fam: MapFamily, order: JOrder, m: int) -> SplittingRepo
         raise UsageError("block length m must be >= 1")
     if q**m > _EXACT_SCAN_CAP:
         raise UsageError(f"q^m = {q ** m} exceeds the exact-scan cap {_EXACT_SCAN_CAP}")
-    probe = _default_probe(fam)
     blocks = np.array(list(itertools.product(range(1, q + 1), repeat=m)), dtype=np.int64)
-    lo, hi = _block_image_boxes(fam, blocks, m, probe)
-    t_lo, t_hi = _signed_box_coords(lo, hi, order)
-    pair = _find_ordered_pair(t_lo, t_hi, order.strict_tol)
-    if pair is None:
-        return SplittingReport(m=m, verified=False, method="exact-scan")
-    ia, ib = pair
-
     probs = np.asarray(fam.noise.probs)
-    masses = np.prod(probs[blocks - 1], axis=1)
-    a_idx, b_idx = _grow_ordered_sides(t_lo, t_hi, ia, ib, np.argsort(-masses), order.strict_tol)
-    return SplittingReport(
-        m=m,
-        verified=True,
-        method="exact-scan",
-        witness_a=blocks[ia].copy(),
-        witness_b=blocks[ib].copy(),
-        mass_a=float(masses[a_idx].sum()),
-        mass_b=float(masses[b_idx].sum()),
-        n_blocks_a=len(a_idx),
-        n_blocks_b=len(b_idx),
-        blocks_a=blocks[a_idx] if len(a_idx) <= _STORE_BLOCKS_CAP else None,
-        blocks_b=blocks[b_idx] if len(b_idx) <= _STORE_BLOCKS_CAP else None,
-    )
+
+    def masses(idx):
+        return np.prod(probs[blocks[idx] - 1], axis=1)
+
+    def exact(a, b):
+        return {"mass_a": float(masses(a).sum()), "mass_b": float(masses(b).sum())}
+
+    return _split(fam, order, blocks, m, "exact-scan", lambda: np.argsort(-masses(slice(None))), exact)
 
 
 def find_splitting_witness(
@@ -207,35 +206,22 @@ def find_splitting_witness(
         raise UsageError("need at least 2 sampled blocks")
     if m_max < 1:
         raise UsageError("m_max must be >= 1")
-    probe = _default_probe(fam)
-    tol = order.strict_tol
+
+    def frequencies(a, b):
+        p_a, p_b = len(a) / n_blocks, len(b) / n_blocks
+        return {
+            "mass_a": p_a,
+            "mass_b": p_b,
+            "stderr_a": math.sqrt(p_a * (1 - p_a) / n_blocks),
+            "stderr_b": math.sqrt(p_b * (1 - p_b) / n_blocks),
+        }
+
     for m in range(1, m_max + 1):
         blocks = _draw_noise(fam.noise, stream_generator(seed, "witness", m), (n_blocks, m))
-        lo, hi = _block_image_boxes(fam, blocks, m, probe)
-        t_lo, t_hi = _signed_box_coords(lo, hi, order)
-        pair = _find_ordered_pair(t_lo, t_hi, tol)
-        if pair is None:
-            continue
-        ia, ib = pair
-        a_idx, b_idx = _grow_ordered_sides(t_lo, t_hi, ia, ib, range(n_blocks), tol)
-        p_a = len(a_idx) / n_blocks
-        p_b = len(b_idx) / n_blocks
-        return SplittingReport(
-            m=m,
-            verified=True,
-            method="monte-carlo",
-            witness_a=blocks[ia].copy(),
-            witness_b=blocks[ib].copy(),
-            mass_a=p_a,
-            mass_b=p_b,
-            stderr_a=math.sqrt(p_a * (1 - p_a) / n_blocks),
-            stderr_b=math.sqrt(p_b * (1 - p_b) / n_blocks),
-            n_blocks_a=len(a_idx),
-            n_blocks_b=len(b_idx),
-            blocks_a=blocks[a_idx] if len(a_idx) <= _STORE_BLOCKS_CAP else None,
-            blocks_b=blocks[b_idx] if len(b_idx) <= _STORE_BLOCKS_CAP else None,
-        )
-    return SplittingReport(m=m_max, verified=False, method="monte-carlo")
+        report = _split(fam, order, blocks, m, "monte-carlo", lambda: range(n_blocks), frequencies)
+        if report.verified:
+            break
+    return report
 
 
 @dataclass(frozen=True)

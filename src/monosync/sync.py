@@ -99,17 +99,6 @@ class RateFit:
     warning: str | None = None
     degenerate: bool = False
 
-    def to_dict(self) -> dict:
-        return {
-            "r_hat": self.r_hat,
-            "c_hat": self.c_hat,
-            "r_ci": list(self.r_ci),
-            "n_range": list(self.n_range),
-            "r_squared": self.r_squared,
-            "warning": self.warning,
-            "degenerate": self.degenerate,
-        }
-
 
 def _detect_m0(box_lo: np.ndarray, box_hi: np.ndarray) -> int:
     """First depth at which all replica boxes fit one common box of modest volume.
@@ -218,16 +207,6 @@ class BoundednessReport:
     m0: int
     bound_box: Box | None
     magnitudes: dict
-
-    def to_dict(self) -> dict:
-        return {
-            "bounded": self.bounded,
-            "m0": self.m0,
-            "bound_box": None
-            if self.bound_box is None
-            else {"lo": self.bound_box.lo.tolist(), "hi": self.bound_box.hi.tolist()},
-            "magnitudes": {str(k): v for k, v in self.magnitudes.items()},
-        }
 
 
 def assumption2_check(fam: MapFamily, seed: int, replicas: int = 64) -> BoundednessReport:

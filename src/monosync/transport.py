@@ -143,13 +143,6 @@ class TransportReport:
     method: str  # "sorted-1d" | "exact-matching" | "sliced"
     n_projections: int | None = None
 
-    def to_dict(self) -> dict:
-        return {
-            "distance": self.distance,
-            "method": self.method,
-            "n_projections": self.n_projections,
-        }
-
 
 def _coupling_plan(cw1, cw2):
     """Quantile-coupling cells from two cumulative weight vectors.

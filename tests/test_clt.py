@@ -21,6 +21,7 @@ from monosync import (
     transfer_apply,
 )
 from monosync.clt import Observable, stationary_mean
+from monosync.families import _jsonable
 
 
 @pytest.fixture(scope="module")
@@ -307,7 +308,7 @@ def test_run_clt_analysis_quick(cantor1d):
     assert report.sigma2_mg == pytest.approx(0.25, rel=0.12)
     assert report.ks_pvalue > 0.001
     assert ens.paths.shape == (500, 21)
-    doc = report.to_dict()
+    doc = _jsonable(report, True)
     assert doc["observable"] == "coord:1"
 
 

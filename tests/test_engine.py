@@ -9,6 +9,7 @@ from monosync import (
     NoiseBlock,
     NotConvergedError,
     forward_orbit,
+    image_box,
     make_family,
     noise_at,
     probe_cloud,
@@ -346,6 +347,19 @@ def test_image_points_match_reverse_rowwise(fid, kwargs, per_row_base):
     assert got_sat.tobytes() == want_sat.tobytes()
     if fid in ("exp1d", "cantor1d"):
         assert want_sat.any() and not want_sat.all()
+
+
+@pytest.mark.parametrize("fid", ["cantor2d", "slide1d", "exp1d"])
+def test_image_box_is_the_hull_of_the_apply_batch_loop(fid):
+    # one image_points_at_depths call, bitwise the hull of the per-map loop
+    fam = make_family(fid)
+    block = sample_block(fam.noise, 4, 0, 9).values
+    probe = probe_cloud(fam.probe_box())
+    want, _ = reverse_rowwise(fam, block[None], [len(block)], probe)
+    for given in (block, list(block)):
+        got = image_box(fam, given, probe)
+        assert got.lo.tobytes() == want[0].min(axis=0).tobytes()
+        assert got.hi.tobytes() == want[0].max(axis=0).tobytes()
 
 
 def test_image_points_reject_depth_beyond_block(cantor1d):

@@ -1,4 +1,7 @@
+import dataclasses
 import itertools
+import json
+import math
 
 import numpy as np
 import pytest
@@ -17,6 +20,7 @@ from monosync import (
     projections_disjoint,
     sigma_decay,
 )
+from monosync.families import _jsonable
 
 
 def test_exact_scan_cantor(cantor1d, order1):
@@ -199,8 +203,14 @@ def test_mean_clipped_projection_length_decays_geometrically(exp1d):
 
 
 def test_report_serialization(cantor1d, order1):
+    # a report is the dict of its fields, less those declared repr=False
     report = exact_splitting_scan(cantor1d, order1, m=1)
-    doc = report.to_dict()
+    assert report.blocks_a is not None
+    doc = _jsonable(report, True)
     assert doc["verified"] is True
-    assert doc["witness_a"] == [1]
+    assert type(doc["witness_a"]) is list and doc["witness_a"] == [1]
     assert doc["mass_a"] == 0.5
+    assert "blocks_a" not in doc and "blocks_b" not in doc
+    json.dumps(doc, allow_nan=False)
+    # strict mode writes a field that is not finite as null
+    assert _jsonable(dataclasses.replace(report, stderr_a=math.inf), True)["stderr_a"] is None
