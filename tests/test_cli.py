@@ -218,6 +218,11 @@ def test_threads_do_not_change_artifacts(tmp_path):
      "splitting.json", "dee720cbe76575d2773d3c7c60a219758abf19ffd324e5aa742344222b1daff5"),
     (["check-splitting", "--family", "slide1d", "--seed", "5"],
      "splitting.json", "e83f72b68ebf3e4379ead40c4eb57f0cd7904b7dc1de23a9d1dc6c0f759b9c05"),
+    # monotonicity verdicts: finite-noise symbols, and box-noise parameter vectors
+    (["check-monotone", "--family", "arctanexp2d"],
+     "monotonicity.json", "097bedf9c17ad7c87c3e850b0298a0f80a20137fa5f6a399145ff5609c7b2817"),
+    (["check-monotone", "--family", "slide1d"],
+     "monotonicity.json", "87a06fcb4368bffa730c66653e29eb9877bdc10cc760c0ba6bd049f6aaf22f4d"),
 ])
 def test_golden_artifact_digest(tmp_path, args, artifact, digest):
     # Frozen bytes: any change to the noise streams (finite and box tables), to the
@@ -239,6 +244,15 @@ def test_golden_unverified_splitting_digest(tmp_path):
     assert run(["check-splitting", "--family", "arctanexp2d", "--seed", "5", "--out", str(out)]) == 2
     digest = hashlib.sha256((out / "splitting.json").read_bytes()).hexdigest()
     assert digest == "0a1f06ea15a3dca47ef533692eaa17bc4f55bde17f505c02fa0b74e005b4513e"
+
+
+def test_golden_unmonotone_digest(tmp_path):
+    # rot2d maps are neither increasing nor decreasing: exit 2, and each
+    # verdict's violating witness pair is frozen too
+    out = tmp_path / "golden"
+    assert run(["check-monotone", "--family", "rot2d", "--threads", "1", "--out", str(out)]) == 2
+    digest = hashlib.sha256((out / "monotonicity.json").read_bytes()).hexdigest()
+    assert digest == "8ce1e088b26e5a5cf5dcd38679cbe9e688e84558239e1b2de95aa840c1b2bf14"
 
 
 def test_manifest_replays_infinite_clamp(tmp_path):
