@@ -232,16 +232,7 @@ def _run_check_monotone(cfg, fam, ordr, outdir) -> int:
     for a in alphas:
         v = classify_monotonicity(fam, a, ordr, probe, n_pairs=int(cfg["n_pairs"]), seed=seed)
         all_monotone = all_monotone and v.kind is not Monotonicity.NEITHER
-        verdicts.append(
-            {
-                "alpha": a if isinstance(a, int) else np.asarray(a).tolist(),
-                "kind": v.kind.value,
-                "pairs_tested": v.pairs_tested,
-                "witness": None
-                if v.witness is None
-                else [v.witness[0].tolist(), v.witness[1].tolist()],
-            }
-        )
+        verdicts.append({"alpha": a, **_jsonable(v, True)})
     _write_json(outdir / "monotonicity.json", {"seed": seed, "verdicts": verdicts})
     return EXIT_OK if all_monotone else EXIT_UNVERIFIED
 

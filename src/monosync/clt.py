@@ -25,8 +25,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import stats as sps
-from scipy.spatial import cKDTree
 
 from .engine import _BlockTable, _chain, _draw_noise, _write_csv, pullback_batch
 from .errors import (
@@ -88,6 +86,8 @@ class Observable:
         if self.kind == "table":
             if self.table_points is None or self.table_values is None:
                 raise UsageError("table observable needs points and values")
+            from scipy.spatial import cKDTree
+
             object.__setattr__(self, "_tree", cKDTree(np.atleast_2d(self.table_points)))
 
     def raw(self, pts: np.ndarray) -> np.ndarray:
@@ -488,7 +488,9 @@ def fclt_tests(ensemble: PathEnsemble, min_replicas: int = 500) -> FcltStats:
     paths = ensemble.paths
     if paths.shape[0] < min_replicas:
         raise UsageError(f"need >= {min_replicas} replicas, got {paths.shape[0]}")
-    ks_stat, ks_p = sps.kstest(paths[:, -1], "norm")
+    from scipy.stats import kstest
+
+    ks_stat, ks_p = kstest(paths[:, -1], "norm")
     var_t = paths.var(axis=0, ddof=1)
     slope = float(np.polyfit(ensemble.grid_t, var_t, 1)[0])
     targets = np.array([0.0, 0.25, 0.5, 0.75, 1.0])

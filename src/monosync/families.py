@@ -39,7 +39,6 @@ from enum import Enum
 from typing import Callable, Union
 
 import numpy as np
-from scipy.stats import qmc
 
 from .errors import (
     DegenerateProbeError,
@@ -187,7 +186,7 @@ def _cantor2d_body(params, a, pts):
 def _exp1d_body(params, a, pts):
     with np.errstate(over="ignore"):
         img = np.exp(pts)
-    return np.where(a[:, None] == 1, img, -img)
+    return np.negative(img, out=img, where=a[:, None] != 1)
 
 
 def _arctanexp2d_body(params, a, pts):
@@ -552,14 +551,17 @@ def family_to_config(fam: MapFamily, ordr: JOrder) -> dict:
 
 
 def _jsonable(obj, strict: bool):
-    """``obj`` with dataclasses, arrays, tuples and numpy scalars as plain JSON values.
+    """``obj`` with dataclasses, enums, arrays, tuples and numpy scalars as plain JSON values.
 
     A dataclass instance (every report object, and a nested ``Box``) becomes
-    the dict of its fields; a field declared ``repr=False`` is left out.
-    With ``strict`` every float that is not finite becomes None (JSON null).
+    the dict of its fields; a field declared ``repr=False`` is left out.  An
+    ``Enum`` member becomes its ``.value``.  With ``strict`` every float that
+    is not finite becomes None (JSON null).
     """
     if is_dataclass(obj) and not isinstance(obj, type):
         obj = {f.name: getattr(obj, f.name) for f in fields(obj) if f.repr}
+    if isinstance(obj, Enum):
+        obj = obj.value
     if isinstance(obj, dict):
         return {k: _jsonable(v, strict) for k, v in obj.items()}
     if isinstance(obj, np.ndarray):
@@ -589,10 +591,37 @@ def probe_cloud(box: Box) -> np.ndarray:
     box.
     """
     corners = box.corners() if box.dim <= 10 else np.vstack([box.lo, box.hi])
-    halton = qmc.Halton(box.dim, scramble=False)
-    halton.fast_forward(1)  # skip the origin, a corner already
-    interior = box.lo + halton.random(32) * (box.hi - box.lo)
+    interior = box.lo + _halton(32, box.dim) * (box.hi - box.lo)
     return np.unique(np.vstack([corners, interior]), axis=0)
+
+
+def _halton(n: int, dim: int) -> np.ndarray:
+    """Points 1..n of the unscrambled Halton sequence in [0,1)^dim (point 0, the origin, is a corner).
+
+    Coordinate j of point i is the radical inverse of i in the j-th prime
+    base, summed digit by digit in the float order of
+    ``scipy.stats.qmc.Halton(dim, scramble=False)``: ``b2r = 1/base``, then
+    ``sample += digit * b2r; b2r /= base``; so the points are bitwise scipy's.
+    """
+    bases = np.array(_first_primes(dim))
+    idx = np.repeat(np.arange(1, n + 1)[:, None], dim, axis=1)
+    out = np.zeros((n, dim))
+    b2r = 1.0 / bases
+    while idx.any():
+        out += (idx % bases) * b2r
+        b2r /= bases
+        idx //= bases
+    return out
+
+
+def _first_primes(n: int) -> list[int]:
+    primes: list[int] = []
+    k = 2
+    while len(primes) < n:
+        if all(k % p for p in primes if p * p <= k):
+            primes.append(k)
+        k += 1
+    return primes
 
 
 def _default_probe(fam: MapFamily, box: Box | None = None) -> np.ndarray:

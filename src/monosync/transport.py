@@ -15,8 +15,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
-from scipy.spatial.distance import cdist
 
 from .engine import _chain, _draw_noise, _write_csv, pullback_batch
 from .errors import NotConvergedError, UsageError
@@ -173,6 +171,9 @@ def _w1_1d(mu1: EmpiricalMeasure, mu2: EmpiricalMeasure) -> float:
 
 
 def _w1_exact_matching(mu1: EmpiricalMeasure, mu2: EmpiricalMeasure) -> float:
+    from scipy.optimize import linear_sum_assignment
+    from scipy.spatial.distance import cdist
+
     # canonical orientation: the assignment solver may pick different
     # equal-cost matchings (ulp-level total differences) depending on which
     # side indexes the rows, so symmetry is enforced by construction

@@ -1,5 +1,7 @@
 import hashlib
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -244,6 +246,36 @@ def test_golden_unverified_splitting_digest(tmp_path):
     assert run(["check-splitting", "--family", "arctanexp2d", "--seed", "5", "--out", str(out)]) == 2
     digest = hashlib.sha256((out / "splitting.json").read_bytes()).hexdigest()
     assert digest == "0a1f06ea15a3dca47ef533692eaa17bc4f55bde17f505c02fa0b74e005b4513e"
+
+
+# Imports the CLI and runs two numpy-only commands in a fresh interpreter, then
+# prints the scipy subpackages that got loaded.
+_SCIPY_PROBE = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+from monosync.cli import main
+heavy = ("scipy.stats", "scipy.optimize", "scipy.spatial")
+loaded = [m for m in heavy if m in sys.modules]
+codes = [
+    main(["stationary", "--family", "cantor1d", "--n-samples", "256", "--out", sys.argv[2] + "/s"]),
+    main(["sync-rate", "--family", "rot2d", "--n-max", "10", "--out", sys.argv[2] + "/r"]),
+]
+print(json.dumps({"at_import": loaded, "after": [m for m in heavy if m in sys.modules], "codes": codes}))
+"""
+
+
+def test_numpy_only_commands_do_not_import_scipy(tmp_path):
+    # scipy is imported only inside the functions that call it (the CLT's KS
+    # test and table observable, exact W1 matching); a stray top-level import
+    # would cost every CLI invocation over a second of set-up
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", _SCIPY_PROBE, str(src), str(tmp_path)],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert doc == {"at_import": [], "after": [], "codes": [0, 0]}
 
 
 def test_golden_unmonotone_digest(tmp_path):

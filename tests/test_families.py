@@ -23,7 +23,14 @@ from monosync import (
     probe_cloud,
 )
 from monosync.engine import _BlockTable, image_points_at_depths
-from monosync.families import FiniteNoise, _clamp_points, _default_probe, _sample_comparable_pairs
+from monosync.families import (
+    FiniteNoise,
+    MonotonicityVerdict,
+    _clamp_points,
+    _default_probe,
+    _jsonable,
+    _sample_comparable_pairs,
+)
 from monosync.streams import stream_generator
 
 from oracles import clamp_two_branch, halton_radical_inverse, sandwich_signs_bruteforce
@@ -169,6 +176,26 @@ def test_probe_cloud_interior_is_the_halton_sequence():
         interior = box.lo + halton_radical_inverse(32, dim) * (box.hi - box.lo)
         want = np.unique(np.vstack([corners, interior]), axis=0)
         assert np.array_equal(probe_cloud(box), want), dim
+
+
+def test_probe_cloud_interior_is_scipy_halton_bitwise():
+    # the numpy radical inverse keeps scipy's float order, so the cloud is
+    # the one scipy's unscrambled Halton sampler gives, bit for bit
+    from scipy.stats import qmc
+
+    for dim in range(1, 13):
+        box = Box(np.arange(dim) - 1.0, 2.0 * np.arange(dim) + 0.5)
+        halton = qmc.Halton(dim, scramble=False)
+        halton.fast_forward(1)
+        interior = box.lo + halton.random(32) * (box.hi - box.lo)
+        corners = box.corners() if dim <= 10 else np.vstack([box.lo, box.hi])
+        want = np.unique(np.vstack([corners, interior]), axis=0)
+        assert np.array_equal(probe_cloud(box), want), dim
+
+
+def test_jsonable_writes_an_enum_as_its_value():
+    verdict = MonotonicityVerdict(Monotonicity.NEITHER, (np.array([0.5]), np.array([np.inf])), 3)
+    assert _jsonable(verdict, True) == {"kind": "neither", "witness": [[0.5], [None]], "pairs_tested": 3}
 
 
 def test_saturation_flag_on_overflow(exp1d):
