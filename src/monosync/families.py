@@ -596,7 +596,7 @@ def probe_cloud(box: Box) -> np.ndarray:
 
 
 def _halton(n: int, dim: int) -> np.ndarray:
-    """Points 1..n of the unscrambled Halton sequence in [0,1)^dim (point 0, the origin, is a corner).
+    """Points 1..n of the unscrambled Halton sequence in [0,1)^dim; point 0 is the origin, a corner.
 
     Coordinate j of point i is the radical inverse of i in the j-th prime
     base, summed digit by digit in the float order of

@@ -170,27 +170,19 @@ def test_probe_cloud_includes_corners():
 
 
 def test_probe_cloud_interior_is_the_halton_sequence():
+    # against the digit-by-digit oracle, and bitwise against scipy's
+    # unscrambled Halton sampler, whose float order the numpy radical inverse keeps
+    from scipy.stats import qmc
+
     for dim in range(1, 21):
         box = Box(np.arange(dim) - 1.0, 2.0 * np.arange(dim) + 0.5)
         corners = box.corners() if dim <= 10 else np.vstack([box.lo, box.hi])
-        interior = box.lo + halton_radical_inverse(32, dim) * (box.hi - box.lo)
-        want = np.unique(np.vstack([corners, interior]), axis=0)
-        assert np.array_equal(probe_cloud(box), want), dim
-
-
-def test_probe_cloud_interior_is_scipy_halton_bitwise():
-    # the numpy radical inverse keeps scipy's float order, so the cloud is
-    # the one scipy's unscrambled Halton sampler gives, bit for bit
-    from scipy.stats import qmc
-
-    for dim in range(1, 13):
-        box = Box(np.arange(dim) - 1.0, 2.0 * np.arange(dim) + 0.5)
-        halton = qmc.Halton(dim, scramble=False)
-        halton.fast_forward(1)
-        interior = box.lo + halton.random(32) * (box.hi - box.lo)
-        corners = box.corners() if dim <= 10 else np.vstack([box.lo, box.hi])
-        want = np.unique(np.vstack([corners, interior]), axis=0)
-        assert np.array_equal(probe_cloud(box), want), dim
+        sampler = qmc.Halton(dim, scramble=False)
+        sampler.fast_forward(1)  # skip the origin, a corner already
+        for unit in (halton_radical_inverse(32, dim), sampler.random(32)):
+            interior = box.lo + unit * (box.hi - box.lo)
+            want = np.unique(np.vstack([corners, interior]), axis=0)
+            assert np.array_equal(probe_cloud(box), want), dim
 
 
 def test_jsonable_writes_an_enum_as_its_value():
