@@ -169,6 +169,16 @@ def test_threads_do_not_change_artifacts(tmp_path):
     (["w1-decay", "--family", "cantor1d", "--n-particles", "512", "--ref-size", "512",
       "--n-max", "4", "--seed", "11"],
      "w1_fit.json", "c69099df36862d74fb941fcb3f8385e2a0ca5988d740862d1ab5299c8e79c121"),
+    # the text of the CSV writer: the fitted lambda^j column, and a W1 curve too
+    # short to fit a rate, whose bound column is blank; and the manifest's JSON
+    (["sigma-decay", "--family", "cantor1d", "--x", "0.1", "--replicas", "500", "--seed", "2"],
+     "sigma_decay.csv", "528081cd4a95a081a657d8eb2ca129617592e4185f143f9bb3d813ff5d856cdb"),
+    (["w1-decay", "--family", "cantor1d", "--n-particles", "256", "--ref-size", "256",
+      "--n-max", "1", "--seed", "11"],
+     "w1_decay.csv", "37085e01e7bfb55b80d531fdf2662e8ec3586b20da1c24bf87c87e1266018209"),
+    (["w1-decay", "--family", "cantor1d", "--n-particles", "256", "--ref-size", "256",
+      "--n-max", "1", "--seed", "11"],
+     "manifest.json", "42e247bcc3e496511cb33c3a640dc0e8e15f5ad8bfc2bbc030c9f4979039c4c9"),
     # strict JSON: the saturated exp1d variance overflows and is written as null,
     # next to the count of saturated samples
     (["stationary", "--family", "exp1d", "--n-samples", "512", "--seed", "90210"],

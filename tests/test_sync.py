@@ -119,6 +119,11 @@ def test_diam_series_csv(tmp_path, cantor1d):
     assert lines[0] == "# seed=9"
     assert lines[1] == "n,mean_diam,q05,q95,bound_c_rn"
     assert len(lines) == 2 + 6
+    # no fit: the bound is a blank last cell on every data row
+    assert all(line.endswith(",") for line in lines[2:])
+    # no seed: no comment line, the header comes first
+    series.write_csv(path, fit=fit)
+    assert path.read_text().split("\n")[0] == "n,mean_diam,q05,q95,bound_c_rn"
 
 
 def test_m0_detection_spread_boxes():

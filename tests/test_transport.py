@@ -195,12 +195,16 @@ def test_empirical_measure_validation():
 
 
 def test_measure_csv_roundtrip(tmp_path):
-    m = EmpiricalMeasure(np.array([[0.1, -0.2], [0.3, 0.4]]), np.array([0.25, 0.75]))
+    # 17 significant digits read back bit for bit: points that need all of
+    # them, the clamp value and the smallest subnormal; dyadic weights sum to
+    # exactly 1, so read_csv's renormalization is the identity
+    pts = np.array([[0.1 + 0.2, 1 / 3], [-1e300, 5e-324], [0.1, -0.2], [2 / 3, 1e-17]])
+    m = EmpiricalMeasure(pts, np.array([0.5, 0.25, 0.125, 0.125]))
     path = tmp_path / "m.csv"
     m.write_csv(path, seed=5)
     back = EmpiricalMeasure.read_csv(path)
-    assert np.allclose(back.points, m.points)
-    assert np.allclose(back.weights, m.weights)
+    assert np.array_equal(back.points, m.points)
+    assert np.array_equal(back.weights, m.weights)
 
 
 def test_push_forward_identity_and_const(cantor1d, const_family):
