@@ -225,6 +225,8 @@ def _run_check_monotone(cfg, fam, ordr, outdir) -> int:
     if isinstance(fam.noise, FiniteNoise):
         alphas = list(range(1, fam.noise.q + 1))
     else:
+        if int(cfg["n_alphas"]) < 1:
+            raise UsageError("n_alphas must be >= 1")
         block = sample_block(fam.noise, seed, 0, int(cfg["n_alphas"]), label="monotone-alpha")
         alphas = [block.values[i] for i in range(len(block))]
     verdicts = []

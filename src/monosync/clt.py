@@ -411,12 +411,9 @@ class PathEnsemble:
     final_sums: np.ndarray  # (replicas,) un-normalized S_n
 
     def write_csv(self, path, seed: int | None = None) -> None:
-        rows = (
-            f"{r},{t:.17g},{y:.17g}"
-            for r in range(self.paths.shape[0])
-            for t, y in zip(self.grid_t, self.paths[r])
-        )
-        _write_csv(path, seed, "replica,t,y", rows)
+        reps, steps = self.paths.shape
+        t, y = np.tile(self.grid_t, reps), self.paths.ravel()
+        _write_csv(path, seed, {"replica": np.repeat(np.arange(reps), steps), "t": t, "y": y})
 
 
 def partial_sum_paths(

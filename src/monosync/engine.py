@@ -85,13 +85,18 @@ def _draw_noise(noise: NoiseSpec, gen: np.random.Generator, shape: tuple) -> np.
     return _noise_values(noise, gen.random((*shape, noise.dim)))
 
 
-def _write_csv(path, seed: int | None, header: str, rows) -> None:
-    """Write an artifact: a seed comment line when the seed is known, the header, the rows."""
-    lines = [] if seed is None else [f"# seed={seed}"]
-    lines.append(header)
-    lines.extend(rows)
+def _write_csv(path, seed: int | None, columns: dict) -> None:
+    """Write an artifact: a seed comment line when the seed is known, the header, one row per index.
+
+    ``columns`` maps each header to its values.  Float columns are written to
+    17 significant digits, which read back bit for bit; int and string
+    columns with ``str``, so ``""`` is a blank cell.
+    """
+    cols = [np.asarray(c) for c in columns.values()]
+    row = ",".join("{:.17g}" if c.dtype.kind == "f" else "{}" for c in cols) + "\n"
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(("" if seed is None else f"# seed={seed}\n") + ",".join(columns) + "\n")
+        fh.writelines(row.format(*cells) for cells in zip(*(c.tolist() for c in cols)))
 
 
 @dataclass(frozen=True)
@@ -148,21 +153,16 @@ class OrbitTrace:
     saturated: bool
 
     def write_csv(self, path, seed: int | None = None) -> None:
-        dim = self.positions.shape[1]
-        cols = ["step"] + [f"x_{i + 1}" for i in range(dim)]
+        n, dim = self.positions.shape
+        columns = {"step": np.arange(n)}
+        columns.update((f"x_{i + 1}", self.positions[:, i]) for i in range(dim))
         if self.boxes is not None:
-            cols += [f"box_lo_{i + 1}" for i in range(dim)]
-            cols += [f"box_hi_{i + 1}" for i in range(dim)]
-        cols.append("saturated")
-        rows = []
-        for j in range(self.positions.shape[0]):
-            row = [str(j)] + [f"{v:.17g}" for v in self.positions[j]]
-            if self.boxes is not None:
-                row += [f"{v:.17g}" for v in self.boxes[j].lo]
-                row += [f"{v:.17g}" for v in self.boxes[j].hi]
-            row.append(str(int(self.saturated)))
-            rows.append(",".join(row))
-        _write_csv(path, seed, ",".join(cols), rows)
+            lo = np.array([b.lo for b in self.boxes])
+            hi = np.array([b.hi for b in self.boxes])
+            columns.update((f"box_lo_{i + 1}", lo[:, i]) for i in range(dim))
+            columns.update((f"box_hi_{i + 1}", hi[:, i]) for i in range(dim))
+        columns["saturated"] = np.full(n, int(self.saturated))
+        _write_csv(path, seed, columns)
 
 
 def _chain(fam: MapFamily, values: np.ndarray, pts: np.ndarray, start: np.ndarray | None = None):

@@ -173,12 +173,12 @@ def cmp_points(x, y, order: JOrder) -> PointCmp:
     return PointCmp.INCOMPARABLE
 
 
-def _box_strictly_less(b1: Box, b2: Box, order: JOrder) -> bool:
-    inc = order.signs > 0
-    tol = order.strict_tol
-    ok_inc = np.all(b1.hi[inc] + tol < b2.lo[inc])
-    ok_dec = np.all(b1.lo[~inc] - tol > b2.hi[~inc])
-    return bool(ok_inc and ok_dec)
+def _signed_box_coords(lo: np.ndarray, hi: np.ndarray, order: JOrder):
+    """Flip decreasing coordinates so the order becomes componentwise."""
+    signs = order.signs
+    t_lo = np.where(signs > 0, lo, -hi)
+    t_hi = np.where(signs > 0, hi, -lo)
+    return t_lo, t_hi
 
 
 def cmp_boxes(b1: Box, b2: Box, order: JOrder) -> BoxCmp:
@@ -190,9 +190,12 @@ def cmp_boxes(b1: Box, b2: Box, order: JOrder) -> BoxCmp:
     """
     if b1.dim != order.dim or b2.dim != order.dim:
         raise DimensionMismatchError("box dimension does not match order dimension")
-    if _box_strictly_less(b1, b2, order):
+    lo1, hi1 = _signed_box_coords(b1.lo, b1.hi, order)
+    lo2, hi2 = _signed_box_coords(b2.lo, b2.hi, order)
+    tol = order.strict_tol
+    if np.all(hi1 + tol < lo2):
         return BoxCmp.LESS
-    if _box_strictly_less(b2, b1, order):
+    if np.all(hi2 + tol < lo1):
         return BoxCmp.GREATER
     return BoxCmp.INCONCLUSIVE
 

@@ -34,7 +34,7 @@ from .engine import _BlockTable, _draw_noise, _write_csv, image_points_at_depths
 from .errors import UsageError
 from .families import FiniteNoise, MapFamily, _default_probe
 from .fitting import loglinear_fit
-from .order import JOrder
+from .order import JOrder, _signed_box_coords
 from .streams import stream_generator
 
 __all__ = [
@@ -85,14 +85,6 @@ class SplittingReport:
     def rho(self) -> float:
         """min of the two block-set masses; 1 - rho bounds the membership decay."""
         return min(self.mass_a, self.mass_b)
-
-
-def _signed_box_coords(lo: np.ndarray, hi: np.ndarray, order: JOrder):
-    """Flip decreasing coordinates so the order becomes componentwise."""
-    signs = order.signs
-    t_lo = np.where(signs > 0, lo, -hi)
-    t_hi = np.where(signs > 0, hi, -lo)
-    return t_lo, t_hi
 
 
 def _find_ordered_pair(t_lo, t_hi, tol):
@@ -244,11 +236,9 @@ class SigmaDecaySeries:
     truncated_at: int | None = None
 
     def write_csv(self, path, seed: int | None = None) -> None:
-        rows = (
-            f"{j},{p:.17g},{se:.17g},{self.lambda_bound ** j:.17g}"
-            for j, p, se in zip(self.j, self.p_hat, self.stderr)
-        )
-        _write_csv(path, seed, "j,p_hat,stderr,lambda_pow_j", rows)
+        columns = {"j": self.j, "p_hat": self.p_hat, "stderr": self.stderr}
+        columns["lambda_pow_j"] = [self.lambda_bound ** j for j in self.j]
+        _write_csv(path, seed, columns)
 
 
 def sigma_decay(

@@ -77,14 +77,12 @@ class DiamSeries:
         return self.diam.mean(axis=0)
 
     def write_csv(self, path, fit: "RateFit | None" = None, seed: int | None = None) -> None:
-        mean = self.mean_diam()
-        q05 = np.quantile(self.diam, 0.05, axis=0)
-        q95 = np.quantile(self.diam, 0.95, axis=0)
-        rows = []
-        for n in range(self.n_max + 1):
-            bound = "" if fit is None else f"{fit.c_hat * fit.r_hat ** n:.17g}"
-            rows.append(f"{n},{mean[n]:.17g},{q05[n]:.17g},{q95[n]:.17g},{bound}")
-        _write_csv(path, seed, "n,mean_diam,q05,q95,bound_c_rn", rows)
+        ns = range(self.n_max + 1)
+        q05, q95 = np.quantile(self.diam, 0.05, axis=0), np.quantile(self.diam, 0.95, axis=0)
+        bound = [""] * len(ns) if fit is None else [fit.c_hat * fit.r_hat ** n for n in ns]
+        _write_csv(path, seed, {
+            "n": ns, "mean_diam": self.mean_diam(), "q05": q05, "q95": q95, "bound_c_rn": bound,
+        })
 
 
 @dataclass(frozen=True)
@@ -265,11 +263,9 @@ class GapSeries:
     seed: int
 
     def write_csv(self, path, seed: int | None = None) -> None:
-        rows = (
-            f"{n},{g:.17g},{b:.17g},{self.depth}"
-            for n, g, b in zip(self.checkpoints, self.gap, self.bound)
-        )
-        _write_csv(path, seed, "n,gap,image_diam_bound,pullback_depth", rows)
+        columns = {"n": self.checkpoints, "gap": self.gap, "image_diam_bound": self.bound}
+        columns["pullback_depth"] = np.full(len(self.checkpoints), self.depth)
+        _write_csv(path, seed, columns)
 
 
 def forward_attractor_gap(

@@ -114,12 +114,9 @@ class EmpiricalMeasure:
         return EmpiricalMeasure.uniform(self.points[idx], self.provenance, dict(self.meta))
 
     def write_csv(self, path, seed: int | None = None) -> None:
-        header = ",".join([f"x_{i + 1}" for i in range(self.dim)] + ["weight"])
-        rows = (
-            ",".join(f"{v:.17g}" for v in p) + f",{w:.17g}"
-            for p, w in zip(self.points, self.weights)
-        )
-        _write_csv(path, seed, header, rows)
+        columns = {f"x_{i + 1}": self.points[:, i] for i in range(self.dim)}
+        columns["weight"] = self.weights
+        _write_csv(path, seed, columns)
 
     @classmethod
     def read_csv(cls, path) -> "EmpiricalMeasure":
@@ -354,11 +351,9 @@ class W1DecayCurve:
     method: str
 
     def write_csv(self, path, seed: int | None = None) -> None:
-        rows = []
-        for n, v in zip(self.ns, self.w1):
-            bound = "" if self.fit is None else f"{self.fit.c_hat * self.fit.r_hat ** int(n):.17g}"
-            rows.append(f"{n},{v:.17g},{bound}")
-        _write_csv(path, seed, "n,w1,c_rn_bound", rows)
+        fit, ns = self.fit, self.ns.tolist()
+        bound = [""] * len(ns) if fit is None else [fit.c_hat * fit.r_hat ** n for n in ns]
+        _write_csv(path, seed, {"n": self.ns, "w1": self.w1, "c_rn_bound": bound})
 
 
 def _calibrate_floor(ref: EmpiricalMeasure, n_other: int, seed: int) -> float:
@@ -403,6 +398,8 @@ def w1_decay_curve(
     """
     if n_max < 1:
         raise UsageError("n_max must be >= 1")
+    if n_particles < 1 or ref_size < 2:
+        raise UsageError("n_particles must be >= 1 and ref_size >= 2")
     ref = pullback_sample(fam, seed, ref_size)
     floor = _calibrate_floor(ref, n_particles, derive_seed(seed, "w1-floor"))
 

@@ -41,6 +41,18 @@ def test_usage_errors_exit_1(tmp_path):
     assert run(["sync-rate", "--config", str(out / "manifest.json"), "--out", str(tmp_path / "e")]) == 1
 
 
+@pytest.mark.parametrize("args", [
+    # the noise floor divides by the particle count and half-splits the reference
+    ["w1-decay", "--family", "cantor1d", "--n-max", "2", "--n-particles", "0", "--ref-size", "64"],
+    ["w1-decay", "--family", "cantor1d", "--n-max", "2", "--n-particles", "64", "--ref-size", "1"],
+    # no sampled parameter is no evidence of monotonicity, not a pass
+    ["check-monotone", "--family", "slide1d", "--n-alphas", "0"],
+])
+def test_empty_sizes_are_usage_errors(tmp_path, capsys, args):
+    assert run(args + ["--out", str(tmp_path / "u")]) == 1
+    assert capsys.readouterr().err.startswith("usage error:")
+
+
 def test_check_monotone(tmp_path):
     assert run(["check-monotone", "--family", "cantor1d", "--seed", "2", "--out", str(tmp_path / "m")]) == 0
     assert run(["check-monotone", "--family", "rot2d", "--seed", "2", "--out", str(tmp_path / "r")]) == 2
@@ -169,16 +181,6 @@ def test_threads_do_not_change_artifacts(tmp_path):
     (["w1-decay", "--family", "cantor1d", "--n-particles", "512", "--ref-size", "512",
       "--n-max", "4", "--seed", "11"],
      "w1_fit.json", "c69099df36862d74fb941fcb3f8385e2a0ca5988d740862d1ab5299c8e79c121"),
-    # the text of the CSV writer: the fitted lambda^j column, and a W1 curve too
-    # short to fit a rate, whose bound column is blank; and the manifest's JSON
-    (["sigma-decay", "--family", "cantor1d", "--x", "0.1", "--replicas", "500", "--seed", "2"],
-     "sigma_decay.csv", "528081cd4a95a081a657d8eb2ca129617592e4185f143f9bb3d813ff5d856cdb"),
-    (["w1-decay", "--family", "cantor1d", "--n-particles", "256", "--ref-size", "256",
-      "--n-max", "1", "--seed", "11"],
-     "w1_decay.csv", "37085e01e7bfb55b80d531fdf2662e8ec3586b20da1c24bf87c87e1266018209"),
-    (["w1-decay", "--family", "cantor1d", "--n-particles", "256", "--ref-size", "256",
-      "--n-max", "1", "--seed", "11"],
-     "manifest.json", "42e247bcc3e496511cb33c3a640dc0e8e15f5ad8bfc2bbc030c9f4979039c4c9"),
     # strict JSON: the saturated exp1d variance overflows and is written as null,
     # next to the count of saturated samples
     (["stationary", "--family", "exp1d", "--n-samples", "512", "--seed", "90210"],
@@ -235,6 +237,16 @@ def test_threads_do_not_change_artifacts(tmp_path):
      "monotonicity.json", "097bedf9c17ad7c87c3e850b0298a0f80a20137fa5f6a399145ff5609c7b2817"),
     (["check-monotone", "--family", "slide1d"],
      "monotonicity.json", "87a06fcb4368bffa730c66653e29eb9877bdc10cc760c0ba6bd049f6aaf22f4d"),
+    # the text of the CSV writer: the fitted lambda^j column, and a W1 curve too
+    # short to fit a rate, whose bound column is blank; and the manifest's JSON
+    (["sigma-decay", "--family", "cantor1d", "--x", "0.1", "--replicas", "500", "--seed", "2"],
+     "sigma_decay.csv", "528081cd4a95a081a657d8eb2ca129617592e4185f143f9bb3d813ff5d856cdb"),
+    (["w1-decay", "--family", "cantor1d", "--n-particles", "256", "--ref-size", "256",
+      "--n-max", "1", "--seed", "11"],
+     "w1_decay.csv", "37085e01e7bfb55b80d531fdf2662e8ec3586b20da1c24bf87c87e1266018209"),
+    (["w1-decay", "--family", "cantor1d", "--n-particles", "256", "--ref-size", "256",
+      "--n-max", "1", "--seed", "11"],
+     "manifest.json", "42e247bcc3e496511cb33c3a640dc0e8e15f5ad8bfc2bbc030c9f4979039c4c9"),
 ])
 def test_golden_artifact_digest(tmp_path, args, artifact, digest):
     # Frozen bytes: any change to the noise streams (finite and box tables), to the

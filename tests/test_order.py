@@ -59,6 +59,22 @@ def test_cmp_boxes_greater_is_symmetric():
     assert cmp_boxes(b2, b1, J1) is BoxCmp.GREATER
 
 
+@pytest.mark.parametrize("gap_inc, gap_dec, verdict", [
+    (2e-6, 2e-6, BoxCmp.LESS),
+    # a gap of strict_tol is not strict, in the increasing coordinate 1 and
+    # in the decreasing coordinate 2 alike
+    (1e-6, 2e-6, BoxCmp.INCONCLUSIVE),
+    (2e-6, 1e-6, BoxCmp.INCONCLUSIVE),
+])
+def test_cmp_boxes_strict_margin(gap_inc, gap_dec, verdict):
+    wide = JOrder(2, frozenset([1]), strict_tol=1e-6)
+    b1 = Box([0.0, 1.0], [1.0, 2.0])
+    b2 = Box([1.0 + gap_inc, -1.0], [2.0, 1.0 - gap_dec])
+    assert cmp_boxes(b1, b2, wide) is verdict
+    swapped = BoxCmp.GREATER if verdict is BoxCmp.LESS else verdict
+    assert cmp_boxes(b2, b1, wide) is swapped
+
+
 def test_projections_disjoint_examples():
     assert projections_disjoint(Box([0.0], [1 / 3]), Box([2 / 3], [1.0]))
     assert not projections_disjoint(Box([0, 0], [1, 1]), Box([2, 0], [3, 1]))
