@@ -247,6 +247,10 @@ def test_threads_do_not_change_artifacts(tmp_path):
     (["w1-decay", "--family", "cantor1d", "--n-particles", "256", "--ref-size", "256",
       "--n-max", "1", "--seed", "11"],
      "manifest.json", "42e247bcc3e496511cb33c3a640dc0e8e15f5ad8bfc2bbc030c9f4979039c4c9"),
+    # a non-affine family: the ergodic centering pass, the Poisson sigma^2 and the paths
+    (["clt", "--n", "200", "--replicas", "100", "--mu-size", "512", "--grid-size", "256",
+      "--seed", "1234", {"family": "lip-pair", "params": {"mode": "disjoint", "slopes": [0.5, 0.5]}}],
+     "clt_report.json", "7e8d3b0f87523b1969af6c33a2281574c32ceb993fd194c51b87b55eed4a01a5"),
 ])
 def test_golden_artifact_digest(tmp_path, args, artifact, digest):
     # Frozen bytes: any change to the noise streams (finite and box tables), to the
