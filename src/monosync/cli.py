@@ -256,6 +256,8 @@ def _splitting_report(cfg, fam, ordr):
 
 
 def _run_check_splitting(cfg, fam, ordr, outdir) -> int:
+    if int(cfg["m_max"]) < 1:  # an exact scan of no block length would report nothing
+        raise UsageError("m_max must be >= 1")
     report = _splitting_report(cfg, fam, ordr)
     _write_json(outdir / "splitting.json", {**_jsonable(report, True), "seed": cfg["seed"]})
     return EXIT_OK if report.verified else EXIT_UNVERIFIED

@@ -33,13 +33,15 @@ from .errors import (
     NotConvergedError,
     UsageError,
 )
-from .families import FiniteNoise, MapFamily, _default_probe
+from .families import FiniteNoise, MapFamily, _clamp_points, _default_probe
 from .transport import EmpiricalMeasure, pullback_sample
 from .streams import derive_seed, stream_generator
 
 __all__ = [
     "Observable",
     "make_observable",
+    "AffineMoments",
+    "affine_moments",
     "transfer_apply",
     "PoissonSolution",
     "poisson_solve",
@@ -60,15 +62,17 @@ _EXACT_CAP = 4096  # terms are enumerated exactly while q^j stays at most this
 # sigma below this many float64 rounding units of the observable's magnitude
 # on the grid is rounding noise, not a fluctuation variance
 _SIGMA_ROUNDING_ULPS = 64
+_MOMENT_DIM_CAP = 32  # the covariance system is d^2 x d^2: at most 1024 x 1024 (8 MiB)
 
 
 @dataclass(frozen=True)
 class Observable:
     """Centered scalar observable with a known Lipschitz constant.
 
-    ``center`` is the estimated stationary mean of the raw observable and
-    is subtracted on evaluation, so the working observable is mean-zero on
-    the sample it was centered against.
+    ``center`` is subtracted from the raw observable on evaluation.  In
+    :func:`run_clt_analysis` it is the stationary mean: exact (v . m + b)
+    for a coordinate or affine observable v . x + b of a family that
+    :func:`affine_moments` covers, an ergodic estimate otherwise.
     """
 
     kind: str  # "coordinate" | "affine" | "table"
@@ -112,9 +116,11 @@ def make_observable(spec, mu: EmpiricalMeasure, center: float | None = None) -> 
     ``{"kind": "affine", "coeffs": [...], "offset": b}``,
     ``{"kind": "table", "points": ..., "values": ..., "lipschitz": L}``.
     The default centering constant is the weighted mean of the raw
-    observable over ``mu``; pass an externally estimated stationary mean
-    when higher precision is needed (partial sums amplify a centering bias
-    delta into a drift of order delta * sqrt(n)).
+    observable over ``mu``; pass the stationary mean when higher precision
+    is needed (partial sums amplify a centering bias delta into a drift of
+    order delta * sqrt(n)): the exact one from :func:`affine_moments` for a
+    coordinate or affine observable of an affine family, else an estimate
+    from :func:`stationary_mean`.
     """
     if isinstance(spec, str):
         if not spec.startswith("coord:"):
@@ -150,16 +156,104 @@ def make_observable(spec, mu: EmpiricalMeasure, center: float | None = None) -> 
     return replace(obs, center=float(center))
 
 
-def _stationary_start(fam: MapFamily, seed: int, replicas: int, label: str) -> np.ndarray:
+def _linear_part(obs: Observable, dim: int) -> tuple[np.ndarray, float] | None:
+    """``(v, b)`` with ``obs.raw(x) = v . x + b``, or None for a table observable."""
+    if obs.kind == "coordinate":
+        return np.eye(dim)[obs.coord - 1], 0.0
+    if obs.kind == "affine":
+        return np.asarray(obs.coeffs, dtype=float), obs.offset
+    return None
+
+
+@dataclass(frozen=True)
+class AffineMoments:
+    """Exact stationary moments of an affine family x -> A x + c.
+
+    ``mean`` is m = (I - Ab)^-1 cb, ``cov`` the stationary covariance and
+    ``mean_matrix`` Ab = E[A], where Ab and cb are the noise means of A
+    and c.
+    """
+
+    mean: np.ndarray
+    cov: np.ndarray
+    mean_matrix: np.ndarray
+
+    def sigma2(self, v: np.ndarray) -> float:
+        """Asymptotic variance of the partial sums of the observable x -> v . x.
+
+        psi(x) = w . (x - m) with w = (I - Ab)^-T v solves the Poisson
+        equation psi - P psi = v . (x - m), since P psi(x) = w . Ab (x - m).
+        So sigma^2 = int psi^2 - int (P psi)^2 = w'Cw - (Ab'w)'C(Ab'w).
+        """
+        w = np.linalg.solve((np.eye(v.size) - self.mean_matrix).T, v)
+        u = self.mean_matrix.T @ w
+        return float(w @ self.cov @ w - u @ self.cov @ u)
+
+
+def affine_moments(fam: MapFamily) -> AffineMoments | None:
+    """Exact stationary mean and covariance of a family that declares an affine form, or None.
+
+    The stationary X satisfies X = A X + c in law, with (A, c) drawn
+    independently of X.  Taking means, m = (I - Ab)^-1 cb.  With the
+    mean-zero innovation e = A m + c - m, the covariance solves
+    C = E[A C A'] + E[e e'], one d^2 x d^2 linear system (Diaconis and
+    Freedman, "Iterated random functions", SIAM Review 41, 1999).  Box
+    noise has one A and c(u) = G u + c0, so e = G (u - mean u) and
+    E[e e'] = G diag(width^2 / 12) G'.
+
+    None unless both hold, so that the moments are those of the clamped
+    chain the package runs:
+
+    * every member map that can be drawn (p > 0; every parameter of a noise
+      box) has ``||A||_inf < 1``;
+    * R = max ||c||_inf / (1 - max ||A||_inf) <= ``clamp_bound``.  The
+      stationary law lives in the sup-norm ball of radius R, so the clamp
+      never acts on it.
+
+    None too for a family of dimension above 32, whose covariance system
+    would pass 1024 unknowns.
+    """
+    form = fam.affine_form()
+    if form is None or fam.dim > _MOMENT_DIM_CAP:
+        return None
+    mats, offs, gain = form
+    d = fam.dim
+    if gain is None:
+        p = np.asarray(fam.noise.probs)
+        keep = p > 0
+        p, mats, offs = p[keep], mats[keep], offs[keep]
+        c_max = float(np.abs(offs).max())
+    else:
+        lo, hi = fam.noise.box.lo, fam.noise.box.hi
+        p = np.ones(1)
+        offs = offs + gain @ ((lo + hi) / 2.0)  # the mean offset
+        c_max = float(np.max(np.abs(offs[0]) + np.abs(gain) @ ((hi - lo) / 2.0)))
+    a_max = float(np.abs(mats).sum(axis=2).max())  # the largest row-sum norm
+    if not a_max < 1.0 or c_max / (1.0 - a_max) > fam.clamp_bound:
+        return None
+    abar = np.tensordot(p, mats, axes=1)
+    mean = np.linalg.solve(np.eye(d) - abar, p @ offs)
+    innov = mats @ mean + offs - mean  # (q, d), the innovations e; mean zero under p
+    rhs = (p[:, None] * innov).T @ innov
+    if gain is not None:
+        rhs += (gain * ((hi - lo) ** 2 / 12.0)) @ gain.T
+    kron = np.einsum("a,aik,ajl->ijkl", p, mats, mats).reshape(d * d, d * d)
+    cov = np.linalg.solve(np.eye(d * d) - kron, rhs.ravel()).reshape(d, d)
+    return AffineMoments(mean=mean, cov=(cov + cov.T) / 2.0, mean_matrix=abar)
+
+
+def _stationary_start(fam: MapFamily, seed: int, replicas: int, label: str):
     """Per-replica pullback limits (tol 1e-9) of the default probe: a stationary start for chains.
 
-    Raises :class:`NotConvergedError` when any replica's pullback fails.
+    Returns the (replicas, dim) points and their per-replica saturation
+    flags.  Raises :class:`NotConvergedError` when any replica's pullback
+    fails.
     """
     probe = _default_probe(fam)
     batch = pullback_batch(fam, seed, range(replicas), probe, 1e-9, _START_N_MAX, label=label)
     if not batch.converged.all():
         raise NotConvergedError(_START_N_MAX, float(batch.diam.max()))
-    return batch.points
+    return batch.points, batch.saturated
 
 
 def stationary_mean(
@@ -175,7 +269,7 @@ def stationary_mean(
     burn-in bias) and the raw observable is averaged over all replicas and
     steps; the error scales like sqrt(var / (replicas * steps)).
     """
-    cur = _stationary_start(fam, seed, replicas, "ergodic-start")
+    cur, _ = _stationary_start(fam, seed, replicas, "ergodic-start")
     table = _BlockTable(fam.noise, seed, "ergodic-chain", range(replicas))
     table.ensure(steps)
     total = float(np.sum(obs.raw(cur)))
@@ -200,32 +294,42 @@ def transfer_apply(
     pts = np.atleast_2d(np.asarray(grid, dtype=float))
     if not isinstance(fam.noise, FiniteNoise) and n_inner < 100:
         raise UsageError("need at least 100 inner samples")
-    _, out = next(itertools.islice(_terms(fam, phi, pts, 2, seed, "transfer", n_inner), 1, None))
+    _, out, _ = next(itertools.islice(_terms(fam, phi, pts, 2, seed, "transfer", n_inner), 1, None))
     return out
 
 
-def _pj_exact(fam: MapFamily, phi, pts: np.ndarray, j: int) -> np.ndarray:
-    """Exact P^j phi by depth-first enumeration of the q^j one-step branches."""
+def _pj_exact(fam: MapFamily, phi, pts: np.ndarray, j: int) -> tuple[np.ndarray, np.ndarray]:
+    """Exact P^j phi by depth-first enumeration of the q^j one-step branches.
+
+    Also returns per-point flags: whether any branch image of the point
+    saturated the clamp.
+    """
     if j == 0:
-        return np.asarray(phi(pts), dtype=float)
+        return np.asarray(phi(pts), dtype=float), np.zeros(pts.shape[0], dtype=bool)
     acc = np.zeros(pts.shape[0])
+    sat = np.zeros(pts.shape[0], dtype=bool)
     for a, p in enumerate(fam.noise.probs, start=1):
         if p == 0.0:
             continue
-        img, _ = fam.apply_batch(a, pts)
-        acc += p * _pj_exact(fam, phi, img, j - 1)
-    return acc
+        img, hit = _clamp_points(fam.raw_batch(a, pts), fam.clamp_bound)
+        term, deeper = _pj_exact(fam, phi, img, j - 1)
+        acc += p * term
+        sat |= hit | deeper
+    return acc, sat
 
 
 def _terms(fam: MapFamily, phi, pts: np.ndarray, n_terms: int, seed: int, label: str, n_chains: int):
-    """Yield ``(method, P^j phi on pts)`` for j = 0, ..., n_terms - 1, so a caller may stop early.
+    """Yield ``(method, P^j phi on pts, n_saturated)`` for j = 0, ..., n_terms - 1.
 
-    Finite noise enumerates term j exactly while q^j stays at most
-    ``_EXACT_CAP`` (or q, so P phi always is).  Later terms, and every term
-    past phi itself for box noise, are means over ``n_chains`` common chains
-    started at ``pts``, all driven by one noise table drawn from the
-    ``label`` stream; term j is the chains' depth j.  Box noise labels every
-    term "monte-carlo".
+    A generator, so a caller may stop early.  Finite noise enumerates term
+    j exactly while q^j stays at most ``_EXACT_CAP`` (or q, so P phi always
+    is).  Later terms, and every term past phi itself for box noise, are
+    means over ``n_chains`` common chains started at ``pts``, all driven by
+    one noise table drawn from the ``label`` stream; term j is the chains'
+    depth j.  Box noise labels every term "monte-carlo".  ``n_saturated``
+    counts the rows that saturated the clamp in this term or an earlier
+    one: points of ``pts`` with a saturated branch in an exact term, plus
+    chains with a saturated step.
     """
     n_exact = 1  # P^0 phi = phi
     if isinstance(fam.noise, FiniteNoise):
@@ -235,16 +339,22 @@ def _terms(fam: MapFamily, phi, pts: np.ndarray, n_terms: int, seed: int, label:
             n_exact += 1
     else:
         method = "monte-carlo"
+    sat = np.zeros(pts.shape[0], dtype=bool)
     for j in range(n_exact):
-        yield method, _pj_exact(fam, phi, pts, j)
+        term, hit = _pj_exact(fam, phi, pts, j)
+        sat |= hit
+        yield method, term, int(sat.sum())
     if n_terms == n_exact:
         return
     gen = stream_generator(seed, label)
     noise = _draw_noise(fam.noise, gen, (n_terms - 1, n_chains))  # one row per step
     states = np.repeat(pts[None, :, :], n_chains, axis=0)
-    steps = _chain(fam, np.swapaxes(noise, 0, 1), states)
-    for states, _ in itertools.islice(steps, n_exact - 1, None):  # depths n_exact, ...
-        yield "monte-carlo", phi(states.reshape(-1, fam.dim)).reshape(n_chains, -1).mean(axis=0)
+    chain_sat = np.zeros(n_chains, dtype=bool)
+    for depth, (states, hit) in enumerate(_chain(fam, np.swapaxes(noise, 0, 1), states), start=1):
+        chain_sat |= hit
+        if depth >= n_exact:
+            term = phi(states.reshape(-1, fam.dim)).reshape(n_chains, -1).mean(axis=0)
+            yield "monte-carlo", term, int(sat.sum() + chain_sat.sum())
 
 
 @dataclass
@@ -272,6 +382,7 @@ class PoissonSolution:
     method: str
     converged: bool
     tol: float
+    n_saturated: int  # rows whose terms 0 to J + 1 saturated the clamp (see ``_terms``)
 
 
 def poisson_solve(
@@ -321,7 +432,7 @@ def poisson_solve(
     methods: set[str] = set()
     streak = 0
     converged = False
-    for j, (how, raw) in enumerate(itertools.islice(stream, _J_MAX + 1)):
+    for j, (how, raw, _) in enumerate(itertools.islice(stream, _J_MAX + 1)):
         m = float(raw.mean())
         t = raw - m
         terms.append(t)
@@ -341,7 +452,7 @@ def poisson_solve(
             break
     truncation_j = len(terms) - 1
     psi = np.sum(terms, axis=0)
-    how, raw = next(stream)  # term J + 1: P psi is the series shifted by one term
+    how, raw, n_saturated = next(stream)  # term J + 1: P psi is the series shifted by one term
     methods.add(how)
     p_psi = np.sum(terms[1:] + [raw - float(raw.mean())], axis=0)
     phi_vals = terms[0]
@@ -360,6 +471,7 @@ def poisson_solve(
         method=method,
         converged=converged,
         tol=tol,
+        n_saturated=n_saturated,
     )
 
 
@@ -409,6 +521,7 @@ class PathEnsemble:
     n: int
     sigma2: float
     final_sums: np.ndarray  # (replicas,) un-normalized S_n
+    n_saturated: int  # replicas whose start pullback or some chain step saturated the clamp
 
     def write_csv(self, path, seed: int | None = None) -> None:
         reps, steps = self.paths.shape
@@ -446,9 +559,10 @@ def partial_sum_paths(
     if isinstance(start, str):
         if start != "stationary":
             raise UsageError("start must be 'stationary' or a point")
-        cur = _stationary_start(fam, seed, replicas, "clt-start")
+        cur, sat = _stationary_start(fam, seed, replicas, "clt-start")
     else:
         cur = np.tile(np.asarray(start, dtype=float).reshape(1, fam.dim), (replicas, 1))
+        sat = np.zeros(replicas, dtype=bool)
 
     table = _BlockTable(fam.noise, seed, "clt-chain", range(replicas))
     table.ensure(n)
@@ -458,11 +572,15 @@ def partial_sum_paths(
     scale = 1.0 / (math.sqrt(sigma2) * math.sqrt(n))
     for i in np.nonzero(checkpoints == 0)[0]:
         paths[:, i] = sums * scale
-    for j, (cur, _) in enumerate(_chain(fam, table.values, cur), start=1):
+    for j, (cur, hit) in enumerate(_chain(fam, table.values, cur), start=1):
+        sat |= hit
         sums += phi(cur)
         for i in np.nonzero(checkpoints == j)[0]:
             paths[:, i] = sums * scale
-    return PathEnsemble(paths=paths, grid_t=grid_t, n=n, sigma2=sigma2, final_sums=sums.copy())
+    return PathEnsemble(
+        paths=paths, grid_t=grid_t, n=n, sigma2=sigma2, final_sums=sums.copy(),
+        n_saturated=int(sat.sum()),
+    )
 
 
 @dataclass(frozen=True)
@@ -508,7 +626,16 @@ def fclt_tests(ensemble: PathEnsemble, min_replicas: int = 500) -> FcltStats:
 
 @dataclass
 class CltReport:
-    """End-to-end CLT pipeline summary."""
+    """End-to-end CLT pipeline summary.
+
+    ``center`` is the stationary mean subtracted from the observable:
+    ``center_method`` "exact" from :func:`affine_moments`, or "ergodic"
+    from :func:`stationary_mean`.  ``sigma2_exact`` is the closed-form
+    sigma^2 where the center is exact, else None.  ``n_saturated`` counts
+    the rows that saturated the clamp, summed over the pullback sample, the
+    Poisson terms (grid points and chains) and the path replicas; the
+    ergodic centering pass is not counted.
+    """
 
     sigma2_mg: float
     sigma2_resid: float
@@ -523,6 +650,10 @@ class CltReport:
     n: int
     replicas: int
     observable: object
+    center: float
+    center_method: str
+    sigma2_exact: float | None
+    n_saturated: int
 
 
 def run_clt_analysis(
@@ -539,17 +670,33 @@ def run_clt_analysis(
 ) -> tuple[CltReport, PathEnsemble]:
     """Full pipeline: stationary sample, corrector, variance, paths, diagnostics.
 
-    The observable is centered with a dedicated ergodic pass rather than
-    the pullback sample alone: a centering bias delta drifts the n-step
-    partial sums by delta * sqrt(n) / sigma, so testing normality at
-    n = 10^4 needs the stationary mean a couple of orders of magnitude
-    tighter than a 4096-point sample provides.
+    The observable is centered at its stationary mean, not at its mean over
+    the pullback sample: a centering bias delta drifts the n-step partial
+    sums by delta * sqrt(n) / sigma, so testing normality at n = 10^4 needs
+    the mean a couple of orders of magnitude tighter than a 4096-point
+    sample provides.  A coordinate or affine observable of a family that
+    :func:`affine_moments` covers is centered at the exact v . m + b, and
+    the report carries the exact sigma^2 too.  Any other observable or
+    family is centered by :func:`stationary_mean`, an ergodic pass of
+    ``center_replicas`` chains of ``center_steps`` steps.  Raises
+    :class:`UsageError` for fewer than 2 replicas, which leave the path
+    diagnostics without a sample variance.
     """
+    if replicas < 2:
+        raise UsageError("replicas must be >= 2: the path diagnostics need a sample variance")
     mu = pullback_sample(fam, seed, mu_size)
     phi0 = make_observable(observable_spec, mu)
-    center = stationary_mean(
-        fam, phi0, derive_seed(seed, "center"), replicas=center_replicas, steps=center_steps
-    )
+    linear = _linear_part(phi0, fam.dim)
+    moments = None if linear is None else affine_moments(fam)
+    if moments is None:
+        center_method, sigma2_exact = "ergodic", None
+        center = stationary_mean(
+            fam, phi0, derive_seed(seed, "center"), replicas=center_replicas, steps=center_steps
+        )
+    else:
+        v, b = linear
+        center_method, sigma2_exact = "exact", moments.sigma2(v)
+        center = float(v @ moments.mean + b)
     phi = make_observable(observable_spec, mu, center=center)
     sol = poisson_solve(
         fam, phi, mu, grid_size=grid_size, tol=tol, seed=derive_seed(seed, "poisson")
@@ -573,5 +720,9 @@ def run_clt_analysis(
         n=n,
         replicas=replicas,
         observable=observable_spec,
+        center=center,
+        center_method=center_method,
+        sigma2_exact=sigma2_exact,
+        n_saturated=mu.meta["n_saturated"] + sol.n_saturated + ensemble.n_saturated,
     )
     return report, ensemble

@@ -29,6 +29,11 @@ lets every high-level function probe the family with two box corners (see
 sampled comparable pairs; its verdict is a certificate only up to the
 sampled evidence and carries a violating witness whenever the family is
 neither increasing nor decreasing.
+
+The affine built-ins (cantor1d, cantor2d, lip-pair's linear mode,
+affine-general, slide1d and rot2d) also declare their maps as
+x -> A x + c (see :meth:`MapFamily.affine_form`); ``clt.affine_moments``
+turns that declaration into exact stationary moments.
 """
 
 from __future__ import annotations
@@ -123,7 +128,13 @@ class MonotonicityVerdict:
 # for box noise; it returns the unclamped images, row i under row i's map.
 # ``monotone`` gives the signs (+1 increasing, -1 decreasing coordinate) of an
 # orthant order under which every clamped member map is increasing or
-# decreasing, or None when the family declares no such order.
+# decreasing, or None when the family declares no such order.  ``affine``
+# gives the unclamped maps as x -> A x + c, or None: per-symbol ``(mats,
+# offs)`` of shapes (q, d, d) and (q, d) for finite noise; for box noise one
+# A, a gain C and an offset c0, with c(u) = C u + c0 for the parameter u.  It
+# describes the body and never replaces it: ``pts / 3.0`` and
+# ``pts @ (I / 3).T`` round differently, so the body stays the source of
+# every point.
 @dataclass(frozen=True)
 class _FamilyDef:
     dim: Callable[[dict], int]
@@ -132,6 +143,7 @@ class _FamilyDef:
     default_probe: Callable[[dict], Box]
     body: Callable[[dict, np.ndarray, np.ndarray], np.ndarray]
     monotone: Callable[[dict], tuple[float, ...] | None] = lambda p: None
+    affine: Callable[[dict], tuple | None] = lambda p: None
     config_ok: bool = True
 
 
@@ -218,15 +230,18 @@ def _slide1d_body(params, a, pts):
     return pts / 3.0 + (2.0 / 3.0) * a[:, :1]
 
 
+def _rot2d_angles(params):
+    return params.get("angles", (math.pi / 6.0, math.sqrt(2.0)))
+
+
+def _rotation(t: float) -> np.ndarray:
+    c, s = math.cos(t), math.sin(t)
+    return np.array([[c, -s], [s, c]])
+
+
 def _rot2d_body(params, a, pts):
-    angles = params.get("angles", (math.pi / 6.0, math.sqrt(2.0)))
-
-    def rotate(sym, rows):
-        t = angles[sym - 1]
-        c, s = math.cos(t), math.sin(t)
-        return rows @ np.array([[c, -s], [s, c]]).T
-
-    return _by_symbol(a, pts, rotate)
+    angles = _rot2d_angles(params)
+    return _by_symbol(a, pts, lambda sym, rows: rows @ _rotation(angles[sym - 1]).T)
 
 
 def _custom_body(params, a, pts):
@@ -263,6 +278,41 @@ def _affine_monotone(params) -> tuple[float, ...] | None:
     return None
 
 
+def _third_plus_offsets(default):
+    """Declaration of the cantor bodies: x -> x / 3 + offsets[a - 1]."""
+
+    def affine(params):
+        offs = np.asarray(params.get("offsets", default), dtype=float)
+        offs = offs.reshape(len(offs), -1)
+        q, d = offs.shape
+        return np.broadcast_to(np.eye(d) / 3.0, (q, d, d)), offs
+
+    return affine
+
+
+def _lip_pair_affine(params):
+    if params.get("mode", "linear") != "linear":
+        return None  # disjoint: offsets plus slopes times tanh
+    slopes = np.asarray(params.get("slopes", (2.0, 0.5)), dtype=float).reshape(-1, 1, 1)
+    return slopes, np.zeros((len(slopes), 1))
+
+
+def _affine_general_affine(params):
+    d = _affine_dim(params)
+    mats = np.asarray(params["mats"], dtype=float).reshape(-1, d, d)
+    return mats, np.asarray(params["offs"], dtype=float).reshape(-1, d)
+
+
+def _slide1d_affine(params):
+    # A = 1/3 and c(u) = (2/3) u_1 + 0: the body reads the first parameter coordinate only
+    return np.full((1, 1, 1), 1.0 / 3.0), np.zeros((1, 1)), np.full((1, 1), 2.0 / 3.0)
+
+
+def _rot2d_affine(params):
+    angles = _rot2d_angles(params)
+    return np.array([_rotation(t) for t in angles]), np.zeros((len(angles), 2))
+
+
 # Every built-in but affine-general declares the order of its default J = {1}.
 _REGISTRY: dict[str, _FamilyDef] = {
     "cantor1d": _FamilyDef(
@@ -272,6 +322,7 @@ _REGISTRY: dict[str, _FamilyDef] = {
         default_probe=lambda p: _unit_box(1),
         body=_cantor1d_body,
         monotone=lambda p: (1.0,),
+        affine=_third_plus_offsets((0.0, 2.0 / 3.0)),
     ),
     "cantor2d": _FamilyDef(
         dim=lambda p: 2,
@@ -280,6 +331,7 @@ _REGISTRY: dict[str, _FamilyDef] = {
         default_probe=lambda p: Box([0.0, -1.0], [1.0, 0.0]),
         body=_cantor2d_body,
         monotone=lambda p: (1.0, -1.0),
+        affine=_third_plus_offsets(((0.0, 0.0), (2.0 / 3.0, -2.0 / 3.0))),
     ),
     "exp1d": _FamilyDef(
         dim=lambda p: 1,
@@ -304,6 +356,7 @@ _REGISTRY: dict[str, _FamilyDef] = {
         default_probe=lambda p: _sym_box(1, 3.0),
         body=_lip_pair_body,
         monotone=lambda p: (1.0,),
+        affine=_lip_pair_affine,
     ),
     "affine-general": _FamilyDef(
         dim=_affine_dim,
@@ -314,6 +367,7 @@ _REGISTRY: dict[str, _FamilyDef] = {
         default_probe=lambda p: _sym_box(_affine_dim(p), 1.0),
         body=_affine_body,
         monotone=_affine_monotone,
+        affine=_affine_general_affine,
     ),
     "slide1d": _FamilyDef(
         dim=lambda p: 1,
@@ -322,6 +376,7 @@ _REGISTRY: dict[str, _FamilyDef] = {
         default_probe=lambda p: _unit_box(1),
         body=_slide1d_body,
         monotone=lambda p: (1.0,),
+        affine=_slide1d_affine,
     ),
     "rot2d": _FamilyDef(
         dim=lambda p: 2,
@@ -329,6 +384,7 @@ _REGISTRY: dict[str, _FamilyDef] = {
         default_domain=lambda p: None,
         default_probe=lambda p: _sym_box(2, 1.0),
         body=_rot2d_body,
+        affine=_rot2d_affine,
     ),
     "custom": _FamilyDef(
         dim=lambda p: int(p["dim"]),
@@ -397,6 +453,27 @@ class MapFamily:
         """
         signs = _REGISTRY[self.family].monotone(self.params)
         return None if signs is None else np.array(signs, dtype=float)
+
+    def affine_form(self) -> tuple[np.ndarray, np.ndarray, np.ndarray | None] | None:
+        """The unclamped member maps as x -> A x + c, or None for a family that is not affine.
+
+        Finite noise gives ``(mats, offs, None)``: symbol a maps by
+        ``mats[a - 1]`` (q, d, d) and ``offs[a - 1]`` (q, d), one entry per
+        symbol of the noise.  Box noise gives ``(mats, offs, gain)``: one A
+        (``mats`` is (1, d, d)) and c(u) = gain @ u + offs[0] for the drawn
+        parameter u, ``gain`` (d, noise dim).  Like ``monotone_signs`` this
+        is exact, from the family's formulas; the clamp is not part of it.
+        """
+        form = _REGISTRY[self.family].affine(self.params)
+        if form is None:
+            return None
+        if self.finite:
+            mats, offs = form
+            return mats[: self.noise.q], offs[: self.noise.q], None
+        mats, offs, gain = form
+        full = np.zeros((self.dim, self.noise.dim))  # parameter coordinates the body ignores
+        full[:, : gain.shape[1]] = gain
+        return mats, offs, full
 
     def raw_batch(self, alpha, points: np.ndarray) -> np.ndarray:
         """Unclamped images of a validated point block under the maps ``alpha`` selects.

@@ -130,6 +130,25 @@ def transfer_power_enum(fam, phi, pts, j):
     return out
 
 
+def branch_moments(fam, x0, k):
+    """Mean and second moment E[X X'] of T^k delta_x0, over all q^k branches of a finite family.
+
+    Every branch maps its point through the public ``raw_batch`` (the map
+    bodies, not any affine declaration) and carries the product of its
+    symbols' probabilities; zero-mass symbols are skipped.
+    """
+    pts = np.atleast_2d(np.asarray(x0, dtype=float))
+    weights = np.ones(1)
+    for _ in range(k):
+        images, masses = [], []
+        for a, p in enumerate(fam.noise.probs, start=1):
+            if p > 0:
+                images.append(fam.raw_batch(a, pts))
+                masses.append(p * weights)
+        pts, weights = np.vstack(images), np.concatenate(masses)
+    return weights @ pts, (weights[:, None] * pts).T @ pts
+
+
 def p_psi_reexpansion(fam, phi, grid, term_means):
     """``P psi`` on the grid by re-expanding the series at every one-step image.
 

@@ -47,6 +47,10 @@ def test_usage_errors_exit_1(tmp_path):
     ["w1-decay", "--family", "cantor1d", "--n-max", "2", "--n-particles", "64", "--ref-size", "1"],
     # no sampled parameter is no evidence of monotonicity, not a pass
     ["check-monotone", "--family", "slide1d", "--n-alphas", "0"],
+    # an exact scan of no block length has no report to write
+    ["check-splitting", "--family", "cantor1d", "--m-max", "0"],
+    # one replica leaves the path diagnostics without a sample variance
+    ["clt", "--family", "cantor1d", "--n", "10", "--replicas", "1", "--mu-size", "64", "--grid-size", "16"],
 ])
 def test_empty_sizes_are_usage_errors(tmp_path, capsys, args):
     assert run(args + ["--out", str(tmp_path / "u")]) == 1

@@ -20,7 +20,8 @@ from monosync import (
     sigma_estimate,
     transfer_apply,
 )
-from monosync.clt import Observable, stationary_mean
+from monosync import clt
+from monosync.clt import Observable, affine_moments, stationary_mean
 from monosync.families import _jsonable
 
 
@@ -310,6 +311,10 @@ def test_run_clt_analysis_quick(cantor1d):
     assert ens.paths.shape == (500, 21)
     doc = _jsonable(report, True)
     assert doc["observable"] == "coord:1"
+    # cantor1d is affine: the center and sigma^2 are the closed forms
+    assert doc["center_method"] == "exact"
+    assert abs(doc["center"] - 0.5) <= 1e-12 and abs(doc["sigma2_exact"] - 0.25) <= 1e-12
+    assert doc["n_saturated"] == 0
 
 
 def test_run_clt_analysis_box_noise_slide1d():
@@ -320,3 +325,124 @@ def test_run_clt_analysis_box_noise_slide1d():
     )
     assert abs(report.sigma2_mg - 1 / 12) <= 0.1 / 12
     assert report.residual_norm <= 3 * 1e-4
+
+
+# Finite families declared affine, each with the start point of its branch
+# oracle; the 3-d case has three symbols and unequal weights.  Every
+# ||A||_inf is at most 1/3, so k = 10 or 12 steps pin the moments to ~1e-5.
+_AFFINE_3D = {
+    "mats": [
+        [[0.1, -0.1, 0.05], [0.0, 0.2, 0.1], [0.1, 0.0, -0.2]],
+        [[-0.2, 0.1, 0.0], [0.05, 0.2, -0.05], [0.0, 0.15, 0.1]],
+        [[0.1, 0.1, 0.1], [-0.1, 0.1, 0.0], [0.2, 0.0, 0.1]],
+    ],
+    "offs": [[0.5, -0.2, 0.1], [-0.4, 0.3, 0.0], [0.1, 0.1, -0.6]],
+}
+_ORACLE_CASES = {
+    "cantor1d": (lambda: make_family("cantor1d"), [0.0]),
+    "cantor1d-skewed": (lambda: make_family("cantor1d", probs=[0.3, 0.7]), [1.0]),
+    "cantor2d-offsets": (
+        lambda: make_family("cantor2d", params={"offsets": [[0.5, -0.1], [-0.3, 0.7]]}), [0.0, 0.0]
+    ),
+    "affine-general-2d": (
+        lambda: make_family("affine-general", params={
+            "mats": [[[0.2, 0.1], [0.1, 0.15]], [[0.15, -0.1], [-0.1, 0.2]]],
+            "offs": [[0.1, 0.2], [0.5, -0.3]],
+        }),
+        [1.0, -1.0],
+    ),
+    "affine-general-3d": (
+        lambda: make_family("affine-general", probs=[0.5, 0.2, 0.3], params=_AFFINE_3D),
+        [0.0, 0.0, 0.0],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ORACLE_CASES))
+def test_affine_moments_match_branch_enumeration(name):
+    make, x0 = _ORACLE_CASES[name]
+    fam = make()
+    mom = affine_moments(fam)
+    assert mom is not None
+    mats, offs, _ = fam.affine_form()
+    x0 = np.asarray(x0, dtype=float)
+    k = 12 if fam.noise.q == 2 else 10
+    mean_k, second_k = oracles.branch_moments(fam, x0, k)
+    # E X_k - m = Ab^k (x0 - m) exactly, so the mean is within ||Ab||^k ||x0 - m||
+    abar_norm = np.abs(mom.mean_matrix).sum(axis=1).max()
+    mean_bound = abar_norm**k * np.abs(x0 - mom.mean).max() + 1e-13
+    assert np.abs(mean_k - mom.mean).max() <= mean_bound
+    # coupling with a stationary start: |X_k - Y| <= a^k (|x0| + R) with a = max ||A||,
+    # and x_i x_j is 2 rho-Lipschitz on the sup ball of radius rho that holds both
+    a = np.abs(mats).sum(axis=2).max()
+    r = np.abs(offs).max() / (1 - a)
+    rho = max(np.abs(x0).max(), r)
+    second_bound = 2 * rho * a**k * (np.abs(x0).max() + r) + 1e-13
+    second = mom.cov + np.outer(mom.mean, mom.mean)
+    assert np.abs(second_k - second).max() <= second_bound
+    assert second_bound < 1e-3 * max(np.abs(second).max(), 1e-3)  # the oracle has a say
+
+
+def test_affine_moments_exact_values():
+    mom = affine_moments(make_family("cantor1d"))
+    assert abs(mom.mean[0] - 0.5) <= 1e-12 and abs(mom.cov[0, 0] - 1 / 8) <= 1e-12
+    assert abs(mom.sigma2(np.array([1.0])) - 1 / 4) <= 1e-12
+    # slide1d: X = X/3 + 2U/3 with U uniform on [0, 1]
+    mom = affine_moments(make_family("slide1d"))
+    assert abs(mom.mean[0] - 0.5) <= 1e-12 and abs(mom.cov[0, 0] - 1 / 24) <= 1e-12
+    assert abs(mom.sigma2(np.array([1.0])) - 1 / 12) <= 1e-12
+    mom = affine_moments(make_family("cantor2d"))
+    assert np.abs(mom.mean - [0.5, -0.5]).max() <= 1e-12
+
+
+def test_affine_moments_fall_back_outside_their_conditions():
+    # an expanding member (slope 2), a rotation (||A||_inf = cos + sin > 1), a clamp
+    # that acts on the stationary law (R = 1 > 0.5), and families with no affine form
+    assert affine_moments(make_family("lip-pair", params={"slopes": [2.0, 0.5]})) is None
+    assert affine_moments(make_family("rot2d")) is None
+    assert affine_moments(make_family("cantor1d", clamp_bound=0.5)) is None
+    assert affine_moments(make_family("cantor1d", clamp_bound=1.0)) is not None
+    for name in ("exp1d", "arctanexp2d"):
+        assert affine_moments(make_family(name)) is None
+    disjoint = make_family("lip-pair", params={"mode": "disjoint", "slopes": [0.5, 0.5]})
+    assert affine_moments(disjoint) is None
+    # a zero-mass symbol is never drawn, so its expanding map does not count
+    skip = make_family("lip-pair", probs=[0.0, 1.0], params={"slopes": [2.0, 0.5]})
+    assert affine_moments(skip) is not None
+
+
+def test_exact_center_skips_the_ergodic_pass(cantor1d, monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the ergodic centering pass ran")
+
+    monkeypatch.setattr(clt, "stationary_mean", unreachable)
+    report, _ = run_clt_analysis(
+        cantor1d, {"kind": "affine", "coeffs": [2.0], "offset": 1.0}, seed=4,
+        n=200, replicas=100, mu_size=512, grid_size=256,
+    )
+    assert report.center_method == "exact"
+    assert abs(report.center - 2.0) <= 1e-12 and abs(report.sigma2_exact - 1.0) <= 1e-12
+
+
+_TABLE = {"kind": "table", "points": [[0.0], [1.0]], "values": [0.0, 1.0]}
+
+
+@pytest.mark.parametrize("family, spec", [
+    (make_family("cantor1d"), _TABLE),  # no closed form for a table observable
+    (make_family("cantor1d", clamp_bound=0.5), "coord:1"),  # the clamp acts on the law
+])
+def test_center_falls_back_to_the_ergodic_pass(family, spec):
+    report, _ = run_clt_analysis(
+        family, spec, seed=4, n=200, replicas=100, mu_size=512, grid_size=256,
+        center_replicas=32, center_steps=500,
+    )
+    assert report.center_method == "ergodic" and report.sigma2_exact is None
+    doc = _jsonable(report, True)
+    assert doc["sigma2_exact"] is None and doc["center"] == report.center
+    # the clamped second map sends everything to 0.5: every row that takes it saturates
+    assert (report.n_saturated > 0) == (family.clamp_bound == 0.5)
+
+
+def test_clt_rejects_a_single_replica(cantor1d):
+    with pytest.raises(UsageError):
+        run_clt_analysis(cantor1d, "coord:1", seed=1, n=10, replicas=1, mu_size=64, grid_size=16)

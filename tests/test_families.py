@@ -24,6 +24,7 @@ from monosync import (
 )
 from monosync.engine import _BlockTable, image_points_at_depths
 from monosync.families import (
+    BoxNoise,
     FiniteNoise,
     MonotonicityVerdict,
     _clamp_points,
@@ -391,3 +392,52 @@ def test_cloud_images_lie_in_the_sandwich(name, seed, n_rows, depth):
     lo, hi = corners.min(axis=1), corners.max(axis=1)
     assert (cloud >= lo[:, None]).all() and (cloud <= hi[:, None]).all()
     assert np.array_equal(cloud.min(axis=1), lo) and np.array_equal(cloud.max(axis=1), hi)
+
+
+# Every built-in that declares an affine form, with non-default parameters
+# where the form depends on them; slide1d also on a 2-d noise box, whose
+# second parameter coordinate its body ignores.
+_AFFINE = {
+    "cantor1d": lambda: make_family("cantor1d"),
+    "cantor1d-one-symbol": lambda: make_family("cantor1d", probs=[1.0]),
+    "cantor1d-offsets": lambda: make_family("cantor1d", params={"offsets": [0.1, -0.4, 0.3]},
+                                            probs=[0.2, 0.3, 0.5]),
+    "cantor2d": lambda: make_family("cantor2d"),
+    "cantor2d-offsets": lambda: make_family("cantor2d", params={"offsets": [[0.5, -0.1], [-0.3, 0.7]]}),
+    "lip-pair": lambda: make_family("lip-pair"),
+    "lip-pair-signed": lambda: make_family("lip-pair", params={"mode": "linear", "slopes": [-1.5, 0.5]}),
+    "affine-general": lambda: make_family("affine-general", params=_MONOTONE_AFFINE),
+    "affine-general-3d": lambda: make_family("affine-general", params={
+        "mats": np.arange(27.0).reshape(3, 3, 3).tolist(), "offs": [[1, 2, 3], [4, 5, 6], [7, 8, 9]]}),
+    "slide1d": lambda: make_family("slide1d"),
+    "slide1d-2d-box": lambda: make_family("slide1d", noise=BoxNoise(Box([-1.0, 0.0], [2.0, 5.0]))),
+    "rot2d": lambda: make_family("rot2d"),
+}
+
+
+@settings(max_examples=80, deadline=None)
+@given(name=st.sampled_from(sorted(_AFFINE)), seed=st.integers(0, 2**32 - 1), n_rows=st.integers(1, 40))
+def test_affine_form_reproduces_the_body(name, seed, n_rows):
+    fam = _AFFINE[name]()
+    mats, offs, gain = fam.affine_form()
+    rng = np.random.default_rng(seed)
+    pts = rng.normal(scale=3.0, size=(n_rows, fam.dim))
+    if fam.finite:
+        alphas = rng.integers(1, fam.noise.q + 1, n_rows)
+        want = np.einsum("nij,nj->ni", mats[alphas - 1], pts) + offs[alphas - 1]
+    else:
+        box = fam.noise.box
+        alphas = box.lo + rng.random((n_rows, box.dim)) * (box.hi - box.lo)
+        want = pts @ mats[0].T + alphas @ gain.T + offs[0]
+    got = fam.raw_batch(alphas, pts)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * (1.0 + np.abs(want).max()))
+
+
+def test_nonaffine_families_declare_no_affine_form():
+    for fam in (
+        make_family("exp1d"),
+        make_family("arctanexp2d"),
+        make_family("lip-pair", params={"mode": "disjoint"}),
+        make_family("custom", params={"dim": 1, "fn": lambda a, pts: pts / 2}),
+    ):
+        assert fam.affine_form() is None, fam.family
