@@ -189,10 +189,11 @@ def test_threads_do_not_change_artifacts(tmp_path):
     # next to the count of saturated samples
     (["stationary", "--family", "exp1d", "--n-samples", "512", "--seed", "90210"],
      "stationary.json", "bb0a95a4f5210a09b9e40cea643f1c389160976968dadb30ae2b2b05758db25c"),
-    # forward chains: the centering pass, the Poisson sigma^2 and the partial sums
+    # forward chains: the exact center, the Poisson sigma^2 and the partial sums (re-frozen
+    # when the center became exact, m = 1/2, instead of the 512 x 40,000-step ergodic pass)
     (["clt", "--family", "cantor1d", "--n", "200", "--replicas", "100", "--mu-size", "512",
       "--grid-size", "256", "--dump-paths", "--seed", "1234"],
-     "paths.csv", "9e83f2d0b34f3a464416599f0a7b8618271394d4c29ce940bb0789bc2a6e8155"),
+     "paths.csv", "e5bc4bf120e3f49fdc5c4e052389639b674711117e87d74e41571c062bdb89da"),
     # forward orbits on finite and on box noise, through the same chain loop
     (["simulate", "--family", "cantor1d", "--direction", "forward", "--n", "200", "--seed", "1234"],
      "orbit.csv", "af3a2fd3361085cec102e0a67046af7fdc03fb112807b7e40fcee0f2a2feaad9"),
@@ -222,10 +223,11 @@ def test_threads_do_not_change_artifacts(tmp_path):
        "params": {"mats": [[[0.4, 0.1], [0.1, 0.3]], [[0.3, -0.1], [-0.1, 0.4]]],
                   "offs": [[0.1, 0.2], [0.5, -0.3]]}}],
      "stationary.csv", "a0ee3edcaedb3dcdf4c52c60f5720cd38d4f34b66a82dbbbcaa9841a6917d30c"),
-    # the Poisson corrector's report: truncation, residual and both variance forms
+    # the Poisson corrector's report: truncation, residual, both variance forms, the
+    # exact center and sigma^2 (re-frozen when the center became exact, with its fields)
     (["clt", "--family", "cantor1d", "--n", "200", "--replicas", "100", "--mu-size", "512",
       "--grid-size", "256", "--dump-paths", "--seed", "1234"],
-     "clt_report.json", "a804583ad2e0cce2add815b11284c0e0d817e74d2de9f54f173d793a4f9ced9a"),
+     "clt_report.json", "f466f93f2eef5ee7e407bba2016afcf990d88f330f6ece91901da9c7295c87d2"),
     # the boundedness check's probe of scaled boxes: bounded at m0 = 3, and unbounded
     (["sync-rate", "--family", "arctanexp2d", "--seed", "5"],
      "rate_fit.json", "6ebefed1aafb47c1e7e2fa444da9b7bc82a6bb1c99fd417351dc56abd3a855cb"),
@@ -251,10 +253,6 @@ def test_threads_do_not_change_artifacts(tmp_path):
     (["w1-decay", "--family", "cantor1d", "--n-particles", "256", "--ref-size", "256",
       "--n-max", "1", "--seed", "11"],
      "manifest.json", "42e247bcc3e496511cb33c3a640dc0e8e15f5ad8bfc2bbc030c9f4979039c4c9"),
-    # a non-affine family: the ergodic centering pass, the Poisson sigma^2 and the paths
-    (["clt", "--n", "200", "--replicas", "100", "--mu-size", "512", "--grid-size", "256",
-      "--seed", "1234", {"family": "lip-pair", "params": {"mode": "disjoint", "slopes": [0.5, 0.5]}}],
-     "clt_report.json", "7e8d3b0f87523b1969af6c33a2281574c32ceb993fd194c51b87b55eed4a01a5"),
 ])
 def test_golden_artifact_digest(tmp_path, args, artifact, digest):
     # Frozen bytes: any change to the noise streams (finite and box tables), to the
@@ -267,6 +265,29 @@ def test_golden_artifact_digest(tmp_path, args, artifact, digest):
     out = tmp_path / "golden"
     assert run(args + ["--threads", "1", "--out", str(out)]) == 0
     assert hashlib.sha256((out / artifact).read_bytes()).hexdigest() == digest
+
+
+def test_golden_ergodic_center_report(tmp_path):
+    # lip-pair's disjoint mode is not affine, so it is still centered by the
+    # ergodic pass.  The report gained four fields (center, center_method,
+    # sigma2_exact, n_saturated); without them it is byte for byte the report
+    # frozen before the exact center existed (7e8d3b0f...).
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"family": "lip-pair", "params": {"mode": "disjoint", "slopes": [0.5, 0.5]}}))
+    out = tmp_path / "golden"
+    assert run([
+        "clt", "--n", "200", "--replicas", "100", "--mu-size", "512", "--grid-size", "256",
+        "--seed", "1234", "--config", str(config), "--threads", "1", "--out", str(out),
+    ]) == 0
+    text = (out / "clt_report.json").read_bytes()
+    assert hashlib.sha256(text).hexdigest() == "fb730181b939dcec23b3c3e8605122b7f8cd1a1aa95bfbfa8aa9f49277877721"
+    doc = json.loads(text)
+    assert (doc["center_method"], doc["sigma2_exact"], doc["n_saturated"]) == ("ergodic", None, 0)
+    for key in ("center", "center_method", "sigma2_exact", "n_saturated"):
+        del doc[key]
+    old = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    digest = hashlib.sha256(old.encode()).hexdigest()
+    assert digest == "7e8d3b0f87523b1969af6c33a2281574c32ceb993fd194c51b87b55eed4a01a5"
 
 
 def test_golden_unverified_splitting_digest(tmp_path):
