@@ -399,9 +399,13 @@ def test_affine_moments_fall_back_outside_their_conditions():
     # an expanding member (slope 2), a rotation (||A||_inf = cos + sin > 1), a clamp
     # that acts on the stationary law (R = 1 > 0.5), and families with no affine form
     assert affine_moments(make_family("lip-pair", params={"slopes": [2.0, 0.5]})) is None
+    assert affine_moments(make_family("lip-pair", params={"slopes": [1.0, 0.5]})) is None
     assert affine_moments(make_family("rot2d")) is None
     assert affine_moments(make_family("cantor1d", clamp_bound=0.5)) is None
-    assert affine_moments(make_family("cantor1d", clamp_bound=1.0)) is not None
+    # R = 0.5 / (1 - 0.5) = 1 exactly: a law that reaches the bound is not clamped
+    edge = {"mats": [[[0.5]]], "offs": [[0.5]]}
+    assert affine_moments(make_family("affine-general", params=edge, clamp_bound=1.0)) is not None
+    assert affine_moments(make_family("affine-general", params=edge, clamp_bound=0.99)) is None
     for name in ("exp1d", "arctanexp2d"):
         assert affine_moments(make_family(name)) is None
     disjoint = make_family("lip-pair", params={"mode": "disjoint", "slopes": [0.5, 0.5]})
@@ -409,6 +413,10 @@ def test_affine_moments_fall_back_outside_their_conditions():
     # a zero-mass symbol is never drawn, so its expanding map does not count
     skip = make_family("lip-pair", probs=[0.0, 1.0], params={"slopes": [2.0, 0.5]})
     assert affine_moments(skip) is not None
+    # past d = 32 the d^2 x d^2 covariance system is not built
+    for d, covered in ((32, True), (33, False)):
+        wide = make_family("affine-general", params={"mats": [(np.eye(d) / 2).tolist()], "offs": [[1.0] * d]})
+        assert (affine_moments(wide) is not None) == covered, d
 
 
 def test_exact_center_skips_the_ergodic_pass(cantor1d, monkeypatch):
@@ -441,6 +449,28 @@ def test_center_falls_back_to_the_ergodic_pass(family, spec):
     assert doc["sigma2_exact"] is None and doc["center"] == report.center
     # the clamped second map sends everything to 0.5: every row that takes it saturates
     assert (report.n_saturated > 0) == (family.clamp_bound == 0.5)
+
+
+def test_saturated_rows_are_counted():
+    # x -> 2x or x / 2 under clamp 1: from 0.3 only the second doubling saturates,
+    # so the flag must come up from the deeper branch
+    fam = make_family(
+        "affine-general", params={"mats": [[[2.0]], [[0.5]]], "offs": [[0.0], [0.0]]}, clamp_bound=1.0
+    )
+    _, sat = clt._pj_exact(fam, centered_coord(0.0), np.array([[0.3], [0.1]]), 2)
+    assert sat.tolist() == [True, False]
+    # one symbol, x -> 2x: every replica started at 0.3 saturates at its second step
+    double = make_family(
+        "affine-general", probs=[1.0], params={"mats": [[[2.0]]], "offs": [[0.0]]}, clamp_bound=1.0
+    )
+    for n, want in ((1, 0), (2, 50)):
+        ens = partial_sum_paths(double, centered_coord(0.0), 1.0, n, None, 50, seed=1, start=np.array([0.3]))
+        assert ens.n_saturated == want, n
+    # Monte Carlo terms: slide1d's images pass 0.9 for parameters near 1
+    fam = make_family("slide1d", clamp_bound=0.9)
+    mu = pullback_sample(fam, 3, 512, tol=1e-9)
+    sol = poisson_solve(fam, centered_coord(0.5), mu, grid_size=64, tol=1e-4, seed=3)
+    assert 0 < sol.n_saturated <= 2000  # chains, not grid points: box noise has no exact term
 
 
 def test_clt_rejects_a_single_replica(cantor1d):
