@@ -130,11 +130,11 @@ class MonotonicityVerdict:
 # orthant order under which every clamped member map is increasing or
 # decreasing, or None when the family declares no such order.  ``affine``
 # gives the unclamped maps as x -> A x + c, or None: per-symbol ``(mats,
-# offs)`` of shapes (q, d, d) and (q, d) for finite noise; for box noise one
-# A, a gain C and an offset c0, with c(u) = C u + c0 for the parameter u.  It
-# describes the body and never replaces it: ``pts / 3.0`` and
-# ``pts @ (I / 3).T`` round differently, so the body stays the source of
-# every point.
+# offs)`` of shapes (q, d, d) and (q, d) for finite noise; for box noise
+# ``(mats, offs, gain)``, one A as (1, d, d), c0 as (1, d) and a gain G, with
+# c(u) = G u + c0 for the parameter u.  It describes the body and never
+# replaces it: ``pts / 3.0`` and ``pts @ (I / 3).T`` round differently, so
+# the body stays the source of every point.
 @dataclass(frozen=True)
 class _FamilyDef:
     dim: Callable[[dict], int]
@@ -471,7 +471,7 @@ class MapFamily:
             mats, offs = form
             return mats[: self.noise.q], offs[: self.noise.q], None
         mats, offs, gain = form
-        full = np.zeros((self.dim, self.noise.dim))  # parameter coordinates the body ignores
+        full = np.zeros((self.dim, self.noise.dim))  # zero for parameter coordinates the body ignores
         full[:, : gain.shape[1]] = gain
         return mats, offs, full
 
