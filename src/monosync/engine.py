@@ -314,9 +314,10 @@ class _BlockTable:
       row's next draw, and fills the row in C, at about 3-5 us per row plus
       13-28 ns per uniform.
 
-    On 4096 rows (2-vCPU Xeon, numpy 2.4) the vectorized pass took 0.84-1.02
-    times the per-row fill's time at 64 uniforms per row and 0.92-1.05 times
-    at 72, and 0.27-0.34 times at 16.  The pullback depth search, sync-rate
+    On 4096 rows (2-vCPU Xeon, numpy 2.4; six scans of finite and 2-d box
+    noise) the vectorized pass took 0.27-0.52 times the per-row fill's
+    time at 16 uniforms per row, 0.83-1.02 times at 64 and 0.92-1.53 times
+    at 72, so ``_SHORT_FILL`` is 64.  The pullback depth search, sync-rate
     and sigma-decay extend by a few dozen values per row and take the
     vectorized pass; the clt chains draw 10,000 values per row at once and
     take the per-row fill.

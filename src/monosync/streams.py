@@ -25,9 +25,9 @@ derive all their keys together with :func:`stream_keys`, a vectorized
   empty buffer and the first ``start % 4`` draws dropped, and fills the row
   in C: about 3-5 us per row plus 13-28 ns per uniform.
 
-The two cost the same at about 64-80 uniforms per row (measured on 4096
-rows), so extensions of at most 64 uniforms per row take the vectorized
-pass and longer ones the per-row fill.  Either way every row holds exactly
+On 4096 rows the two cost the same between 64 and 72 uniforms per row,
+so extensions of at most 64 uniforms per row take the vectorized pass and
+longer ones the per-row fill.  Either way every row holds exactly
 the draws of its own ``stream_generator``.
 """
 
