@@ -19,6 +19,7 @@ from monosync import (
     wasserstein1,
 )
 from monosync.engine import (
+    _KERNEL_BLOCKS,
     _BlockTable,
     _chain,
     _draw_noise,
@@ -407,3 +408,17 @@ def test_block_table_first_fill_does_not_copy(cantor1d):
     deeper.ensure(7_000)
     deeper.ensure(20_000)
     assert np.array_equal(deeper.values, table.values)
+
+
+def test_block_table_short_fill_peak_does_not_grow_with_rows(cantor1d):
+    # The vectorized fill enciphers _KERNEL_BLOCKS counter blocks per call, so
+    # beyond the table its peak is one chunk's temporaries: about 20 words
+    # per block.  Enciphering all 8192 x 4 blocks at once would take 5 MB.
+    table = _BlockTable(cantor1d.noise, 0, "mem", range(8192))
+    tracemalloc.start()
+    try:
+        table.ensure(16)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= table.values.nbytes + 32 * 8 * _KERNEL_BLOCKS

@@ -4,9 +4,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from monosync import Box, make_family
-from monosync.engine import _BlockTable
+from monosync import engine
+from monosync.engine import _SHORT_FILL, _BlockTable
 from monosync.families import BoxNoise, FiniteNoise
-from monosync.streams import hash64, stream_keys
+from monosync.streams import _philox_words, hash64, philox_uniforms, stream_generator, stream_keys
 
 from oracles import per_stream_table
 
@@ -37,6 +38,44 @@ def test_stream_keys_match_seed_sequence(seed, label, stream_ids):
     assert got.tobytes() == np.array(want, dtype=np.uint64).reshape(-1, 2).tobytes()
 
 
+key_words = st.one_of(st.sampled_from([0, MASK64]), st.integers(0, MASK64))
+counters = st.one_of(
+    st.integers(0, 2**20),
+    st.sampled_from([2**64 - 2, 2**64 - 1, 2**128 - 1, 2**256 - 2, 2**256 - 1]),
+    st.integers(0, 2**256 - 1),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    keys=st.lists(st.tuples(key_words, key_words), min_size=1, max_size=4),
+    counter=counters,
+    skip=st.integers(0, 3),
+    count=st.integers(0, 40),
+)
+@example(keys=[(0, 0), (MASK64, MASK64), (0, MASK64)], counter=0, skip=0, count=9)
+@example(keys=[(MASK64, 0)], counter=5, skip=1, count=4)
+@example(keys=[(1, 2)], counter=7, skip=2, count=1)
+@example(keys=[(3, MASK64)], counter=2**64 - 1, skip=3, count=13)
+@example(keys=[(0, 0)], counter=2**256 - 1, skip=3, count=6)
+def test_philox_words_match_numpy(keys, counter, skip, count):
+    got = _philox_words(np.array(keys, dtype=np.uint64), 4 * counter + skip, count)
+    assert got.dtype == np.uint64 and got.shape == (len(keys), count)
+    for row, (k0, k1) in zip(got, keys):
+        want = np.random.Philox(key=k0 + (k1 << 64), counter=counter).random_raw(skip + count)[skip:]
+        assert row.tobytes() == want.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=seeds, label=labels, stream_ids=ids, start=st.integers(0, 300), count=st.integers(0, 70))
+@example(seed=0, label="noise", stream_ids=EDGE_IDS + [MASK64], start=3, count=64)
+def test_philox_uniforms_match_stream_generators(seed, label, stream_ids, start, count):
+    got = philox_uniforms(stream_keys(seed, label, stream_ids), start, count)
+    want = [stream_generator(seed, label, i).random(start + count)[start:] for i in stream_ids]
+    assert got.dtype == np.float64 and got.shape == (len(stream_ids), count)
+    assert got.tobytes() == np.array(want, dtype=float).reshape(len(stream_ids), count).tobytes()
+
+
 NOISES = {
     "finite-q2": FiniteNoise((0.5, 0.5)),
     "finite-q3": FiniteNoise((0.2, 0.3, 0.5)),
@@ -46,11 +85,24 @@ NOISES = {
 }
 
 
+def crossing_depths(noise, name):
+    """A depth list whose extensions sit at the short-fill limit or one noise value past it."""
+    width = 1 if isinstance(noise, FiniteNoise) else noise.dim
+    at = _SHORT_FILL // width  # the longest extension, in values, that the vectorized fill takes
+    return {"at-limit": [at], "past-limit": [at + 1], "at-then-past": [at, 2 * at + 1],
+            "past-then-at": [at + 1, 2 * at + 1]}[name]
+
+
 @pytest.mark.parametrize("noise_id", sorted(NOISES))
-@pytest.mark.parametrize("depths", [[3, 7, 9], [16, 32, 24, 19], [0, 5], [5, 4099, 9001]])
+@pytest.mark.parametrize("depths", [
+    [3, 7, 9], [16, 32, 24, 19], [0, 5], [5, 4099, 9001], [5000, 5016],
+    "at-limit", "past-limit", "at-then-past", "past-then-at",
+])
 @pytest.mark.parametrize("stream_ids", [[7, 0, 2**32, 3], [5]])
 def test_block_table_matches_per_stream_generators(noise_id, depths, stream_ids):
     noise = NOISES[noise_id]
+    if isinstance(depths, str):
+        depths = crossing_depths(noise, depths)
     table = _BlockTable(noise, 2024, "gap-tail", stream_ids)
     for d in depths:
         table.ensure(d)
@@ -61,3 +113,38 @@ def test_block_table_matches_per_stream_generators(noise_id, depths, stream_ids)
         assert np.array_equal(table.values, want)
     else:
         assert table.values.tobytes() == want.tobytes()
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """The number of uniforms per row of each call the table fill makes to the vectorized kernel."""
+    calls = []
+
+    def spy(keys, start, count):
+        calls.append(count)
+        return philox_uniforms(keys, start, count)
+
+    monkeypatch.setattr(engine, "philox_uniforms", spy)
+    return calls
+
+
+def test_long_fills_stay_per_row(kernel_calls):
+    noise = NOISES["finite-q2"]
+    _BlockTable(noise, 1, "clt-chain", range(1000)).ensure(10_000)
+    assert kernel_calls == []
+    table = _BlockTable(noise, 1, "noise", range(4096))
+    table.ensure(16)
+    table.ensure(32)
+    # 4096 rows of 4 counter blocks each, a call per 4096 blocks, per extension
+    assert kernel_calls == [16] * 8
+
+
+@pytest.mark.parametrize("noise_id", sorted(NOISES))
+def test_fill_choice_turns_at_the_short_fill_limit(noise_id, kernel_calls):
+    noise = NOISES[noise_id]
+    width = 1 if isinstance(noise, FiniteNoise) else noise.dim
+    table = _BlockTable(noise, 3, "sync", range(5))
+    table.ensure(crossing_depths(noise, "at-limit")[0])
+    assert kernel_calls == [_SHORT_FILL // width * width]
+    table.ensure(2 * _SHORT_FILL // width + 1)
+    assert len(kernel_calls) == 1
