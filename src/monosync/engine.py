@@ -140,6 +140,7 @@ def noise_at(noise: NoiseSpec, seed: int, stream_id: int, j: int):
     """Value ``j`` of a default-label stream, addressed directly through the Philox counter."""
     if j < 0:
         raise UsageError("index must be >= 0")
+    # hash64 reduces the id mod 2**64, as it does in stream_generator's address
     keys = stream_keys(seed, DEFAULT_STREAM_LABEL, [hash64(int(stream_id))])
     if isinstance(noise, FiniteNoise):
         return int(_noise_values(noise, philox_uniforms(keys, j, 1)[0])[0])
@@ -370,19 +371,18 @@ class _BlockTable:
         # temporaries stay small whatever the table's size.
         u = np.empty(_FILL_CHUNK * width)
         filled = written = 0
-        gen = self._gen
+        bitgen = self._gen.bit_generator
         state = {"bit_generator": "Philox", "buffer": [0, 0, 0, 0], "buffer_pos": 4,
                  "has_uint32": 0, "uinteger": 0}
-        keys = self._keys.tolist()
-        last = len(keys) - 1
-        for row, key in enumerate(keys):
+        last = len(self._keys) - 1
+        for row, key in enumerate(self._keys.tolist()):
             state["state"] = {"counter": [start // 4, 0, 0, 0], "key": key}
-            gen.bit_generator.state = state
-            gen.random(out=dropped)
+            bitgen.state = state
+            self._gen.random(out=dropped)
             left = block.shape[1] * width
             while left:
                 take = min(left, u.size - filled)
-                gen.random(out=u[filled : filled + take])
+                self._gen.random(out=u[filled : filled + take])
                 filled += take
                 left -= take
                 if filled == u.size or (row == last and left == 0):
