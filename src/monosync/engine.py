@@ -26,6 +26,15 @@ interval's midpoint, is within ``tol`` of the image of every point of the
 box.  A family without that order is probed with a sampled cloud, for
 which both hold only at the sampled points.
 
+A batch finds each row's minimal depth by doubling from 16, then
+bisecting.  When the probe images are provably nested (the sandwich of a
+family with finite noise whose every map sends both corners into their
+box, unsaturated), each row's diameter series is non-increasing and its
+minimal depth does not depend on the search's path.  Rows are i.i.d., so
+in a batch of more than ``_PILOT`` such rows only the first ``_PILOT``
+search from 16; the rest are imaged at the pilot's median depth and the
+one before it, and only the rows that miss that bracket search further.
+
 All noise comes from labeled counter-based streams (see
 :mod:`monosync.streams`); replica ``r`` of any operation owns stream id
 ``r`` of its label, which makes results independent of chunking and
@@ -63,6 +72,7 @@ _KERNEL_BLOCKS = 4096  # Philox counter blocks enciphered per call when filling 
 # kernel rather than row by row: where the two fills' measured costs meet
 # (see _BlockTable).
 _SHORT_FILL = 64
+_PILOT = 256  # rows searched from depth 16 before the rest start at their median depth (see pullback_batch)
 
 
 def _noise_values(noise: NoiseSpec, u: np.ndarray) -> np.ndarray:
@@ -318,10 +328,11 @@ class _BlockTable:
     On 4096 rows (2-vCPU Xeon, numpy 2.4; six scans of finite and 2-d box
     noise) the vectorized pass took 0.27-0.52 times the per-row fill's
     time at 16 uniforms per row, 0.83-1.02 times at 64 and 0.92-1.53 times
-    at 72, so ``_SHORT_FILL`` is 64.  The pullback depth search, sync-rate
-    and sigma-decay extend by a few dozen values per row and take the
-    vectorized pass; the clt chains draw 10,000 values per row at once and
-    take the per-row fill.
+    at 72, so ``_SHORT_FILL`` is 64.  The pullback depth search (16 values per
+    row, then 16 or 32 more; the rows after a pilot fill the pilot's median
+    depth at once, 19 on cantor1d), sync-rate and sigma-decay extend by a
+    few dozen values per row and take the vectorized pass; the clt chains
+    draw 10,000 values per row at once and take the per-row fill.
 
     Finite-noise symbols are stored in the smallest unsigned type that
     holds q.
@@ -430,8 +441,21 @@ def pullback_batch(
     gets a new ``hi``, so no depth is evaluated twice.  A row closes at
     ``lo + 1 == hi``, or unconverged when it is still above tolerance at
     ``n_max`` (``n_used`` is -1 and ``diam`` the diameter there).
+
+    Rows are i.i.d., so when the probe images are provably nested (see
+    ``_probe_nests``: the monotone sandwich of a declared family with
+    finite noise whose maps keep the probe box) and there are more than
+    ``_PILOT`` rows, only the first ``_PILOT`` rows start at depth 16.  The
+    others are imaged at ``g - 1`` and ``g``, ``g`` the median depth of the
+    converged pilot rows, in one ragged call: a row within tolerance at
+    ``g`` but not at ``g - 1`` closes there, and any other row continues
+    the loop from the bracket it got, bisecting ``(0, g - 1]`` or doubling
+    from ``g``.  Nesting makes every row's diameter series non-increasing,
+    so its minimal depth, and the image there, do not depend on the
+    search's path.  Any other probe, and any batch of at most ``_PILOT``
+    rows, takes the loop from depth 16 on every row.
     """
-    if tol <= 0:
+    if not tol > 0:  # a NaN tolerance fails here too
         raise UsageError("tol must be positive")
     if n_max < 1:
         raise UsageError("n_max must be >= 1")
@@ -439,7 +463,6 @@ def pullback_batch(
     if probe.shape[0] < 2:
         raise UsageError("probe cloud needs at least 2 points")
     n = len(stream_ids)
-    table = _BlockTable(fam.noise, seed, label, stream_ids)
 
     points = np.zeros((n, fam.dim))
     diam = np.full(n, np.inf)
@@ -454,8 +477,79 @@ def pullback_batch(
 
     lo = np.zeros(n, dtype=np.int64)
     hi = np.full(n, -1, dtype=np.int64)  # -1: no depth within tol found yet
-    rows = np.arange(n)
-    while rows.size:
+    state = (lo, hi, points, diam, saturated)
+    pilot = _PILOT if n > _PILOT and _probe_nests(fam, probe) else n
+    table = _BlockTable(fam.noise, seed, label, stream_ids[:pilot])
+    _search(fam, table, probe, tol, n_max, *(a[:pilot] for a in state))
+    if pilot < n:
+        # the rest get their own table, filled only as deep as their search goes
+        table = _BlockTable(fam.noise, seed, label, stream_ids[pilot:])
+        used = hi[:pilot][hi[:pilot] >= 0]
+        if used.size:  # medians of depths <= n_max, so g <= n_max
+            _guess(fam, table, probe, tol, int(np.median(used)), *(a[pilot:] for a in state))
+        _search(fam, table, probe, tol, n_max, *(a[pilot:] for a in state))
+    return PullbackBatch(points, hi, diam, hi >= 0, saturated)
+
+
+def _probe_nests(fam: MapFamily, probe: np.ndarray) -> bool:
+    """Whether the probe's images are nested, checked on the q member maps at depth 1.
+
+    True when ``probe`` is the monotone sandwich of a declared family with
+    finite noise (two points, the lowest and highest corners of their hull
+    box in the declared order) and every member map sends both corners
+    into that box, unsaturated.  A monotone map then sends the whole box
+    into it, so each deeper composition maps the two corners into the
+    order interval of their images at the depth before: the images are
+    nested, their diameters non-increasing, and none saturates.
+    """
+    signs = fam.monotone_signs()
+    if signs is None or not fam.finite or probe.shape[0] != 2:
+        return False
+    step = (probe[1] - probe[0]) * signs
+    if not ((step >= 0).all() or (step <= 0).all()):
+        return False
+    q = fam.noise.q
+    raw = fam.raw_batch(np.repeat(np.arange(1, q + 1), 2), np.tile(probe, (q, 1)))
+    img, sat = _clamp_points(raw, fam.clamp_bound)
+    inside = (probe.min(axis=0) <= img) & (img <= probe.max(axis=0))
+    return bool(inside.all()) and not sat.any()
+
+
+def _guess(fam, table, probe, tol, g, lo, hi, points, diam, saturated) -> None:
+    """Image every row at depths ``g - 1`` and ``g`` in one call and bracket it by the two diameters.
+
+    A row within ``tol`` at ``g - 1`` gets ``(0, g - 1]``, one within it at
+    ``g`` only ``(g - 1, g]`` (closed), and any other ``lo = g`` and no
+    ``hi``; its centroid and diameter are kept as the search loop keeps
+    them.
+    """
+    k = lo.size
+    table.ensure(g)
+    blocks = np.concatenate([table.values] * 2)  # every row twice: first at g - 1, then at g
+    pts, sat = image_points_at_depths(fam, blocks, np.repeat([g - 1, g], k), probe)
+    dms = _taxicab_diams(pts).reshape(2, k)
+    ok = dms <= tol
+    lo[:] = np.where(ok[0], 0, np.where(ok[1], g - 1, g))
+    hi[:] = np.where(ok[0], g - 1, np.where(ok[1], g, -1))
+    at = (np.where(ok[0], 0, 1), np.arange(k))  # the depth kept: the shallower one within tol, else g
+    diam[:] = dms[at]
+    conv = ok.any(axis=0)
+    points[conv] = pts.mean(axis=1).reshape(2, k, -1)[at][conv]
+    saturated |= sat.reshape(2, k).any(axis=0)
+
+
+def _search(fam, table, probe, tol, n_max, lo, hi, points, diam, saturated) -> None:
+    """Run the depth search of ``pullback_batch`` on every open row, in place.
+
+    A row is open while it has no ``hi`` and ``lo < n_max``, or while
+    ``lo + 1 < hi``; ``lo`` 0 and ``hi`` -1 start it at depth 16.
+    """
+    rows = np.arange(lo.size)
+    while True:
+        r_lo, r_hi = lo[rows], hi[rows]
+        rows = rows[np.where(r_hi < 0, r_lo < n_max, r_lo + 1 < r_hi)]
+        if not rows.size:
+            return
         r_lo, r_hi = lo[rows], hi[rows]
         doubling = r_hi < 0
         deeper = np.minimum(np.maximum(2 * r_lo, 16), n_max)
@@ -470,9 +564,6 @@ def pullback_batch(
         points[rows[ok]] = pts[ok].mean(axis=1)
         keep = ok | doubling  # a row's diameter is at its hi, or at its deepest depth
         diam[rows[keep]] = dms[keep]
-        r_lo, r_hi = lo[rows], hi[rows]
-        rows = rows[np.where(r_hi < 0, r_lo < n_max, r_lo + 1 < r_hi)]
-    return PullbackBatch(points, hi, diam, hi >= 0, saturated)
 
 
 def pullback_point(

@@ -423,7 +423,7 @@ class MapFamily:
             raise UnknownFamilyError(
                 f"unknown family {self.family!r}; known: {builtin_family_ids()}"
             )
-        if self.clamp_bound <= 0:
+        if not self.clamp_bound > 0:  # a NaN bound fails here too
             raise UsageError("clamp_bound must be positive")
         if self.family == "slide1d":
             if not isinstance(self.noise, BoxNoise):

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from monosync.cli import main
+from monosync.cli import EXIT_USAGE, main
 
 
 def run(args):
@@ -350,3 +350,18 @@ def test_manifest_replays_infinite_clamp(tmp_path):
     assert run(["stationary", "--config", str(out_a / "manifest.json"), "--out", str(out_b)]) == 0
     for name in ("manifest.json", "stationary.csv", "stationary.json"):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("args", [
+    ["stationary", "--family", "cantor1d", "--n-samples", "64", "--tol", "nan"],
+    ["forward-gap", "--family", "cantor1d", "--n", "8", "--tail-tol", "nan"],
+    ["stationary", "--n-samples", "64", {"family": "cantor1d", "clamp": float("nan")}],
+])
+def test_nan_thresholds_exit_usage(tmp_path, capsys, args):
+    # NaN fails every comparison, so a "<= 0" guard would let it through
+    if isinstance(args[-1], dict):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(args[-1]))  # written as the JSON token NaN
+        args = args[:-1] + ["--config", str(config)]
+    assert run(args + ["--out", str(tmp_path / "out")]) == EXIT_USAGE
+    assert "must be positive" in capsys.readouterr().err

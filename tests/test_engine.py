@@ -20,10 +20,12 @@ from monosync import (
 )
 from monosync.engine import (
     _KERNEL_BLOCKS,
+    _PILOT,
     _BlockTable,
     _chain,
     _draw_noise,
     _noise_values,
+    _probe_nests,
     image_points_at_depths,
     pullback_batch,
 )
@@ -228,6 +230,105 @@ def test_pullback_batch_evaluates_each_depth_once(cantor1d, monkeypatch):
     assert (batch.n_used == 19).all()
     # doubling to 32, then bisecting (16, 32] down to 19, with no depth repeated
     assert calls == [[16], [32], [24], [20], [18], [19]]
+
+
+def _record_image_calls(monkeypatch):
+    """Patch the engine's kernel to record each call's (row count, sorted distinct depths)."""
+    calls = []
+
+    def counting(fam, blocks, depths, base_pts):
+        calls.append((len(depths), sorted(set(np.asarray(depths).tolist()))))
+        return image_points_at_depths(fam, blocks, depths, base_pts)
+
+    monkeypatch.setattr("monosync.engine.image_points_at_depths", counting)
+    return calls
+
+
+def test_pullback_batch_rest_starts_at_the_pilot_depth(cantor1d, monkeypatch):
+    calls = _record_image_calls(monkeypatch)
+    batch = pullback_batch(cantor1d, 5, range(_PILOT + 64), _default_probe(cantor1d), 1e-9, 4096)
+    assert (batch.n_used == 19).all()
+    # the pilot searches as a batch of its own would, then the other 64 rows
+    # are imaged at 18 and 19 (stacked, 128 rows) and all close there
+    pilot = [(_PILOT, [16]), (_PILOT, [32]), (_PILOT, [24]), (_PILOT, [20]), (_PILOT, [18]), (_PILOT, [19])]
+    assert calls == pilot + [(128, [18, 19])]
+
+
+# Maps x -> A x + c with contraction 0.6 and 0.15 (sup norm): nested in the
+# probe box [-1, 1]^2, with depths from 11 to 26 at tol 1e-9 (4096 rows,
+# seed 21), so rows after the pilot miss the guess both ways.
+_NESTED_AFFINE = {
+    "mats": [[[0.5, 0.1], [0.1, 0.4]], [[0.1, 0.0], [0.05, 0.1]]],
+    "offs": [[0.2, -0.1], [-0.3, 0.4]],
+}
+
+
+@pytest.mark.parametrize("fid, params", [
+    ("cantor1d", {}),
+    ("cantor2d", {}),
+    ("affine-general", _NESTED_AFFINE),
+])
+def test_pullback_batch_guess_matches_linear_scan(fid, params, monkeypatch):
+    fam = make_family(fid, params=params)
+    probe = _default_probe(fam)
+    assert _probe_nests(fam, probe)
+    tol, n_max = 1e-9, 64
+    ids = list(range(_PILOT + 40)) + [2**32 + 1, 2**63 + 5]
+    blocks = per_stream_table(fam.noise, 21, "noise", ids, [n_max])
+    want_n, want_pts, want_diam = pullback_linear_scan(fam, blocks, probe, tol, n_max)
+    got = pullback_batch(fam, 21, ids, probe, tol, n_max)
+    assert np.array_equal(got.n_used, want_n)
+    assert np.array_equal(got.diam, want_diam)
+    assert np.array_equal(got.converged, want_n >= 0)
+    assert not got.saturated.any()  # nested images never saturate
+    conv = want_n >= 0
+    assert np.allclose(got.points[conv], want_pts[conv], rtol=0, atol=1e-12)
+    if fid == "affine-general":  # rows bisect below the guess (g - 1, g] and double above it
+        g = int(np.median(want_n[:_PILOT]))
+        assert (want_n[_PILOT:] < g - 1).any() and (want_n[_PILOT:] > g).any()
+    # and bit for bit what the search from depth 16 on every row gives
+    monkeypatch.setattr("monosync.engine._PILOT", len(ids))
+    plain = pullback_batch(fam, 21, ids, probe, tol, n_max)
+    for field in ("points", "n_used", "diam", "converged", "saturated"):
+        assert np.array_equal(getattr(got, field), getattr(plain, field)), field
+
+
+def _off_order_corners(fam):
+    # the box's lo and hi corners, ordered neither way in cantor2d's order (+, -)
+    box = fam.probe_box()
+    return np.array([box.lo, box.hi])
+
+
+@pytest.mark.parametrize("fid, probe_of", [
+    ("exp1d", _default_probe),  # the maps leave the stand-in probe box
+    ("lip-pair", _default_probe),  # slope 2 leaves it too
+    ("cantor1d", lambda fam: probe_cloud(fam.probe_box())),  # not a two-corner sandwich
+    ("cantor2d", _off_order_corners),
+    ("slide1d", _default_probe),  # box noise
+])
+def test_pullback_batch_without_nesting_starts_every_row_at_16(fid, probe_of, monkeypatch):
+    fam = make_family(fid)
+    probe = probe_of(fam)
+    assert not _probe_nests(fam, probe)
+    calls = _record_image_calls(monkeypatch)
+    pullback_batch(fam, 3, range(_PILOT + 64), probe, 1e-6, 64)
+    assert calls[0] == (_PILOT + 64, [16])
+    assert all(rows <= _PILOT + 64 for rows, _ in calls)
+
+
+def test_probe_nests_needs_unsaturated_images(cantor1d):
+    probe = _default_probe(cantor1d)
+    assert _probe_nests(cantor1d, probe)
+    assert _probe_nests(cantor1d, probe[::-1])  # the corners in either order
+    assert not _probe_nests(make_family("cantor1d", clamp_bound=0.5), probe)
+
+
+def test_nan_thresholds_are_usage_errors(cantor1d):
+    probe = _default_probe(cantor1d)
+    with pytest.raises(UsageError):
+        pullback_batch(cantor1d, 1, range(4), probe, float("nan"), 64)
+    with pytest.raises(UsageError):
+        make_family("cantor1d", clamp_bound=float("nan"))
 
 
 def test_forward_reverse_distributional_duality(cantor1d):
