@@ -173,6 +173,8 @@ def _parse_point(text: str | None, dim: int, fallback: np.ndarray) -> np.ndarray
         vals = [float(v) for v in str(text).split(",")]
     if len(vals) != dim:
         raise UsageError(f"point has {len(vals)} coordinates, family has {dim}")
+    if not np.isfinite(vals).all():
+        raise UsageError(f"point coordinates must be finite, got {text}")
     return np.asarray(vals, dtype=float)
 
 
@@ -227,8 +229,7 @@ def _run_check_monotone(cfg, fam, ordr, outdir) -> int:
     else:
         if int(cfg["n_alphas"]) < 1:
             raise UsageError("n_alphas must be >= 1")
-        block = sample_block(fam.noise, seed, 0, int(cfg["n_alphas"]), label="monotone-alpha")
-        alphas = [block.values[i] for i in range(len(block))]
+        alphas = list(sample_block(fam.noise, seed, 0, int(cfg["n_alphas"]), label="monotone-alpha").values)
     verdicts = []
     all_monotone = True
     for a in alphas:

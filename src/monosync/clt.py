@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .engine import _BlockTable, _chain, _draw_noise, _write_csv, pullback_batch
+from .engine import _BlockTable, _chain, _stream_values, _write_csv, pullback_batch
 from .errors import (
     NoDecayError,
     NonPositiveSigmaError,
@@ -346,8 +346,7 @@ def _terms(fam: MapFamily, phi, pts: np.ndarray, n_terms: int, seed: int, label:
         yield method, term, int(sat.sum())
     if n_terms == n_exact:
         return
-    gen = stream_generator(seed, label)
-    noise = _draw_noise(fam.noise, gen, (n_terms - 1, n_chains))  # one row per step
+    noise = _stream_values(fam.noise, (n_terms - 1, n_chains), seed, label)  # one row per step
     states = np.repeat(pts[None, :, :], n_chains, axis=0)
     chain_sat = np.zeros(n_chains, dtype=bool)
     for depth, (states, hit) in enumerate(_chain(fam, np.swapaxes(noise, 0, 1), states), start=1):
@@ -417,6 +416,8 @@ def poisson_solve(
         raise UsageError("sample dimension does not match family")
     if grid_size < 1:
         raise UsageError("grid_size must be >= 1")
+    if not tol > 0:  # a NaN tolerance fails here too
+        raise UsageError("tol must be positive")
     if mu_sample.n <= grid_size:
         grid = mu_sample.points.copy()
     else:
@@ -684,6 +685,8 @@ def run_clt_analysis(
     """
     if replicas < 2:
         raise UsageError("replicas must be >= 2: the path diagnostics need a sample variance")
+    if not tol > 0:  # checked before the pullback sample, as poisson_solve checks it
+        raise UsageError("tol must be positive")
     mu = pullback_sample(fam, seed, mu_size)
     phi0 = make_observable(observable_spec, mu)
     linear = _linear_part(phi0, fam.dim)

@@ -35,10 +35,10 @@ in a batch of more than ``_PILOT`` such rows only the first ``_PILOT``
 search from 16; the rest are imaged at the pilot's median depth and the
 one before it, and only the rows that miss that bracket search further.
 
-All noise comes from labeled counter-based streams (see
-:mod:`monosync.streams`); replica ``r`` of any operation owns stream id
-``r`` of its label, which makes results independent of chunking and
-worker counts.
+All noise is read through ``_BlockTable`` from labeled counter-based
+streams (see :mod:`monosync.streams`): replica ``r`` of any operation owns
+stream id ``r`` of its label, which makes results independent of chunking
+and worker counts; a single stream is a one-row table.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ import numpy as np
 from .errors import NotConvergedError, UsageError
 from .families import FiniteNoise, MapFamily, NoiseSpec, _clamp_points
 from .order import Box
-from .streams import hash64, philox_uniforms, stream_generator, stream_keys
+from .streams import philox_uniforms, stream_keys
 
 __all__ = [
     "NoiseBlock",
@@ -68,10 +68,11 @@ __all__ = [
 DEFAULT_STREAM_LABEL = "noise"
 _FILL_CHUNK = 4096  # noise values mapped from uniforms per call when filling a table row by row
 _KERNEL_BLOCKS = 4096  # Philox counter blocks enciphered per call when filling a table at once
-# Longest table extension, in uniforms per row, filled by the vectorized
-# kernel rather than row by row: where the two fills' measured costs meet
-# (see _BlockTable).
+# The vectorized kernel fills extensions of at most _SHORT_FILL uniforms per
+# row of tables of at least _VECTOR_ROWS rows, where the two fills' measured
+# costs meet (see _BlockTable); the rest are filled row by row.
 _SHORT_FILL = 64
+_VECTOR_ROWS = 192
 _PILOT = 256  # rows searched from depth 16 before the rest start at their median depth (see pullback_batch)
 
 
@@ -87,17 +88,6 @@ def _noise_values(noise: NoiseSpec, u: np.ndarray) -> np.ndarray:
         return np.searchsorted(cum[:-1], u, side="right") + 1
     box = noise.box
     return box.lo + u * (box.hi - box.lo)
-
-
-def _draw_noise(noise: NoiseSpec, gen: np.random.Generator, shape: tuple) -> np.ndarray:
-    """An array of ``shape`` i.i.d. noise values, drawn with one ``gen.random`` call.
-
-    Symbols come back with exactly ``shape``; box parameters carry a
-    trailing axis of the box dimension.
-    """
-    if isinstance(noise, FiniteNoise):
-        return _noise_values(noise, gen.random(shape))
-    return _noise_values(noise, gen.random((*shape, noise.dim)))
 
 
 def _write_csv(path, seed: int | None, columns: dict) -> None:
@@ -118,9 +108,9 @@ def _write_csv(path, seed: int | None, columns: dict) -> None:
 class NoiseBlock:
     """A finite stretch of one noise stream, reproducible from its address.
 
-    ``values`` has shape (n,) of symbols for finite noise or (n, d) of
-    parameter vectors for box noise.  Regenerating with the same
-    (seed, stream_id, n) is bit-exact.
+    ``values`` has shape (n,) of symbols for finite noise, in the smallest
+    unsigned type that holds q, or (n, d) of parameter vectors for box
+    noise.  Regenerating with the same (seed, stream_id, n) is bit-exact.
     """
 
     values: np.ndarray
@@ -141,8 +131,8 @@ def sample_block(
     """Draw the first ``n`` i.i.d. noise values of the addressed stream."""
     if n < 0:
         raise UsageError("block length must be >= 0")
-    gen = stream_generator(seed, label, int(stream_id))
-    vals = _draw_noise(noise, gen, (n,))
+    # an int label is hashed by hash64, which reduces the id mod 2**64
+    vals = _stream_values(noise, (n,), seed, label, int(stream_id))
     return NoiseBlock(values=vals, seed=int(seed), stream_id=int(stream_id))
 
 
@@ -150,8 +140,7 @@ def noise_at(noise: NoiseSpec, seed: int, stream_id: int, j: int):
     """Value ``j`` of a default-label stream, addressed directly through the Philox counter."""
     if j < 0:
         raise UsageError("index must be >= 0")
-    # hash64 reduces the id mod 2**64, as it does in stream_generator's address
-    keys = stream_keys(seed, DEFAULT_STREAM_LABEL, [hash64(int(stream_id))])
+    keys = stream_keys(seed, DEFAULT_STREAM_LABEL, int(stream_id))
     if isinstance(noise, FiniteNoise):
         return int(_noise_values(noise, philox_uniforms(keys, j, 1)[0])[0])
     d = noise.dim
@@ -312,35 +301,35 @@ def image_box(fam: MapFamily, block, probe_points: np.ndarray) -> Box:
 class _BlockTable:
     """Per-stream noise blocks that can be deepened without replaying prefixes.
 
-    Row ``i`` holds the first draws of stream ``(seed, label, stream_ids[i])``,
-    bit for bit the values ``sample_block`` gives.  The keys of all rows are
-    derived at once; ``ensure`` then fills the new columns one of two ways,
-    chosen by the extension's length in uniforms per row:
+    The one source of noise values.  Row ``i`` of ``(seed, label,
+    stream_ids)`` holds the first draws of stream ``(seed, label,
+    stream_ids[i])``; an address with no trailing ids, such as ``(seed,
+    "push")``, is one stream in one row (see :func:`streams.stream_keys`).
+    Every row holds bit for bit what ``stream_generator`` gives its
+    address, finite-noise symbols in the smallest unsigned type that holds
+    q.  The keys of all rows are derived at once; ``ensure`` then fills the
+    new columns one of two ways:
 
-    * at most ``_SHORT_FILL`` (64): :func:`streams.philox_uniforms`
+    * at most ``_SHORT_FILL`` (64) uniforms per row on at least
+      ``_VECTOR_ROWS`` (192) rows: :func:`streams.philox_uniforms`
       enciphers every (row, counter block) pair in one vectorized pass,
-      ``_KERNEL_BLOCKS`` blocks per call so the temporaries stay the same
-      whatever the rows, at about 55-95 ns per uniform and nothing per row;
-    * longer: one Philox is re-keyed per row, its counter pointed at the
-      row's next draw, and fills the row in C, at about 3-5 us per row plus
-      13-28 ns per uniform.
+      ``_KERNEL_BLOCKS`` blocks per call, at about 55-95 ns per uniform and
+      0.45 ms per call;
+    * otherwise one Philox, re-keyed per row, fills the row in C, at about
+      3-5 us per row plus 13-28 ns per uniform.
 
-    On 4096 rows (2-vCPU Xeon, numpy 2.4; six scans of finite and 2-d box
-    noise) the vectorized pass took 0.27-0.52 times the per-row fill's
-    time at 16 uniforms per row, 0.83-1.02 times at 64 and 0.92-1.53 times
-    at 72, so ``_SHORT_FILL`` is 64.  The pullback depth search (16 values per
-    row, then 16 or 32 more; the rows after a pilot fill the pilot's median
-    depth at once, 19 on cantor1d), sync-rate and sigma-decay extend by a
-    few dozen values per row and take the vectorized pass; the clt chains
-    draw 10,000 values per row at once and take the per-row fill.
-
-    Finite-noise symbols are stored in the smallest unsigned type that
-    holds q.
+    The vectorized pass took 0.27-0.52 times the per-row fill's time at 16
+    uniforms per row on 4096 rows, 0.83-1.02 at 64 and 0.92-1.53 at 72; at
+    16 and 64, 30 times on one row, 1.8-2.0 on 64, 1.1-1.3 on 128, 0.8-1.05
+    on 192 and 0.6-0.9 on 256 (2-vCPU Xeon, numpy 2.4; finite and 2-d box
+    noise).  So the pullback depth search, sigma-decay and large sync-rate
+    runs take the vectorized pass; the clt chains (10,000 values per row),
+    one-row tables and sync-rate's default 64 replicas the per-row fill.
     """
 
-    def __init__(self, noise: NoiseSpec, seed: int, label: str, stream_ids: Sequence[int]):
+    def __init__(self, noise: NoiseSpec, seed: int, *labels):
         self.noise = noise
-        self._keys = stream_keys(seed, label, stream_ids)
+        self._keys = stream_keys(seed, *labels)
         self._gen = np.random.Generator(np.random.Philox(0))  # re-keyed before every row of a long fill
         n = len(self._keys)
         if isinstance(noise, FiniteNoise):
@@ -356,7 +345,7 @@ class _BlockTable:
         tail = self.values.shape[2:]
         block = np.empty((len(self._keys), extra) + tail, dtype=self.values.dtype)
         width = math.prod(tail)  # uniforms per noise value
-        if extra * width <= _SHORT_FILL:
+        if extra * width <= _SHORT_FILL and len(self._keys) >= _VECTOR_ROWS:
             self._fill_vectorized(block, have * width)
         else:
             self._fill_per_row(block, have * width)
@@ -402,6 +391,13 @@ class _BlockTable:
                     out[written : written + k] = vals
                     written += k
                     filled = 0
+
+
+def _stream_values(noise: NoiseSpec, shape: tuple, seed: int, *labels) -> np.ndarray:
+    """The first values of the one stream ``(seed, *labels)`` in row-major ``shape``, plus a box axis."""
+    table = _BlockTable(noise, seed, *labels)
+    table.ensure(math.prod(shape))
+    return table.values.reshape(shape + table.values.shape[2:])
 
 
 def _taxicab_diams(pts: np.ndarray) -> np.ndarray:

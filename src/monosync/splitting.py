@@ -30,12 +30,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engine import _BlockTable, _draw_noise, _write_csv, image_points_at_depths
+from .engine import _BlockTable, _stream_values, _write_csv, image_points_at_depths
 from .errors import UsageError
 from .families import FiniteNoise, MapFamily, _default_probe
 from .fitting import loglinear_fit
 from .order import JOrder, _signed_box_coords
-from .streams import stream_generator
 
 __all__ = [
     "SplittingReport",
@@ -209,7 +208,7 @@ def find_splitting_witness(
         }
 
     for m in range(1, m_max + 1):
-        blocks = _draw_noise(fam.noise, stream_generator(seed, "witness", m), (n_blocks, m))
+        blocks = _stream_values(fam.noise, (n_blocks, m), seed, "witness", m)
         report = _split(fam, order, blocks, m, "monte-carlo", lambda: range(n_blocks), frequencies)
         if report.verified:
             break
@@ -264,10 +263,12 @@ def sigma_decay(
         raise UsageError(f"coordinate s={s} outside 1..{fam.dim}")
     if j_max < 1 or m < 1:
         raise UsageError("m and j_max must be >= 1")
+    xval = float(x)
+    if not math.isfinite(xval):  # a NaN x is in no projection and would read as perfect decay
+        raise UsageError(f"x must be finite, got {x}")
     probe = _default_probe(fam)
     table = _BlockTable(fam.noise, seed, "sigma", range(replicas))
     table.ensure(j_max * m)
-    xval = float(x)
 
     js, ps, ses = [], [], []
     truncated = None

@@ -13,22 +13,15 @@ the counter before each block, so word ``j`` of a stream is word ``j % 4``
 of the block enciphered from counter ``j // 4 + 1``: any draw is addressed
 directly, without generating the prefix.
 
-With a counter-based generator, deriving the key is the only per-stream
-work.  Noise tables of many streams (``engine._BlockTable``) therefore
-derive all their keys together with :func:`stream_keys`, a vectorized
-``SeedSequence``, and fill their rows one of two ways:
-
-* :func:`philox_uniforms` enciphers every (key, counter block) pair at once
-  in numpy, the 64 x 64 -> 128-bit products built from 32-bit halves.  It
-  costs about 55-95 ns per uniform and nothing per row.
-* one Philox is re-keyed per row, its counter set to ``start // 4`` with an
-  empty buffer and the first ``start % 4`` draws dropped, and fills the row
-  in C: about 3-5 us per row plus 13-28 ns per uniform.
-
-On 4096 rows the two cost the same between 64 and 72 uniforms per row,
-so extensions of at most 64 uniforms per row take the vectorized pass and
-longer ones the per-row fill.  Either way every row holds exactly
-the draws of its own ``stream_generator``.
+Every noise value is read from an ``engine._BlockTable``, one row per
+stream; a single stream is a one-row table.  A table derives all its keys
+at once with :func:`stream_keys` and fills an extension one of two ways:
+:func:`philox_uniforms` enciphers every (key, counter block) pair in one
+numpy pass, or one Philox, re-keyed per row, fills each row in C.  The
+numpy pass takes extensions of at most 64 uniforms per row of tables of at
+least 192 rows, where it is the faster (see ``_BlockTable``).  Either way
+every row holds exactly the draws of its own ``stream_generator``, which
+is left for the draws that are not noise.
 """
 
 from __future__ import annotations
@@ -131,16 +124,21 @@ def _seed_sequence_keys(entropy: np.ndarray) -> np.ndarray:
     return state.astype("<u4").view("<u8").astype(np.uint64)
 
 
-def stream_keys(seed: int, label, stream_ids) -> np.ndarray:
-    """Philox keys of the streams ``(seed, label, id)``, one (N, 2) uint64 row per id.
+def stream_keys(seed: int, *labels) -> np.ndarray:
+    """Philox keys of the streams at ``stream_generator``'s address, one (N, 2) uint64 row per stream.
 
-    Row ``i`` is bit for bit the key ``stream_generator(seed, label,
-    stream_ids[i])`` gives its Philox, derived for all ids at once.  Ids are
-    non-negative and below 2**64; ids of one and of two 32-bit words give
-    entropy of different lengths and are keyed as separate groups.
+    A trailing non-string sequence of ids gives one row per id: row ``i`` is
+    bit for bit the key of ``stream_generator(seed, *labels[:-1], ids[i])``,
+    all derived at once.  Ids are non-negative and below 2**64; ids of one
+    and of two 32-bit words give entropy of different lengths and are keyed
+    as separate groups.  Any other address is one stream, keyed by
+    ``seed_sequence`` itself, which is faster for one row.
     """
-    ids = np.asarray(stream_ids, dtype=np.uint64).reshape(-1)
-    prefix = _words(int(seed) & _MASK64) + _words(hash64(label))
+    if not (labels and np.ndim(labels[-1])):
+        return seed_sequence(seed, *labels).generate_state(2, np.uint64)[None]
+    *labels, ids = labels
+    ids = np.asarray(ids, dtype=np.uint64).reshape(-1)
+    prefix = [w for x in (int(seed), *labels) for w in _words(hash64(x))]
     p = len(prefix)
     keys = np.empty((ids.size, 2), dtype=np.uint64)
     wide = ids > _MASK32

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engine import _chain, _draw_noise, _write_csv, pullback_batch
+from .engine import _chain, _stream_values, _write_csv, pullback_batch
 from .errors import NotConvergedError, UsageError
 from .families import FiniteNoise, MapFamily, _default_probe
 from .fitting import loglinear_fit
@@ -305,7 +305,7 @@ def push_forward(fam: MapFamily, mu: EmpiricalMeasure, steps: int, seed: int) ->
         raise UsageError("measure dimension does not match family")
     if steps == 0:
         return EmpiricalMeasure(mu.points, mu.weights, "pushforward", dict(mu.meta))
-    blocks = _draw_noise(fam.noise, stream_generator(seed, "push"), (mu.n, steps))
+    blocks = _stream_values(fam.noise, (mu.n, steps), seed, "push")
     pts = np.array(mu.points)  # a copy: _chain advances it in place
     meta = dict(mu.meta)
     saturated = bool(meta.get("saturated", False))

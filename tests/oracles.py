@@ -223,38 +223,61 @@ def finite_symbol(u: float, probs) -> int:
     return len(probs)
 
 
+def _label_word(label) -> int:
+    """An int label is its own word mod 2**64; a string label the little-endian 8-byte blake2b digest of its UTF-8."""
+    if isinstance(label, int):
+        return label % 2**64
+    digest = hashlib.blake2b(str(label).encode("utf-8"), digest_size=8).digest()
+    return int.from_bytes(digest, "little")
+
+
+def _next_value(gen, noise):
+    """One noise value from ``gen``: a symbol from one uniform, or a box parameter from ``dim``."""
+    if hasattr(noise, "probs"):
+        return finite_symbol(gen.random(), noise.probs)
+    u = gen.random(noise.dim)
+    return noise.box.lo + u * (noise.box.hi - noise.box.lo)
+
+
+def _as_table(noise, rows, n_rows, depth):
+    """Noise values as an (n_rows, depth) int64 symbol table or an (n_rows, depth, dim) parameter table."""
+    if hasattr(noise, "probs"):
+        return np.array(rows, dtype=np.int64).reshape(n_rows, depth)
+    return np.array(rows, dtype=float).reshape(n_rows, depth, noise.dim)
+
+
 def per_stream_table(noise, seed, label, ids, depths):
     """Noise table deepened to each of ``depths`` in turn, one generator per stream.
 
     Stream ``(seed, label, id)`` is ``Generator(Philox(SeedSequence([seed mod
-    2**64, label word, id])))``, where an int label is its own word and a
-    string label the little-endian 8-byte blake2b digest of its UTF-8.  Each
-    deepening draws only the missing values of every stream, row by row.
+    2**64, label word, id])))`` (see ``_label_word``).  Each deepening draws
+    only the missing values of every stream, row by row.
     """
-    if isinstance(label, int):
-        word = label % 2**64
-    else:
-        digest = hashlib.blake2b(str(label).encode("utf-8"), digest_size=8).digest()
-        word = int.from_bytes(digest, "little")
     gens = [
-        np.random.Generator(np.random.Philox(np.random.SeedSequence([seed % 2**64, word, int(i)])))
+        np.random.Generator(np.random.Philox(np.random.SeedSequence([seed % 2**64, _label_word(label), int(i)])))
         for i in ids
     ]
-    finite = hasattr(noise, "probs")
     rows = [[] for _ in gens]
     have = 0
     for depth in depths:
         for row, gen in zip(rows, gens):
             for _ in range(have, depth):
-                if finite:
-                    row.append(finite_symbol(gen.random(), noise.probs))
-                else:
-                    u = gen.random(noise.dim)
-                    row.append(noise.box.lo + u * (noise.box.hi - noise.box.lo))
+                row.append(_next_value(gen, noise))
         have = max(have, depth)
-    if finite:
-        return np.array(rows, dtype=np.int64).reshape(len(gens), have)
-    return np.array(rows, dtype=float).reshape(len(gens), have, noise.dim)
+    return _as_table(noise, rows, len(gens), have)
+
+
+def single_stream(noise, seed, labels, n):
+    """The first ``n`` noise values of the one stream ``(seed, *labels)``, drawn one at a time.
+
+    The stream has no id: it is ``Generator(Philox(SeedSequence([seed mod
+    2**64, word of each label])))``, so ``single_stream(noise, s, (label,
+    i), n)`` is row ``i`` of ``per_stream_table`` for a non-negative ``i``.
+    Returns (n,) int64 symbols or (n, dim) box parameters.
+    """
+    entropy = [seed % 2**64] + [_label_word(lab) for lab in labels]
+    gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
+    return _as_table(noise, [_next_value(gen, noise) for _ in range(n)], 1, n)[0]
 
 
 def pullback_linear_scan(fam, blocks, probe, tol, n_max):

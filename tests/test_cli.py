@@ -253,6 +253,11 @@ def test_threads_do_not_change_artifacts(tmp_path):
     (["w1-decay", "--family", "cantor1d", "--n-particles", "256", "--ref-size", "256",
       "--n-max", "1", "--seed", "11"],
      "manifest.json", "42e247bcc3e496511cb33c3a640dc0e8e15f5ad8bfc2bbc030c9f4979039c4c9"),
+    # box noise has no exact terms: the Poisson series past phi is the Monte Carlo
+    # chains' means, all driven by the one "poisson-chain" stream
+    (["clt", "--family", "slide1d", "--n", "200", "--replicas", "100", "--mu-size", "512",
+      "--grid-size", "256", "--seed", "1234"],
+     "clt_report.json", "27fcb65eebf88bdba2b9a6212714124cb6d50dad2ad9f5b8eb8b61ed9ca3536b"),
 ])
 def test_golden_artifact_digest(tmp_path, args, artifact, digest):
     # Frozen bytes: any change to the noise streams (finite and box tables), to the
@@ -356,6 +361,7 @@ def test_manifest_replays_infinite_clamp(tmp_path):
     ["stationary", "--family", "cantor1d", "--n-samples", "64", "--tol", "nan"],
     ["forward-gap", "--family", "cantor1d", "--n", "8", "--tail-tol", "nan"],
     ["stationary", "--n-samples", "64", {"family": "cantor1d", "clamp": float("nan")}],
+    ["clt", "--family", "cantor1d", "--tol", "nan"],
 ])
 def test_nan_thresholds_exit_usage(tmp_path, capsys, args):
     # NaN fails every comparison, so a "<= 0" guard would let it through
@@ -365,3 +371,16 @@ def test_nan_thresholds_exit_usage(tmp_path, capsys, args):
         args = args[:-1] + ["--config", str(config)]
     assert run(args + ["--out", str(tmp_path / "out")]) == EXIT_USAGE
     assert "must be positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args", [
+    ["sigma-decay", "--family", "cantor1d", "--x", "nan"],
+    ["forward-gap", "--family", "cantor1d", "--x0", "nan"],
+    ["simulate", "--family", "cantor1d", "--x0", "inf"],
+    ["w1-decay", "--family", "cantor1d", "--initial-point", "nan"],
+    ["w1-decay", "--family", "cantor2d", "--initial-point", "0.5,-inf"],
+])
+def test_non_finite_points_exit_usage(tmp_path, capsys, args):
+    # a NaN start would be clamped to 0, and a NaN x is in no image: both read as results
+    assert run(args + ["--out", str(tmp_path / "out")]) == EXIT_USAGE
+    assert "must be finite" in capsys.readouterr().err

@@ -476,3 +476,17 @@ def test_saturated_rows_are_counted():
 def test_clt_rejects_a_single_replica(cantor1d):
     with pytest.raises(UsageError):
         run_clt_analysis(cantor1d, "coord:1", seed=1, n=10, replicas=1, mu_size=64, grid_size=16)
+
+
+def test_nan_tol_is_a_usage_error(cantor1d, cantor_mu, monkeypatch):
+    for tol in (float("nan"), 0.0, -1e-4):
+        with pytest.raises(UsageError):
+            poisson_solve(cantor1d, centered_coord(), cantor_mu, grid_size=16, tol=tol)
+
+    def no_sample(*args, **kwargs):
+        raise AssertionError("the tolerance is checked before the pullback sample")
+
+    monkeypatch.setattr(clt, "pullback_sample", no_sample)
+    with pytest.raises(UsageError):
+        run_clt_analysis(cantor1d, "coord:1", seed=1, n=10, replicas=2, mu_size=64, grid_size=16,
+                         tol=float("nan"))

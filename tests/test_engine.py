@@ -23,22 +23,27 @@ from monosync.engine import (
     _PILOT,
     _BlockTable,
     _chain,
-    _draw_noise,
     _noise_values,
     _probe_nests,
+    _stream_values,
     image_points_at_depths,
     pullback_batch,
 )
 from monosync.errors import UsageError
 from monosync.families import BoxNoise, FiniteNoise, _default_probe
-from monosync.streams import stream_generator
 from oracles import (
-    finite_symbol,
     per_stream_table,
     pullback_linear_scan,
     reverse_rowwise,
+    single_stream,
     step_rowwise,
 )
+
+
+def _draw(noise, gen, shape):
+    """i.i.d. noise values of ``shape`` from ``gen``: box parameters carry a trailing axis of the box dimension."""
+    width = () if isinstance(noise, FiniteNoise) else (noise.dim,)
+    return _noise_values(noise, gen.random(shape + width))
 
 
 def test_degenerate_law_block():
@@ -397,7 +402,7 @@ def test_step_matches_rowwise_apply_batch(fid, n_probe):
     # exp1d overflows past ~709, so the wide spread exercises saturation
     scale = 800.0 if fid == "exp1d" else 1.0
     pts = scale * gen.uniform(-1.0, 1.0, size=shape)
-    alphas = _draw_noise(fam.noise, gen, (n,))
+    alphas = _draw(fam.noise, gen, (n,))
     want, want_sat = step_rowwise(fam, alphas, pts)
     got, got_sat = next(_chain(fam, alphas[:, None], pts.copy()))
     assert got.tobytes() == want.tobytes()
@@ -405,7 +410,7 @@ def test_step_matches_rowwise_apply_batch(fid, n_probe):
     if fid == "exp1d":
         assert want_sat.any() and not want_sat.all()
     # the forward chain: one step per column of a table, advanced in place
-    table = _draw_noise(fam.noise, gen, (n, 67))
+    table = _draw(fam.noise, gen, (n, 67))
     chained = pts.copy()
     want = pts
     for j, (got, got_sat) in enumerate(_chain(fam, table, chained)):
@@ -436,7 +441,7 @@ def test_image_points_match_reverse_rowwise(fid, kwargs, per_row_base):
     fam = make_family(fid, **kwargs)
     gen = np.random.default_rng(12)
     n, n_probe, length = 24, 5, 41
-    blocks = _draw_noise(fam.noise, gen, (n, length))
+    blocks = _draw(fam.noise, gen, (n, length))
     # ragged depths, with 0 and the full length
     depths = gen.integers(0, length + 1, n)
     depths[:3] = [0, length, length // 2]
@@ -475,10 +480,9 @@ def test_image_points_reject_depth_beyond_block(cantor1d):
 )
 def test_finite_draw_matches_cumulative_oracle(probs):
     noise = FiniteNoise(probs)
-    vals = _draw_noise(noise, stream_generator(3, "draw"), (50, 40))
-    u = stream_generator(3, "draw").random((50, 40))
-    want = np.vectorize(lambda x: finite_symbol(x, noise.probs))(u)
-    assert vals.dtype == np.int64 and np.array_equal(vals, want)
+    vals = _stream_values(noise, (50, 40), 3, "draw")
+    want = single_stream(noise, 3, ["draw"], 50 * 40).reshape(50, 40)
+    assert vals.dtype == np.uint8 and np.array_equal(vals, want)
 
 
 def test_finite_draw_short_mass_never_exceeds_q():
@@ -489,11 +493,9 @@ def test_finite_draw_short_mass_never_exceeds_q():
 
 def test_box_draw_matches_affine_oracle():
     fam = make_family("slide1d")
-    vals = _draw_noise(fam.noise, stream_generator(4, "draw"), (7, 3))
-    u = stream_generator(4, "draw").random((7, 3, 1))
-    box = fam.noise.box
+    vals = _stream_values(fam.noise, (7, 3), 4, "draw")
     assert vals.shape == (7, 3, 1)
-    assert vals.tobytes() == (box.lo + u * (box.hi - box.lo)).tobytes()
+    assert vals.tobytes() == single_stream(fam.noise, 4, ["draw"], 21).reshape(7, 3, 1).tobytes()
 
 
 def test_block_table_first_fill_does_not_copy(cantor1d):

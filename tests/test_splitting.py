@@ -172,6 +172,9 @@ def test_sigma_decay_preconditions(cantor1d, order1):
         sigma_decay(cantor1d, order1, m=1, x=0.5, s=1, j_max=4, replicas=50, seed=0)
     with pytest.raises(UsageError):
         sigma_decay(cantor1d, order1, m=1, x=0.5, s=2, j_max=4, replicas=200, seed=0)
+    for x in (float("nan"), float("inf")):
+        with pytest.raises(UsageError):
+            sigma_decay(cantor1d, order1, m=1, x=x, s=1, j_max=4, replicas=200, seed=0)
 
 
 def test_sigma_decay_csv(tmp_path, cantor1d, order1):
