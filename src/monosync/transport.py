@@ -7,6 +7,16 @@ say so in the report (Rabin et al. 2011; Bonneel et al. 2015).  When each
 measure's weights are all the same float, the sliced path builds one
 coupling plan for every direction and sorts a block of projections at a
 time; its result is bit-identical to a quantile coupling per direction.
+
+Two savings keep those bits.  :func:`w1_decay_curve` compares every step
+with one fixed reference, so it sorts the reference's projections once and
+keeps them on the reference measure; every sliced call against it reads
+them instead of projecting and sorting again.  And two equal-size measures
+of equal weights pair the k-th sorted projection of one with the k-th of
+the other: their coupling plan alternates those cells with zero-width
+ones, which are left as zeros in a buffer of the plan's length, so each
+direction's cost is the same ``np.sum`` over the same array without a
+gather.
 """
 
 from __future__ import annotations
@@ -50,6 +60,8 @@ class EmpiricalMeasure:
     weights: np.ndarray
     provenance: str = "user"
     meta: dict = field(default_factory=dict, compare=False)
+    # the points' sliced projections, each row sorted, when kept by _keep_sorted_projections
+    _sorted_projections: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         pts = np.atleast_2d(np.asarray(self.points, dtype=float))
@@ -188,43 +200,109 @@ def _sliced_directions(dim: int, n_projections: int) -> np.ndarray:
     return vecs / np.maximum(norms, 1e-300)
 
 
-def _w1_sliced(mu1: EmpiricalMeasure, mu2: EmpiricalMeasure, n_projections: int) -> float:
+def _sorted_projections(points: np.ndarray, dirs: np.ndarray) -> np.ndarray:
+    """One row per direction: the per-direction ``points @ d``, sorted.
+
+    A batched matmul would round some projections differently, so each
+    row is its own matrix-vector product, written into place so that only
+    one row's temporary is live.
+    """
+    proj = np.empty((len(dirs), points.shape[0]))
+    for row, d in zip(proj, dirs):
+        row[:] = points @ d
+    proj.sort(axis=1)
+    return proj
+
+
+def _keep_sorted_projections(mu: EmpiricalMeasure) -> None:
+    """Sort ``mu``'s projections along every sliced direction once, for later sliced calls.
+
+    Holds one (SLICED_PROJECTIONS, n) float64 array for as long as ``mu``
+    lives; its points are read-only, so the rows stay valid.
+    """
+    dirs = _sliced_directions(mu.dim, SLICED_PROJECTIONS)
+    object.__setattr__(mu, "_sorted_projections", _sorted_projections(mu.points, dirs))
+
+
+def _sorted_block(mu: EmpiricalMeasure, dirs: np.ndarray, start: int) -> np.ndarray:
+    rows = slice(start, start + _SLICE_BLOCK)
+    if mu._sorted_projections is not None:
+        return mu._sorted_projections[rows]
+    return _sorted_projections(mu.points, dirs[rows])
+
+
+def _block_costs(s1, s2, widths, i1, i2, paired_buffer) -> list[float]:
+    """Each row's quantile-coupling cost between the sorted projections ``s1`` and ``s2``.
+
+    ``paired_buffer`` is the zero-filled buffer of a paired plan (see
+    :func:`_w1_sliced`).  A block whose total is not finite, and a plan
+    without a buffer, go through the plan's gather.
+    """
+    if paired_buffer is not None:
+        even = paired_buffer[:, ::2]
+        np.subtract(s1, s2, out=even)
+        np.abs(even, out=even)
+        even *= widths[::2]
+        costs = [float(np.sum(row)) for row in paired_buffer]
+        if math.isfinite(sum(costs)):
+            return costs
+    gap = s1[:, i1]
+    gap -= s2[:, i2]
+    np.abs(gap, out=gap)
+    gap *= widths
+    return [float(np.sum(row)) for row in gap]
+
+
+def _w1_sliced(mu1: EmpiricalMeasure, mu2: EmpiricalMeasure) -> float:
     """Mean over fixed directions of the exact 1-D W1 between the projections.
 
     When every weight of each measure is the same float, the cumulative
     weights ``cumsum(w[argsort(x)])`` do not depend on the sort order, so
-    one coupling plan serves every direction: a block of projections is
-    sorted at a time and gathered through the shared plan.  Each projection
-    is still the per-direction ``points @ d`` and each direction's cost
-    still one 1-D ``np.sum`` added in direction order (a batched matmul
-    rounds some projections differently, and numpy does not promise that
-    a sum along an axis adds in the same order), so the result is
-    bit-identical to running the quantile coupling per direction: the
-    sorted values agree except for the order of -0.0 and 0.0, which
-    ``abs`` of the gap erases.  Other weights take the per-direction
-    coupling.
+    one coupling plan serves every direction: a block of sorted projections
+    is taken at a time, from the measure's kept sorted projections when
+    :func:`_keep_sorted_projections` made them and sorted afresh otherwise.
+    Each projection is still the per-direction ``points @ d`` and each
+    direction's cost still one 1-D ``np.sum`` added in direction order (numpy
+    does not promise that a sum along an axis adds in the same order), so
+    the result is bit-identical to running the quantile coupling per
+    direction: the sorted values agree except for the order of -0.0 and 0.0,
+    which ``abs`` of the gap erases.
+
+    With equal sizes the plan usually pairs sorted index k with sorted
+    index k in cell 2k and gives every odd cell zero width.  Then the even
+    columns of a zero-filled buffer of the plan's length take
+    ``|s1 - s2| * widths[::2]`` without a gather; the odd cells, whose
+    product is +0.0 for a finite gap, keep the buffer's zeros, and each row
+    sums the same values in the same layout as the gathered plan.  A block
+    whose total is not finite holds an infinite or NaN gap, where an odd
+    cell's product is NaN, so it is summed through the gather instead.
+    Other plans (unequal sizes) take the gather; other weights take the
+    per-direction coupling.
     """
-    dirs = _sliced_directions(mu1.dim, n_projections)
+    dirs = _sliced_directions(mu1.dim, SLICED_PROJECTIONS)
     w1, w2 = mu1.weights, mu2.weights
     total = 0.0
     if not (np.all(w1 == w1[0]) and np.all(w2 == w2[0])):
         for d in dirs:
             total += _w1_quantile_coupling(mu1.points @ d, w1, mu2.points @ d, w2)
-        return total / n_projections
+        return total / SLICED_PROJECTIONS
     widths, i1, i2 = _coupling_plan(np.cumsum(w1), np.cumsum(w2))
-    for start in range(0, n_projections, _SLICE_BLOCK):
-        rows = dirs[start : start + _SLICE_BLOCK]
-        proj1 = np.stack([mu1.points @ d for d in rows])
-        proj2 = np.stack([mu2.points @ d for d in rows])
-        proj1.sort(axis=1)
-        proj2.sort(axis=1)
-        gap = proj1[:, i1]
-        gap -= proj2[:, i2]
-        np.abs(gap, out=gap)
-        gap *= widths
-        for row in gap:
-            total += float(np.sum(row))
-    return total / n_projections
+    k = np.arange(mu1.n)
+    paired = (
+        mu1.n == mu2.n
+        and np.array_equal(i1[::2], k)
+        and np.array_equal(i2[::2], k)
+        and not widths[1::2].any()
+    )
+    buffer = np.zeros((_SLICE_BLOCK, widths.size)) if paired else None
+    for start in range(0, SLICED_PROJECTIONS, _SLICE_BLOCK):
+        # the blocks are arguments, so each is freed before the next is sorted
+        costs = _block_costs(
+            _sorted_block(mu1, dirs, start), _sorted_block(mu2, dirs, start), widths, i1, i2, buffer
+        )
+        for c in costs:
+            total += c
+    return total / SLICED_PROJECTIONS
 
 
 def wasserstein1(mu1: EmpiricalMeasure, mu2: EmpiricalMeasure) -> TransportReport:
@@ -235,9 +313,11 @@ def wasserstein1(mu1: EmpiricalMeasure, mu2: EmpiricalMeasure) -> TransportRepor
     min-cost matching; anything larger is sliced over 128 fixed seeded
     projection directions and labeled accordingly.  When each measure's
     weights are one repeated float, the directions share one coupling plan
-    and their projections are sorted a block at a time; the distance is
-    bit-identical to one weighted quantile coupling per direction, which
-    other weights still run.
+    and their projections are sorted a block at a time, or read from the
+    sorted projections a measure keeps (:func:`w1_decay_curve` keeps its
+    reference's); equal sizes fill a zero-filled buffer without a gather.
+    The distance is bit-identical to one weighted quantile coupling per
+    direction, which other weights still run.
     """
     if mu1.dim != mu2.dim:
         raise UsageError("measures live in different dimensions")
@@ -250,9 +330,7 @@ def wasserstein1(mu1: EmpiricalMeasure, mu2: EmpiricalMeasure) -> TransportRepor
                 "resample the measures or use larger N for the sliced path"
             )
         return TransportReport(_w1_exact_matching(mu1, mu2), "exact-matching")
-    return TransportReport(
-        _w1_sliced(mu1, mu2, SLICED_PROJECTIONS), "sliced", SLICED_PROJECTIONS
-    )
+    return TransportReport(_w1_sliced(mu1, mu2), "sliced", SLICED_PROJECTIONS)
 
 
 def pullback_sample(
@@ -395,11 +473,21 @@ def w1_decay_curve(
     subtracts the floor before the log-linear regression: finite-sample W1
     values sit roughly floor-above the true distance, and fitting the raw
     values flattens the tail of the window and biases the rate upward.
+
+    A multivariate curve that compares by sliced W1 sorts the reference's
+    projections once (:func:`_keep_sorted_projections`); each of its
+    ``n_max + 1`` distances reads them.  Sizes that exact matching cannot
+    pair are rejected before the reference is sampled.
     """
     if n_max < 1:
         raise UsageError("n_max must be >= 1")
     if n_particles < 1 or ref_size < 2:
         raise UsageError("n_particles must be >= 1 and ref_size >= 2")
+    if fam.dim > 1 and n_particles != ref_size and max(n_particles, ref_size) <= EXACT_MATCH_CAP:
+        raise UsageError(
+            f"n_particles and ref_size must be equal when both are <= {EXACT_MATCH_CAP} "
+            "(exact matching pairs the points one to one)"
+        )
     ref = pullback_sample(fam, seed, ref_size)
     floor = _calibrate_floor(ref, n_particles, derive_seed(seed, "w1-floor"))
 
@@ -411,6 +499,8 @@ def w1_decay_curve(
             "unbounded and the geometric W1 decay is not guaranteed"
         )
 
+    if ref.dim > 1 and max(n_particles, ref.n) > EXACT_MATCH_CAP:
+        _keep_sorted_projections(ref)  # every step is a sliced call against ref
     cur = initial.resampled(n_particles, stream_generator(seed, "w1-init"))
     ns = np.arange(n_max + 1)
     vals = np.empty(n_max + 1)

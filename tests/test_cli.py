@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from monosync import transport
 from monosync.cli import EXIT_USAGE, main
 
 
@@ -55,6 +56,15 @@ def test_usage_errors_exit_1(tmp_path):
 def test_empty_sizes_are_usage_errors(tmp_path, capsys, args):
     assert run(args + ["--out", str(tmp_path / "u")]) == 1
     assert capsys.readouterr().err.startswith("usage error:")
+
+
+def test_w1_decay_rejects_unpaired_sizes_before_sampling(tmp_path, capsys, monkeypatch):
+    # exact matching (both sizes <= 512) pairs the points one to one, so
+    # 300 particles against a 400-point reference is refused up front
+    monkeypatch.setattr(transport, "pullback_sample", lambda *a, **k: pytest.fail("sampled the reference"))
+    args = ["w1-decay", "--family", "cantor2d", "--n-max", "3", "--n-particles", "300", "--ref-size", "400"]
+    assert run(args + ["--out", str(tmp_path / "w")]) == EXIT_USAGE
+    assert "n_particles and ref_size must be equal" in capsys.readouterr().err
 
 
 def test_check_monotone(tmp_path):

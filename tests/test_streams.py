@@ -51,6 +51,16 @@ def test_stream_keys_of_one_stream_match_seed_sequence(seed, address):
     assert got.tobytes() == want.generate_state(2, np.uint64).tobytes()
 
 
+@pytest.mark.parametrize("stream_id", [0, 2**32 - 1, 2**32, MASK64])
+@pytest.mark.parametrize("wrap", [list, lambda x: np.array(x, dtype=np.uint64)])
+def test_stream_keys_of_one_id_match_the_vectorized_path(stream_id, wrap):
+    # a sequence of one id is keyed by seed_sequence; with the id twice it is vectorized
+    got = stream_keys(11, "gap-tail", wrap([stream_id]))
+    want = stream_keys(11, "gap-tail", wrap([stream_id, stream_id]))[:1]
+    assert got.dtype == np.uint64 and got.shape == (1, 2)
+    assert got.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("ids", [range(3), [0, 5, 2**32, MASK64], np.array([7, 2**40], dtype=np.uint64)])
 def test_stream_keys_take_ids_after_several_labels(ids):
     # row i of a trailing sequence of ids is the one stream whose last label is ids[i]

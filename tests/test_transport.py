@@ -1,7 +1,10 @@
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.stats import wasserstein_distance as scipy_w1
 
 import oracles
@@ -15,9 +18,10 @@ from monosync import (
     w1_decay_curve,
     wasserstein1,
 )
-from monosync.streams import derive_seed
+from monosync.streams import derive_seed, stream_generator
 from monosync.transport import (
     _calibrate_floor,
+    _keep_sorted_projections,
     _sliced_directions,
     _w1_exact_matching,
     _w1_quantile_coupling,
@@ -128,12 +132,22 @@ def test_sliced_w1_reasonable_on_shift():
     assert rep.distance == pytest.approx(2 / np.pi, rel=0.1)
 
 
+def _kept(mu):
+    """A fresh copy of ``mu`` that keeps its sorted projections."""
+    copy = EmpiricalMeasure(mu.points, mu.weights, mu.provenance, dict(mu.meta))
+    _keep_sorted_projections(copy)
+    return copy
+
+
 def _sliced_matches_loop(a, b):
     rep = wasserstein1(a, b)
     assert rep.method == "sliced"
     dirs = _sliced_directions(a.dim, rep.n_projections)
     loop = oracles.w1_sliced_loop(a.points, a.weights, b.points, b.weights, dirs)
     assert rep.distance == loop  # bit for bit, no tolerance
+    # kept sorted projections on either side give the same bits
+    assert wasserstein1(_kept(a), b).distance == loop
+    assert wasserstein1(a, _kept(b)).distance == loop
 
 
 @pytest.mark.parametrize("n1, n2, dim", [(600, 600, 2), (700, 700, 3), (600, 1000, 2)])
@@ -162,6 +176,63 @@ def test_sliced_w1_equals_loop_with_ties_and_signed_zeros():
     assert np.unique(a.points, axis=0).shape[0] < a.n
     _sliced_matches_loop(a, b)
     _sliced_matches_loop(b, a)
+
+
+@pytest.mark.parametrize("n", [513, 1000, 2048, 4096])
+def test_sliced_w1_paired_plan_equals_loop(n):
+    # equal sizes leave the zero-width cells as zeros of the buffer; summing
+    # the nonzero cells alone changes the last bits on a few draws in ten
+    for seed in range(8):
+        rng = np.random.default_rng([n, seed])
+        a, b = (EmpiricalMeasure.uniform(rng.random((n, 2))) for _ in range(2))
+        _sliced_matches_loop(a, b)
+
+
+@pytest.mark.parametrize("n1, n2", [(600, 600), (600, 900)])
+def test_sliced_w1_equals_loop_with_clamped_points(n1, n2):
+    # saturated pullbacks sit at the clamp, +-1e300: gaps near 3e300 stay finite
+    rng = np.random.default_rng(n1 + n2)
+    p1, p2 = rng.normal(size=(n1, 2)), rng.normal(size=(n2, 2))
+    p1[:40] = 1e300
+    p1[40:60, 1] = -1e300
+    p2[:25, 0] = -1e300
+    meta = {"saturated": True}
+    _sliced_matches_loop(EmpiricalMeasure.uniform(p1, meta=meta), EmpiricalMeasure.uniform(p2, meta=meta))
+
+
+def test_sliced_w1_with_infinite_gaps_matches_loop():
+    # an infinite gap times a zero-width cell is NaN in the per-direction
+    # loop; the paired buffer's zeros would give inf, so such a block is gathered
+    rng = np.random.default_rng(44)
+    pts = rng.normal(size=(600, 2))
+    pts[:5] = [np.inf, 0.0]
+    a = EmpiricalMeasure.uniform(pts, meta={"saturated": True})
+    b = EmpiricalMeasure.uniform(rng.normal(size=(600, 2)))
+    dirs = _sliced_directions(2, 128)
+    with np.errstate(invalid="ignore"):
+        loop = oracles.w1_sliced_loop(a.points, a.weights, b.points, b.weights, dirs)
+        assert np.isnan(loop)
+        assert np.isnan(wasserstein1(a, b).distance)
+        assert np.isnan(wasserstein1(a, _kept(b)).distance)
+
+
+def test_kept_projections_bound_a_sliced_call_memory():
+    # the kept array is the only lasting cost: one call against it adds at
+    # most 2 MiB of temporaries (one block of sorted projections and the buffer)
+    rng = np.random.default_rng(47)
+    a = EmpiricalMeasure.uniform(rng.random((4096, 2)))
+    ref = EmpiricalMeasure.uniform(rng.random((4096, 2)))
+    wasserstein1(a, ref)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        _keep_sorted_projections(ref)
+        wasserstein1(a, ref)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert ref._sorted_projections.shape == (128, 4096)
+    assert peak <= ref._sorted_projections.nbytes + 2 * 2**20
 
 
 def test_sliced_w1_unequal_weights_keep_general_path():
@@ -289,6 +360,25 @@ def test_w1_decay_from_dirac(cantor1d):
     # W1(T^n delta_0, stationary) = 0.5 * 3^-n; check the first points closely
     assert curve.w1[0] == pytest.approx(0.5, abs=0.02)
     assert curve.w1[1] == pytest.approx(1 / 6, abs=0.02)
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**32), n_particles=st.integers(64, 1100), ref_size=st.sampled_from([600, 1024]))
+@example(seed=5, n_particles=1024, ref_size=1024)
+def test_w1_decay_curve_equals_calls_against_a_fresh_reference(seed, n_particles, ref_size):
+    # the curve's reference keeps its sorted projections; a fresh pullback
+    # sample of the same reference keeps none and must give the same bits
+    fam = make_family("cantor2d")
+    initial = EmpiricalMeasure.dirac([0.0, 0.0])
+    curve = w1_decay_curve(fam, initial, 2, n_particles, seed, ref_size)
+    assert curve.method == "sliced"
+    ref = pullback_sample(fam, seed, ref_size)
+    assert ref._sorted_projections is None
+    cur = initial.resampled(n_particles, stream_generator(seed, "w1-init"))
+    for n in range(3):
+        if n:
+            cur = push_forward(fam, cur, 1, derive_seed(seed, f"w1-push-{n}"))
+        assert curve.w1[n] == wasserstein1(cur, ref).distance
 
 
 def test_w1_decay_from_stationarity_stays_at_floor(cantor1d):
