@@ -5,7 +5,9 @@ file, then explicit flags), writes the resolved configuration to
 ``manifest.json`` in the output directory, and emits per-command CSV/JSON
 artifacts.  Re-running with ``--config manifest.json`` reproduces the
 artifacts byte for byte; ``--out`` affects placement only, never content,
-and ``--threads`` is accepted and has no effect.
+and ``--threads`` is accepted and has no effect.  A manifest records the
+noise layout it was drawn in (``streams.NOISE_LAYOUT``), and one of another
+layout, or one written before the layout was recorded, is a usage error.
 
 Exit codes: 0 success, 1 usage error, 2 soft failure (hypotheses
 unverified or a limit that did not converge).
@@ -39,6 +41,7 @@ from .families import (
     family_from_config,
     family_to_config,
 )
+from .streams import NOISE_LAYOUT
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -189,6 +192,12 @@ def _resolve_config(args: argparse.Namespace) -> dict:
             raise UsageError(
                 f"config was produced by command {loaded['command']!r}, not {command!r}"
             )
+        # a manifest of another noise layout would replay other noise under the same seed
+        layout = loaded.get("noise_layout")
+        if layout is None and "command" in loaded:
+            raise UsageError("manifest records no noise layout: it predates the current one")
+        if layout not in (None, NOISE_LAYOUT):
+            raise UsageError(f"manifest has noise layout {layout!r}, not {NOISE_LAYOUT!r}")
         cfg.update(loaded)
     if args.family is not None:
         cfg["family"] = args.family
@@ -202,6 +211,7 @@ def _resolve_config(args: argparse.Namespace) -> dict:
     if "family" not in cfg:
         raise UsageError("a family is required (--family or --config)")
     cfg["command"] = command
+    cfg["noise_layout"] = NOISE_LAYOUT
     return cfg
 
 

@@ -38,7 +38,10 @@ one before it, and only the rows that miss that bracket search further.
 All noise is read through ``_BlockTable`` from labeled counter-based
 streams (see :mod:`monosync.streams`): replica ``r`` of any operation owns
 stream id ``r`` of its label, which makes results independent of chunking
-and worker counts; a single stream is a one-row table.
+and worker counts.  A label is keyed once and the Philox counter addresses
+the replica and the depth, so a table is filled by one loop over depth
+blocks, each one C call for a run of contiguous ids; a single stream is a
+one-row table.
 """
 
 from __future__ import annotations
@@ -52,7 +55,7 @@ import numpy as np
 from .errors import NotConvergedError, UsageError
 from .families import FiniteNoise, MapFamily, NoiseSpec, _clamp_points
 from .order import Box
-from .streams import philox_uniforms, stream_keys
+from .streams import hash64, stream_generator
 
 __all__ = [
     "NoiseBlock",
@@ -66,13 +69,8 @@ __all__ = [
 ]
 
 DEFAULT_STREAM_LABEL = "noise"
-_FILL_CHUNK = 4096  # noise values mapped from uniforms per call when filling a table row by row
-_KERNEL_BLOCKS = 4096  # Philox counter blocks enciphered per call when filling a table at once
-# The vectorized kernel fills extensions of at most _SHORT_FILL uniforms per
-# row of tables of at least _VECTOR_ROWS rows, where the two fills' measured
-# costs meet (see _BlockTable); the rest are filled row by row.
-_SHORT_FILL = 64
-_VECTOR_ROWS = 192
+_FILL_WORDS = 4096  # uniforms drawn per chunk of a table fill, which bounds the fill's temporaries
+_MASK64 = (1 << 64) - 1
 _PILOT = 256  # rows searched from depth 16 before the rest start at their median depth (see pullback_batch)
 
 
@@ -84,8 +82,10 @@ def _noise_values(noise: NoiseSpec, u: np.ndarray) -> np.ndarray:
     so a uniform past the last cumulative mass still selects symbol q.
     """
     if isinstance(noise, FiniteNoise):
-        cum = np.cumsum(noise.probs)
-        return np.searchsorted(cum[:-1], u, side="right") + 1
+        symbols = np.ones(u.shape, dtype=np.min_scalar_type(noise.q))
+        for mass in np.cumsum(noise.probs)[:-1].tolist():
+            symbols += u >= mass
+        return symbols
     box = noise.box
     return box.lo + u * (box.hi - box.lo)
 
@@ -128,23 +128,19 @@ def sample_block(
     n: int,
     label: str = DEFAULT_STREAM_LABEL,
 ) -> NoiseBlock:
-    """Draw the first ``n`` i.i.d. noise values of the addressed stream."""
+    """Draw the first ``n`` i.i.d. noise values of the addressed stream: row ``stream_id`` of its label's table."""
     if n < 0:
         raise UsageError("block length must be >= 0")
-    # an int label is hashed by hash64, which reduces the id mod 2**64
-    vals = _stream_values(noise, (n,), seed, label, int(stream_id))
+    vals = _stream_values(noise, (n,), seed, label, [hash64(stream_id)])  # the id mod 2**64
     return NoiseBlock(values=vals, seed=int(seed), stream_id=int(stream_id))
 
 
 def noise_at(noise: NoiseSpec, seed: int, stream_id: int, j: int):
-    """Value ``j`` of a default-label stream, addressed directly through the Philox counter."""
+    """Value ``j`` of a default-label stream, read from its counter block alone."""
     if j < 0:
         raise UsageError("index must be >= 0")
-    keys = stream_keys(seed, DEFAULT_STREAM_LABEL, int(stream_id))
-    if isinstance(noise, FiniteNoise):
-        return int(_noise_values(noise, philox_uniforms(keys, j, 1)[0])[0])
-    d = noise.dim
-    return _noise_values(noise, philox_uniforms(keys, j * d, d)[0])
+    value = _BlockTable(noise, seed, DEFAULT_STREAM_LABEL, [hash64(stream_id)]).values_at(j, 1)[0, 0]
+    return int(value) if isinstance(noise, FiniteNoise) else value
 
 
 @dataclass
@@ -301,37 +297,46 @@ def image_box(fam: MapFamily, block, probe_points: np.ndarray) -> Box:
 class _BlockTable:
     """Per-stream noise blocks that can be deepened without replaying prefixes.
 
-    The one source of noise values.  Row ``i`` of ``(seed, label,
-    stream_ids)`` holds the first draws of stream ``(seed, label,
-    stream_ids[i])``; an address with no trailing ids, such as ``(seed,
-    "push")``, is one stream in one row (see :func:`streams.stream_keys`).
-    Every row holds bit for bit what ``stream_generator`` gives its
-    address, finite-noise symbols in the smallest unsigned type that holds
-    q.  The keys of all rows are derived at once; ``ensure`` then fills the
-    new columns one of two ways:
+    The one source of noise values.  Row ``i`` of ``(seed, *address,
+    ids)`` holds the first values of replica ``ids[i]`` (reduced mod
+    2**64) of the address.  The table has one Philox key, that of
+    ``stream_generator(seed, *address)``, and uniform ``j`` of replica
+    ``r`` is word ``j % 4`` of the block enciphered from counter ``r +
+    2**128 (j // 4)``.  An address with no trailing sequence of ids, such as
+    ``(seed, "push")``, is one row: the draws of its own
+    ``stream_generator``, uniform ``j`` from counter ``j // 4 + 1``.
+    Finite-noise symbols are stored in the smallest unsigned type that
+    holds q.
 
-    * at most ``_SHORT_FILL`` (64) uniforms per row on at least
-      ``_VECTOR_ROWS`` (192) rows: :func:`streams.philox_uniforms`
-      enciphers every (row, counter block) pair in one vectorized pass,
-      ``_KERNEL_BLOCKS`` blocks per call, at about 55-95 ns per uniform and
-      0.45 ms per call;
-    * otherwise one Philox, re-keyed per row, fills the row in C, at about
-      3-5 us per row plus 13-28 ns per uniform.
-
-    The vectorized pass took 0.27-0.52 times the per-row fill's time at 16
-    uniforms per row on 4096 rows, 0.83-1.02 at 64 and 0.92-1.53 at 72; at
-    16 and 64, 30 times on one row, 1.8-2.0 on 64, 1.1-1.3 on 128, 0.8-1.05
-    on 192 and 0.6-0.9 on 256 (2-vCPU Xeon, numpy 2.4; finite and 2-d box
-    noise).  So the pullback depth search, sigma-decay and large sync-rate
-    runs take the vectorized pass; the clt chains (10,000 values per row),
-    one-row tables and sync-rate's default 64 replicas the per-row fill.
+    ``ensure`` fills only the new columns.  It takes the rows a run of
+    contiguous ids at a time, at most ``_FILL_WORDS // 4`` of them, and
+    each run a chunk of about ``_FILL_WORDS`` uniforms at a time.  The
+    counters of one depth block of a run are consecutive, so the block is
+    one ``Generator.random`` call of four uniforms per row, and each chunk
+    is transposed into the run's rows; a row with no ids takes a chunk's
+    blocks in one call.
     """
 
-    def __init__(self, noise: NoiseSpec, seed: int, *labels):
+    def __init__(self, noise: NoiseSpec, seed: int, *address):
         self.noise = noise
-        self._keys = stream_keys(seed, *labels)
-        self._gen = np.random.Generator(np.random.Philox(0))  # re-keyed before every row of a long fill
-        n = len(self._keys)
+        if address and np.ndim(address[-1]):
+            *address, ids = address
+            ids = np.asarray(ids, dtype=np.uint64).reshape(-1)
+            # a run of ids ends where the next id is not one more, or where the counter's low word wraps
+            cut = (ids[1:] != ids[:-1] + np.uint64(1)) | (ids[:-1] == np.uint64(_MASK64))
+            ends = [0, *(np.flatnonzero(cut) + 1).tolist(), ids.size]
+            step = _FILL_WORDS // 4
+            self._runs = [
+                (lo, min(lo + step, hi), int(ids[lo]))
+                for a, hi in zip(ends[:-1], ends[1:])
+                for lo in range(a, hi, step)
+            ]
+            n = ids.size
+        else:
+            self._runs = [(0, 1, None)]
+            n = 1
+        self._gen = stream_generator(seed, *address)
+        self._state = self._gen.bit_generator.state
         if isinstance(noise, FiniteNoise):
             self.values = np.empty((n, 0), dtype=np.min_scalar_type(noise.q))
         else:
@@ -339,58 +344,47 @@ class _BlockTable:
 
     def ensure(self, depth: int) -> None:
         have = self.values.shape[1]
-        if depth <= have:
-            return
-        extra = depth - have
+        if depth > have:
+            block = self.values_at(have, depth - have)
+            # concatenating onto the empty table would copy the whole first fill
+            self.values = block if have == 0 else np.concatenate([self.values, block], axis=1)
+
+    def values_at(self, start: int, count: int) -> np.ndarray:
+        """Every row's values ``start .. start+count-1``, drawn from their counter blocks alone."""
         tail = self.values.shape[2:]
-        block = np.empty((len(self._keys), extra) + tail, dtype=self.values.dtype)
         width = math.prod(tail)  # uniforms per noise value
-        if extra * width <= _SHORT_FILL and len(self._keys) >= _VECTOR_ROWS:
-            self._fill_vectorized(block, have * width)
-        else:
-            self._fill_per_row(block, have * width)
-        # concatenating onto the empty table would copy the whole first fill
-        self.values = block if have == 0 else np.concatenate([self.values, block], axis=1)
+        out = np.empty((self.values.shape[0], count) + tail, dtype=self.values.dtype)
+        # chunks start at blocks that are multiples of width, so each holds whole values
+        first = start * width // 4 // width * width
+        stop = -(-(start + count) * width // 4)
+        for lo, hi, r0 in self._runs:
+            rows = hi - lo
+            per = width * max(1, _FILL_WORDS // (4 * width * rows))  # blocks per chunk
+            u = np.empty((per, rows, 4))
+            for b0 in range(first, stop, per):
+                k = min(per, stop - b0)
+                if r0 is None:  # one row whose blocks are consecutive counters
+                    self._seek(b0 + 1)
+                    self._gen.random(out=u[:k].reshape(-1))
+                else:
+                    for i in range(k):
+                        self._seek(r0 + ((b0 + i) << 128))
+                        self._gen.random(out=u[i].reshape(-1))
+                words = u[:k].transpose(1, 0, 2).reshape(rows, 4 * k)
+                v0, v1 = max(4 * b0 // width, start), min(4 * (b0 + k) // width, start + count)
+                chunk = words[:, v0 * width - 4 * b0 : v1 * width - 4 * b0].reshape((rows, v1 - v0) + tail)
+                out[lo:hi, v0 - start : v1 - start] = _noise_values(self.noise, chunk)
+        return out
 
-    def _fill_vectorized(self, block: np.ndarray, start: int) -> None:
-        """Fill ``block`` from uniform ``start`` on, enciphering a chunk of rows per call."""
-        n, extra = block.shape[:2]
-        count = extra * math.prod(block.shape[2:])
-        rows = max(1, _KERNEL_BLOCKS // ((start + count + 3) // 4 - start // 4))
-        for r in range(0, n, rows):
-            u = philox_uniforms(self._keys[r : r + rows], start, count)
-            block[r : r + rows] = _noise_values(self.noise, u.reshape(block[r : r + rows].shape))
+    def _seek(self, counter: int) -> None:
+        """Make the next uniform word 0 of the block enciphered from ``counter``.
 
-    def _fill_per_row(self, block: np.ndarray, start: int) -> None:
-        """Fill ``block`` from uniform ``start`` on, re-keying one Philox per row."""
-        tail = block.shape[2:]
-        out = block.reshape((-1,) + tail)  # a view: one noise value per entry, row after row
-        width = math.prod(tail)
-        dropped = np.empty(start % 4)  # the draws of start's counter block before start
-        # Uniforms are mapped to noise values a chunk at a time, so the
-        # temporaries stay small whatever the table's size.
-        u = np.empty(_FILL_CHUNK * width)
-        filled = written = 0
-        bitgen = self._gen.bit_generator
-        state = {"bit_generator": "Philox", "buffer": [0, 0, 0, 0], "buffer_pos": 4,
-                 "has_uint32": 0, "uinteger": 0}
-        last = len(self._keys) - 1
-        for row, key in enumerate(self._keys.tolist()):
-            state["state"] = {"counter": [start // 4, 0, 0, 0], "key": key}
-            bitgen.state = state
-            self._gen.random(out=dropped)
-            left = block.shape[1] * width
-            while left:
-                take = min(left, u.size - filled)
-                self._gen.random(out=u[filled : filled + take])
-                filled += take
-                left -= take
-                if filled == u.size or (row == last and left == 0):
-                    k = filled // width
-                    vals = _noise_values(self.noise, u[:filled].reshape((k,) + tail))
-                    out[written : written + k] = vals
-                    written += k
-                    filled = 0
+        numpy bumps the 256-bit counter before each block, so it is set one
+        below.
+        """
+        c = (counter - 1) % 2**256
+        self._state["state"]["counter"] = [(c >> s) & _MASK64 for s in (0, 64, 128, 192)]
+        self._gen.bit_generator.state = self._state
 
 
 def _stream_values(noise: NoiseSpec, shape: tuple, seed: int, *labels) -> np.ndarray:

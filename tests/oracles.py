@@ -231,12 +231,11 @@ def _label_word(label) -> int:
     return int.from_bytes(digest, "little")
 
 
-def _next_value(gen, noise):
-    """One noise value from ``gen``: a symbol from one uniform, or a box parameter from ``dim``."""
+def _value(noise, u):
+    """One noise value from its uniforms: a symbol from one, or a box parameter from ``dim``."""
     if hasattr(noise, "probs"):
-        return finite_symbol(gen.random(), noise.probs)
-    u = gen.random(noise.dim)
-    return noise.box.lo + u * (noise.box.hi - noise.box.lo)
+        return finite_symbol(u[0], noise.probs)
+    return noise.box.lo + np.asarray(u) * (noise.box.hi - noise.box.lo)
 
 
 def _as_table(noise, rows, n_rows, depth):
@@ -246,38 +245,49 @@ def _as_table(noise, rows, n_rows, depth):
     return np.array(rows, dtype=float).reshape(n_rows, depth, noise.dim)
 
 
-def per_stream_table(noise, seed, label, ids, depths):
-    """Noise table deepened to each of ``depths`` in turn, one generator per stream.
+def layout_uniforms(seed, label, stream_id, count):
+    """The first ``count`` uniforms of replica ``stream_id`` of ``(seed, label)``, one Philox per counter block.
 
-    Stream ``(seed, label, id)`` is ``Generator(Philox(SeedSequence([seed mod
-    2**64, label word, id])))`` (see ``_label_word``).  Each deepening draws
-    only the missing values of every stream, row by row.
+    The address is keyed once, ``SeedSequence([seed mod 2**64, label
+    word]).generate_state(2, uint64)``, and uniform ``j`` of replica ``r``
+    is word ``j % 4`` of the block enciphered from the 256-bit counter
+    ``r mod 2**64 + 2**128 (j // 4)``.  numpy bumps the counter before it
+    enciphers, so each block's Philox starts one below.
     """
-    gens = [
-        np.random.Generator(np.random.Philox(np.random.SeedSequence([seed % 2**64, _label_word(label), int(i)])))
-        for i in ids
-    ]
-    rows = [[] for _ in gens]
-    have = 0
-    for depth in depths:
-        for row, gen in zip(rows, gens):
-            for _ in range(have, depth):
-                row.append(_next_value(gen, noise))
-        have = max(have, depth)
-    return _as_table(noise, rows, len(gens), have)
+    k0, k1 = np.random.SeedSequence([seed % 2**64, _label_word(label)]).generate_state(2, np.uint64)
+    key = int(k0) + (int(k1) << 64)
+    out = []
+    for block in range((count + 3) // 4):
+        counter = (stream_id % 2**64 + (block << 128) - 1) % 2**256
+        out.extend(np.random.Generator(np.random.Philox(key=key, counter=counter)).random(4))
+    return out[:count]
+
+
+def per_stream_table(noise, seed, label, ids, depth):
+    """The first ``depth`` noise values of every replica in ``ids``, row by row (see ``layout_uniforms``).
+
+    Returns (len(ids), depth) int64 symbols or (len(ids), depth, dim) box
+    parameters: a symbol takes one uniform, a box parameter ``dim``.
+    """
+    width = 1 if hasattr(noise, "probs") else noise.dim
+    rows = []
+    for i in ids:
+        u = layout_uniforms(seed, label, i, depth * width)
+        rows += [_value(noise, u[v * width : (v + 1) * width]) for v in range(depth)]
+    return _as_table(noise, rows, len(ids), depth)
 
 
 def single_stream(noise, seed, labels, n):
     """The first ``n`` noise values of the one stream ``(seed, *labels)``, drawn one at a time.
 
     The stream has no id: it is ``Generator(Philox(SeedSequence([seed mod
-    2**64, word of each label])))``, so ``single_stream(noise, s, (label,
-    i), n)`` is row ``i`` of ``per_stream_table`` for a non-negative ``i``.
-    Returns (n,) int64 symbols or (n, dim) box parameters.
+    2**64, word of each label])))``.  Returns (n,) int64 symbols or (n,
+    dim) box parameters.
     """
     entropy = [seed % 2**64] + [_label_word(lab) for lab in labels]
     gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
-    return _as_table(noise, [_next_value(gen, noise) for _ in range(n)], 1, n)[0]
+    width = 1 if hasattr(noise, "probs") else noise.dim
+    return _as_table(noise, [_value(noise, gen.random(width)) for _ in range(n)], 1, n)[0]
 
 
 def pullback_linear_scan(fam, blocks, probe, tol, n_max):

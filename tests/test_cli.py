@@ -8,6 +8,7 @@ import pytest
 
 from monosync import transport
 from monosync.cli import EXIT_USAGE, main
+from monosync.streams import NOISE_LAYOUT
 
 
 def run(args):
@@ -163,6 +164,25 @@ def test_manifest_roundtrip_bytes(tmp_path):
     assert run(["sync-rate", "--config", str(out_a / "manifest.json"), "--out", str(out_b)]) == 0
     for name in ("manifest.json", "diam_series.csv", "rate_fit.json"):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("layout", ["philox4x64-10 key=address+id counter=block", None])
+def test_manifest_of_another_noise_layout_is_refused(tmp_path, capsys, layout):
+    # the same seed in another layout is other noise: refused, not silently replayed
+    out = tmp_path / "A"
+    args = ["sync-rate", "--family", "cantor1d", "--n-max", "12", "--replicas", "8", "--seed", "9"]
+    assert run(args + ["--out", str(out)]) == 0
+    manifest = read_json(out / "manifest.json")
+    assert manifest["noise_layout"] == NOISE_LAYOUT
+    if layout is None:  # written before manifests recorded a layout
+        del manifest["noise_layout"]
+    else:
+        manifest["noise_layout"] = layout
+    old = tmp_path / "old.json"
+    old.write_text(json.dumps(manifest))
+    assert run(["sync-rate", "--config", str(old), "--out", str(tmp_path / "B")]) == EXIT_USAGE
+    assert "noise layout" in capsys.readouterr().err
+    assert not (tmp_path / "B").exists()
 
 
 def test_threads_do_not_change_artifacts(tmp_path):

@@ -19,7 +19,7 @@ from monosync import (
     wasserstein1,
 )
 from monosync.engine import (
-    _KERNEL_BLOCKS,
+    _FILL_WORDS,
     _PILOT,
     _BlockTable,
     _chain,
@@ -177,7 +177,7 @@ def test_pullback_batch_matches_linear_scan(fid, tol, n_max, const_family):
     fam = const_family if fid == "const" else make_family(fid)
     probe = probe_cloud(fam.probe_box())
     ids = [0, 3, 17, 2**32 + 1]
-    blocks = per_stream_table(fam.noise, 21, "noise", ids, [n_max])
+    blocks = per_stream_table(fam.noise, 21, "noise", ids, n_max)
     want_n, want_pts, want_diam = pullback_linear_scan(fam, blocks, probe, tol, n_max)
     got = pullback_batch(fam, 21, ids, probe, tol, n_max)
     assert np.array_equal(got.n_used, want_n)
@@ -206,7 +206,7 @@ def test_sandwich_matches_the_cloud_linear_scan(fid, params, tol, n_max):
     corners = _default_probe(fam)
     assert corners.shape[0] == 2
     ids = [0, 3, 17, 2**32 + 1]
-    blocks = per_stream_table(fam.noise, 21, "noise", ids, [n_max])
+    blocks = per_stream_table(fam.noise, 21, "noise", ids, n_max)
     want_n, want_pts, want_diam = pullback_linear_scan(fam, blocks, probe_cloud(fam.probe_box()), tol, n_max)
     n, pts, diam = pullback_linear_scan(fam, blocks, corners, tol, n_max)
     assert np.array_equal(n, want_n)
@@ -279,7 +279,7 @@ def test_pullback_batch_guess_matches_linear_scan(fid, params, monkeypatch):
     assert _probe_nests(fam, probe)
     tol, n_max = 1e-9, 64
     ids = list(range(_PILOT + 40)) + [2**32 + 1, 2**63 + 5]
-    blocks = per_stream_table(fam.noise, 21, "noise", ids, [n_max])
+    blocks = per_stream_table(fam.noise, 21, "noise", ids, n_max)
     want_n, want_pts, want_diam = pullback_linear_scan(fam, blocks, probe, tol, n_max)
     got = pullback_batch(fam, 21, ids, probe, tol, n_max)
     assert np.array_equal(got.n_used, want_n)
@@ -514,9 +514,9 @@ def test_block_table_first_fill_does_not_copy(cantor1d):
 
 
 def test_block_table_short_fill_peak_does_not_grow_with_rows(cantor1d):
-    # The vectorized fill enciphers _KERNEL_BLOCKS counter blocks per call, so
-    # beyond the table its peak is one chunk's temporaries: about 20 words
-    # per block.  Enciphering all 8192 x 4 blocks at once would take 5 MB.
+    # The fill draws about _FILL_WORDS uniforms per chunk, so beyond the
+    # table its peak is one chunk's temporaries, a few words per uniform.
+    # Drawing all 8192 x 16 uniforms at once would take 1 MB of them.
     table = _BlockTable(cantor1d.noise, 0, "mem", range(8192))
     tracemalloc.start()
     try:
@@ -524,4 +524,4 @@ def test_block_table_short_fill_peak_does_not_grow_with_rows(cantor1d):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= table.values.nbytes + 32 * 8 * _KERNEL_BLOCKS
+    assert peak <= table.values.nbytes + 32 * 8 * _FILL_WORDS

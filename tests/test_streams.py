@@ -3,13 +3,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from monosync import Box, EmpiricalMeasure, JOrder, clt, make_family, sample_block, splitting, transport
-from monosync import engine
-from monosync.engine import _SHORT_FILL, _VECTOR_ROWS, _BlockTable
+from monosync import Box, EmpiricalMeasure, JOrder, clt, make_family, noise_at, sample_block, splitting, transport
+from monosync.engine import _FILL_WORDS, _BlockTable
 from monosync.families import BoxNoise, FiniteNoise
-from monosync.streams import _philox_words, hash64, philox_uniforms, stream_generator, stream_keys
+from monosync.streams import stream_generator
 
-from oracles import per_stream_table, single_stream
+from oracles import finite_symbol, per_stream_table, single_stream
 
 MASK64 = 2**64 - 1
 EDGE_IDS = [0, 2**32 - 1, 2**32]
@@ -19,93 +18,11 @@ seeds = st.one_of(
     st.integers(0, 2**80),
 )
 labels = st.one_of(st.just(0), st.integers(0, MASK64), st.text(max_size=12))
-ids = st.lists(st.one_of(st.sampled_from(EDGE_IDS), st.integers(0, MASK64)), max_size=8)
-
-
-@settings(max_examples=300, deadline=None)
-@given(seed=seeds, label=labels, stream_ids=ids)
-@example(seed=0, label=0, stream_ids=EDGE_IDS)
-@example(seed=2**32, label="noise", stream_ids=[2**32, 5, 2**32 - 1, 0, MASK64])
-@example(seed=2**64 - 1, label=2**64 - 1, stream_ids=[1])
-@example(seed=2**64 + 7, label="", stream_ids=[])
-def test_stream_keys_match_seed_sequence(seed, label, stream_ids):
-    want = [
-        np.random.SeedSequence([seed & MASK64, hash64(label), i]).generate_state(2, np.uint64)
-        for i in stream_ids
-    ]
-    got = stream_keys(seed, label, stream_ids)
-    assert got.dtype == np.uint64 and got.shape == (len(stream_ids), 2)
-    assert got.tobytes() == np.array(want, dtype=np.uint64).reshape(-1, 2).tobytes()
-
-
-@settings(max_examples=200, deadline=None)
-@given(seed=seeds, address=st.lists(labels, max_size=3))
-@example(seed=0, address=[])
-@example(seed=5, address=["witness", 2**32])
-@example(seed=2**64 - 1, address=["push"])
-def test_stream_keys_of_one_stream_match_seed_sequence(seed, address):
-    # an address with no trailing sequence of ids is one stream: one row
-    want = np.random.SeedSequence([seed & MASK64] + [hash64(lab) for lab in address])
-    got = stream_keys(seed, *address)
-    assert got.dtype == np.uint64 and got.shape == (1, 2)
-    assert got.tobytes() == want.generate_state(2, np.uint64).tobytes()
-
-
-@pytest.mark.parametrize("stream_id", [0, 2**32 - 1, 2**32, MASK64])
-@pytest.mark.parametrize("wrap", [list, lambda x: np.array(x, dtype=np.uint64)])
-def test_stream_keys_of_one_id_match_the_vectorized_path(stream_id, wrap):
-    # a sequence of one id is keyed by seed_sequence; with the id twice it is vectorized
-    got = stream_keys(11, "gap-tail", wrap([stream_id]))
-    want = stream_keys(11, "gap-tail", wrap([stream_id, stream_id]))[:1]
-    assert got.dtype == np.uint64 and got.shape == (1, 2)
-    assert got.tobytes() == want.tobytes()
-
-
-@pytest.mark.parametrize("ids", [range(3), [0, 5, 2**32, MASK64], np.array([7, 2**40], dtype=np.uint64)])
-def test_stream_keys_take_ids_after_several_labels(ids):
-    # row i of a trailing sequence of ids is the one stream whose last label is ids[i]
-    got = stream_keys(9, "witness", 3, ids)
-    want = np.concatenate([stream_keys(9, "witness", 3, int(i)) for i in ids])
-    assert got.tobytes() == want.tobytes()
-
-
-key_words = st.one_of(st.sampled_from([0, MASK64]), st.integers(0, MASK64))
-counters = st.one_of(
-    st.integers(0, 2**20),
-    st.sampled_from([2**64 - 2, 2**64 - 1, 2**128 - 1, 2**256 - 2, 2**256 - 1]),
-    st.integers(0, 2**256 - 1),
+# runs of contiguous ids, the ends of the id range and repeats
+id_lists = st.lists(
+    st.one_of(st.sampled_from(EDGE_IDS + [MASK64 - 1, MASK64]), st.integers(0, MASK64), st.integers(0, 9)),
+    max_size=8,
 )
-
-
-@settings(max_examples=300, deadline=None)
-@given(
-    keys=st.lists(st.tuples(key_words, key_words), min_size=1, max_size=4),
-    counter=counters,
-    skip=st.integers(0, 3),
-    count=st.integers(0, 40),
-)
-@example(keys=[(0, 0), (MASK64, MASK64), (0, MASK64)], counter=0, skip=0, count=9)
-@example(keys=[(MASK64, 0)], counter=5, skip=1, count=4)
-@example(keys=[(1, 2)], counter=7, skip=2, count=1)
-@example(keys=[(3, MASK64)], counter=2**64 - 1, skip=3, count=13)
-@example(keys=[(0, 0)], counter=2**256 - 1, skip=3, count=6)
-def test_philox_words_match_numpy(keys, counter, skip, count):
-    got = _philox_words(np.array(keys, dtype=np.uint64), 4 * counter + skip, count)
-    assert got.dtype == np.uint64 and got.shape == (len(keys), count)
-    for row, (k0, k1) in zip(got, keys):
-        want = np.random.Philox(key=k0 + (k1 << 64), counter=counter).random_raw(skip + count)[skip:]
-        assert row.tobytes() == want.tobytes()
-
-
-@settings(max_examples=200, deadline=None)
-@given(seed=seeds, label=labels, stream_ids=ids, start=st.integers(0, 300), count=st.integers(0, 70))
-@example(seed=0, label="noise", stream_ids=EDGE_IDS + [MASK64], start=3, count=64)
-def test_philox_uniforms_match_stream_generators(seed, label, stream_ids, start, count):
-    got = philox_uniforms(stream_keys(seed, label, stream_ids), start, count)
-    want = [stream_generator(seed, label, i).random(start + count)[start:] for i in stream_ids]
-    assert got.dtype == np.float64 and got.shape == (len(stream_ids), count)
-    assert got.tobytes() == np.array(want, dtype=float).reshape(len(stream_ids), count).tobytes()
-
 
 NOISES = {
     "finite-q2": FiniteNoise((0.5, 0.5)),
@@ -114,12 +31,14 @@ NOISES = {
     "box-dim2": BoxNoise(Box([0.0, -1.0], [1.0, 2.5])),
     "box-dim3": BoxNoise(Box([-3.0, 0.25, 1.0], [0.5, 0.75, 9.0])),
 }
+noises = st.sampled_from(sorted(NOISES)).map(NOISES.get)
 
 
-def crossing_depths(noise, name):
-    """A depth list whose extensions sit at the short-fill limit or one noise value past it."""
+def crossing_depths(noise, rows, name):
+    """A depth list whose extensions end at the last value of a fill chunk or one value past it."""
     width = 1 if isinstance(noise, FiniteNoise) else noise.dim
-    at = _SHORT_FILL // width  # the longest extension, in values, that the vectorized fill takes
+    per = width * max(1, _FILL_WORDS // (4 * width * rows))  # counter blocks per chunk
+    at = 4 * per // width  # the values of a first chunk
     return {"at-limit": [at], "past-limit": [at + 1], "at-then-past": [at, 2 * at + 1],
             "past-then-at": [at + 1, 2 * at + 1]}[name]
 
@@ -129,17 +48,16 @@ def crossing_depths(noise, name):
     [3, 7, 9], [16, 32, 24, 19], [0, 5], [5, 4099, 9001], [5000, 5016],
     "at-limit", "past-limit", "at-then-past", "past-then-at",
 ])
-@pytest.mark.parametrize("stream_ids", [[7, 0, 2**32, 3], [5]])
-def test_block_table_matches_per_stream_generators(noise_id, depths, stream_ids, monkeypatch):
-    # a table this small always fills row by row; let the short extensions take the kernel
-    monkeypatch.setattr(engine, "_VECTOR_ROWS", 1)
+@pytest.mark.parametrize("stream_ids", [[7, 0, 1, 2**32, 3], [5]])
+def test_block_table_matches_per_stream_generators(noise_id, depths, stream_ids):
+    # every row against one Philox per (id, counter block) of the layout's definition
     noise = NOISES[noise_id]
     if isinstance(depths, str):
-        depths = crossing_depths(noise, depths)
+        depths = crossing_depths(noise, len(stream_ids), depths)
     table = _BlockTable(noise, 2024, "gap-tail", stream_ids)
     for d in depths:
         table.ensure(d)
-    want = per_stream_table(noise, 2024, "gap-tail", stream_ids, depths)
+    want = per_stream_table(noise, 2024, "gap-tail", stream_ids, max(depths))
     assert table.values.shape == want.shape
     if isinstance(noise, FiniteNoise):
         assert table.values.dtype == np.uint8
@@ -148,48 +66,81 @@ def test_block_table_matches_per_stream_generators(noise_id, depths, stream_ids,
         assert table.values.tobytes() == want.tobytes()
 
 
-@pytest.fixture
-def kernel_calls(monkeypatch):
-    """The number of uniforms per row of each call the table fill makes to the vectorized kernel."""
-    calls = []
-
-    def spy(keys, start, count):
-        calls.append(count)
-        return philox_uniforms(keys, start, count)
-
-    monkeypatch.setattr(engine, "philox_uniforms", spy)
-    return calls
-
-
-def test_long_fills_stay_per_row(kernel_calls):
-    noise = NOISES["finite-q2"]
-    _BlockTable(noise, 1, "clt-chain", range(1000)).ensure(10_000)
-    assert kernel_calls == []
-    table = _BlockTable(noise, 1, "noise", range(4096))
-    table.ensure(16)
-    table.ensure(32)
-    # 4096 rows of 4 counter blocks each, a call per 4096 blocks, per extension
-    assert kernel_calls == [16] * 8
-
-
-@pytest.mark.parametrize("noise_id", sorted(NOISES))
-def test_fill_choice_turns_at_the_short_fill_limit(noise_id, kernel_calls):
+@pytest.mark.parametrize("noise_id", ["finite-q3", "box-dim3"])
+def test_long_runs_are_cut_into_chunks(noise_id):
+    # a run of more than _FILL_WORDS // 4 contiguous ids is filled a piece at a time
     noise = NOISES[noise_id]
+    step = _FILL_WORDS // 4
+    ids = range(2**64 - 2 * step - 3, 2**64)
+    table = _BlockTable(noise, 8, "sync", ids)
+    table.ensure(6)
+    rows = [0, step - 1, step, 2 * step, len(ids) - 1]
+    want = per_stream_table(noise, 8, "sync", [ids[r] for r in rows], 6)
+    assert table.values[rows].tobytes() == want.astype(table.values.dtype).tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(noise=noises, seed=seeds, label=labels, ids=id_lists, depth=st.integers(0, 40))
+@example(noise=NOISES["finite-q2"], seed=0, label="noise", ids=[MASK64 - 1, MASK64, 0, 1], depth=9)
+@example(noise=NOISES["box-dim3"], seed=2**64, label=0, ids=[4, 3, 4, 5, 2**32, 2**32 + 1], depth=7)
+def test_table_rows_are_their_one_row_tables(noise, seed, label, ids, depth):
+    # runs of contiguous ids are filled together; a row does not depend on the others
+    table = _BlockTable(noise, seed, label, ids)
+    table.ensure(depth)
+    for row, i in zip(table.values, ids):
+        one = _BlockTable(noise, seed, label, [i])
+        one.ensure(depth)
+        assert row.tobytes() == one.values[0].tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(noise=noises, seed=seeds, ids=id_lists, depths=st.lists(st.integers(0, 600), min_size=1, max_size=6))
+@example(noise=NOISES["box-dim3"], seed=1, ids=[0, 1, 2], depths=[1, 2, 3, 4, 5, 6, 7])
+def test_any_ensure_sequence_equals_one_fill(noise, seed, ids, depths):
+    table = _BlockTable(noise, seed, "sync", ids)
+    for d in depths:
+        table.ensure(d)
+    once = _BlockTable(noise, seed, "sync", ids)
+    once.ensure(max(depths))
+    assert table.values.dtype == once.values.dtype
+    assert table.values.tobytes() == once.values.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(noise=noises, seed=seeds, stream_id=st.integers(-(2**65), 2**65), j=st.integers(0, 40))
+@example(noise=NOISES["box-dim3"], seed=3, stream_id=MASK64, j=1)  # a value across two counter blocks
+def test_noise_at_is_the_table_entry(noise, seed, stream_id, j):
+    table = _BlockTable(noise, seed, "noise", [stream_id % 2**64])
+    table.ensure(j + 1)
+    got = np.asarray(noise_at(noise, seed, stream_id, j))
+    assert got.tobytes() == table.values[0, j].astype(got.dtype).tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(noise=noises, seed=seeds, stream_id=st.one_of(st.integers(-(2**70), -1), st.integers(2**32, 2**70)))
+@example(noise=NOISES["finite-q2"], seed=0, stream_id=-1)
+@example(noise=NOISES["box-dim2"], seed=0, stream_id=2**64)
+def test_sample_block_reduces_ids_mod_2_64(noise, seed, stream_id):
+    got = sample_block(noise, seed, stream_id, 9, label="gap-fwd")
+    want = sample_block(noise, seed, stream_id % 2**64, 9, label="gap-fwd")
+    assert got.stream_id == stream_id
+    assert got.values.tobytes() == want.values.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(noise=noises, seed=seeds, address=st.lists(labels, max_size=3), depth=st.integers(0, 40))
+@example(noise=NOISES["box-dim3"], seed=5, address=["witness", 2**32], depth=5)
+def test_address_without_ids_is_its_stream_generator(noise, seed, address, depth):
+    table = _BlockTable(noise, seed, *address)
+    table.ensure(depth)
     width = 1 if isinstance(noise, FiniteNoise) else noise.dim
-    table = _BlockTable(noise, 3, "sync", range(_VECTOR_ROWS))
-    table.ensure(crossing_depths(noise, "at-limit")[0])
-    assert kernel_calls == [_SHORT_FILL // width * width]
-    table.ensure(2 * _SHORT_FILL // width + 1)
-    assert len(kernel_calls) == 1
-
-
-@pytest.mark.parametrize("rows", [1, 64, _VECTOR_ROWS - 1, _VECTOR_ROWS, 4096])
-def test_fill_choice_needs_enough_rows(rows, kernel_calls):
-    # below _VECTOR_ROWS rows the per-row fill is faster however short the extension
-    table = _BlockTable(NOISES["finite-q2"], 3, "sync", range(rows))
-    table.ensure(16)
-    # 16 uniforms are 4 counter blocks per row, and a kernel call takes 4096 blocks
-    assert kernel_calls == ([] if rows < _VECTOR_ROWS else [16] * -(-rows // 1024))
+    u = stream_generator(seed, *address).random((depth, width))
+    if isinstance(noise, FiniteNoise):
+        want = np.array([finite_symbol(x, noise.probs) for x in u[:, 0]], dtype=np.int64)
+    else:
+        want = noise.box.lo + u * (noise.box.hi - noise.box.lo)
+    assert table.values.shape[0] == 1
+    _assert_same(table.values[0], want)
 
 
 @pytest.mark.parametrize("noise_id", sorted(NOISES))
@@ -231,10 +182,10 @@ def _assert_same(got, want):
 @pytest.mark.parametrize("noise_id", sorted(STREAM_NOISES))
 @pytest.mark.parametrize("stream_id", [0, 3, 2**32 - 1, 2**32, 2**40 + 7, MASK64, -1, -(2**33) - 5])
 def test_sample_block_matches_single_stream(noise_id, stream_id):
-    # the id is reduced mod 2**64, so -1 is the stream 2**64 - 1
+    # the block is the one stream of replica id mod 2**64 of its label, so -1 is the stream 2**64 - 1
     noise = STREAM_NOISES[noise_id]
     block = sample_block(noise, 77, stream_id, 40, label="gap-fwd")
-    _assert_same(block.values, single_stream(noise, 77, ["gap-fwd", stream_id % 2**64], 40))
+    _assert_same(block.values, per_stream_table(noise, 77, "gap-fwd", [stream_id % 2**64], 40)[0])
     if isinstance(noise, FiniteNoise):
         assert block.values.dtype == np.uint8
 
