@@ -197,72 +197,72 @@ def test_threads_do_not_change_artifacts(tmp_path):
 
 @pytest.mark.parametrize("args, artifact, digest", [
     (["stationary", "--family", "cantor1d", "--n-samples", "256", "--seed", "255742855"],
-     "stationary.csv", "c323d813b7a5a7fafb0da6c233f1d7861df6dc70750bf2fee98745eeb3245ee2"),
+     "stationary.csv", "12262c5878f99bd20e0ffabadb8631f36db06621801e64972dca397181139a89"),
     (["sync-rate", "--family", "slide1d", "--seed", "4242"],
-     "diam_series.csv", "73c90239aca7582d1daed96e05138c87fb76375f9ebf380d750e1dccf41db061"),
+     "diam_series.csv", "1be76e8632fe6496322777317dedc06e6a437338dcc5f38b0c533bf707bc1ae6"),
     # ragged minimal depths with saturating rows, and a box-noise pullback
     (["stationary", "--family", "exp1d", "--n-samples", "512", "--seed", "90210"],
-     "stationary.csv", "55003e557941dd538218aec1e2d2948ab53b9547d1759f5c63905194668b35bd"),
+     "stationary.csv", "a160d1dd54effbfaf9c4da067d83ab827ebaef83deda36a998543d0847786ca4"),
     (["stationary", "--family", "slide1d", "--n-samples", "512", "--seed", "90210"],
-     "stationary.csv", "1c8ecfa73555426bd87b5483e174a1d4d5b31c6ef23da2286603763746997023"),
+     "stationary.csv", "820d5fc7787a1dd10f021ff6a456ff728a24977c68c9f6899e2ec96a016b5782"),
     # the family's default probe and the fixed constants of sync, splitting and transport
     (["forward-gap", "--family", "cantor1d", "--n", "20", "--seed", "7"],
-     "forward_gap.csv", "c7f2ad7a5019aa00da6e1e3d69843843dbd390c769c01a4aaaa132dd74bfc862"),
+     "forward_gap.csv", "ad6e4ce0804fa552f976acdccaaf54f8b5b16669810124a1260d61d31ec01ca0"),
     (["sync-rate", "--family", "exp1d", "--seed", "3"],
-     "rate_fit.json", "f844bd5a90a6c6d1637579b2989aaeb9e4c1a6f27133fdc76426f58cbb3c2fec"),
+     "rate_fit.json", "4e9bdae39e9f87738cd24cb2f8a641f4034d643ea79fcb97339185070bdce1bb"),
     (["sigma-decay", "--family", "cantor1d", "--x", "0.1", "--replicas", "500", "--seed", "2"],
-     "sigma_decay.json", "a1514c4a5a62208651c3284a615f74784564d46a024efa36c316f77f5ac7d02b"),
+     "sigma_decay.json", "26d85a82280d966f357f51efd1b811e40e8de52ec7a4b9e3c9921cc00258a8cb"),
     (["w1-decay", "--family", "cantor1d", "--n-particles", "512", "--ref-size", "512",
       "--n-max", "4", "--seed", "11"],
-     "w1_fit.json", "c69099df36862d74fb941fcb3f8385e2a0ca5988d740862d1ab5299c8e79c121"),
+     "w1_fit.json", "8be974c7706feb69fd8dd51bbf29774988ce851dc51a4011184ff99a69121f59"),
     # strict JSON: the saturated exp1d variance overflows and is written as null,
     # next to the count of saturated samples
     (["stationary", "--family", "exp1d", "--n-samples", "512", "--seed", "90210"],
-     "stationary.json", "bb0a95a4f5210a09b9e40cea643f1c389160976968dadb30ae2b2b05758db25c"),
+     "stationary.json", "87745e2a89056b1accd7d1e10fb1a5206e49476a3a9dc56fc7bf41a21eca144a"),
     # forward chains: the exact center, the Poisson sigma^2 and the partial sums (re-frozen
     # when the center became exact, m = 1/2, instead of the 512 x 40,000-step ergodic pass)
     (["clt", "--family", "cantor1d", "--n", "200", "--replicas", "100", "--mu-size", "512",
       "--grid-size", "256", "--dump-paths", "--seed", "1234"],
-     "paths.csv", "e5bc4bf120e3f49fdc5c4e052389639b674711117e87d74e41571c062bdb89da"),
+     "paths.csv", "396308b915a451520b613913ba2ea9c0599caed053f5f333b56e9d42a30afbd5"),
     # forward orbits on finite and on box noise, through the same chain loop
     (["simulate", "--family", "cantor1d", "--direction", "forward", "--n", "200", "--seed", "1234"],
-     "orbit.csv", "af3a2fd3361085cec102e0a67046af7fdc03fb112807b7e40fcee0f2a2feaad9"),
+     "orbit.csv", "2337c2d937acbf20019109ee78cea55cfbf3f934385683aed669389bc04978bd"),
     (["simulate", "--family", "slide1d", "--direction", "forward", "--n", "200", "--seed", "1234"],
-     "orbit.csv", "fa9056785a509af33ec105fe6e1f41e9a4e12bfa508c6ef9e732dfd89cd708dc"),
+     "orbit.csv", "85c8ac62d7dc0b2efcd2b6dbe2017604d8b74e0151bc5b0391b8c097aa9bc181"),
     # a reverse orbit with its probe-image boxes
     (["simulate", "--family", "cantor1d", "--direction", "reverse", "--n", "200", "--seed", "1234"],
-     "orbit.csv", "4d7698725d0fed6803a8feebb4bc798700c83f0bfcecb93afe89a4d1a2b7fcf7"),
+     "orbit.csv", "12acaa9326399a435514a659960495f03c2ba53b9ef4a604d908b8f6cd6c0bb0"),
     # a saturating finite-noise forward orbit: every step takes the clamp's slow path
     (["simulate", "--family", "exp1d", "--direction", "forward", "--n", "200", "--seed", "1234"],
-     "orbit.csv", "d901cf9970bcecc3865ad3722dd82eece341ce46c171e6a2ce9f386589d0dac7"),
+     "orbit.csv", "2c03ddd30f316fded9da4b228352f9300345cae1a7db709f7eaf103c6fc69313"),
     # a 2-d forward chain of a whole (N, P, dim) probe cloud
     (["forward-gap", "--family", "cantor2d", "--n", "20", "--seed", "7"],
-     "forward_gap.csv", "8e4c8e93275ad5db3b6a941dc4a47f4c649288f834c92bae5959d06f94040f00"),
+     "forward_gap.csv", "5f44c036f657d477f022b1e42e78a01d656fcd024b76efc9afb28c19e27a4248"),
     # 2-d W1 above the exact-matching cap: the sliced kernel over 128 directions
     (["w1-decay", "--family", "cantor2d", "--n-particles", "1024", "--ref-size", "1024",
       "--n-max", "3", "--seed", "3"],
-     "w1_decay.csv", "a634cc66c2d0ecd9ac0f2e67dc464c24d0d2eaad518336ad42afdfd6878fc6f3"),
+     "w1_decay.csv", "8fbf1219c68f0d70451e6dc8510ca9ee999acc56301af85862e831ea74725cd7"),
     # a reverse orbit that starts beyond the clamp: rows still waiting for their
     # first map keep the unclamped start point and are not flagged
     (["simulate", "--direction", "reverse", "--n", "60", "--x0", "0.9", "--seed", "5",
       {"family": "cantor1d", "clamp": 0.5}],
-     "orbit.csv", "402aa1433bdf05438b7557f6e452ea0a37cc413819395b72a404050d486fd3ab"),
+     "orbit.csv", "3784f223a0549dd92b1af725fd933f3c5d0e8225b5af4765c5ddc5a64ee20c28"),
     # a 2-d affine pullback whose map bodies are BLAS matmuls
     (["stationary", "--n-samples", "512", "--seed", "6",
       {"family": "affine-general",
        "params": {"mats": [[[0.4, 0.1], [0.1, 0.3]], [[0.3, -0.1], [-0.1, 0.4]]],
                   "offs": [[0.1, 0.2], [0.5, -0.3]]}}],
-     "stationary.csv", "a0ee3edcaedb3dcdf4c52c60f5720cd38d4f34b66a82dbbbcaa9841a6917d30c"),
+     "stationary.csv", "069cfb1deb7736232e1f870ec4204f7991e89051a238d315bacbd12552256159"),
     # the Poisson corrector's report: truncation, residual, both variance forms, the
     # exact center and sigma^2 (re-frozen when the center became exact, with its fields)
     (["clt", "--family", "cantor1d", "--n", "200", "--replicas", "100", "--mu-size", "512",
       "--grid-size", "256", "--dump-paths", "--seed", "1234"],
-     "clt_report.json", "f466f93f2eef5ee7e407bba2016afcf990d88f330f6ece91901da9c7295c87d2"),
+     "clt_report.json", "5728c8615c98811a5bff19e5766473b7ae3a0cb1e1e1174f40c950e0def83ffe"),
     # the boundedness check's probe of scaled boxes: bounded at m0 = 3, and unbounded
     (["sync-rate", "--family", "arctanexp2d", "--seed", "5"],
      "rate_fit.json", "6ebefed1aafb47c1e7e2fa444da9b7bc82a6bb1c99fd417351dc56abd3a855cb"),
     (["sync-rate", "--family", "lip-pair", "--seed", "5"],
-     "rate_fit.json", "cd48944d83d704a697827d95303ba3c283444afed7ad1f8d235147bd493fe80e"),
+     "rate_fit.json", "2bffbd9e18e77d52c9f21706cf0274aadde0b6bb88be5ad5777043e9a043ad74"),
     # splitting reports: a verified exact scan, and a Monte Carlo search on box noise
     (["check-splitting", "--family", "cantor2d", "--seed", "5"],
      "splitting.json", "dee720cbe76575d2773d3c7c60a219758abf19ffd324e5aa742344222b1daff5"),
@@ -272,22 +272,22 @@ def test_threads_do_not_change_artifacts(tmp_path):
     (["check-monotone", "--family", "arctanexp2d"],
      "monotonicity.json", "097bedf9c17ad7c87c3e850b0298a0f80a20137fa5f6a399145ff5609c7b2817"),
     (["check-monotone", "--family", "slide1d"],
-     "monotonicity.json", "87a06fcb4368bffa730c66653e29eb9877bdc10cc760c0ba6bd049f6aaf22f4d"),
+     "monotonicity.json", "425a3a1e2d7bfb87e7313796a92c40af29105964584a22f6b893e759d8311169"),
     # the text of the CSV writer: the fitted lambda^j column, and a W1 curve too
     # short to fit a rate, whose bound column is blank; and the manifest's JSON
     (["sigma-decay", "--family", "cantor1d", "--x", "0.1", "--replicas", "500", "--seed", "2"],
-     "sigma_decay.csv", "528081cd4a95a081a657d8eb2ca129617592e4185f143f9bb3d813ff5d856cdb"),
+     "sigma_decay.csv", "daa58f65cb80207e0b4028d2b3ef5102ca55207e0354526ffe4e4799c816b0d2"),
     (["w1-decay", "--family", "cantor1d", "--n-particles", "256", "--ref-size", "256",
       "--n-max", "1", "--seed", "11"],
-     "w1_decay.csv", "37085e01e7bfb55b80d531fdf2662e8ec3586b20da1c24bf87c87e1266018209"),
+     "w1_decay.csv", "3b1ab13eff95c4af5ca60823e0ad02e57a79c735c451b3130d9930b1181f28d2"),
     (["w1-decay", "--family", "cantor1d", "--n-particles", "256", "--ref-size", "256",
       "--n-max", "1", "--seed", "11"],
-     "manifest.json", "42e247bcc3e496511cb33c3a640dc0e8e15f5ad8bfc2bbc030c9f4979039c4c9"),
+     "manifest.json", "0d3b8f67e72534505b07406fcf6b806fcfbec6268caefcdaf04dcf6385345b75"),
     # box noise has no exact terms: the Poisson series past phi is the Monte Carlo
     # chains' means, all driven by the one "poisson-chain" stream
     (["clt", "--family", "slide1d", "--n", "200", "--replicas", "100", "--mu-size", "512",
       "--grid-size", "256", "--seed", "1234"],
-     "clt_report.json", "27fcb65eebf88bdba2b9a6212714124cb6d50dad2ad9f5b8eb8b61ed9ca3536b"),
+     "clt_report.json", "db68593e9f6c9168619c7d745094f250cbd697966fab1d2cdc6bf17b634cd94b"),
 ])
 def test_golden_artifact_digest(tmp_path, args, artifact, digest):
     # Frozen bytes: any change to the noise streams (finite and box tables), to the
@@ -306,7 +306,8 @@ def test_golden_ergodic_center_report(tmp_path):
     # lip-pair's disjoint mode is not affine, so it is still centered by the
     # ergodic pass.  The report gained four fields (center, center_method,
     # sigma2_exact, n_saturated); without them it is byte for byte the report
-    # frozen before the exact center existed (7e8d3b0f...).
+    # the ergodic pass wrote before the exact center existed.  Both digests were
+    # re-frozen when the noise layout changed.
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"family": "lip-pair", "params": {"mode": "disjoint", "slopes": [0.5, 0.5]}}))
     out = tmp_path / "golden"
@@ -315,14 +316,14 @@ def test_golden_ergodic_center_report(tmp_path):
         "--seed", "1234", "--config", str(config), "--threads", "1", "--out", str(out),
     ]) == 0
     text = (out / "clt_report.json").read_bytes()
-    assert hashlib.sha256(text).hexdigest() == "fb730181b939dcec23b3c3e8605122b7f8cd1a1aa95bfbfa8aa9f49277877721"
+    assert hashlib.sha256(text).hexdigest() == "b9a1e1c13df87fe090a3fe42d91e91da9650838bb177ddd5008a6936800f6aee"
     doc = json.loads(text)
     assert (doc["center_method"], doc["sigma2_exact"], doc["n_saturated"]) == ("ergodic", None, 0)
     for key in ("center", "center_method", "sigma2_exact", "n_saturated"):
         del doc[key]
     old = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
     digest = hashlib.sha256(old.encode()).hexdigest()
-    assert digest == "7e8d3b0f87523b1969af6c33a2281574c32ceb993fd194c51b87b55eed4a01a5"
+    assert digest == "44c2a978682ec6b602e51512caffb43799b94677b1820eb5933caf6f94900e55"
 
 
 def test_golden_unverified_splitting_digest(tmp_path):
