@@ -441,9 +441,13 @@ def _calibrate_floor(ref: EmpiricalMeasure, n_other: int, seed: int) -> float:
     of the same law; the W1 noise of independent empirical samples scales
     like sqrt(1/N1 + 1/N2), which rescales the split value to the actual
     sample sizes.  Averaging over five splits tames the half-normal
-    variability of any single draw.
+    variability of any single draw.  The splits are measured with the
+    distance the curve uses: sliced whenever the curve is, even when the
+    halves are few enough for exact matching, which measures another
+    distance.
     """
     r = ref.n
+    sliced = ref.dim > 1 and max(n_other, r) > EXACT_MATCH_CAP  # as in w1_decay_curve
     rng = stream_generator(seed, "w1-floor")
     half = r // 2
     vals = []
@@ -451,7 +455,7 @@ def _calibrate_floor(ref: EmpiricalMeasure, n_other: int, seed: int) -> float:
         perm = rng.permutation(r)
         a = EmpiricalMeasure.uniform(ref.points[perm[:half]])
         b = EmpiricalMeasure.uniform(ref.points[perm[half : 2 * half]])
-        vals.append(wasserstein1(a, b).distance)
+        vals.append(_w1_sliced(a, b) if sliced else wasserstein1(a, b).distance)
     scale = float(np.mean(vals)) / math.sqrt(2.0 / half)
     return scale * math.sqrt(1.0 / n_other + 1.0 / r)
 

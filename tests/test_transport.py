@@ -402,6 +402,20 @@ def test_floor_calibration_tracks_sample_size(cantor1d):
     assert f_small > f_big > 0
 
 
+@pytest.mark.parametrize("seed", [1, 3, 5])
+def test_sliced_curve_floor_is_sliced_at_small_sizes(seed):
+    # At 1024/1024 the curve is sliced but its 512-point half-splits fit exact
+    # matching; measured with the curve's own distance, the floor falls with
+    # the sample size as sqrt(1/n + 1/R) predicts (2 from 4096 to 1024),
+    # where the exact-matching floor read 2.9-5.6 times the 4096/4096 one.
+    fam = make_family("cantor2d")
+    initial = EmpiricalMeasure.dirac([0.0, 0.0])
+    small = w1_decay_curve(fam, initial, 1, 1024, seed, ref_size=1024)
+    big = w1_decay_curve(fam, initial, 1, 4096, seed, ref_size=4096)
+    assert small.method == big.method == "sliced"
+    assert small.floor / big.floor < 3
+
+
 def test_quantile_coupling_handles_duplicate_weights():
     x = np.array([0.0, 0.0, 1.0])
     w = np.array([0.25, 0.25, 0.5])
