@@ -78,8 +78,9 @@ def _noise_values(noise: NoiseSpec, u: np.ndarray) -> np.ndarray:
     """Noise values from uniforms: one uniform per symbol, ``dim`` per box draw.
 
     A symbol is one plus the number of the first q-1 cumulative masses at
-    or below its uniform.  Probabilities may sum to slightly less than 1,
-    so a uniform past the last cumulative mass still selects symbol q.
+    or below its uniform, counted in the smallest unsigned type that holds
+    q.  Probabilities may sum to slightly less than 1, so a uniform past
+    the last cumulative mass still selects symbol q.
     """
     if isinstance(noise, FiniteNoise):
         symbols = np.ones(u.shape, dtype=np.min_scalar_type(noise.q))
