@@ -137,7 +137,7 @@ def sample_block(
 
 
 def noise_at(noise: NoiseSpec, seed: int, stream_id: int, j: int):
-    """Value ``j`` of a default-label stream, read from its counter block alone."""
+    """Value ``j`` of a default-label stream, read from its counter block, not its prefix."""
     if j < 0:
         raise UsageError("index must be >= 0")
     value = _BlockTable(noise, seed, DEFAULT_STREAM_LABEL, [hash64(stream_id)]).values_at(j, 1)[0, 0]
@@ -351,11 +351,15 @@ class _BlockTable:
             self.values = block if have == 0 else np.concatenate([self.values, block], axis=1)
 
     def values_at(self, start: int, count: int) -> np.ndarray:
-        """Every row's values ``start .. start+count-1``, drawn from their counter blocks alone."""
+        """Every row's values ``start .. start+count-1``, without drawing the blocks of their prefix.
+
+        Chunks start at counter blocks that are multiples of the uniforms
+        per value, so each chunk holds whole values; a ``d``-dimensional
+        box draw may read up to ``d - 1`` blocks before its own.
+        """
         tail = self.values.shape[2:]
         width = math.prod(tail)  # uniforms per noise value
         out = np.empty((self.values.shape[0], count) + tail, dtype=self.values.dtype)
-        # chunks start at blocks that are multiples of width, so each holds whole values
         first = start * width // 4 // width * width
         stop = -(-(start + count) * width // 4)
         for lo, hi, r0 in self._runs:
