@@ -9,6 +9,10 @@ and ``--threads`` is accepted and has no effect.  A manifest records the
 noise layout it was drawn in (``streams.NOISE_LAYOUT``), and one of another
 layout, or one written before the layout was recorded, is a usage error.
 
+Each command is declared once, in ``_COMMANDS``: its help, its runner, and
+its options with their defaults, from which the parser and the manifest's
+keys follow.
+
 Exit codes: 0 success, 1 usage error, 2 soft failure (hypotheses
 unverified or a limit that did not converge).
 """
@@ -27,11 +31,7 @@ from . import splitting as split_mod
 from . import sync as sync_mod
 from . import transport as trans_mod
 from .engine import forward_orbit, reverse_orbit, sample_block
-from .errors import (
-    MonosyncError,
-    NotConvergedError,
-    UsageError,
-)
+from .errors import MonosyncError, NotConvergedError, UsageError
 from .families import (
     FiniteNoise,
     Monotonicity,
@@ -47,18 +47,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_UNVERIFIED = 2
 
-COMMANDS = (
-    "check-monotone",
-    "check-splitting",
-    "sigma-decay",
-    "sync-rate",
-    "forward-gap",
-    "stationary",
-    "w1-decay",
-    "clt",
-    "simulate",
-)
-
 
 class _CliUsage(Exception):
     pass
@@ -69,102 +57,35 @@ class _Parser(argparse.ArgumentParser):
         raise _CliUsage(message)
 
 
-def _add_common(p: _Parser) -> None:
-    p.add_argument("--config", type=str, default=None, help="JSON config or manifest to start from")
-    p.add_argument("--family", type=str, default=None, help="built-in family id")
-    p.add_argument("--seed", type=int, default=None, help="root seed (default 0)")
-    p.add_argument("--threads", type=int, default=1, help="accepted; has no effect")
-    p.add_argument("--out", type=str, default="monosync-out", help="output directory")
+def _option(spec) -> tuple:
+    """(default, help) of one option of the command table."""
+    return spec if isinstance(spec, tuple) else (spec, None)
+
+
+def _defaults(command: str) -> dict:
+    return {name: _option(spec)[0] for name, spec in _COMMANDS[command][2].items()}
 
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="monosync", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("check-monotone", help="classify each member map's monotonicity")
-    _add_common(p)
-    p.add_argument("--n-pairs", type=int, default=None)
-    p.add_argument("--n-alphas", type=int, default=None, help="sampled parameters for box noise")
-
-    p = sub.add_parser("check-splitting", help="verify the order-splitting condition")
-    _add_common(p)
-    p.add_argument("--m-max", type=int, default=None)
-    p.add_argument("--method", choices=["auto", "exact", "mc"], default=None)
-    p.add_argument("--n-blocks", type=int, default=None)
-
-    p = sub.add_parser("sigma-decay", help="membership probability decay at depths j*m")
-    _add_common(p)
-    p.add_argument("--m", type=int, default=None)
-    p.add_argument("--x", type=float, default=None)
-    p.add_argument("--s", type=int, default=None)
-    p.add_argument("--j-max", type=int, default=None)
-    p.add_argument("--replicas", type=int, default=None)
-
-    p = sub.add_parser("sync-rate", help="image-diameter decay rate")
-    _add_common(p)
-    p.add_argument("--n-max", type=int, default=None)
-    p.add_argument("--replicas", type=int, default=None)
-
-    p = sub.add_parser("forward-gap", help="forward orbit vs the attractor on the same noise")
-    _add_common(p)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--x0", type=str, default=None, help="comma-separated start point")
-    p.add_argument("--tail-tol", type=float, default=None, help="as stationary --tol, for the attractor")
-
-    p = sub.add_parser("stationary", help="pullback sample of the stationary law")
-    _add_common(p)
-    p.add_argument("--n-samples", type=int, default=None)
-    p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--n-max", type=int, default=None)
-
-    p = sub.add_parser("w1-decay", help="W1 distance to stationarity under push-forward")
-    _add_common(p)
-    p.add_argument("--n-max", type=int, default=None)
-    p.add_argument("--n-particles", type=int, default=None)
-    p.add_argument("--initial-point", type=str, default=None, help="comma-separated point")
-    p.add_argument("--ref-size", type=int, default=None)
-
-    p = sub.add_parser("clt", help="Poisson equation, variance, and FCLT diagnostics")
-    _add_common(p)
-    p.add_argument("--observable", type=str, default=None, help='e.g. "coord:1"')
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--replicas", type=int, default=None)
-    p.add_argument("--mu-size", type=int, default=None)
-    p.add_argument("--grid-size", type=int, default=None)
-    p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--dump-paths", action="store_true", default=None)
-
-    p = sub.add_parser("simulate", help="export one forward or reverse orbit")
-    _add_common(p)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--x0", type=str, default=None)
-    p.add_argument("--direction", choices=["forward", "reverse"], default=None)
-    p.add_argument("--stream-id", type=int, default=None)
-
+    for command, (help_text, _, options) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        p.add_argument("--config", type=str, default=None, help="JSON config or manifest to start from")
+        p.add_argument("--family", type=str, default=None, help="built-in family id")
+        p.add_argument("--seed", type=int, default=None, help="root seed (default 0)")
+        p.add_argument("--threads", type=int, default=1, help="accepted; has no effect")
+        p.add_argument("--out", type=str, default="monosync-out", help="output directory")
+        # every flag defaults to None, so that only a given one overrides the config
+        for name, spec in options.items():
+            default, option_help = _option(spec)
+            flag = "--" + name.replace("_", "-")
+            if default is False:
+                p.add_argument(flag, action="store_true", default=None, help=option_help)
+            else:
+                kind = str if default is None else type(default)
+                p.add_argument(flag, type=kind, default=None, choices=_CHOICES.get(name), help=option_help)
     return parser
-
-
-_DEFAULTS: dict[str, dict] = {
-    "check-monotone": {"n_pairs": 200, "n_alphas": 8},
-    "check-splitting": {"m_max": 3, "method": "auto", "n_blocks": 64},
-    "sigma-decay": {"m": 1, "x": 0.5, "s": 1, "j_max": 8, "replicas": 10_000},
-    "sync-rate": {"n_max": 20, "replicas": 64},
-    "forward-gap": {"n": 15, "x0": None, "tail_tol": 1e-10},
-    "stationary": {"n_samples": 4096, "tol": 1e-9, "n_max": 4096},
-    "w1-decay": {"n_max": 12, "n_particles": 4096, "initial_point": None, "ref_size": 4096},
-    "clt": {
-        "observable": "coord:1",
-        "n": 10_000,
-        "replicas": 1000,
-        "mu_size": 4096,
-        "grid_size": 2048,
-        "tol": 1e-4,
-        "dump_paths": False,
-    },
-    "simulate": {"n": 50, "x0": None, "direction": "forward", "stream_id": 0},
-}
-
-_FAMILY_KEYS = ("family", "probs", "params", "domain", "J", "clamp", "strict_tol", "noise_box")
 
 
 def _parse_point(text: str | None, dim: int, fallback: np.ndarray) -> np.ndarray:
@@ -183,8 +104,7 @@ def _parse_point(text: str | None, dim: int, fallback: np.ndarray) -> np.ndarray
 
 def _resolve_config(args: argparse.Namespace) -> dict:
     command = args.command
-    cfg: dict = {"command": command, "seed": 0}
-    cfg.update(_DEFAULTS[command])
+    cfg: dict = {"command": command, "seed": 0, **_defaults(command)}
     if args.config:
         with open(args.config) as fh:
             loaded = json.load(fh)
@@ -199,13 +119,8 @@ def _resolve_config(args: argparse.Namespace) -> dict:
         if layout not in (None, NOISE_LAYOUT):
             raise UsageError(f"manifest has noise layout {layout!r}, not {NOISE_LAYOUT!r}")
         cfg.update(loaded)
-    if args.family is not None:
-        cfg["family"] = args.family
-    if args.seed is not None:
-        cfg["seed"] = int(args.seed)
-    for key, val in vars(args).items():
-        if key in ("command", "config", "family", "seed", "threads", "out"):
-            continue
+    for key in ("family", "seed", *_COMMANDS[command][2]):
+        val = getattr(args, key)
         if val is not None:
             cfg[key] = val
     if "family" not in cfg:
@@ -215,20 +130,13 @@ def _resolve_config(args: argparse.Namespace) -> dict:
     return cfg
 
 
-def _write_json(path: Path, obj) -> None:
-    """Write strict JSON: a report object is the dict of its fields, and a
-    value that is not finite is written as null."""
-    text = json.dumps(_jsonable(obj, True), indent=2, sort_keys=True, allow_nan=False)
+def _write_json(path: Path, obj, strict: bool = True) -> None:
+    """Write JSON: a report object is the dict of its fields.  ``strict``
+    writes a value that is not finite as null; a manifest is not strict, so
+    an infinite clamp stays ``Infinity`` and ``--config manifest.json``
+    replays it."""
+    text = json.dumps(_jsonable(obj, strict), indent=2, sort_keys=True, allow_nan=not strict)
     path.write_text(text + "\n")
-
-
-def _write_manifest(outdir: Path, cfg: dict, fam, ordr) -> None:
-    """Echo the config that ran; a non-finite value (an infinite clamp) stays
-    ``Infinity`` so that ``--config manifest.json`` replays it."""
-    manifest = dict(cfg)
-    manifest.update(family_to_config(fam, ordr))
-    text = json.dumps(_jsonable(manifest, False), indent=2, sort_keys=True)
-    (outdir / "manifest.json").write_text(text + "\n")
 
 
 def _run_check_monotone(cfg, fam, ordr, outdir) -> int:
@@ -251,7 +159,7 @@ def _run_check_monotone(cfg, fam, ordr, outdir) -> int:
 
 
 def _splitting_report(cfg, fam, ordr):
-    method = cfg.get("method", "auto")
+    method = cfg["method"]
     m_max = int(cfg["m_max"])
     seed = cfg["seed"]
     if method == "exact" or (method == "auto" and isinstance(fam.noise, FiniteNoise)):
@@ -277,7 +185,7 @@ def _run_check_splitting(cfg, fam, ordr, outdir) -> int:
 def _run_sigma_decay(cfg, fam, ordr, outdir) -> int:
     seed = cfg["seed"]
     m = int(cfg["m"])
-    scan_cfg = dict(_DEFAULTS["check-splitting"], m_max=m, seed=seed)
+    scan_cfg = dict(_defaults("check-splitting"), m_max=m, seed=seed)
     report = _splitting_report(scan_cfg, fam, ordr)
     series = split_mod.sigma_decay(
         fam,
@@ -404,16 +312,69 @@ def _run_simulate(cfg, fam, ordr, outdir) -> int:
     return EXIT_OK
 
 
-_RUNNERS = {
-    "check-monotone": _run_check_monotone,
-    "check-splitting": _run_check_splitting,
-    "sigma-decay": _run_sigma_decay,
-    "sync-rate": _run_sync_rate,
-    "forward-gap": _run_forward_gap,
-    "stationary": _run_stationary,
-    "w1-decay": _run_w1_decay,
-    "clt": _run_clt,
-    "simulate": _run_simulate,
+# Each command: (help, runner, options).  An option maps to its default, or to
+# (default, help); its flag is the name with dashes, the default gives its type
+# (None: a string, False: a flag), and _CHOICES lists the values it may take.
+_CHOICES = {"method": ("auto", "exact", "mc"), "direction": ("forward", "reverse")}
+_COMMANDS: dict[str, tuple] = {
+    "check-monotone": (
+        "classify each member map's monotonicity",
+        _run_check_monotone,
+        {"n_pairs": 200, "n_alphas": (8, "sampled parameters for box noise")},
+    ),
+    "check-splitting": (
+        "verify the order-splitting condition",
+        _run_check_splitting,
+        {"m_max": 3, "method": "auto", "n_blocks": 64},
+    ),
+    "sigma-decay": (
+        "membership probability decay at depths j*m",
+        _run_sigma_decay,
+        {"m": 1, "x": 0.5, "s": 1, "j_max": 8, "replicas": 10_000},
+    ),
+    "sync-rate": ("image-diameter decay rate", _run_sync_rate, {"n_max": 20, "replicas": 64}),
+    "forward-gap": (
+        "forward orbit vs the attractor on the same noise",
+        _run_forward_gap,
+        {
+            "n": 15,
+            "x0": (None, "comma-separated start point"),
+            "tail_tol": (1e-10, "as stationary --tol, for the attractor"),
+        },
+    ),
+    "stationary": (
+        "pullback sample of the stationary law",
+        _run_stationary,
+        {"n_samples": 4096, "tol": 1e-9, "n_max": 4096},
+    ),
+    "w1-decay": (
+        "W1 distance to stationarity under push-forward",
+        _run_w1_decay,
+        {
+            "n_max": 12,
+            "n_particles": 4096,
+            "initial_point": (None, "comma-separated point"),
+            "ref_size": 4096,
+        },
+    ),
+    "clt": (
+        "Poisson equation, variance, and FCLT diagnostics",
+        _run_clt,
+        {
+            "observable": ("coord:1", 'e.g. "coord:1"'),
+            "n": 10_000,
+            "replicas": 1000,
+            "mu_size": 4096,
+            "grid_size": 2048,
+            "tol": 1e-4,
+            "dump_paths": False,
+        },
+    ),
+    "simulate": (
+        "export one forward or reverse orbit",
+        _run_simulate,
+        {"n": 50, "x0": None, "direction": "forward", "stream_id": 0},
+    ),
 }
 
 
@@ -425,12 +386,9 @@ def main(argv=None) -> int:
         fam, ordr = family_from_config(cfg)
         outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)
-        _write_manifest(outdir, cfg, fam, ordr)
-        return _RUNNERS[args.command](cfg, fam, ordr, outdir)
-    except _CliUsage as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except UsageError as exc:
+        _write_json(outdir / "manifest.json", {**cfg, **family_to_config(fam, ordr)}, strict=False)
+        return _COMMANDS[args.command][1](cfg, fam, ordr, outdir)
+    except (_CliUsage, UsageError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except NotConvergedError as exc:

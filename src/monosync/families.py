@@ -564,7 +564,10 @@ def family_from_config(cfg: dict) -> tuple[MapFamily, JOrder]:
 
     Recognized keys: ``family`` (required), ``probs``, ``params``,
     ``domain`` ({"lo": [...], "hi": [...]}), ``J`` (1-based increasing
-    coordinates), ``clamp``, ``strict_tol``.
+    coordinates), ``clamp``, ``strict_tol``.  Without ``J`` the increasing
+    coordinates are those the family's declared order
+    (:meth:`MapFamily.monotone_signs`) marks +1; an undeclared family
+    compares every coordinate increasingly, except rot2d (coordinate 1).
     """
     if "family" not in cfg:
         raise UsageError("config must name a 'family'")
@@ -589,9 +592,13 @@ def family_from_config(cfg: dict) -> tuple[MapFamily, JOrder]:
         clamp_bound=float(cfg.get("clamp", 1e300)),
         noise=noise,
     )
-    j = cfg.get("J", _DEFAULT_INCREASING.get(family))
+    j = cfg.get("J")
     if j is None:
-        j = list(range(1, fam.dim + 1))
+        signs = fam.monotone_signs()
+        if signs is not None:
+            j = [i + 1 for i in np.flatnonzero(signs > 0)]
+        else:
+            j = _UNDECLARED_INCREASING.get(family, range(1, fam.dim + 1))
     ordr = JOrder(
         dim=fam.dim,
         increasing=frozenset(int(i) for i in j),
@@ -600,15 +607,7 @@ def family_from_config(cfg: dict) -> tuple[MapFamily, JOrder]:
     return fam, ordr
 
 
-_DEFAULT_INCREASING = {
-    "cantor1d": [1],
-    "cantor2d": [1],
-    "exp1d": [1],
-    "arctanexp2d": [1],
-    "lip-pair": [1],
-    "slide1d": [1],
-    "rot2d": [1],
-}
+_UNDECLARED_INCREASING = {"rot2d": [1]}
 
 
 def family_to_config(fam: MapFamily, ordr: JOrder) -> dict:

@@ -305,6 +305,13 @@ def _w1_sliced(mu1: EmpiricalMeasure, mu2: EmpiricalMeasure) -> float:
     return total / SLICED_PROJECTIONS
 
 
+def _w1_method(dim: int, n1: int, n2: int) -> str:
+    """The W1 method for measures of ``n1`` and ``n2`` points in dimension ``dim``."""
+    if dim == 1:
+        return "sorted-1d"
+    return "exact-matching" if max(n1, n2) <= EXACT_MATCH_CAP else "sliced"
+
+
 def wasserstein1(mu1: EmpiricalMeasure, mu2: EmpiricalMeasure) -> TransportReport:
     """W1 distance between empirical measures.
 
@@ -321,16 +328,17 @@ def wasserstein1(mu1: EmpiricalMeasure, mu2: EmpiricalMeasure) -> TransportRepor
     """
     if mu1.dim != mu2.dim:
         raise UsageError("measures live in different dimensions")
-    if mu1.dim == 1:
-        return TransportReport(_w1_1d(mu1, mu2), "sorted-1d")
-    if max(mu1.n, mu2.n) <= EXACT_MATCH_CAP:
+    method = _w1_method(mu1.dim, mu1.n, mu2.n)
+    if method == "sorted-1d":
+        return TransportReport(_w1_1d(mu1, mu2), method)
+    if method == "exact-matching":
         if mu1.n != mu2.n or not (mu1.is_uniform and mu2.is_uniform):
             raise UsageError(
                 "exact matching requires uniform weights and equal sizes; "
                 "resample the measures or use larger N for the sliced path"
             )
-        return TransportReport(_w1_exact_matching(mu1, mu2), "exact-matching")
-    return TransportReport(_w1_sliced(mu1, mu2), "sliced", SLICED_PROJECTIONS)
+        return TransportReport(_w1_exact_matching(mu1, mu2), method)
+    return TransportReport(_w1_sliced(mu1, mu2), method, SLICED_PROJECTIONS)
 
 
 def pullback_sample(
@@ -447,7 +455,7 @@ def _calibrate_floor(ref: EmpiricalMeasure, n_other: int, seed: int) -> float:
     distance.
     """
     r = ref.n
-    sliced = ref.dim > 1 and max(n_other, r) > EXACT_MATCH_CAP  # as in w1_decay_curve
+    sliced = _w1_method(ref.dim, n_other, r) == "sliced"
     rng = stream_generator(seed, "w1-floor")
     half = r // 2
     vals = []
@@ -487,7 +495,7 @@ def w1_decay_curve(
         raise UsageError("n_max must be >= 1")
     if n_particles < 1 or ref_size < 2:
         raise UsageError("n_particles must be >= 1 and ref_size >= 2")
-    if fam.dim > 1 and n_particles != ref_size and max(n_particles, ref_size) <= EXACT_MATCH_CAP:
+    if _w1_method(fam.dim, n_particles, ref_size) == "exact-matching" and n_particles != ref_size:
         raise UsageError(
             f"n_particles and ref_size must be equal when both are <= {EXACT_MATCH_CAP} "
             "(exact matching pairs the points one to one)"
@@ -503,7 +511,7 @@ def w1_decay_curve(
             "unbounded and the geometric W1 decay is not guaranteed"
         )
 
-    if ref.dim > 1 and max(n_particles, ref.n) > EXACT_MATCH_CAP:
+    if _w1_method(ref.dim, n_particles, ref.n) == "sliced":
         _keep_sorted_projections(ref)  # every step is a sliced call against ref
     cur = initial.resampled(n_particles, stream_generator(seed, "w1-init"))
     ns = np.arange(n_max + 1)

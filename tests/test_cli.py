@@ -166,6 +166,49 @@ def test_manifest_roundtrip_bytes(tmp_path):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
 
 
+# Every manifest holds the family's config, the command, seed and noise layout,
+# and each of the command's options, given or not: the keys --config replays.
+_MANIFEST_COMMON = ["J", "clamp", "command", "domain", "family", "noise_layout", "probs", "seed", "strict_tol"]
+
+
+# Each command's small-size flags, and the options its manifest records.
+_MANIFEST_OPTIONS = {
+    "check-monotone": (["--n-pairs", "20"], ["n_alphas", "n_pairs"]),
+    "check-splitting": (["--m-max", "1"], ["m_max", "method", "n_blocks"]),
+    "sigma-decay": (["--j-max", "2", "--replicas", "100"], ["j_max", "m", "replicas", "s", "x"]),
+    "sync-rate": (["--n-max", "8", "--replicas", "8"], ["n_max", "replicas"]),
+    "forward-gap": (["--n", "3"], ["n", "tail_tol", "x0"]),
+    "stationary": (["--n-samples", "16"], ["n_max", "n_samples", "tol"]),
+    "w1-decay": (["--n-max", "1", "--n-particles", "16", "--ref-size", "16"],
+                 ["initial_point", "n_max", "n_particles", "ref_size"]),
+    "clt": (["--n", "20", "--replicas", "10", "--mu-size", "32", "--grid-size", "16"],
+            ["dump_paths", "grid_size", "mu_size", "n", "observable", "replicas", "tol"]),
+    "simulate": (["--n", "5"], ["direction", "n", "stream_id", "x0"]),
+}
+
+
+@pytest.mark.parametrize("command", list(_MANIFEST_OPTIONS))
+def test_manifest_records_every_option(tmp_path, command):
+    args, options = _MANIFEST_OPTIONS[command]
+    out = tmp_path / "m"
+    assert run([command, *args, "--family", "cantor1d", "--out", str(out)]) == 0
+    assert sorted(read_json(out / "manifest.json")) == sorted(_MANIFEST_COMMON + options)
+
+
+def test_default_order_follows_the_declared_signs(tmp_path):
+    # both maps are monotone in the order (+1, -1), not in the all-increasing one;
+    # without J the family's declared signs give that order
+    config = tmp_path / "mixed.json"
+    config.write_text(json.dumps({"family": "affine-general", "params": {
+        "mats": [[[0.5, -0.2], [-0.2, 0.5]], [[0.3, -0.1], [-0.1, 0.4]]],
+        "offs": [[0.1, 0.2], [0.5, -0.3]]}}))
+    for command, artifact in (("check-monotone", "monotonicity.json"), ("check-splitting", "splitting.json")):
+        out = tmp_path / command
+        assert run([command, "--config", str(config), "--out", str(out)]) == 0, command
+        assert read_json(out / "manifest.json")["J"] == [1]
+    assert read_json(tmp_path / "check-splitting" / "splitting.json")["verified"]
+
+
 @pytest.mark.parametrize("layout", ["philox4x64-10 key=address+id counter=block", None])
 def test_manifest_of_another_noise_layout_is_refused(tmp_path, capsys, layout):
     # the same seed in another layout is other noise: refused, not silently replayed
@@ -195,100 +238,130 @@ def test_threads_do_not_change_artifacts(tmp_path):
         assert (out_1 / name).read_bytes() == (out_8 / name).read_bytes(), name
 
 
+# Each case's id names its command, family and artifact, so a re-frozen digest keeps the name.
 @pytest.mark.parametrize("args, artifact, digest", [
-    (["stationary", "--family", "cantor1d", "--n-samples", "256", "--seed", "255742855"],
-     "stationary.csv", "12262c5878f99bd20e0ffabadb8631f36db06621801e64972dca397181139a89"),
-    (["sync-rate", "--family", "slide1d", "--seed", "4242"],
-     "diam_series.csv", "1be76e8632fe6496322777317dedc06e6a437338dcc5f38b0c533bf707bc1ae6"),
+    pytest.param(["stationary", "--family", "cantor1d", "--n-samples", "256", "--seed", "255742855"],
+                 "stationary.csv", "12262c5878f99bd20e0ffabadb8631f36db06621801e64972dca397181139a89",
+                 id="stationary-cantor1d-stationary.csv"),
+    pytest.param(["sync-rate", "--family", "slide1d", "--seed", "4242"],
+                 "diam_series.csv", "1be76e8632fe6496322777317dedc06e6a437338dcc5f38b0c533bf707bc1ae6",
+                 id="sync-rate-slide1d-diam_series.csv"),
     # ragged minimal depths with saturating rows, and a box-noise pullback
-    (["stationary", "--family", "exp1d", "--n-samples", "512", "--seed", "90210"],
-     "stationary.csv", "a160d1dd54effbfaf9c4da067d83ab827ebaef83deda36a998543d0847786ca4"),
-    (["stationary", "--family", "slide1d", "--n-samples", "512", "--seed", "90210"],
-     "stationary.csv", "820d5fc7787a1dd10f021ff6a456ff728a24977c68c9f6899e2ec96a016b5782"),
+    pytest.param(["stationary", "--family", "exp1d", "--n-samples", "512", "--seed", "90210"],
+                 "stationary.csv", "a160d1dd54effbfaf9c4da067d83ab827ebaef83deda36a998543d0847786ca4",
+                 id="stationary-exp1d-stationary.csv"),
+    pytest.param(["stationary", "--family", "slide1d", "--n-samples", "512", "--seed", "90210"],
+                 "stationary.csv", "820d5fc7787a1dd10f021ff6a456ff728a24977c68c9f6899e2ec96a016b5782",
+                 id="stationary-slide1d-stationary.csv"),
     # the family's default probe and the fixed constants of sync, splitting and transport
-    (["forward-gap", "--family", "cantor1d", "--n", "20", "--seed", "7"],
-     "forward_gap.csv", "ad6e4ce0804fa552f976acdccaaf54f8b5b16669810124a1260d61d31ec01ca0"),
-    (["sync-rate", "--family", "exp1d", "--seed", "3"],
-     "rate_fit.json", "4e9bdae39e9f87738cd24cb2f8a641f4034d643ea79fcb97339185070bdce1bb"),
-    (["sigma-decay", "--family", "cantor1d", "--x", "0.1", "--replicas", "500", "--seed", "2"],
-     "sigma_decay.json", "26d85a82280d966f357f51efd1b811e40e8de52ec7a4b9e3c9921cc00258a8cb"),
-    (["w1-decay", "--family", "cantor1d", "--n-particles", "512", "--ref-size", "512",
-      "--n-max", "4", "--seed", "11"],
-     "w1_fit.json", "8be974c7706feb69fd8dd51bbf29774988ce851dc51a4011184ff99a69121f59"),
+    pytest.param(["forward-gap", "--family", "cantor1d", "--n", "20", "--seed", "7"],
+                 "forward_gap.csv", "ad6e4ce0804fa552f976acdccaaf54f8b5b16669810124a1260d61d31ec01ca0",
+                 id="forward-gap-cantor1d-forward_gap.csv"),
+    pytest.param(["sync-rate", "--family", "exp1d", "--seed", "3"],
+                 "rate_fit.json", "4e9bdae39e9f87738cd24cb2f8a641f4034d643ea79fcb97339185070bdce1bb",
+                 id="sync-rate-exp1d-rate_fit.json"),
+    pytest.param(["sigma-decay", "--family", "cantor1d", "--x", "0.1", "--replicas", "500", "--seed", "2"],
+                 "sigma_decay.json", "26d85a82280d966f357f51efd1b811e40e8de52ec7a4b9e3c9921cc00258a8cb",
+                 id="sigma-decay-cantor1d-sigma_decay.json"),
+    pytest.param(["w1-decay", "--family", "cantor1d", "--n-particles", "512", "--ref-size", "512",
+                  "--n-max", "4", "--seed", "11"],
+                 "w1_fit.json", "8be974c7706feb69fd8dd51bbf29774988ce851dc51a4011184ff99a69121f59",
+                 id="w1-decay-cantor1d-w1_fit.json"),
     # strict JSON: the saturated exp1d variance overflows and is written as null,
     # next to the count of saturated samples
-    (["stationary", "--family", "exp1d", "--n-samples", "512", "--seed", "90210"],
-     "stationary.json", "87745e2a89056b1accd7d1e10fb1a5206e49476a3a9dc56fc7bf41a21eca144a"),
+    pytest.param(["stationary", "--family", "exp1d", "--n-samples", "512", "--seed", "90210"],
+                 "stationary.json", "87745e2a89056b1accd7d1e10fb1a5206e49476a3a9dc56fc7bf41a21eca144a",
+                 id="stationary-exp1d-stationary.json"),
     # forward chains: the exact center, the Poisson sigma^2 and the partial sums (re-frozen
     # when the center became exact, m = 1/2, instead of the 512 x 40,000-step ergodic pass)
-    (["clt", "--family", "cantor1d", "--n", "200", "--replicas", "100", "--mu-size", "512",
-      "--grid-size", "256", "--dump-paths", "--seed", "1234"],
-     "paths.csv", "396308b915a451520b613913ba2ea9c0599caed053f5f333b56e9d42a30afbd5"),
+    pytest.param(["clt", "--family", "cantor1d", "--n", "200", "--replicas", "100", "--mu-size", "512",
+                  "--grid-size", "256", "--dump-paths", "--seed", "1234"],
+                 "paths.csv", "396308b915a451520b613913ba2ea9c0599caed053f5f333b56e9d42a30afbd5",
+                 id="clt-cantor1d-paths.csv"),
     # forward orbits on finite and on box noise, through the same chain loop
-    (["simulate", "--family", "cantor1d", "--direction", "forward", "--n", "200", "--seed", "1234"],
-     "orbit.csv", "2337c2d937acbf20019109ee78cea55cfbf3f934385683aed669389bc04978bd"),
-    (["simulate", "--family", "slide1d", "--direction", "forward", "--n", "200", "--seed", "1234"],
-     "orbit.csv", "85c8ac62d7dc0b2efcd2b6dbe2017604d8b74e0151bc5b0391b8c097aa9bc181"),
+    pytest.param(["simulate", "--family", "cantor1d", "--direction", "forward", "--n", "200", "--seed", "1234"],
+                 "orbit.csv", "2337c2d937acbf20019109ee78cea55cfbf3f934385683aed669389bc04978bd",
+                 id="simulate-cantor1d-forward-orbit.csv"),
+    pytest.param(["simulate", "--family", "slide1d", "--direction", "forward", "--n", "200", "--seed", "1234"],
+                 "orbit.csv", "85c8ac62d7dc0b2efcd2b6dbe2017604d8b74e0151bc5b0391b8c097aa9bc181",
+                 id="simulate-slide1d-forward-orbit.csv"),
     # a reverse orbit with its probe-image boxes
-    (["simulate", "--family", "cantor1d", "--direction", "reverse", "--n", "200", "--seed", "1234"],
-     "orbit.csv", "12acaa9326399a435514a659960495f03c2ba53b9ef4a604d908b8f6cd6c0bb0"),
+    pytest.param(["simulate", "--family", "cantor1d", "--direction", "reverse", "--n", "200", "--seed", "1234"],
+                 "orbit.csv", "12acaa9326399a435514a659960495f03c2ba53b9ef4a604d908b8f6cd6c0bb0",
+                 id="simulate-cantor1d-reverse-orbit.csv"),
     # a saturating finite-noise forward orbit: every step takes the clamp's slow path
-    (["simulate", "--family", "exp1d", "--direction", "forward", "--n", "200", "--seed", "1234"],
-     "orbit.csv", "2c03ddd30f316fded9da4b228352f9300345cae1a7db709f7eaf103c6fc69313"),
+    pytest.param(["simulate", "--family", "exp1d", "--direction", "forward", "--n", "200", "--seed", "1234"],
+                 "orbit.csv", "2c03ddd30f316fded9da4b228352f9300345cae1a7db709f7eaf103c6fc69313",
+                 id="simulate-exp1d-forward-orbit.csv"),
     # a 2-d forward chain of a whole (N, P, dim) probe cloud
-    (["forward-gap", "--family", "cantor2d", "--n", "20", "--seed", "7"],
-     "forward_gap.csv", "5f44c036f657d477f022b1e42e78a01d656fcd024b76efc9afb28c19e27a4248"),
+    pytest.param(["forward-gap", "--family", "cantor2d", "--n", "20", "--seed", "7"],
+                 "forward_gap.csv", "5f44c036f657d477f022b1e42e78a01d656fcd024b76efc9afb28c19e27a4248",
+                 id="forward-gap-cantor2d-forward_gap.csv"),
     # 2-d W1 above the exact-matching cap: the sliced kernel over 128 directions, which
     # also measures the floor's half-splits, so the curve fits its rate (r_hat 0.348)
-    (["w1-decay", "--family", "cantor2d", "--n-particles", "1024", "--ref-size", "1024",
-      "--n-max", "3", "--seed", "3"],
-     "w1_decay.csv", "754e6967417d7ae62bee7b5b5172119fb62d803249b51dad2eef7313f0e1e293"),
+    pytest.param(["w1-decay", "--family", "cantor2d", "--n-particles", "1024", "--ref-size", "1024",
+                  "--n-max", "3", "--seed", "3"],
+                 "w1_decay.csv", "754e6967417d7ae62bee7b5b5172119fb62d803249b51dad2eef7313f0e1e293",
+                 id="w1-decay-cantor2d-w1_decay.csv"),
     # a reverse orbit that starts beyond the clamp: rows still waiting for their
     # first map keep the unclamped start point and are not flagged
-    (["simulate", "--direction", "reverse", "--n", "60", "--x0", "0.9", "--seed", "5",
-      {"family": "cantor1d", "clamp": 0.5}],
-     "orbit.csv", "3784f223a0549dd92b1af725fd933f3c5d0e8225b5af4765c5ddc5a64ee20c28"),
+    pytest.param(["simulate", "--direction", "reverse", "--n", "60", "--x0", "0.9", "--seed", "5",
+                  {"family": "cantor1d", "clamp": 0.5}],
+                 "orbit.csv", "3784f223a0549dd92b1af725fd933f3c5d0e8225b5af4765c5ddc5a64ee20c28",
+                 id="simulate-cantor1d-clamped-reverse-orbit.csv"),
     # a 2-d affine pullback whose map bodies are BLAS matmuls
-    (["stationary", "--n-samples", "512", "--seed", "6",
-      {"family": "affine-general",
-       "params": {"mats": [[[0.4, 0.1], [0.1, 0.3]], [[0.3, -0.1], [-0.1, 0.4]]],
-                  "offs": [[0.1, 0.2], [0.5, -0.3]]}}],
-     "stationary.csv", "069cfb1deb7736232e1f870ec4204f7991e89051a238d315bacbd12552256159"),
+    pytest.param(["stationary", "--n-samples", "512", "--seed", "6",
+                  {"family": "affine-general",
+                   "params": {"mats": [[[0.4, 0.1], [0.1, 0.3]], [[0.3, -0.1], [-0.1, 0.4]]],
+                              "offs": [[0.1, 0.2], [0.5, -0.3]]}}],
+                 "stationary.csv", "069cfb1deb7736232e1f870ec4204f7991e89051a238d315bacbd12552256159",
+                 id="stationary-affine-general-stationary.csv"),
     # the Poisson corrector's report: truncation, residual, both variance forms, the
     # exact center and sigma^2 (re-frozen when the center became exact, with its fields)
-    (["clt", "--family", "cantor1d", "--n", "200", "--replicas", "100", "--mu-size", "512",
-      "--grid-size", "256", "--dump-paths", "--seed", "1234"],
-     "clt_report.json", "5728c8615c98811a5bff19e5766473b7ae3a0cb1e1e1174f40c950e0def83ffe"),
+    pytest.param(["clt", "--family", "cantor1d", "--n", "200", "--replicas", "100", "--mu-size", "512",
+                  "--grid-size", "256", "--dump-paths", "--seed", "1234"],
+                 "clt_report.json", "5728c8615c98811a5bff19e5766473b7ae3a0cb1e1e1174f40c950e0def83ffe",
+                 id="clt-cantor1d-clt_report.json"),
     # the boundedness check's probe of scaled boxes: bounded at m0 = 3, and unbounded
-    (["sync-rate", "--family", "arctanexp2d", "--seed", "5"],
-     "rate_fit.json", "6ebefed1aafb47c1e7e2fa444da9b7bc82a6bb1c99fd417351dc56abd3a855cb"),
-    (["sync-rate", "--family", "lip-pair", "--seed", "5"],
-     "rate_fit.json", "2bffbd9e18e77d52c9f21706cf0274aadde0b6bb88be5ad5777043e9a043ad74"),
+    pytest.param(["sync-rate", "--family", "arctanexp2d", "--seed", "5"],
+                 "rate_fit.json", "6ebefed1aafb47c1e7e2fa444da9b7bc82a6bb1c99fd417351dc56abd3a855cb",
+                 id="sync-rate-arctanexp2d-rate_fit.json"),
+    pytest.param(["sync-rate", "--family", "lip-pair", "--seed", "5"],
+                 "rate_fit.json", "2bffbd9e18e77d52c9f21706cf0274aadde0b6bb88be5ad5777043e9a043ad74",
+                 id="sync-rate-lip-pair-rate_fit.json"),
     # splitting reports: a verified exact scan, and a Monte Carlo search on box noise
-    (["check-splitting", "--family", "cantor2d", "--seed", "5"],
-     "splitting.json", "dee720cbe76575d2773d3c7c60a219758abf19ffd324e5aa742344222b1daff5"),
-    (["check-splitting", "--family", "slide1d", "--seed", "5"],
-     "splitting.json", "e83f72b68ebf3e4379ead40c4eb57f0cd7904b7dc1de23a9d1dc6c0f759b9c05"),
+    pytest.param(["check-splitting", "--family", "cantor2d", "--seed", "5"],
+                 "splitting.json", "dee720cbe76575d2773d3c7c60a219758abf19ffd324e5aa742344222b1daff5",
+                 id="check-splitting-cantor2d-splitting.json"),
+    pytest.param(["check-splitting", "--family", "slide1d", "--seed", "5"],
+                 "splitting.json", "e83f72b68ebf3e4379ead40c4eb57f0cd7904b7dc1de23a9d1dc6c0f759b9c05",
+                 id="check-splitting-slide1d-splitting.json"),
     # monotonicity verdicts: finite-noise symbols, and box-noise parameter vectors
-    (["check-monotone", "--family", "arctanexp2d"],
-     "monotonicity.json", "097bedf9c17ad7c87c3e850b0298a0f80a20137fa5f6a399145ff5609c7b2817"),
-    (["check-monotone", "--family", "slide1d"],
-     "monotonicity.json", "425a3a1e2d7bfb87e7313796a92c40af29105964584a22f6b893e759d8311169"),
+    pytest.param(["check-monotone", "--family", "arctanexp2d"],
+                 "monotonicity.json", "097bedf9c17ad7c87c3e850b0298a0f80a20137fa5f6a399145ff5609c7b2817",
+                 id="check-monotone-arctanexp2d-monotonicity.json"),
+    pytest.param(["check-monotone", "--family", "slide1d"],
+                 "monotonicity.json", "425a3a1e2d7bfb87e7313796a92c40af29105964584a22f6b893e759d8311169",
+                 id="check-monotone-slide1d-monotonicity.json"),
     # the text of the CSV writer: the fitted lambda^j column, and a W1 curve too
     # short to fit a rate, whose bound column is blank; and the manifest's JSON
-    (["sigma-decay", "--family", "cantor1d", "--x", "0.1", "--replicas", "500", "--seed", "2"],
-     "sigma_decay.csv", "daa58f65cb80207e0b4028d2b3ef5102ca55207e0354526ffe4e4799c816b0d2"),
-    (["w1-decay", "--family", "cantor1d", "--n-particles", "256", "--ref-size", "256",
-      "--n-max", "1", "--seed", "11"],
-     "w1_decay.csv", "3b1ab13eff95c4af5ca60823e0ad02e57a79c735c451b3130d9930b1181f28d2"),
-    (["w1-decay", "--family", "cantor1d", "--n-particles", "256", "--ref-size", "256",
-      "--n-max", "1", "--seed", "11"],
-     "manifest.json", "0d3b8f67e72534505b07406fcf6b806fcfbec6268caefcdaf04dcf6385345b75"),
+    pytest.param(["sigma-decay", "--family", "cantor1d", "--x", "0.1", "--replicas", "500", "--seed", "2"],
+                 "sigma_decay.csv", "daa58f65cb80207e0b4028d2b3ef5102ca55207e0354526ffe4e4799c816b0d2",
+                 id="sigma-decay-cantor1d-sigma_decay.csv"),
+    pytest.param(["w1-decay", "--family", "cantor1d", "--n-particles", "256", "--ref-size", "256",
+                  "--n-max", "1", "--seed", "11"],
+                 "w1_decay.csv", "3b1ab13eff95c4af5ca60823e0ad02e57a79c735c451b3130d9930b1181f28d2",
+                 id="w1-decay-cantor1d-w1_decay.csv"),
+    pytest.param(["w1-decay", "--family", "cantor1d", "--n-particles", "256", "--ref-size", "256",
+                  "--n-max", "1", "--seed", "11"],
+                 "manifest.json", "0d3b8f67e72534505b07406fcf6b806fcfbec6268caefcdaf04dcf6385345b75",
+                 id="w1-decay-cantor1d-manifest.json"),
     # box noise has no exact terms: the Poisson series past phi is the Monte Carlo
     # chains' means, all driven by the one "poisson-chain" stream
-    (["clt", "--family", "slide1d", "--n", "200", "--replicas", "100", "--mu-size", "512",
-      "--grid-size", "256", "--seed", "1234"],
-     "clt_report.json", "db68593e9f6c9168619c7d745094f250cbd697966fab1d2cdc6bf17b634cd94b"),
+    pytest.param(["clt", "--family", "slide1d", "--n", "200", "--replicas", "100", "--mu-size", "512",
+                  "--grid-size", "256", "--seed", "1234"],
+                 "clt_report.json", "db68593e9f6c9168619c7d745094f250cbd697966fab1d2cdc6bf17b634cd94b",
+                 id="clt-slide1d-clt_report.json"),
 ])
 def test_golden_artifact_digest(tmp_path, args, artifact, digest):
     # Frozen bytes: any change to the noise streams (finite and box tables), to the

@@ -241,9 +241,11 @@ def test_bounded_domains_closed_under_iteration():
 
 def test_default_orders_make_builtins_monotone():
     # every configurable builtin except the rotation control is monotone
-    # under its default direction set
+    # under its default direction set, coordinate 1 increasing, which its
+    # declared order gives
     for fid in ("cantor1d", "cantor2d", "exp1d", "arctanexp2d", "lip-pair", "slide1d"):
         fam, ordr = family_from_config({"family": fid})
+        assert ordr.increasing == {1}, fid
         if isinstance(fam.noise, FiniteNoise):
             alphas = range(1, fam.noise.q + 1)
         else:
