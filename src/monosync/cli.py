@@ -380,15 +380,30 @@ _COMMANDS: dict[str, tuple] = {
 
 def main(argv=None) -> int:
     parser = _build_parser()
+    manifest, previous, created = None, None, []
     try:
         args = parser.parse_args(argv)
         cfg = _resolve_config(args)
         fam, ordr = family_from_config(cfg)
         outdir = Path(args.out)
+        created = [d for d in (outdir, *outdir.parents) if not d.exists()]
         outdir.mkdir(parents=True, exist_ok=True)
-        _write_json(outdir / "manifest.json", {**cfg, **family_to_config(fam, ordr)}, strict=False)
+        manifest = outdir / "manifest.json"
+        previous = manifest.read_bytes() if manifest.exists() else None
+        _write_json(manifest, {**cfg, **family_to_config(fam, ordr)}, strict=False)
         return _COMMANDS[args.command][1](cfg, fam, ordr, outdir)
     except (_CliUsage, UsageError) as exc:
+        # a runner that rejects its sizes has written nothing but the
+        # manifest: take it back, restoring the one it replaced, and remove
+        # the directories this call made
+        if previous is not None:
+            manifest.write_bytes(previous)
+        elif manifest is not None:
+            manifest.unlink(missing_ok=True)
+        for d in created:
+            if any(d.iterdir()):
+                break
+            d.rmdir()
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except NotConvergedError as exc:

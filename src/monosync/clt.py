@@ -562,7 +562,10 @@ def partial_sum_paths(
             raise UsageError("start must be 'stationary' or a point")
         cur, sat = _stationary_start(fam, seed, replicas, "clt-start")
     else:
-        cur = np.tile(np.asarray(start, dtype=float).reshape(1, fam.dim), (replicas, 1))
+        point = np.asarray(start, dtype=float)
+        if point.size != fam.dim or not np.isfinite(point).all():
+            raise UsageError(f"start must be 'stationary' or {fam.dim} finite coordinates, got {start!r}")
+        cur = np.tile(point.reshape(1, fam.dim), (replicas, 1))
         sat = np.zeros(replicas, dtype=bool)
 
     table = _BlockTable(fam.noise, seed, "clt-chain", range(replicas))
@@ -604,9 +607,9 @@ def fclt_tests(ensemble: PathEnsemble, min_replicas: int = 500) -> FcltStats:
     paths = ensemble.paths
     if paths.shape[0] < min_replicas:
         raise UsageError(f"need >= {min_replicas} replicas, got {paths.shape[0]}")
-    from scipy.stats import kstest
+    from .kolmogorov import kstest_norm
 
-    ks_stat, ks_p = kstest(paths[:, -1], "norm")
+    ks_stat, ks_p = kstest_norm(paths[:, -1])
     var_t = paths.var(axis=0, ddof=1)
     slope = float(np.polyfit(ensemble.grid_t, var_t, 1)[0])
     targets = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
@@ -617,8 +620,8 @@ def fclt_tests(ensemble: PathEnsemble, min_replicas: int = 500) -> FcltStats:
     mean_corr = float(corr[iu].mean())
     sigma2_direct = float(ensemble.final_sums.var(ddof=1) / ensemble.n)
     return FcltStats(
-        ks_stat=float(ks_stat),
-        ks_pvalue=float(ks_p),
+        ks_stat=ks_stat,
+        ks_pvalue=ks_p,
         var_slope=slope,
         increment_corr=mean_corr,
         sigma2_direct=sigma2_direct,

@@ -57,6 +57,25 @@ def test_usage_errors_exit_1(tmp_path):
 def test_empty_sizes_are_usage_errors(tmp_path, capsys, args):
     assert run(args + ["--out", str(tmp_path / "u")]) == 1
     assert capsys.readouterr().err.startswith("usage error:")
+    assert not (tmp_path / "u").exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["sigma-decay", "--family", "cantor1d", "--s", "2"],
+    ["w1-decay", "--family", "cantor2d", "--n-particles", "100", "--ref-size", "200"],
+], ids=["sigma-decay", "w1-decay"])
+def test_runner_usage_error_takes_back_the_manifest(tmp_path, args):
+    # the runner rejects its sizes after main wrote the manifest: the
+    # manifest goes, and so do the directories the call made; a directory
+    # that was there before keeps what it held, its manifest included
+    fresh = tmp_path / "new" / "out"
+    assert run(args + ["--out", str(fresh)]) == EXIT_USAGE
+    assert list(tmp_path.iterdir()) == []
+    kept = tmp_path / "kept"
+    assert run(["stationary", "--family", "cantor1d", "--n-samples", "64", "--out", str(kept)]) == 0
+    before = {p.name: p.read_bytes() for p in kept.iterdir()}
+    assert run(args + ["--out", str(kept)]) == EXIT_USAGE
+    assert {p.name: p.read_bytes() for p in kept.iterdir()} == before
 
 
 def test_w1_decay_rejects_unpaired_sizes_before_sampling(tmp_path, capsys, monkeypatch):
@@ -409,26 +428,32 @@ def test_golden_unverified_splitting_digest(tmp_path):
     assert digest == "0a1f06ea15a3dca47ef533692eaa17bc4f55bde17f505c02fa0b74e005b4513e"
 
 
-# Imports the CLI and runs two numpy-only commands in a fresh interpreter, then
-# prints the scipy subpackages that got loaded.
+# Imports the CLI and runs two numpy-only commands, then a smoke-size clt, in a
+# fresh interpreter; prints the scipy subpackages loaded after each stage.
 _SCIPY_PROBE = """
 import json, sys
 sys.path.insert(0, sys.argv[1])
 from monosync.cli import main
 heavy = ("scipy.stats", "scipy.optimize", "scipy.spatial")
-loaded = [m for m in heavy if m in sys.modules]
+loaded = lambda: [m for m in heavy if m in sys.modules]
+at_import = loaded()
 codes = [
     main(["stationary", "--family", "cantor1d", "--n-samples", "256", "--out", sys.argv[2] + "/s"]),
     main(["sync-rate", "--family", "rot2d", "--n-max", "10", "--out", sys.argv[2] + "/r"]),
 ]
-print(json.dumps({"at_import": loaded, "after": [m for m in heavy if m in sys.modules], "codes": codes}))
+after = loaded()
+clt_args = ["--n", "200", "--replicas", "100", "--mu-size", "512", "--grid-size", "256"]
+codes.append(main(["clt", "--family", "cantor1d", *clt_args, "--out", sys.argv[2] + "/c"]))
+print(json.dumps({"at_import": at_import, "after": after, "after_clt": loaded(), "codes": codes}))
 """
 
 
 def test_numpy_only_commands_do_not_import_scipy(tmp_path):
-    # scipy is imported only inside the functions that call it (the CLT's KS
-    # test and table observable, exact W1 matching); a stray top-level import
-    # would cost every CLI invocation over a second of set-up
+    # scipy is imported only inside the functions that call it (the CLT's
+    # table observable, exact W1 matching); a stray top-level import would
+    # cost every CLI invocation over a second of set-up.  The CLT's KS test
+    # needs scipy.special alone: scipy.stats would add about 46 MiB to a
+    # clt run's peak memory
     src = Path(__file__).resolve().parents[1] / "src"
     proc = subprocess.run(
         [sys.executable, "-c", _SCIPY_PROBE, str(src), str(tmp_path)],
@@ -436,7 +461,7 @@ def test_numpy_only_commands_do_not_import_scipy(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     doc = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert doc == {"at_import": [], "after": [], "codes": [0, 0]}
+    assert doc == {"at_import": [], "after": [], "after_clt": [], "codes": [0, 0, 0]}
 
 
 def test_golden_unmonotone_digest(tmp_path):

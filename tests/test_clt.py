@@ -215,6 +215,17 @@ def test_partial_sum_paths_rejects_nonfinite_sigma2(cantor1d, cantor_mu, sigma2)
         partial_sum_paths(cantor1d, phi, sigma2, n=10, grid_t=None, replicas=4, seed=1)
 
 
+@pytest.mark.parametrize(
+    "start", [[0.2, 0.3], [], [float("nan")], [float("inf")]], ids=["size2", "size0", "nan", "inf"]
+)
+def test_partial_sum_paths_rejects_bad_start(cantor1d, cantor_mu, start):
+    # a wrong-size start used to fail in reshape, a NaN one ran to all-NaN
+    # paths with every replica flagged saturated
+    phi = make_observable("coord:1", cantor_mu)
+    with pytest.raises(UsageError, match="1 finite coordinates"):
+        partial_sum_paths(cantor1d, phi, 0.25, n=10, grid_t=None, replicas=4, seed=1, start=start)
+
+
 def test_make_observable_centering(cantor_mu):
     phi = make_observable("coord:1", cantor_mu)
     assert abs(float(cantor_mu.weights @ phi(cantor_mu.points))) <= 1e-3
