@@ -41,7 +41,10 @@ stream id ``r`` of its label, which makes results independent of chunking
 and worker counts.  A label is keyed once and the Philox counter addresses
 the replica and the depth, so a table is filled by one loop over depth
 blocks, each one C call for a run of contiguous ids; a single stream is a
-one-row table.
+one-row table.  A search keeps the table it deepens with ``ensure``; a long
+forward chain (the CLT's partial sums and ergodic mean) reads its noise
+with ``values_at`` one fixed window of steps at a time and never fills the
+whole table (``_chain_windows``).
 """
 
 from __future__ import annotations
@@ -70,6 +73,7 @@ __all__ = [
 
 DEFAULT_STREAM_LABEL = "noise"
 _FILL_WORDS = 4096  # uniforms drawn per chunk of a table fill, which bounds the fill's temporaries
+_WINDOW_VALUES = 1 << 16  # noise values per window of a long chain: 64 steps at 1000 rows (see _chain_windows)
 _MASK64 = (1 << 64) - 1
 _PILOT = 256  # rows searched from depth 16 before the rest start at their median depth (see pullback_batch)
 
@@ -197,6 +201,32 @@ def _chain(fam: MapFamily, values: np.ndarray, pts: np.ndarray, start: np.ndarra
         yield pts, sat
 
 
+def _chain_windows(fam: MapFamily, table: _BlockTable, pts: np.ndarray, steps: int):
+    """Advance ``pts`` (N, dim) ``steps`` steps along the rows of ``table``, one noise window at a time.
+
+    A window is the largest multiple of 4 steps whose noise holds at most
+    ``_WINDOW_VALUES`` values, and at least 4 steps.  4 steps of a row
+    take whole Philox counter blocks of 4 uniforms, so each window starts
+    on a block boundary and no block is enciphered twice.
+    Each window's noise is read with ``values_at`` and the table is never
+    deepened, so memory is O(N x window) however long the chain.  The
+    steps run through ``_chain``.  Yields per window ``(states, sat)``:
+    the (k, N, dim) points after each of its k steps, and the rows that
+    saturated at any of them.  ``states`` is a view of one buffer that the
+    next window overwrites.
+    """
+    n = pts.shape[0]
+    width = max(4, _WINDOW_VALUES // n // 4 * 4)
+    states = np.empty((min(width, steps),) + pts.shape)
+    for c0 in range(0, steps, width):
+        k = min(width, steps - c0)
+        sat = np.zeros(n, dtype=bool)
+        for j, (cur, hit) in enumerate(_chain(fam, table.values_at(c0, k), pts)):
+            states[j] = cur
+            sat |= hit
+        yield states[:k], sat
+
+
 def forward_orbit(fam: MapFamily, block: NoiseBlock, x0) -> OrbitTrace:
     """Iterate ``Z_{j+1} = f_{b[j]}(Z_j)`` from ``x0`` along the whole block."""
     x = np.array(x0, dtype=float).reshape(1, fam.dim)  # a copy: _chain advances it in place
@@ -315,7 +345,8 @@ class _BlockTable:
     counters of one depth block of a run are consecutive, so the block is
     one ``Generator.random`` call of four uniforms per row, and each chunk
     is transposed into the run's rows; a row with no ids takes a chunk's
-    blocks in one call.
+    blocks in one call.  A long chain calls ``values_at`` directly, one
+    window at a time, without ``ensure``, so its noise is never held whole.
     """
 
     def __init__(self, noise: NoiseSpec, seed: int, *address):

@@ -252,7 +252,9 @@ class GapSeries:
     """Distance between the forward orbit and the attractor along the same noise.
 
     ``depth`` is the minimal depth of the one pullback behind the attractor
-    point; ``write_csv`` repeats it on every row.
+    point; ``write_csv`` repeats it on every row.  ``saturated`` is whether
+    that pullback or any forward step of the chain saturated the clamp,
+    repeated on every row as the last column.
     """
 
     checkpoints: np.ndarray
@@ -261,10 +263,12 @@ class GapSeries:
     depth: int             # minimal backward depth of the attractor point's pullback
     x0: np.ndarray
     seed: int
+    saturated: bool
 
     def write_csv(self, path, seed: int | None = None) -> None:
         columns = {"n": self.checkpoints, "gap": self.gap, "image_diam_bound": self.bound}
         columns["pullback_depth"] = np.full(len(self.checkpoints), self.depth)
+        columns["saturated"] = np.full(len(self.checkpoints), int(self.saturated))
         _write_csv(path, seed, columns)
 
 
@@ -302,7 +306,9 @@ def forward_attractor_gap(
     bound = np.empty(n_checkpoints)
     # one forward chain: the probe images, then the orbit point, then the attractor point
     img = np.vstack([probe, x, limit.points])[None]
-    for j, (img, _) in enumerate(_chain(fam, fwd_block.values[None], img)):
+    saturated = bool(limit.saturated[0])
+    for j, (img, sat) in enumerate(_chain(fam, fwd_block.values[None], img)):
+        saturated = saturated or bool(sat[0])
         gap[j] = float(np.abs(img[0, -2] - img[0, -1]).sum())
         bound[j] = float(_taxicab_diams(img[:, :-2])[0])
     return GapSeries(
@@ -312,4 +318,5 @@ def forward_attractor_gap(
         depth=int(limit.n_used[0]),
         x0=x[0].copy(),
         seed=seed,
+        saturated=saturated,
     )

@@ -181,6 +181,55 @@ def clamp_two_branch(raw, bound: float):
     return raw, sat
 
 
+def chain_whole_table(fam, values, start):
+    """Yield ``(j, points, per-row flags)`` after each step of the forward chain along a whole noise table.
+
+    ``values`` is (N, n) symbols or (N, n, d) parameters, read one column
+    per step; ``start`` (N, dim) is copied.  Each step maps every row
+    through ``raw_batch`` and clamps with ``clamp_two_branch``: the chain
+    loop as it ran over a table filled to its full depth, before chains
+    read their noise in windows.
+    """
+    pts = np.array(start, dtype=float, copy=True)
+    for j in range(values.shape[1]):
+        pts, sat = clamp_two_branch(fam.raw_batch(values[:, j], pts), fam.clamp_bound)
+        yield j + 1, pts, sat
+
+
+def partial_sums_whole_table(fam, phi, values, start, checkpoints, scale):
+    """Partial sums of ``phi`` along ``chain_whole_table``: one ``sums += phi(points)`` per step.
+
+    Returns the (N, len(checkpoints)) scaled sums at the checkpoint steps,
+    the final sums and the rows that saturated at some step.
+    """
+    checkpoints = np.asarray(checkpoints)
+    sums = np.asarray(phi(start), dtype=float).copy()
+    paths = np.empty((sums.size, checkpoints.size))
+    sat = np.zeros(sums.size, dtype=bool)
+    for i in np.nonzero(checkpoints == 0)[0]:
+        paths[:, i] = sums * scale
+    for j, pts, hit in chain_whole_table(fam, values, start):
+        sat |= hit
+        sums += phi(pts)
+        for i in np.nonzero(checkpoints == j)[0]:
+            paths[:, i] = sums * scale
+    return paths, sums, sat
+
+
+def ergodic_total_whole_table(fam, raw, values, start):
+    """Sum of ``raw`` over the start and every step of ``chain_whole_table``, and the saturated rows.
+
+    Each step's values are summed by ``np.sum`` and added to a Python float
+    in step order.
+    """
+    total = float(np.sum(raw(start)))
+    sat = np.zeros(len(start), dtype=bool)
+    for _, pts, hit in chain_whole_table(fam, values, start):
+        sat |= hit
+        total += float(np.sum(raw(pts)))
+    return total, sat
+
+
 def step_rowwise(fam, alphas, pts):
     """One map per row through the public ``apply_batch``, one call per row."""
     out = np.array(pts, dtype=float, copy=True)

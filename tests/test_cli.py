@@ -148,7 +148,7 @@ def test_forward_gap_command(tmp_path):
         "--seed", "2", "--out", str(out),
     ]) == 0
     lines = (out / "forward_gap.csv").read_text().strip().split("\n")
-    assert lines[1] == "n,gap,image_diam_bound,pullback_depth"
+    assert lines[1] == "n,gap,image_diam_bound,pullback_depth,saturated"
     assert len(lines) == 2 + 8
 
 
@@ -274,7 +274,7 @@ def test_threads_do_not_change_artifacts(tmp_path):
                  id="stationary-slide1d-stationary.csv"),
     # the family's default probe and the fixed constants of sync, splitting and transport
     pytest.param(["forward-gap", "--family", "cantor1d", "--n", "20", "--seed", "7"],
-                 "forward_gap.csv", "ad6e4ce0804fa552f976acdccaaf54f8b5b16669810124a1260d61d31ec01ca0",
+                 "forward_gap.csv", "9c0e69ff686b2ff3cbc34f4a7eaa6193bec8a9d296bffca47210e8c907b535e0",
                  id="forward-gap-cantor1d-forward_gap.csv"),
     pytest.param(["sync-rate", "--family", "exp1d", "--seed", "3"],
                  "rate_fit.json", "4e9bdae39e9f87738cd24cb2f8a641f4034d643ea79fcb97339185070bdce1bb",
@@ -314,7 +314,7 @@ def test_threads_do_not_change_artifacts(tmp_path):
                  id="simulate-exp1d-forward-orbit.csv"),
     # a 2-d forward chain of a whole (N, P, dim) probe cloud
     pytest.param(["forward-gap", "--family", "cantor2d", "--n", "20", "--seed", "7"],
-                 "forward_gap.csv", "5f44c036f657d477f022b1e42e78a01d656fcd024b76efc9afb28c19e27a4248",
+                 "forward_gap.csv", "41f71b3ec5823a5a5eb7f987817fd1a767c3689c1c93a6394d370a5dabfcb561",
                  id="forward-gap-cantor2d-forward_gap.csv"),
     # 2-d W1 above the exact-matching cap: the sliced kernel over 128 directions, which
     # also measures the floor's half-splits, so the curve fits its rate (r_hat 0.348)

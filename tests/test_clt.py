@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from monosync import (
     sigma_estimate,
     transfer_apply,
 )
-from monosync import clt
+from monosync import clt, engine
 from monosync.clt import Observable, affine_moments, stationary_mean
 from monosync.families import _jsonable
 
@@ -248,9 +249,102 @@ def test_make_observable_centering(cantor_mu):
 
 def test_stationary_mean_precision(cantor1d):
     obs = Observable(kind="coordinate", lipschitz_const=1.0, center=0.0, coord=1)
-    est = stationary_mean(cantor1d, obs, seed=3, replicas=256, steps=4000)
+    est, _ = stationary_mean(cantor1d, obs, seed=3, replicas=256, steps=4000)
     # error scale sqrt(sigma2_asym / total) with sigma2_asym = 1/4
     assert abs(est - 0.5) <= 4 * np.sqrt(0.25 / (256 * 4000))
+
+
+_WINDOW_CHAINS = [
+    pytest.param("cantor2d", {}, {"kind": "affine", "coeffs": [0.7, -1.3], "offset": 0.25}, id="cantor2d-affine"),
+    pytest.param("slide1d", {}, "coord:1", id="slide1d"),  # box noise
+    pytest.param("cantor1d", {"clamp_bound": 0.5}, "coord:1", id="cantor1d-clamped"),  # rows saturate
+]
+# at 1000 replicas a window is 64 steps: n below it, past it by a part, on its edges, and a single step
+_WINDOW_RUNS = [
+    pytest.param(40, None, id="n40"),
+    pytest.param(150, None, id="n150"),
+    pytest.param(256, [0.0, 0.25, 0.5, 0.75, 1.0], id="n256-edges"),
+    pytest.param(1, [0.0, 1.0], id="n1"),
+]
+
+
+def _whole_table(fam, seed, label, replicas, n):
+    table = engine._BlockTable(fam.noise, seed, label, range(replicas))
+    table.ensure(n)
+    return table.values
+
+
+@pytest.mark.parametrize("n, grid", _WINDOW_RUNS)
+@pytest.mark.parametrize("name, kwargs, spec", _WINDOW_CHAINS)
+def test_partial_sum_paths_match_the_whole_table_chain(name, kwargs, spec, n, grid):
+    fam = make_family(name, **kwargs)
+    phi = make_observable(spec, EmpiricalMeasure.uniform(np.full((1, fam.dim), 0.5)), center=0.5)
+    replicas, seed = 1000, 17
+    grid_t = np.linspace(0.0, 1.0, 21) if grid is None else np.asarray(grid)
+    ens = partial_sum_paths(fam, phi, 0.3, n, grid_t, replicas, seed)
+    start, start_sat = clt._stationary_start(fam, seed, replicas, "clt-start")
+    checkpoints = np.floor(n * grid_t + 1e-9).astype(np.int64)
+    scale = 1.0 / (np.sqrt(0.3) * np.sqrt(n))
+    values = _whole_table(fam, seed, "clt-chain", replicas, n)
+    paths, sums, sat = oracles.partial_sums_whole_table(fam, phi, values, start, checkpoints, scale)
+    assert ens.paths.tobytes() == paths.tobytes()
+    assert ens.final_sums.tobytes() == sums.tobytes()
+    assert ens.n_saturated == int((start_sat | sat).sum())
+    if fam.clamp_bound == 0.5:
+        assert ens.n_saturated > 0
+
+
+@pytest.mark.parametrize("steps", [40, 150, 256, 1])
+@pytest.mark.parametrize("name, kwargs, spec", _WINDOW_CHAINS)
+def test_stationary_mean_matches_the_whole_table_chain(name, kwargs, spec, steps):
+    fam = make_family(name, **kwargs)
+    obs = make_observable(spec, EmpiricalMeasure.uniform(np.full((1, fam.dim), 0.5)), center=0.0)
+    replicas, seed = 1000, 23
+    mean, n_saturated = stationary_mean(fam, obs, seed, replicas=replicas, steps=steps)
+    start, start_sat = clt._stationary_start(fam, seed, replicas, "ergodic-start")
+    values = _whole_table(fam, seed, "ergodic-chain", replicas, steps)
+    total, sat = oracles.ergodic_total_whole_table(fam, obs.raw, values, start)
+    assert mean == total / (replicas * (steps + 1))
+    assert n_saturated == int((start_sat | sat).sum())
+    if fam.clamp_bound == 0.5:
+        assert n_saturated > 0
+
+
+def test_window_floor_of_four_steps(cantor1d, monkeypatch):
+    # a budget below 4 values per row still steps 4 columns per window
+    monkeypatch.setattr(engine, "_WINDOW_VALUES", 8)
+    phi = centered_coord(0.5)
+    ens = partial_sum_paths(cantor1d, phi, 0.25, 11, None, 5, seed=3)
+    start, _ = clt._stationary_start(cantor1d, 3, 5, "clt-start")
+    checkpoints = np.floor(11 * ens.grid_t + 1e-9).astype(np.int64)
+    values = _whole_table(cantor1d, 3, "clt-chain", 5, 11)
+    paths, sums, _ = oracles.partial_sums_whole_table(cantor1d, phi, values, start, checkpoints, 1 / (0.5 * np.sqrt(11)))
+    assert ens.paths.tobytes() == paths.tobytes() and ens.final_sums.tobytes() == sums.tobytes()
+
+
+def _traced_peak(call) -> int:
+    """Bytes ``call()`` allocates at its peak, over what was allocated before it, as tracemalloc counts them."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        call()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_chain_memory_does_not_grow_with_steps(cantor1d):
+    # the whole uint8 table of 1000 x 40,000 steps alone is 38 MiB; windows of 64 steps hold 64 KiB
+    phi = centered_coord(0.5)
+    partial_sum_paths(cantor1d, phi, 0.25, 4, None, 1000, seed=2)  # what the first call builds lazily is not counted
+    peaks = {}
+    for n in (10_000, 40_000):
+        peaks["paths", n] = _traced_peak(lambda: partial_sum_paths(cantor1d, phi, 0.25, n, None, 1000, seed=2))
+        peaks["mean", n] = _traced_peak(lambda: stationary_mean(cantor1d, phi, 2, replicas=1000, steps=n))
+    for kind in ("paths", "mean"):
+        assert peaks[kind, 10_000] < 3 * 2**20, peaks
+        assert peaks[kind, 40_000] <= peaks[kind, 10_000] + 2**16, peaks  # 64 KiB of slack, not the table's 28.6 MiB
 
 
 def test_partial_sum_paths_time_zero(cantor1d, cantor_mu):
@@ -450,16 +544,29 @@ _TABLE = {"kind": "table", "points": [[0.0], [1.0]], "values": [0.0, 1.0]}
     (make_family("cantor1d"), _TABLE),  # no closed form for a table observable
     (make_family("cantor1d", clamp_bound=0.5), "coord:1"),  # the clamp acts on the law
 ])
-def test_center_falls_back_to_the_ergodic_pass(family, spec):
-    report, _ = run_clt_analysis(
+def test_center_falls_back_to_the_ergodic_pass(family, spec, monkeypatch):
+    center_counts = []
+    real = clt.stationary_mean
+
+    def counted(*args, **kwargs):
+        mean, n_saturated = real(*args, **kwargs)
+        center_counts.append(n_saturated)
+        return mean, n_saturated
+
+    monkeypatch.setattr(clt, "stationary_mean", counted)
+    report, ens = run_clt_analysis(
         family, spec, seed=4, n=200, replicas=100, mu_size=512, grid_size=256,
         center_replicas=32, center_steps=500,
     )
     assert report.center_method == "ergodic" and report.sigma2_exact is None
     doc = _jsonable(report, True)
     assert doc["sigma2_exact"] is None and doc["center"] == report.center
-    # the clamped second map sends everything to 0.5: every row that takes it saturates
-    assert (report.n_saturated > 0) == (family.clamp_bound == 0.5)
+    # the clamped second map sends everything to 0.5: every row that takes it saturates,
+    # the 32 centering chains included, and the report counts them
+    clamped = family.clamp_bound == 0.5
+    assert (report.n_saturated > 0) == clamped
+    assert center_counts == [32 if clamped else 0]
+    assert report.n_saturated >= center_counts[0] + ens.n_saturated
 
 
 def test_saturated_rows_are_counted():

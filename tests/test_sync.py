@@ -8,6 +8,7 @@ from monosync import (
     forward_attractor_gap,
     make_family,
 )
+from monosync import sync
 
 
 def test_cantor_diameters_exact(cantor1d):
@@ -108,6 +109,28 @@ def test_forward_gap_constant_family(const_family):
     gaps = forward_attractor_gap(const_family, seed=1, x0=[0.2], n_checkpoints=5)
     # zero up to one ulp of centroid accumulation
     assert np.all(gaps.gap <= 1e-15)
+
+
+def test_forward_gap_reports_saturation(cantor1d, monkeypatch, tmp_path):
+    assert not forward_attractor_gap(cantor1d, seed=7, x0=[0.5], n_checkpoints=8).saturated
+    # under clamp 0.5 the second map (x / 3 + 2/3) saturates on every point
+    clamped = make_family("cantor1d", clamp_bound=0.5)
+    gaps = forward_attractor_gap(clamped, seed=7, x0=[0.3], n_checkpoints=8)
+    assert gaps.saturated
+    gaps.write_csv(tmp_path / "gap.csv")
+    rows = (tmp_path / "gap.csv").read_text().splitlines()
+    assert rows[0].split(",")[-1] == "saturated" and all(r.endswith(",1") for r in rows[1:])
+    # the forward chain's flags count on their own, without the pullback's
+    real = sync.pullback_batch
+
+    def unflagged(*args, **kwargs):
+        batch = real(*args, **kwargs)
+        assert batch.saturated.any()
+        batch.saturated[:] = False
+        return batch
+
+    monkeypatch.setattr(sync, "pullback_batch", unflagged)
+    assert forward_attractor_gap(clamped, seed=7, x0=[0.3], n_checkpoints=8).saturated
 
 
 def test_diam_series_csv(tmp_path, cantor1d):
