@@ -27,7 +27,6 @@ from .engine import (
     forward_orbit,
     image_box,
     noise_at,
-    pullback_point,
     reverse_orbit,
     sample_block,
 )
@@ -48,7 +47,6 @@ from .families import (
     MapFamily,
     Monotonicity,
     MonotonicityVerdict,
-    apply_map,
     builtin_family_ids,
     classify_monotonicity,
     family_from_config,

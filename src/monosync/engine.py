@@ -55,10 +55,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import NotConvergedError, UsageError
+from .errors import UsageError
 from .families import FiniteNoise, MapFamily, NoiseSpec, _clamp_points
 from .order import Box
-from .streams import hash64, stream_generator
+from .streams import _MASK64, hash64, stream_generator
 
 __all__ = [
     "NoiseBlock",
@@ -68,13 +68,11 @@ __all__ = [
     "forward_orbit",
     "reverse_orbit",
     "image_box",
-    "pullback_point",
 ]
 
 DEFAULT_STREAM_LABEL = "noise"
 _FILL_WORDS = 4096  # uniforms drawn per chunk of a table fill, which bounds the fill's temporaries
 _WINDOW_VALUES = 1 << 16  # noise values per window of a long chain: 64 steps at 1000 rows (see _chain_windows)
-_MASK64 = (1 << 64) - 1
 _PILOT = 256  # rows searched from depth 16 before the rest start at their median depth (see pullback_batch)
 
 
@@ -250,8 +248,8 @@ def image_points_at_depths(
     Row ``i`` maps ``base_pts`` through
     ``f_{blocks[i,0]} o ... o f_{blocks[i, depths[i]-1]}`` (innermost last
     symbol first).  ``blocks`` is (N, L) of symbols or (N, L, d) of
-    parameters with ``L >= max(depths)``; ``base_pts`` is (P, dim) shared or
-    (N, P, dim) per row.  Returns the image clouds (N, P, dim) and a
+    parameters with ``L >= max(depths)``; ``base_pts`` is the (P, dim) probe
+    that every row shares.  Returns the image clouds (N, P, dim) and a
     per-row saturation flag.
 
     The reverse composition is a forward chain over the reversed block, so
@@ -269,10 +267,7 @@ def image_points_at_depths(
         raise UsageError(f"depth {depth} exceeds the block length {blocks.shape[1]}")
     order = np.argsort(-depths, kind="stable")
     base = np.asarray(base_pts, dtype=float)
-    if base.ndim == 2:
-        pts = np.broadcast_to(base, (n_rows,) + base.shape).copy()
-    else:
-        pts = base[order]
+    pts = np.broadcast_to(base, (n_rows,) + base.shape).copy()
     sat = np.zeros(n_rows, dtype=bool)
     for _, psat in _chain(fam, blocks[:, :depth][order, ::-1], pts, start=depth - depths[order]):
         sat |= psat
@@ -591,28 +586,3 @@ def _search(fam, table, probe, tol, n_max, lo, hi, points, diam, saturated) -> N
         keep = ok | doubling  # a row's diameter is at its hi, or at its deepest depth
         diam[rows[keep]] = dms[keep]
 
-
-def pullback_point(
-    fam: MapFamily,
-    seed: int,
-    stream_id: int,
-    probe_pts: np.ndarray,
-    tol: float,
-    n_max: int = 4096,
-) -> tuple[np.ndarray, int]:
-    """Pullback limit along one default-label stream: (probe-image centroid, minimal depth used).
-
-    With the two sandwich corners of ``families._default_probe`` as the
-    probe, the centroid is the midpoint of an order interval that holds
-    the image of the whole probe box, so it is within ``tol`` of the image
-    of every point of the box; with a sampled cloud, that holds for the
-    cloud's points only.
-
-    Raises :class:`NotConvergedError` when the probe image is still wider
-    than ``tol`` at depth ``n_max``, which signals either a family without
-    verified splitting or a tolerance below the attainable resolution.
-    """
-    batch = pullback_batch(fam, seed, [stream_id], probe_pts, tol, n_max)
-    if not batch.converged[0]:
-        raise NotConvergedError(n_max, float(batch.diam[0]))
-    return batch.points[0], int(batch.n_used[0])

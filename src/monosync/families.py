@@ -65,7 +65,6 @@ __all__ = [
     "family_from_config",
     "family_to_config",
     "builtin_family_ids",
-    "apply_map",
     "classify_monotonicity",
     "probe_cloud",
 ]
@@ -649,12 +648,6 @@ def _jsonable(obj, strict: bool):
     if strict and isinstance(obj, float) and not math.isfinite(obj):
         return None
     return obj
-
-
-def apply_map(fam: MapFamily, alpha, x) -> np.ndarray:
-    """Image of a single point under the map selected by ``alpha``."""
-    pts, _ = fam.apply_batch(alpha, np.asarray(x, dtype=float).reshape(1, -1))
-    return pts[0]
 
 
 def probe_cloud(box: Box) -> np.ndarray:

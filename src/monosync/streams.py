@@ -30,7 +30,6 @@ import numpy as np
 __all__ = [
     "NOISE_LAYOUT",
     "hash64",
-    "seed_sequence",
     "stream_generator",
     "derive_seed",
 ]
@@ -49,14 +48,10 @@ def hash64(label) -> int:
     return int.from_bytes(digest, "little")
 
 
-def seed_sequence(seed: int, *labels) -> np.random.SeedSequence:
-    entropy = [int(seed) & _MASK64] + [hash64(lab) for lab in labels]
-    return np.random.SeedSequence(entropy)
-
-
 def stream_generator(seed: int, *labels) -> np.random.Generator:
     """Fresh Philox-backed generator for the labeled sub-stream."""
-    return np.random.Generator(np.random.Philox(seed_sequence(seed, *labels)))
+    entropy = [int(seed) & _MASK64] + [hash64(lab) for lab in labels]
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
 
 
 def derive_seed(seed: int, label) -> int:

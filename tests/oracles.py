@@ -247,13 +247,13 @@ def reverse_rowwise(fam, blocks, depths, base):
 
     Composed innermost first, one public ``apply_batch`` call per map and
     row; the row's flag is the OR of its calls' saturation flags.  ``base``
-    is (P, dim) shared or (N, P, dim) per row.
+    is the (P, dim) probe that every row shares.
     """
     base = np.asarray(base, dtype=float)
-    out = np.empty((len(depths),) + base.shape[-2:])
+    out = np.empty((len(depths),) + base.shape)
     sat = np.zeros(len(depths), dtype=bool)
     for i, depth in enumerate(depths):
-        img = base if base.ndim == 2 else base[i]
+        img = base
         for j in range(depth - 1, -1, -1):
             alpha = int(blocks[i][j]) if fam.finite else blocks[i][j]
             img, s = fam.apply_batch(alpha, img)

@@ -7,13 +7,11 @@ from monosync import (
     Box,
     EmpiricalMeasure,
     NoiseBlock,
-    NotConvergedError,
     forward_orbit,
     image_box,
     make_family,
     noise_at,
     probe_cloud,
-    pullback_point,
     reverse_orbit,
     sample_block,
     wasserstein1,
@@ -118,40 +116,46 @@ def test_reverse_boxes_nested(cantor1d):
 
 def test_pullback_depth_matches_contraction(cantor1d):
     probe = probe_cloud(cantor1d.probe_box())
-    pt, n_used = pullback_point(cantor1d, 7, 0, probe, tol=1e-9)
-    assert n_used == 19  # smallest n with 3^-n <= 1e-9
-    assert 0.0 <= pt[0] <= 1.0
+    batch = pullback_batch(cantor1d, 7, [0], probe, 1e-9, 4096)
+    assert batch.converged[0]
+    assert batch.n_used[0] == 19  # smallest n with 3^-n <= 1e-9
+    assert 0.0 <= batch.points[0, 0] <= 1.0
 
 
 def test_pullback_const_family(const_family):
     probe = probe_cloud(const_family.probe_box())
-    pt, n_used = pullback_point(const_family, 5, 0, probe, tol=1e-9)
-    assert n_used == 1
-    assert pt[0] == pytest.approx(0.7, abs=1e-12)
+    batch = pullback_batch(const_family, 5, [0], probe, 1e-9, 4096)
+    assert batch.converged[0]
+    assert batch.n_used[0] == 1
+    assert batch.points[0, 0] == pytest.approx(0.7, abs=1e-12)
 
 
 def test_pullback_exp_sign(exp1d):
     probe = probe_cloud(exp1d.probe_box())
+    batch = pullback_batch(exp1d, 41, range(20), probe, 1e-9, 512)
+    assert batch.converged.all()
     # the outermost map decides the sign of the limit
     for sid in range(20):
         first = noise_at(exp1d.noise, 41, sid, 0)
-        pt, _ = pullback_point(exp1d, 41, sid, probe, tol=1e-9, n_max=512)
-        assert (pt[0] > 0) == (first == 1)
+        assert (batch.points[sid, 0] > 0) == (first == 1)
 
 
 def test_pullback_probe_independence(cantor1d):
     p1 = np.array([[0.0], [1.0], [0.25]])
     p2 = np.array([[0.4], [0.6]])
     tol = 1e-10
-    a, _ = pullback_point(cantor1d, 9, 3, p1, tol=tol)
-    b, _ = pullback_point(cantor1d, 9, 3, p2, tol=tol)
-    assert abs(a[0] - b[0]) <= 2 * tol
+    a = pullback_batch(cantor1d, 9, [3], p1, tol, 4096)
+    b = pullback_batch(cantor1d, 9, [3], p2, tol, 4096)
+    assert a.converged[0] and b.converged[0]
+    assert abs(a.points[0, 0] - b.points[0, 0]) <= 2 * tol
 
 
 def test_pullback_not_converged(rot2d):
     probe = probe_cloud(rot2d.probe_box())
-    with pytest.raises(NotConvergedError):
-        pullback_point(rot2d, 3, 0, probe, tol=1e-6, n_max=64)
+    batch = pullback_batch(rot2d, 3, [0], probe, 1e-6, 64)
+    assert not batch.converged[0]
+    assert batch.n_used[0] == -1
+    assert batch.diam[0] > 1e-6
 
 
 def test_pullback_batch_bit_reproducible(cantor1d):
@@ -436,8 +440,7 @@ def test_step_matches_rowwise_apply_batch(fid, n_probe):
         "offs": [[0.1, 0.2], [0.5, -0.3], [0.0, 0.7]],
     }}, id="affine-2d"),
 ])
-@pytest.mark.parametrize("per_row_base", [False, True])
-def test_image_points_match_reverse_rowwise(fid, kwargs, per_row_base):
+def test_image_points_match_reverse_rowwise(fid, kwargs):
     fam = make_family(fid, **kwargs)
     gen = np.random.default_rng(12)
     n, n_probe, length = 24, 5, 41
@@ -446,8 +449,7 @@ def test_image_points_match_reverse_rowwise(fid, kwargs, per_row_base):
     depths = gen.integers(0, length + 1, n)
     depths[:3] = [0, length, length // 2]
     scale = 800.0 if fid == "exp1d" else 1.0
-    shape = (n, n_probe, fam.dim) if per_row_base else (n_probe, fam.dim)
-    base = scale * gen.uniform(-1.0, 1.0, size=shape)
+    base = scale * gen.uniform(-1.0, 1.0, size=(n_probe, fam.dim))
     want, want_sat = reverse_rowwise(fam, blocks, depths, base)
     got, got_sat = image_points_at_depths(fam, blocks, depths, base)
     assert got.tobytes() == want.tobytes()

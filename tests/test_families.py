@@ -14,7 +14,6 @@ from monosync import (
     Monotonicity,
     UnknownFamilyError,
     UsageError,
-    apply_map,
     classify_monotonicity,
     family_from_config,
     family_to_config,
@@ -38,17 +37,21 @@ from oracles import clamp_two_branch, halton_radical_inverse, sandwich_signs_bru
 
 
 def test_apply_examples(cantor1d, exp1d):
-    assert apply_map(cantor1d, 2, [0.0])[0] == pytest.approx(2 / 3, abs=1e-15)
-    assert apply_map(exp1d, 1, [0.0])[0] == pytest.approx(1.0, abs=1e-15)
+    img, _ = cantor1d.apply_batch(2, np.array([[0.0]]))
+    assert img[0, 0] == pytest.approx(2 / 3, abs=1e-15)
+    img, _ = exp1d.apply_batch(1, np.array([[0.0]]))
+    assert img[0, 0] == pytest.approx(1.0, abs=1e-15)
     fig = make_family("arctanexp2d")
-    out = apply_map(fig, 1, [0.0, 0.0])
-    assert out == pytest.approx([0.0, 1.0], abs=1e-15)
+    img, _ = fig.apply_batch(1, np.array([[0.0, 0.0]]))
+    assert img[0] == pytest.approx([0.0, 1.0], abs=1e-15)
 
 
 def test_lip_pair_slopes_about_zero():
     fam = make_family("lip-pair")
-    assert apply_map(fam, 1, [1.0])[0] == pytest.approx(2.0)
-    assert apply_map(fam, 2, [1.0])[0] == pytest.approx(0.5)
+    img1, _ = fam.apply_batch(1, np.array([[1.0]]))
+    img2, _ = fam.apply_batch(2, np.array([[1.0]]))
+    assert img1[0, 0] == pytest.approx(2.0)
+    assert img2[0, 0] == pytest.approx(0.5)
 
 
 def test_lip_pair_disjoint_images():
