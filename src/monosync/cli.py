@@ -206,6 +206,7 @@ def _run_sigma_decay(cfg, fam, ordr, outdir) -> int:
             "splitting": report,
             "lambda_from_masses": 1.0 - report.rho if report.verified else None,
             "truncated_at": series.truncated_at,
+            "n_saturated": series.n_saturated,
         },
     )
     return EXIT_OK if report.verified else EXIT_UNVERIFIED
@@ -219,7 +220,13 @@ def _run_sync_rate(cfg, fam, ordr, outdir) -> int:
     fit = sync_mod.fit_rate(series)
     series.write_csv(outdir / "diam_series.csv", fit=fit, seed=seed)
     bounded = sync_mod.assumption2_check(fam, seed)
-    doc = {**_jsonable(fit, True), "seed": seed, "m0": series.m0, "boundedness": bounded}
+    doc = {
+        **_jsonable(fit, True),
+        "seed": seed,
+        "m0": series.m0,
+        "boundedness": bounded,
+        "n_saturated": int(series.saturated.sum()),
+    }
     _write_json(outdir / "rate_fit.json", doc)
     return EXIT_OK
 

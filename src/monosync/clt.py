@@ -289,18 +289,21 @@ def transfer_apply(
     grid: np.ndarray,
     n_inner: int = 1000,
     seed: int = 0,
-) -> np.ndarray:
+) -> tuple[np.ndarray, int]:
     """One application of the transfer operator to ``phi`` on the grid.
 
     Finite noise is enumerated exactly over the symbols (zero Monte Carlo
     error); box noise averages ``n_inner`` i.i.d. parameter draws, the same
-    draws for every grid point.
+    draws for every grid point.  Returns ``P phi`` on the grid and the
+    number of rows that saturated the clamp: grid points with a saturated
+    branch for finite noise, draws with a saturated image for box noise.
     """
     pts = np.atleast_2d(np.asarray(grid, dtype=float))
     if not isinstance(fam.noise, FiniteNoise) and n_inner < 100:
         raise UsageError("need at least 100 inner samples")
-    _, out, _ = next(itertools.islice(_terms(fam, phi, pts, 2, seed, "transfer", n_inner), 1, None))
-    return out
+    terms = _terms(fam, phi, pts, 2, seed, "transfer", n_inner)
+    _, out, n_saturated = next(itertools.islice(terms, 1, None))  # term 1: P phi
+    return out, n_saturated
 
 
 def _pj_exact(fam: MapFamily, phi, pts: np.ndarray, j: int) -> tuple[np.ndarray, np.ndarray]:
@@ -653,6 +656,8 @@ class CltReport:
     the rows that saturated the clamp, summed over the pullback sample, the
     ergodic centering replicas (when the center is ergodic), the Poisson
     terms (grid points and chains) and the path replicas.
+    ``poisson_converged`` is False when the Poisson series stopped at its
+    last term (60) without a term reaching ``tol``.
     """
 
     sigma2_mg: float
@@ -665,6 +670,7 @@ class CltReport:
     truncation_j: int
     residual_norm: float
     poisson_method: str
+    poisson_converged: bool
     n: int
     replicas: int
     observable: object
@@ -737,6 +743,7 @@ def run_clt_analysis(
         truncation_j=sol.truncation_j,
         residual_norm=sol.residual_norm,
         poisson_method=sol.method,
+        poisson_converged=sol.converged,
         n=n,
         replicas=replicas,
         observable=observable_spec,

@@ -438,7 +438,7 @@ class PullbackBatch:
     n_used: np.ndarray      # (N,) minimal depth reaching tolerance (-1 on failure)
     diam: np.ndarray        # (N,) diameter at the returned depth
     converged: np.ndarray   # (N,) bool
-    saturated: np.ndarray   # (N,) bool
+    saturated: np.ndarray   # (N,) bool: the image at the returned depth saturated the clamp
 
 
 def pullback_batch(
@@ -461,7 +461,9 @@ def pullback_batch(
     bisection midpoint.  A row's centroid and diameter are kept when it
     gets a new ``hi``, so no depth is evaluated twice.  A row closes at
     ``lo + 1 == hi``, or unconverged when it is still above tolerance at
-    ``n_max`` (``n_used`` is -1 and ``diam`` the diameter there).
+    ``n_max`` (``n_used`` is -1 and ``diam`` the diameter there).  A row's
+    ``saturated`` flag, like its point and diameter, is that of its image
+    at the depth it returns: ``n_used``, or ``n_max`` when unconverged.
 
     Rows are i.i.d., so when the probe images are provably nested (see
     ``_probe_nests``: the monotone sandwich of a declared family with
@@ -541,8 +543,8 @@ def _guess(fam, table, probe, tol, g, lo, hi, points, diam, saturated) -> None:
 
     A row within ``tol`` at ``g - 1`` gets ``(0, g - 1]``, one within it at
     ``g`` only ``(g - 1, g]`` (closed), and any other ``lo = g`` and no
-    ``hi``; its centroid and diameter are kept as the search loop keeps
-    them.
+    ``hi``; its centroid, diameter and saturation flag are kept as the
+    search loop keeps them.
     """
     k = lo.size
     table.ensure(g)
@@ -556,7 +558,7 @@ def _guess(fam, table, probe, tol, g, lo, hi, points, diam, saturated) -> None:
     diam[:] = dms[at]
     conv = ok.any(axis=0)
     points[conv] = pts.mean(axis=1).reshape(2, k, -1)[at][conv]
-    saturated |= sat.reshape(2, k).any(axis=0)
+    saturated[:] = sat.reshape(2, k)[at]
 
 
 def _search(fam, table, probe, tol, n_max, lo, hi, points, diam, saturated) -> None:
@@ -577,12 +579,12 @@ def _search(fam, table, probe, tol, n_max, lo, hi, points, diam, saturated) -> N
         depth = np.where(doubling, deeper, (r_lo + r_hi) // 2)
         table.ensure(int(depth.max()))
         pts, sat = image_points_at_depths(fam, table.values[rows], depth, probe)
-        saturated[rows] |= sat
         dms = _taxicab_diams(pts)
         ok = dms <= tol
         lo[rows[~ok]] = depth[~ok]
         hi[rows[ok]] = depth[ok]
         points[rows[ok]] = pts[ok].mean(axis=1)
-        keep = ok | doubling  # a row's diameter is at its hi, or at its deepest depth
+        keep = ok | doubling  # a row's diameter and flag are at its hi, or at its deepest depth
         diam[rows[keep]] = dms[keep]
+        saturated[rows[keep]] = sat[keep]
 

@@ -63,7 +63,8 @@ class SplittingReport:
     ``blocks_a`` and ``blocks_b`` hold those sets when they have at most
     1024 blocks; they are declared ``repr=False``, so a serialized report
     leaves them out.  An unverified report is an absence of witness, never
-    a disproof.
+    a disproof.  ``n_saturated`` counts the blocks whose probe image
+    saturated the clamp.
     """
 
     m: int
@@ -77,6 +78,7 @@ class SplittingReport:
     stderr_b: float | None = None
     n_blocks_a: int = 0
     n_blocks_b: int = 0
+    n_saturated: int = 0
     blocks_a: np.ndarray | None = field(default=None, repr=False)
     blocks_b: np.ndarray | None = field(default=None, repr=False)
 
@@ -132,11 +134,12 @@ def _split(fam: MapFamily, order: JOrder, blocks: np.ndarray, m: int, method: st
     unverified.
     """
     depths = np.full(blocks.shape[0], m, dtype=np.int64)
-    pts, _ = image_points_at_depths(fam, blocks, depths, _default_probe(fam))
+    pts, sat = image_points_at_depths(fam, blocks, depths, _default_probe(fam))
+    n_saturated = int(sat.sum())
     t_lo, t_hi = _signed_box_coords(pts.min(axis=1), pts.max(axis=1), order)
     pair = _find_ordered_pair(t_lo, t_hi, order.strict_tol)
     if pair is None:
-        return SplittingReport(m=m, verified=False, method=method)
+        return SplittingReport(m=m, verified=False, method=method, n_saturated=n_saturated)
     ia, ib = pair
     a_idx, b_idx = _grow_ordered_sides(t_lo, t_hi, ia, ib, rank(), order.strict_tol)
     return SplittingReport(
@@ -147,6 +150,7 @@ def _split(fam: MapFamily, order: JOrder, blocks: np.ndarray, m: int, method: st
         witness_b=blocks[ib].copy(),
         n_blocks_a=len(a_idx),
         n_blocks_b=len(b_idx),
+        n_saturated=n_saturated,
         blocks_a=blocks[a_idx] if len(a_idx) <= _STORE_BLOCKS_CAP else None,
         blocks_b=blocks[b_idx] if len(b_idx) <= _STORE_BLOCKS_CAP else None,
         **weigh(a_idx, b_idx),
@@ -221,7 +225,8 @@ class SigmaDecaySeries:
 
     ``truncated_at`` records the first depth index whose estimate hit zero;
     the series stops there because deeper images are nested inside shallower
-    ones and the estimate can only stay zero.
+    ones and the estimate can only stay zero.  ``n_saturated`` counts the
+    replicas whose image saturated the clamp at any depth imaged.
     """
 
     x: float
@@ -232,6 +237,7 @@ class SigmaDecaySeries:
     stderr: np.ndarray
     lambda_bound: float
     replicas: int
+    n_saturated: int
     truncated_at: int | None = None
 
     def write_csv(self, path, seed: int | None = None) -> None:
@@ -272,9 +278,11 @@ def sigma_decay(
 
     js, ps, ses = [], [], []
     truncated = None
+    saturated = np.zeros(replicas, dtype=bool)
     for j in range(1, j_max + 1):
         depths = np.full(replicas, j * m, dtype=np.int64)
-        pts, _ = image_points_at_depths(fam, table.values, depths, probe)
+        pts, sat = image_points_at_depths(fam, table.values, depths, probe)
+        saturated |= sat
         coord = pts[:, :, s - 1]
         member = (coord.min(axis=1) <= xval) & (xval <= coord.max(axis=1))
         p = float(member.mean())
@@ -307,5 +315,6 @@ def sigma_decay(
         stderr=se_arr,
         lambda_bound=lam,
         replicas=int(replicas),
+        n_saturated=int(saturated.sum()),
         truncated_at=truncated,
     )

@@ -4,11 +4,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from monosync import transport
+from monosync import make_family, sync, transport
 from monosync.cli import EXIT_USAGE, main
+from monosync.engine import _BlockTable
+from monosync.families import _default_probe
 from monosync.streams import NOISE_LAYOUT
+from oracles import reverse_rowwise
 
 
 def run(args):
@@ -31,6 +35,33 @@ def test_check_splitting_verified(tmp_path):
 def test_check_splitting_unverified_exit_2(tmp_path):
     code = run(["check-splitting", "--family", "rot2d", "--m-max", "2", "--seed", "1", "--out", str(tmp_path / "b")])
     assert code == 2
+
+
+def test_verification_reports_count_saturated_rows(tmp_path):
+    # clamped at 0.5, block 2's image [2/3, 1] crosses the clamp
+    config = tmp_path / "clamped.json"
+    config.write_text(json.dumps({"family": "cantor1d", "clamp": 0.5}))
+    fam = make_family("cantor1d", clamp_bound=0.5)
+    probe = _default_probe(fam)
+    out = tmp_path / "split"
+    assert run(["check-splitting", "--config", str(config), "--out", str(out)]) == 0
+    doc = read_json(out / "splitting.json")
+    assert (doc["m"], doc["verified"], doc["n_saturated"]) == (1, True, 1)
+    # sigma decay: the replicas that saturated at any depth it imaged
+    out = tmp_path / "sigma"
+    assert run(["sigma-decay", "--x", "0.1", "--replicas", "100", "--config", str(config), "--out", str(out)]) == 0
+    doc = read_json(out / "sigma_decay.json")
+    j = doc["truncated_at"] or 8
+    table = _BlockTable(fam.noise, 0, "sigma", range(100))
+    table.ensure(j)
+    sat = [reverse_rowwise(fam, table.values, [d] * 100, probe)[1] for d in range(1, j + 1)]
+    assert doc["n_saturated"] == int(np.any(sat, axis=0).sum()) > 0
+    assert doc["splitting"]["n_saturated"] == 1
+    # sync rate: the replicas that saturated at any depth of the diameter series
+    out = tmp_path / "sync"
+    assert run(["sync-rate", "--config", str(config), "--out", str(out)]) == 0
+    series = sync.diameter_series(fam, n_max=20, replicas=64, seed=0)
+    assert read_json(out / "rate_fit.json")["n_saturated"] == int(series.saturated.sum()) > 0
 
 
 def test_usage_errors_exit_1(tmp_path):
@@ -258,6 +289,71 @@ def test_threads_do_not_change_artifacts(tmp_path):
 
 
 # Each case's id names its command, family and artifact, so a re-frozen digest keeps the name.
+# Digests re-frozen when a report gained a key (or when the meaning of one
+# changed): the frozen digest maps to those keys, a nested one as a path, and to
+# the digest of the file written again without them, which is the digest of the
+# file before, less those keys.  So the rest of the file keeps its bytes.
+_REFROZEN = {
+    # stationary.json exp1d: n_saturated counts the samples saturated at the depth they
+    # return (369 of 512), no longer at any depth the search visited (475)
+    "ab09521c3f9f4655248c905096dc0a0cf1198b95d766cece9e04f3770cbc34ee": (
+        [("n_saturated",)],
+        "85a82608c41f329f085cfc83716d0481b4aafb6072768c42161e36c46c6d6df3",
+    ),
+    # rate_fit.json gained n_saturated (exp1d 64 of 64 replicas, arctanexp2d and lip-pair 0)
+    "aed708aa37c2886a4b41794f6696a5717c00a914c4e8fca7233bc1f473577ee0": (
+        [("n_saturated",)],
+        "4e9bdae39e9f87738cd24cb2f8a641f4034d643ea79fcb97339185070bdce1bb",
+    ),
+    "16818d78b3f90a3a3ab11f4a146969e1c7cb37244f44bf695df3037fd8d2b8d8": (
+        [("n_saturated",)],
+        "6ebefed1aafb47c1e7e2fa444da9b7bc82a6bb1c99fd417351dc56abd3a855cb",
+    ),
+    "21be312f1fd6afc918add9291e1d58006ffa23156b8030da93c64e27b8b02b4d": (
+        [("n_saturated",)],
+        "2bffbd9e18e77d52c9f21706cf0274aadde0b6bb88be5ad5777043e9a043ad74",
+    ),
+    # splitting.json gained n_saturated (0 in all three)
+    "645fa8d4b267ab42688691093548209963a84fd7d594aeb58c8134b3c036ab2c": (
+        [("n_saturated",)],
+        "dee720cbe76575d2773d3c7c60a219758abf19ffd324e5aa742344222b1daff5",
+    ),
+    "6dc53966daf8805c58bafae2226ced4a1fd9274bcc7b6a1478b79852699c8b1f": (
+        [("n_saturated",)],
+        "e83f72b68ebf3e4379ead40c4eb57f0cd7904b7dc1de23a9d1dc6c0f759b9c05",
+    ),
+    "23b4c351825afa8402ab3062600b73964630ebf35a71f2ba817e980661d14b54": (
+        [("n_saturated",)],
+        "0a1f06ea15a3dca47ef533692eaa17bc4f55bde17f505c02fa0b74e005b4513e",
+    ),
+    # sigma_decay.json gained n_saturated, and so did the splitting report it holds (0 and 0)
+    "e367439f4b0d9f320fd44a0aa2689727a10c6d8f368f5e09f572aed1d116b3c5": (
+        [("n_saturated",), ("splitting", "n_saturated")],
+        "26d85a82280d966f357f51efd1b811e40e8de52ec7a4b9e3c9921cc00258a8cb",
+    ),
+    # clt_report.json gained poisson_converged (true in both)
+    "9d41caf15810bc4744203fc4c910a4bbca1a88ff2dd17b1ad50d955bee85ee1a": (
+        [("poisson_converged",)],
+        "5728c8615c98811a5bff19e5766473b7ae3a0cb1e1e1174f40c950e0def83ffe",
+    ),
+    "24abb1a0a0bebc1e6e0a80b8e1785c083e2418033dcdc6f839086b1d18d6ffe8": (
+        [("poisson_converged",)],
+        "db68593e9f6c9168619c7d745094f250cbd697966fab1d2cdc6bf17b634cd94b",
+    ),
+}
+
+
+def _digest_without(data: bytes, keys) -> str:
+    """sha256 of a JSON artifact written again, as the CLI writes JSON, without ``keys``."""
+    doc = json.loads(data)
+    for path in keys:
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        del parent[path[-1]]
+    return hashlib.sha256((json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n").encode()).hexdigest()
+
+
 @pytest.mark.parametrize("args, artifact, digest", [
     pytest.param(["stationary", "--family", "cantor1d", "--n-samples", "256", "--seed", "255742855"],
                  "stationary.csv", "12262c5878f99bd20e0ffabadb8631f36db06621801e64972dca397181139a89",
@@ -277,10 +373,10 @@ def test_threads_do_not_change_artifacts(tmp_path):
                  "forward_gap.csv", "9c0e69ff686b2ff3cbc34f4a7eaa6193bec8a9d296bffca47210e8c907b535e0",
                  id="forward-gap-cantor1d-forward_gap.csv"),
     pytest.param(["sync-rate", "--family", "exp1d", "--seed", "3"],
-                 "rate_fit.json", "4e9bdae39e9f87738cd24cb2f8a641f4034d643ea79fcb97339185070bdce1bb",
+                 "rate_fit.json", "aed708aa37c2886a4b41794f6696a5717c00a914c4e8fca7233bc1f473577ee0",
                  id="sync-rate-exp1d-rate_fit.json"),
     pytest.param(["sigma-decay", "--family", "cantor1d", "--x", "0.1", "--replicas", "500", "--seed", "2"],
-                 "sigma_decay.json", "26d85a82280d966f357f51efd1b811e40e8de52ec7a4b9e3c9921cc00258a8cb",
+                 "sigma_decay.json", "e367439f4b0d9f320fd44a0aa2689727a10c6d8f368f5e09f572aed1d116b3c5",
                  id="sigma-decay-cantor1d-sigma_decay.json"),
     pytest.param(["w1-decay", "--family", "cantor1d", "--n-particles", "512", "--ref-size", "512",
                   "--n-max", "4", "--seed", "11"],
@@ -289,7 +385,7 @@ def test_threads_do_not_change_artifacts(tmp_path):
     # strict JSON: the saturated exp1d variance overflows and is written as null,
     # next to the count of saturated samples
     pytest.param(["stationary", "--family", "exp1d", "--n-samples", "512", "--seed", "90210"],
-                 "stationary.json", "87745e2a89056b1accd7d1e10fb1a5206e49476a3a9dc56fc7bf41a21eca144a",
+                 "stationary.json", "ab09521c3f9f4655248c905096dc0a0cf1198b95d766cece9e04f3770cbc34ee",
                  id="stationary-exp1d-stationary.json"),
     # forward chains: the exact center, the Poisson sigma^2 and the partial sums (re-frozen
     # when the center became exact, m = 1/2, instead of the 512 x 40,000-step ergodic pass)
@@ -339,21 +435,21 @@ def test_threads_do_not_change_artifacts(tmp_path):
     # exact center and sigma^2 (re-frozen when the center became exact, with its fields)
     pytest.param(["clt", "--family", "cantor1d", "--n", "200", "--replicas", "100", "--mu-size", "512",
                   "--grid-size", "256", "--dump-paths", "--seed", "1234"],
-                 "clt_report.json", "5728c8615c98811a5bff19e5766473b7ae3a0cb1e1e1174f40c950e0def83ffe",
+                 "clt_report.json", "9d41caf15810bc4744203fc4c910a4bbca1a88ff2dd17b1ad50d955bee85ee1a",
                  id="clt-cantor1d-clt_report.json"),
     # the boundedness check's probe of scaled boxes: bounded at m0 = 3, and unbounded
     pytest.param(["sync-rate", "--family", "arctanexp2d", "--seed", "5"],
-                 "rate_fit.json", "6ebefed1aafb47c1e7e2fa444da9b7bc82a6bb1c99fd417351dc56abd3a855cb",
+                 "rate_fit.json", "16818d78b3f90a3a3ab11f4a146969e1c7cb37244f44bf695df3037fd8d2b8d8",
                  id="sync-rate-arctanexp2d-rate_fit.json"),
     pytest.param(["sync-rate", "--family", "lip-pair", "--seed", "5"],
-                 "rate_fit.json", "2bffbd9e18e77d52c9f21706cf0274aadde0b6bb88be5ad5777043e9a043ad74",
+                 "rate_fit.json", "21be312f1fd6afc918add9291e1d58006ffa23156b8030da93c64e27b8b02b4d",
                  id="sync-rate-lip-pair-rate_fit.json"),
     # splitting reports: a verified exact scan, and a Monte Carlo search on box noise
     pytest.param(["check-splitting", "--family", "cantor2d", "--seed", "5"],
-                 "splitting.json", "dee720cbe76575d2773d3c7c60a219758abf19ffd324e5aa742344222b1daff5",
+                 "splitting.json", "645fa8d4b267ab42688691093548209963a84fd7d594aeb58c8134b3c036ab2c",
                  id="check-splitting-cantor2d-splitting.json"),
     pytest.param(["check-splitting", "--family", "slide1d", "--seed", "5"],
-                 "splitting.json", "e83f72b68ebf3e4379ead40c4eb57f0cd7904b7dc1de23a9d1dc6c0f759b9c05",
+                 "splitting.json", "6dc53966daf8805c58bafae2226ced4a1fd9274bcc7b6a1478b79852699c8b1f",
                  id="check-splitting-slide1d-splitting.json"),
     # monotonicity verdicts: finite-noise symbols, and box-noise parameter vectors
     pytest.param(["check-monotone", "--family", "arctanexp2d"],
@@ -379,7 +475,7 @@ def test_threads_do_not_change_artifacts(tmp_path):
     # chains' means, all driven by the one "poisson-chain" stream
     pytest.param(["clt", "--family", "slide1d", "--n", "200", "--replicas", "100", "--mu-size", "512",
                   "--grid-size", "256", "--seed", "1234"],
-                 "clt_report.json", "db68593e9f6c9168619c7d745094f250cbd697966fab1d2cdc6bf17b634cd94b",
+                 "clt_report.json", "24abb1a0a0bebc1e6e0a80b8e1785c083e2418033dcdc6f839086b1d18d6ffe8",
                  id="clt-slide1d-clt_report.json"),
 ])
 def test_golden_artifact_digest(tmp_path, args, artifact, digest):
@@ -392,15 +488,19 @@ def test_golden_artifact_digest(tmp_path, args, artifact, digest):
         args = args[:-1] + ["--config", str(config)]
     out = tmp_path / "golden"
     assert run(args + ["--threads", "1", "--out", str(out)]) == 0
-    assert hashlib.sha256((out / artifact).read_bytes()).hexdigest() == digest
+    data = (out / artifact).read_bytes()
+    assert hashlib.sha256(data).hexdigest() == digest
+    if digest in _REFROZEN:
+        keys, before = _REFROZEN[digest]
+        assert _digest_without(data, keys) == before
 
 
 def test_golden_ergodic_center_report(tmp_path):
     # lip-pair's disjoint mode is not affine, so it is still centered by the
-    # ergodic pass.  The report gained four fields (center, center_method,
-    # sigma2_exact, n_saturated); without them it is byte for byte the report
-    # the ergodic pass wrote before the exact center existed.  Both digests were
-    # re-frozen when the noise layout changed.
+    # ergodic pass.  The report gained five fields (center, center_method,
+    # sigma2_exact, n_saturated, poisson_converged); without them it is byte for
+    # byte the report the ergodic pass wrote before the exact center existed.
+    # Both digests were re-frozen when the noise layout changed.
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"family": "lip-pair", "params": {"mode": "disjoint", "slopes": [0.5, 0.5]}}))
     out = tmp_path / "golden"
@@ -409,10 +509,11 @@ def test_golden_ergodic_center_report(tmp_path):
         "--seed", "1234", "--config", str(config), "--threads", "1", "--out", str(out),
     ]) == 0
     text = (out / "clt_report.json").read_bytes()
-    assert hashlib.sha256(text).hexdigest() == "b9a1e1c13df87fe090a3fe42d91e91da9650838bb177ddd5008a6936800f6aee"
+    assert hashlib.sha256(text).hexdigest() == "42def36e6603872770b14b8c8a80a0ea0e3681e8399fdeda4d1bff8eda1f6b31"
     doc = json.loads(text)
     assert (doc["center_method"], doc["sigma2_exact"], doc["n_saturated"]) == ("ergodic", None, 0)
-    for key in ("center", "center_method", "sigma2_exact", "n_saturated"):
+    assert doc["poisson_converged"]
+    for key in ("center", "center_method", "sigma2_exact", "n_saturated", "poisson_converged"):
         del doc[key]
     old = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
     digest = hashlib.sha256(old.encode()).hexdigest()
@@ -424,8 +525,11 @@ def test_golden_unverified_splitting_digest(tmp_path):
     # report's empty witness fields are frozen too
     out = tmp_path / "golden"
     assert run(["check-splitting", "--family", "arctanexp2d", "--seed", "5", "--out", str(out)]) == 2
-    digest = hashlib.sha256((out / "splitting.json").read_bytes()).hexdigest()
-    assert digest == "0a1f06ea15a3dca47ef533692eaa17bc4f55bde17f505c02fa0b74e005b4513e"
+    data = (out / "splitting.json").read_bytes()
+    digest = hashlib.sha256(data).hexdigest()
+    assert digest == "23b4c351825afa8402ab3062600b73964630ebf35a71f2ba817e980661d14b54"
+    keys, before = _REFROZEN[digest]
+    assert _digest_without(data, keys) == before
 
 
 # Imports the CLI and runs two numpy-only commands, then a smoke-size clt, in a

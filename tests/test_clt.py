@@ -39,13 +39,14 @@ def test_transfer_exact_enumeration_affine(cantor1d, cantor_mu):
     # P phi = phi / 3 exactly for phi(x) = x - 1/2 under the two-map average
     grid = cantor_mu.points[:256]
     phi = centered_coord(0.5)
-    out = transfer_apply(cantor1d, phi, grid)
+    out, n_saturated = transfer_apply(cantor1d, phi, grid)
     assert np.allclose(out, phi(grid) / 3.0, atol=1e-15)
+    assert n_saturated == 0
 
 
 def test_transfer_fixes_constants(cantor1d, cantor_mu):
     grid = cantor_mu.points[:64]
-    out = transfer_apply(cantor1d, lambda p: np.full(p.shape[0], 3.14), grid)
+    out, _ = transfer_apply(cantor1d, lambda p: np.full(p.shape[0], 3.14), grid)
     assert np.allclose(out, 3.14, atol=1e-15)
 
 
@@ -54,11 +55,21 @@ def test_transfer_monte_carlo_confidence():
     grid = np.linspace(0, 1, 32)[:, None]
     phi = centered_coord(0.0)
     n_inner = 4000
-    est = transfer_apply(fam, phi, grid, n_inner=n_inner, seed=3)
+    est, _ = transfer_apply(fam, phi, grid, n_inner=n_inner, seed=3)
     # E f_a(x) = x/3 + 1/3 with noise sd = (2/3) * sd(U)/sqrt(M)
     truth = grid[:, 0] / 3.0 + 1.0 / 3.0
     se = (2.0 / 3.0) * np.sqrt(1.0 / 12.0 / n_inner)
     assert np.all(np.abs(est - truth) <= 4 * se)
+
+
+def test_transfer_counts_saturated_draws():
+    # slide1d clamped at 0.9: f_a(x) = x/3 + 2a/3 passes the clamp for large a and x
+    fam = make_family("slide1d", clamp_bound=0.9)
+    grid = np.linspace(0.0, 0.9, 8)[:, None]
+    _, n_saturated = transfer_apply(fam, centered_coord(0.0), grid, n_inner=1000, seed=0)
+    draws = engine._stream_values(fam.noise, (1, 1000), 0, "transfer")[0]
+    want = sum(fam.apply_batch(a, grid)[1] for a in draws)
+    assert n_saturated == want > 0
 
 
 def test_transfer_preconditions():
@@ -114,6 +125,18 @@ def test_poisson_one_symbol_family_is_exact():
     x = sol.grid[:, 0]
     expected = sum(3.0**-i for i in range(sol.truncation_j + 1)) * (x - x.mean())
     assert np.allclose(sol.psi, expected, atol=1e-12)
+
+
+def test_poisson_stop_at_the_last_term_is_flagged():
+    # x -> 0.9x: term j is 0.9^j (x - mean x), so the norms fall by 0.9 per term
+    # and the stall check never fires, but tol 1e-4 needs term 88 and the series
+    # stops at term 60
+    fam = make_family("affine-general", params={"mats": [[[0.9]]], "offs": [[0.0]]}, domain=Box([-1.0], [1.0]))
+    mu = EmpiricalMeasure.uniform(np.linspace(-1.0, 1.0, 64)[:, None])
+    sol = poisson_solve(fam, centered_coord(0.0), mu, grid_size=64, tol=1e-4, seed=1)
+    assert sol.truncation_j == 60
+    assert not sol.converged
+    assert np.allclose(sol.term_norms[1:] / sol.term_norms[:-1], 0.9, rtol=1e-12, atol=0.0)
 
 
 def test_poisson_monte_carlo_terms():

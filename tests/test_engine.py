@@ -158,6 +158,18 @@ def test_pullback_not_converged(rot2d):
     assert batch.diam[0] > 1e-6
 
 
+def test_pullback_saturated_is_the_flag_at_the_returned_depth(exp1d):
+    # a row's flag describes the image it returns, not every depth its search visited
+    probe = _default_probe(exp1d)
+    batch = pullback_batch(exp1d, 90210, range(512), probe, 1e-9, 4096)
+    depths = np.where(batch.converged, batch.n_used, 4096)
+    table = _BlockTable(exp1d.noise, 90210, "noise", range(512))
+    table.ensure(int(depths.max()))
+    _, sat = image_points_at_depths(exp1d, table.values, depths, probe)
+    assert sat.any() and not sat.all()
+    assert np.array_equal(batch.saturated, sat)
+
+
 def test_pullback_batch_bit_reproducible(cantor1d):
     probe = probe_cloud(cantor1d.probe_box())
     a = pullback_batch(cantor1d, 5, range(200), probe, 1e-9, 256)
