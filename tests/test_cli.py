@@ -49,9 +49,10 @@ def test_verification_reports_count_saturated_rows(tmp_path):
     assert (doc["m"], doc["verified"], doc["n_saturated"]) == (1, True, 1)
     # sigma decay: the replicas that saturated at any depth it imaged
     out = tmp_path / "sigma"
-    assert run(["sigma-decay", "--x", "0.1", "--replicas", "100", "--config", str(config), "--out", str(out)]) == 0
+    args = ["sigma-decay", "--x", "0.1", "--replicas", "100", "--j-max", "4"]
+    assert run(args + ["--config", str(config), "--out", str(out)]) == 0
     doc = read_json(out / "sigma_decay.json")
-    j = doc["truncated_at"] or 8
+    j = doc["truncated_at"] or 4
     table = _BlockTable(fam.noise, 0, "sigma", range(100))
     table.ensure(j)
     sat = [reverse_rowwise(fam, table.values, [d] * 100, probe)[1] for d in range(1, j + 1)]
