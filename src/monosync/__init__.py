@@ -22,7 +22,6 @@ from .clt import (
     transfer_apply,
 )
 from .engine import (
-    NoiseBlock,
     OrbitTrace,
     forward_orbit,
     image_box,

@@ -147,7 +147,7 @@ def _run_check_monotone(cfg, fam, ordr, outdir) -> int:
     else:
         if int(cfg["n_alphas"]) < 1:
             raise UsageError("n_alphas must be >= 1")
-        alphas = list(sample_block(fam.noise, seed, 0, int(cfg["n_alphas"]), label="monotone-alpha").values)
+        alphas = list(sample_block(fam.noise, seed, 0, int(cfg["n_alphas"]), label="monotone-alpha"))
     verdicts = []
     all_monotone = True
     for a in alphas:

@@ -76,7 +76,6 @@ class Observable:
     """
 
     kind: str  # "coordinate" | "affine" | "table"
-    lipschitz_const: float
     center: float = 0.0
     coord: int = 1
     coeffs: np.ndarray | None = None
@@ -85,8 +84,6 @@ class Observable:
     table_values: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.lipschitz_const <= 0:
-            raise UsageError("lipschitz_const must be positive")
         if self.kind == "table":
             if self.table_points is None or self.table_values is None:
                 raise UsageError("table observable needs points and values")
@@ -114,7 +111,7 @@ def make_observable(spec, mu: EmpiricalMeasure, center: float | None = None) -> 
 
     Accepted specs: ``"coord:s"``, ``{"kind": "coordinate", "s": s}``,
     ``{"kind": "affine", "coeffs": [...], "offset": b}``,
-    ``{"kind": "table", "points": ..., "values": ..., "lipschitz": L}``.
+    ``{"kind": "table", "points": ..., "values": ...}``.
     The default centering constant is the weighted mean of the raw
     observable over ``mu``; pass the stationary mean when higher precision
     is needed (partial sums amplify a centering bias delta into a drift of
@@ -131,21 +128,17 @@ def make_observable(spec, mu: EmpiricalMeasure, center: float | None = None) -> 
         s = int(spec.get("s", 1))
         if not (1 <= s <= mu.dim):
             raise UsageError(f"coordinate {s} outside 1..{mu.dim}")
-        obs = Observable(kind="coordinate", lipschitz_const=1.0, coord=s)
+        obs = Observable(kind="coordinate", coord=s)
     elif kind == "affine":
         coeffs = np.asarray(spec["coeffs"], dtype=float)
         if coeffs.shape != (mu.dim,):
             raise UsageError("affine coefficients must match the dimension")
-        lip = float(np.max(np.abs(coeffs)))
-        if lip == 0:
+        if not coeffs.any():
             raise UsageError("affine observable must be non-constant")
-        obs = Observable(
-            kind="affine", lipschitz_const=lip, coeffs=coeffs, offset=float(spec.get("offset", 0.0))
-        )
+        obs = Observable(kind="affine", coeffs=coeffs, offset=float(spec.get("offset", 0.0)))
     elif kind == "table":
         obs = Observable(
             kind="table",
-            lipschitz_const=float(spec.get("lipschitz", 1.0)),
             table_points=np.atleast_2d(np.asarray(spec["points"], dtype=float)),
             table_values=np.asarray(spec["values"], dtype=float),
         )
@@ -275,8 +268,7 @@ def stationary_mean(
     cur, sat = _stationary_start(fam, seed, replicas, "ergodic-start")
     table = _BlockTable(fam.noise, seed, "ergodic-chain", range(replicas))
     total = float(np.sum(obs.raw(cur)))
-    for states, hit in _chain_windows(fam, table, cur, steps):
-        sat |= hit
+    for states in _chain_windows(fam, table, cur, steps, sat):
         raw = obs.raw(states.reshape(-1, fam.dim)).reshape(states.shape[0], replicas)
         for step_sum in np.ascontiguousarray(raw).sum(axis=1).tolist():
             total += step_sum
@@ -357,8 +349,7 @@ def _terms(fam: MapFamily, phi, pts: np.ndarray, n_terms: int, seed: int, label:
     noise = _stream_values(fam.noise, (n_terms - 1, n_chains), seed, label)  # one row per step
     states = np.repeat(pts[None, :, :], n_chains, axis=0)
     chain_sat = np.zeros(n_chains, dtype=bool)
-    for depth, (states, hit) in enumerate(_chain(fam, np.swapaxes(noise, 0, 1), states), start=1):
-        chain_sat |= hit
+    for depth, states in enumerate(_chain(fam, np.swapaxes(noise, 0, 1), states, chain_sat), start=1):
         if depth >= n_exact:
             term = phi(states.reshape(-1, fam.dim)).reshape(n_chains, -1).mean(axis=0)
             yield "monte-carlo", term, int(sat.sum() + chain_sat.sum())
@@ -584,9 +575,8 @@ def partial_sum_paths(
     for i in np.nonzero(checkpoints == 0)[0]:
         paths[:, i] = sums * scale
     done = 0  # steps taken before the window
-    for states, hit in _chain_windows(fam, table, cur, n):
+    for states in _chain_windows(fam, table, cur, n, sat):
         k = states.shape[0]
-        sat |= hit
         # row 0 carries the sums so far, and each step's row is added in step order, as
         # np.cumsum along axis 0 would add them; its strided loop is 3-4x slower at 1000 replicas
         acc = np.empty((k + 1, replicas))

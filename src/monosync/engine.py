@@ -11,9 +11,11 @@ Composition conventions, fixed once for the whole package:
 pullback runs through it.  Each step is one map-body call on all the rows
 that have started, each row's noise value (a symbol or a parameter vector)
 repeated over its points, then one clamp; finite and box noise take the
-same loop.  The reverse loop ``image_points_at_depths`` is a forward chain
-over the reversed blocks with the rows right-aligned, each joining the
-chain at the step that leaves it exactly its own depth.
+same loop.  The kernel ORs each row's saturation into a flag array that
+its caller owns and yields only the points, so no step allocates flags.
+The reverse loop ``image_points_at_depths`` is a forward chain over the
+reversed blocks with the rows right-aligned, each joining the chain at
+the step that leaves it exactly its own depth.
 
 The pullback limit deepens the reverse composition on a fixed stream until
 the taxicab diameter of the probe's image drops below tolerance.  The
@@ -61,7 +63,6 @@ from .order import Box
 from .streams import _MASK64, hash64, stream_generator
 
 __all__ = [
-    "NoiseBlock",
     "OrbitTrace",
     "sample_block",
     "noise_at",
@@ -107,35 +108,22 @@ def _write_csv(path, seed: int | None, columns: dict) -> None:
         fh.writelines(row.format(*cells) for cells in zip(*(c.tolist() for c in cols)))
 
 
-@dataclass(frozen=True)
-class NoiseBlock:
-    """A finite stretch of one noise stream, reproducible from its address.
-
-    ``values`` has shape (n,) of symbols for finite noise, in the smallest
-    unsigned type that holds q, or (n, d) of parameter vectors for box
-    noise.  Regenerating with the same (seed, stream_id, n) is bit-exact.
-    """
-
-    values: np.ndarray
-    seed: int
-    stream_id: int
-
-    def __len__(self) -> int:
-        return self.values.shape[0]
-
-
 def sample_block(
     noise: NoiseSpec,
     seed: int,
     stream_id: int,
     n: int,
     label: str = DEFAULT_STREAM_LABEL,
-) -> NoiseBlock:
-    """Draw the first ``n`` i.i.d. noise values of the addressed stream: row ``stream_id`` of its label's table."""
+) -> np.ndarray:
+    """The first ``n`` i.i.d. noise values of the addressed stream: row ``stream_id`` of its label's table.
+
+    The values are (n,) symbols for finite noise, in the smallest unsigned
+    type that holds q, or (n, d) parameter vectors for box noise.
+    Regenerating with the same (seed, stream_id, n) is bit-exact.
+    """
     if n < 0:
         raise UsageError("block length must be >= 0")
-    vals = _stream_values(noise, (n,), seed, label, [hash64(stream_id)])  # the id mod 2**64
-    return NoiseBlock(values=vals, seed=int(seed), stream_id=int(stream_id))
+    return _stream_values(noise, (n,), seed, label, [hash64(stream_id)])  # the id mod 2**64
 
 
 def noise_at(noise: NoiseSpec, seed: int, stream_id: int, j: int):
@@ -150,8 +138,6 @@ def noise_at(noise: NoiseSpec, seed: int, stream_id: int, j: int):
 class OrbitTrace:
     """Positions (and optional probe-image boxes) along one noise block."""
 
-    direction: str  # "forward" | "reverse"
-    block: NoiseBlock
     positions: np.ndarray  # (n+1, dim)
     boxes: list[Box] | None
     saturated: bool
@@ -169,12 +155,20 @@ class OrbitTrace:
         _write_csv(path, seed, columns)
 
 
-def _chain(fam: MapFamily, values: np.ndarray, pts: np.ndarray, start: np.ndarray | None = None):
+def _chain(
+    fam: MapFamily,
+    values: np.ndarray,
+    pts: np.ndarray,
+    sat: np.ndarray,
+    start: np.ndarray | None = None,
+):
     """Advance ``pts`` in place along the forward chain ``Z_{j+1} = f_{values[:, j]}(Z_j)``.
 
     ``values`` is (N, L) of symbols or (N, L, d) of parameters, one row per
-    row of ``pts`` ((N, dim) or (N, P, dim)).  Yields ``pts`` and the
-    per-row saturation flags of each of the L steps, after the step.
+    row of ``pts`` ((N, dim) or (N, P, dim)).  Yields ``pts`` after each of
+    the L steps.  ``sat`` (N,) bool is the caller's: each step ORs in the
+    rows whose image saturated the clamp, so a row flagged before the
+    chain stays flagged.
 
     ``start`` (N,), non-decreasing and passed only by the reverse loop, is
     the step at which each row joins the chain; until then the row keeps
@@ -193,13 +187,12 @@ def _chain(fam: MapFamily, values: np.ndarray, pts: np.ndarray, start: np.ndarra
         alphas = values[:k, j] if per_row == 1 else np.repeat(values[:k, j], per_row, axis=0)
         img, psat = _clamp_points(fam.raw_batch(alphas, block.reshape(-1, dim)), bound)
         block[...] = img.reshape(block.shape)
-        sat = np.zeros(n, dtype=bool)
         if psat.any():
-            sat[:k] = psat.reshape(k, per_row).any(axis=1)
-        yield pts, sat
+            sat[:k] |= psat.reshape(k, per_row).any(axis=1)
+        yield pts
 
 
-def _chain_windows(fam: MapFamily, table: _BlockTable, pts: np.ndarray, steps: int):
+def _chain_windows(fam: MapFamily, table: _BlockTable, pts: np.ndarray, steps: int, sat: np.ndarray):
     """Advance ``pts`` (N, dim) ``steps`` steps along the rows of ``table``, one noise window at a time.
 
     A window is the largest multiple of 4 steps whose noise holds at most
@@ -208,33 +201,29 @@ def _chain_windows(fam: MapFamily, table: _BlockTable, pts: np.ndarray, steps: i
     on a block boundary and no block is enciphered twice.
     Each window's noise is read with ``values_at`` and the table is never
     deepened, so memory is O(N x window) however long the chain.  The
-    steps run through ``_chain``.  Yields per window ``(states, sat)``:
-    the (k, N, dim) points after each of its k steps, and the rows that
-    saturated at any of them.  ``states`` is a view of one buffer that the
-    next window overwrites.
+    steps run through ``_chain``, which ORs each row's saturation into the
+    caller's ``sat`` (N,).  Yields per window the (k, N, dim) points after
+    each of its k steps, a view of one buffer that the next window
+    overwrites.
     """
-    n = pts.shape[0]
-    width = max(4, _WINDOW_VALUES // n // 4 * 4)
+    width = max(4, _WINDOW_VALUES // pts.shape[0] // 4 * 4)
     states = np.empty((min(width, steps),) + pts.shape)
     for c0 in range(0, steps, width):
         k = min(width, steps - c0)
-        sat = np.zeros(n, dtype=bool)
-        for j, (cur, hit) in enumerate(_chain(fam, table.values_at(c0, k), pts)):
+        for j, cur in enumerate(_chain(fam, table.values_at(c0, k), pts, sat)):
             states[j] = cur
-            sat |= hit
-        yield states[:k], sat
+        yield states[:k]
 
 
-def forward_orbit(fam: MapFamily, block: NoiseBlock, x0) -> OrbitTrace:
-    """Iterate ``Z_{j+1} = f_{b[j]}(Z_j)`` from ``x0`` along the whole block."""
+def forward_orbit(fam: MapFamily, block: np.ndarray, x0) -> OrbitTrace:
+    """Iterate ``Z_{j+1} = f_{b[j]}(Z_j)`` from ``x0`` along the whole block (a ``sample_block`` array)."""
     x = np.array(x0, dtype=float).reshape(1, fam.dim)  # a copy: _chain advances it in place
     positions = np.empty((len(block) + 1, fam.dim))
     positions[0] = x[0]
-    saturated = False
-    for j, (x, sat) in enumerate(_chain(fam, block.values[None], x), start=1):
-        saturated = saturated or bool(sat[0])
+    sat = np.zeros(1, dtype=bool)
+    for j, x in enumerate(_chain(fam, np.asarray(block)[None], x, sat), start=1):
         positions[j] = x[0]
-    return OrbitTrace("forward", block, positions, None, saturated)
+    return OrbitTrace(positions, None, bool(sat[0]))
 
 
 def image_points_at_depths(
@@ -269,8 +258,8 @@ def image_points_at_depths(
     base = np.asarray(base_pts, dtype=float)
     pts = np.broadcast_to(base, (n_rows,) + base.shape).copy()
     sat = np.zeros(n_rows, dtype=bool)
-    for _, psat in _chain(fam, blocks[:, :depth][order, ::-1], pts, start=depth - depths[order]):
-        sat |= psat
+    for _ in _chain(fam, blocks[:, :depth][order, ::-1], pts, sat, start=depth - depths[order]):
+        pass
     out = np.empty_like(pts)
     out[order] = pts
     out_sat = np.empty_like(sat)
@@ -280,11 +269,11 @@ def image_points_at_depths(
 
 def reverse_orbit(
     fam: MapFamily,
-    block: NoiseBlock,
+    block: np.ndarray,
     x0,
     probe_points: np.ndarray | None = None,
 ) -> OrbitTrace:
-    """All reverse-order iterates of ``x0`` along the block.
+    """All reverse-order iterates of ``x0`` along the block (a ``sample_block`` array).
 
     Position ``j`` is the image of ``x0`` under the depth-``j`` prefix
     composition.  When a probe cloud is given, the trace also carries its
@@ -293,15 +282,15 @@ def reverse_orbit(
     domain, not necessarily for the bounded stand-in probe of an unbounded
     domain).
     """
+    block = np.asarray(block)
     n = len(block)
     x = np.asarray(x0, dtype=float).reshape(1, fam.dim)
     cloud = x if probe_points is None else np.vstack([np.atleast_2d(probe_points), x])
-    blocks = np.broadcast_to(block.values, (n + 1,) + block.values.shape)
+    blocks = np.broadcast_to(block, (n + 1,) + block.shape)
     img, sat = image_points_at_depths(fam, blocks, np.arange(n + 1), cloud)
     positions = img[:, -1, :]
     boxes = None if probe_points is None else [Box.hull(img[j, :-1]) for j in range(n + 1)]
-    saturated = bool(sat.any())
-    return OrbitTrace("reverse", block, positions, boxes, saturated)
+    return OrbitTrace(positions, boxes, bool(sat.any()))
 
 
 def image_box(fam: MapFamily, block, probe_points: np.ndarray) -> Box:

@@ -306,9 +306,8 @@ def forward_attractor_gap(
     bound = np.empty(n_checkpoints)
     # one forward chain: the probe images, then the orbit point, then the attractor point
     img = np.vstack([probe, x, limit.points])[None]
-    saturated = bool(limit.saturated[0])
-    for j, (img, sat) in enumerate(_chain(fam, fwd_block.values[None], img)):
-        saturated = saturated or bool(sat[0])
+    sat = limit.saturated.copy()
+    for j, img in enumerate(_chain(fam, fwd_block[None], img, sat)):
         gap[j] = float(np.abs(img[0, -2] - img[0, -1]).sum())
         bound[j] = float(_taxicab_diams(img[:, :-2])[0])
     return GapSeries(
@@ -318,5 +317,5 @@ def forward_attractor_gap(
         depth=int(limit.n_used[0]),
         x0=x[0].copy(),
         seed=seed,
-        saturated=saturated,
+        saturated=bool(sat[0]),
     )

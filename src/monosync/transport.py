@@ -58,7 +58,6 @@ class EmpiricalMeasure:
 
     points: np.ndarray
     weights: np.ndarray
-    provenance: str = "user"
     meta: dict = field(default_factory=dict, compare=False)
     # the points' sliced projections, each row sorted, when kept by _keep_sorted_projections
     _sorted_projections: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
@@ -108,10 +107,10 @@ class EmpiricalMeasure:
             return self.weights @ (self.points - m) ** 2
 
     @classmethod
-    def uniform(cls, points, provenance: str = "user", meta: dict | None = None):
+    def uniform(cls, points, meta: dict | None = None):
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         w = np.full(pts.shape[0], 1.0 / pts.shape[0])
-        return cls(pts, w, provenance, meta or {})
+        return cls(pts, w, meta or {})
 
     @classmethod
     def dirac(cls, x, n_points: int = 1):
@@ -121,9 +120,9 @@ class EmpiricalMeasure:
     def resampled(self, n: int, rng: np.random.Generator) -> "EmpiricalMeasure":
         """Uniform n-point measure drawn from self (exact copy when already so)."""
         if n == self.n and self.is_uniform:
-            return EmpiricalMeasure.uniform(self.points, self.provenance, dict(self.meta))
+            return EmpiricalMeasure.uniform(self.points, dict(self.meta))
         idx = rng.choice(self.n, size=n, replace=True, p=self.weights)
-        return EmpiricalMeasure.uniform(self.points[idx], self.provenance, dict(self.meta))
+        return EmpiricalMeasure.uniform(self.points[idx], dict(self.meta))
 
     def write_csv(self, path, seed: int | None = None) -> None:
         columns = {f"x_{i + 1}": self.points[:, i] for i in range(self.dim)}
@@ -141,7 +140,7 @@ class EmpiricalMeasure:
                 rows.append([float(v) for v in line.split(",")])
         arr = np.asarray(rows)
         w = arr[:, -1]
-        return cls(arr[:, :-1], w / w.sum(), provenance="user")
+        return cls(arr[:, :-1], w / w.sum())
 
 
 @dataclass(frozen=True)
@@ -376,7 +375,7 @@ def pullback_sample(
         "saturated": bool(saturated.any()),
         "seed": int(seed),
     }
-    return EmpiricalMeasure.uniform(points[converged], provenance="pullback", meta=meta)
+    return EmpiricalMeasure.uniform(points[converged], meta)
 
 
 def push_forward(fam: MapFamily, mu: EmpiricalMeasure, steps: int, seed: int) -> EmpiricalMeasure:
@@ -390,15 +389,15 @@ def push_forward(fam: MapFamily, mu: EmpiricalMeasure, steps: int, seed: int) ->
     if mu.dim != fam.dim:
         raise UsageError("measure dimension does not match family")
     if steps == 0:
-        return EmpiricalMeasure(mu.points, mu.weights, "pushforward", dict(mu.meta))
+        return EmpiricalMeasure(mu.points, mu.weights, dict(mu.meta))
     blocks = _stream_values(fam.noise, (mu.n, steps), seed, "push")
     pts = np.array(mu.points)  # a copy: _chain advances it in place
+    sat = np.zeros(mu.n, dtype=bool)
+    for _ in _chain(fam, blocks, pts, sat):
+        pass
     meta = dict(mu.meta)
-    saturated = bool(meta.get("saturated", False))
-    for _, sat in _chain(fam, blocks, pts):
-        saturated = saturated or bool(sat.any())
-    meta["saturated"] = saturated
-    return EmpiricalMeasure(pts, mu.weights, "pushforward", meta)
+    meta["saturated"] = bool(meta.get("saturated", False)) or bool(sat.any())
+    return EmpiricalMeasure(pts, mu.weights, meta)
 
 
 def markov_step(fam: MapFamily, mu: EmpiricalMeasure) -> EmpiricalMeasure:
@@ -422,7 +421,7 @@ def markov_step(fam: MapFamily, mu: EmpiricalMeasure) -> EmpiricalMeasure:
         wts.append(p * mu.weights)
     meta = dict(mu.meta)
     meta["saturated"] = saturated
-    return EmpiricalMeasure(np.vstack(pts), np.concatenate(wts), "pushforward", meta)
+    return EmpiricalMeasure(np.vstack(pts), np.concatenate(wts), meta)
 
 
 @dataclass

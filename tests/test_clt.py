@@ -32,7 +32,7 @@ def cantor_mu():
 
 
 def centered_coord(center=0.5):
-    return Observable(kind="coordinate", lipschitz_const=1.0, center=center, coord=1)
+    return Observable(kind="coordinate", center=center, coord=1)
 
 
 def test_transfer_exact_enumeration_affine(cantor1d, cantor_mu):
@@ -271,7 +271,7 @@ def test_make_observable_centering(cantor_mu):
 
 
 def test_stationary_mean_precision(cantor1d):
-    obs = Observable(kind="coordinate", lipschitz_const=1.0, center=0.0, coord=1)
+    obs = Observable(kind="coordinate", center=0.0, coord=1)
     est, _ = stationary_mean(cantor1d, obs, seed=3, replicas=256, steps=4000)
     # error scale sqrt(sigma2_asym / total) with sigma2_asym = 1/4
     assert abs(est - 0.5) <= 4 * np.sqrt(0.25 / (256 * 4000))

@@ -6,7 +6,6 @@ import pytest
 from monosync import (
     Box,
     EmpiricalMeasure,
-    NoiseBlock,
     forward_orbit,
     image_box,
     make_family,
@@ -47,59 +46,59 @@ def _draw(noise, gen, shape):
 def test_degenerate_law_block():
     noise = FiniteNoise((1.0, 0.0))
     block = sample_block(noise, 123, 0, 5)
-    assert np.array_equal(block.values, [1, 1, 1, 1, 1])
+    assert np.array_equal(block, [1, 1, 1, 1, 1])
 
 
 def test_block_determinism(cantor1d):
     b1 = sample_block(cantor1d.noise, 99, 4, 64)
     b2 = sample_block(cantor1d.noise, 99, 4, 64)
-    assert np.array_equal(b1.values, b2.values)
+    assert np.array_equal(b1, b2)
     b3 = sample_block(cantor1d.noise, 99, 5, 64)
-    assert not np.array_equal(b1.values, b3.values)
+    assert not np.array_equal(b1, b3)
 
 
 def test_block_prefix_extension(cantor1d):
     short = sample_block(cantor1d.noise, 7, 0, 10)
     long = sample_block(cantor1d.noise, 7, 0, 50)
-    assert np.array_equal(long.values[:10], short.values)
+    assert np.array_equal(long[:10], short)
 
 
 def test_counter_addressing_matches_sequential(cantor1d):
     block = sample_block(cantor1d.noise, 31, 2, 20)
     direct = [noise_at(cantor1d.noise, 31, 2, j) for j in range(20)]
-    assert np.array_equal(block.values, direct)
+    assert np.array_equal(block, direct)
 
 
 def test_counter_addressing_box_noise():
     fam = make_family("slide1d")
     block = sample_block(fam.noise, 8, 1, 12)
     for j in (0, 3, 11):
-        assert np.allclose(noise_at(fam.noise, 8, 1, j), block.values[j])
+        assert np.allclose(noise_at(fam.noise, 8, 1, j), block[j])
 
 
 def test_symbol_frequency(cantor1d):
     block = sample_block(cantor1d.noise, 2024, 0, 100_000)
-    freq = float((block.values == 1).mean())
+    freq = float((block == 1).mean())
     assert abs(freq - 0.5) < 0.01
 
 
 def test_forward_orbit_examples(cantor1d):
-    tr = forward_orbit(cantor1d, NoiseBlock(np.array([1, 1]), 0, 0), [1.0])
+    tr = forward_orbit(cantor1d, np.array([1, 1]), [1.0])
     assert np.allclose(tr.positions.ravel(), [1.0, 1 / 3, 1 / 9])
     x0 = np.array([0.0])
-    tr2 = forward_orbit(cantor1d, NoiseBlock(np.array([2, 1]), 0, 0), x0)
+    tr2 = forward_orbit(cantor1d, np.array([2, 1]), x0)
     assert np.allclose(tr2.positions.ravel(), [0.0, 2 / 3, 2 / 9])
     assert x0[0] == 0.0  # the start point is not advanced in place
     lip = make_family("lip-pair")
-    tr3 = forward_orbit(lip, NoiseBlock(np.array([1]), 0, 0), [1.0])
+    tr3 = forward_orbit(lip, np.array([1]), [1.0])
     assert tr3.positions[-1, 0] == pytest.approx(2.0)
 
 
 def test_reverse_orbit_examples(cantor1d):
-    tr = reverse_orbit(cantor1d, NoiseBlock(np.array([1, 2]), 0, 0), [0.0])
+    tr = reverse_orbit(cantor1d, np.array([1, 2]), [0.0])
     assert np.allclose(tr.positions.ravel(), [0.0, 0.0, 2 / 9])
     # single-step reverse equals forward
-    blk = NoiseBlock(np.array([2]), 0, 0)
+    blk = np.array([2])
     f = forward_orbit(cantor1d, blk, [0.25]).positions[-1]
     r = reverse_orbit(cantor1d, blk, [0.25]).positions[-1]
     assert np.allclose(f, r)
@@ -420,21 +419,39 @@ def test_step_matches_rowwise_apply_batch(fid, n_probe):
     pts = scale * gen.uniform(-1.0, 1.0, size=shape)
     alphas = _draw(fam.noise, gen, (n,))
     want, want_sat = step_rowwise(fam, alphas, pts)
-    got, got_sat = next(_chain(fam, alphas[:, None], pts.copy()))
+    got_sat = np.zeros(n, dtype=bool)
+    got = next(_chain(fam, alphas[:, None], pts.copy(), got_sat))
     assert got.tobytes() == want.tobytes()
     assert np.array_equal(got_sat, want_sat)
     if fid == "exp1d":
         assert want_sat.any() and not want_sat.all()
-    # the forward chain: one step per column of a table, advanced in place
+    # the forward chain: one step per column of a table, advanced in place; after step j
+    # the caller's flags are its initial flags OR the rowwise flags of steps 1..j
     table = _draw(fam.noise, gen, (n, 67))
     chained = pts.copy()
     want = pts
-    for j, (got, got_sat) in enumerate(_chain(fam, table, chained)):
+    want_acc = np.arange(n) % 5 == 0
+    got_sat = want_acc.copy()
+    for j, got in enumerate(_chain(fam, table, chained, got_sat)):
         want, want_sat = step_rowwise(fam, table[:, j], want)
+        want_acc |= want_sat
         assert got is chained
         assert got.tobytes() == want.tobytes()
-        assert np.array_equal(got_sat, want_sat)
+        assert np.array_equal(got_sat, want_acc)
     assert j == table.shape[1] - 1
+
+
+@pytest.mark.parametrize("start", [None, np.array([0, 1, 3])])
+def test_chain_keeps_the_flags_it_is_given(cantor1d, start):
+    # no image leaves [0, 1], so only the flags set before the chain are set after each step,
+    # also on a row that never joins the chain
+    pts = np.array([[0.2], [0.7], [0.4]])
+    sat = np.array([True, False, True])
+    steps = 0
+    for _ in _chain(cantor1d, np.array([[1, 2, 1]] * 3, dtype=np.uint8), pts, sat, start=start):
+        assert sat.tolist() == [True, False, True]
+        steps += 1
+    assert steps == 3
 
 
 @pytest.mark.parametrize("fid, kwargs", [
@@ -474,7 +491,7 @@ def test_image_points_match_reverse_rowwise(fid, kwargs):
 def test_image_box_is_the_hull_of_the_apply_batch_loop(fid):
     # one image_points_at_depths call, bitwise the hull of the per-map loop
     fam = make_family(fid)
-    block = sample_block(fam.noise, 4, 0, 9).values
+    block = sample_block(fam.noise, 4, 0, 9)
     probe = probe_cloud(fam.probe_box())
     want, _ = reverse_rowwise(fam, block[None], [len(block)], probe)
     for given in (block, list(block)):
@@ -484,7 +501,7 @@ def test_image_box_is_the_hull_of_the_apply_batch_loop(fid):
 
 
 def test_image_points_reject_depth_beyond_block(cantor1d):
-    blocks = sample_block(cantor1d.noise, 1, 0, 5).values[None]
+    blocks = sample_block(cantor1d.noise, 1, 0, 5)[None]
     with pytest.raises(UsageError):
         image_points_at_depths(cantor1d, blocks, np.array([6]), np.zeros((2, 1)))
 

@@ -134,7 +134,7 @@ def test_sliced_w1_reasonable_on_shift():
 
 def _kept(mu):
     """A fresh copy of ``mu`` that keeps its sorted projections."""
-    copy = EmpiricalMeasure(mu.points, mu.weights, mu.provenance, dict(mu.meta))
+    copy = EmpiricalMeasure(mu.points, mu.weights, dict(mu.meta))
     _keep_sorted_projections(copy)
     return copy
 
