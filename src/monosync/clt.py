@@ -67,7 +67,7 @@ _MOMENT_DIM_CAP = 32  # the covariance system is d^2 x d^2: at most 1024 x 1024 
 
 @dataclass(frozen=True)
 class Observable:
-    """Centered scalar observable with a known Lipschitz constant.
+    """Centered scalar observable: a coordinate, an affine form or a nearest-point table.
 
     ``center`` is subtracted from the raw observable on evaluation.  In
     :func:`run_clt_analysis` it is the stationary mean: exact (v . m + b)

@@ -221,7 +221,7 @@ def forward_orbit(fam: MapFamily, block: np.ndarray, x0) -> OrbitTrace:
     positions = np.empty((len(block) + 1, fam.dim))
     positions[0] = x[0]
     sat = np.zeros(1, dtype=bool)
-    for j, x in enumerate(_chain(fam, np.asarray(block)[None], x, sat), start=1):
+    for j, x in enumerate(_chain(fam, block[None], x, sat), start=1):
         positions[j] = x[0]
     return OrbitTrace(positions, None, bool(sat[0]))
 
@@ -282,7 +282,6 @@ def reverse_orbit(
     domain, not necessarily for the bounded stand-in probe of an unbounded
     domain).
     """
-    block = np.asarray(block)
     n = len(block)
     x = np.asarray(x0, dtype=float).reshape(1, fam.dim)
     cloud = x if probe_points is None else np.vstack([np.atleast_2d(probe_points), x])

@@ -2,6 +2,18 @@
 
 from __future__ import annotations
 
+__all__ = [
+    "MonosyncError",
+    "UsageError",
+    "DimensionMismatchError",
+    "UnknownFamilyError",
+    "DegenerateProbeError",
+    "NotConvergedError",
+    "DegenerateSeriesError",
+    "NoDecayError",
+    "NonPositiveSigmaError",
+]
+
 
 class MonosyncError(Exception):
     """Base class for all package errors."""

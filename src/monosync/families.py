@@ -118,6 +118,7 @@ class MonotonicityVerdict:
     kind: Monotonicity
     witness: tuple[np.ndarray, np.ndarray] | None
     pairs_tested: int
+    n_saturated: int  # pairs with a saturated image of x or y (see classify_monotonicity)
 
 
 # Registry entry: dimension, default noise, default domain/probe constructors,
@@ -762,22 +763,25 @@ def classify_monotonicity(
     Samples ``n_pairs`` comparable pairs from ``probe`` and compares their
     images.  NEITHER comes with the first pair that ruled out the last
     surviving direction; by construction the witness pair itself satisfies
-    ``cmp_points(x, y) = LESS``.
+    ``cmp_points(x, y) = LESS``.  The images are clamped, so the verdict is
+    that of the clamped map; ``n_saturated`` counts the pairs whose image
+    of x or of y saturated the clamp.
     """
     if n_pairs < 1:
         raise UsageError("n_pairs must be >= 1")
     rng = stream_generator(seed, "monotone")
     xs, ys = _sample_comparable_pairs(rng, probe, order, n_pairs)
-    fx, _ = fam.apply_batch(alpha, xs)
-    fy, _ = fam.apply_batch(alpha, ys)
+    fx, sat_x = _clamp_points(fam.raw_batch(alpha, xs), fam.clamp_bound)
+    fy, sat_y = _clamp_points(fam.raw_batch(alpha, ys), fam.clamp_bound)
+    n_saturated = int(np.count_nonzero(sat_x | sat_y))
     signed = (fy - fx) * order.signs
     tol = order.strict_tol
     less = np.all(signed > tol, axis=1)
     greater = np.all(signed < -tol, axis=1)
     if bool(less.all()):
-        return MonotonicityVerdict(Monotonicity.INCREASING, None, n_pairs)
+        return MonotonicityVerdict(Monotonicity.INCREASING, None, n_pairs, n_saturated)
     if bool(greater.all()):
-        return MonotonicityVerdict(Monotonicity.DECREASING, None, n_pairs)
+        return MonotonicityVerdict(Monotonicity.DECREASING, None, n_pairs, n_saturated)
     # argmin finds each direction's first violating pair; the later one ends the last survivor
     i = max(int(np.argmin(less)), int(np.argmin(greater)))
-    return MonotonicityVerdict(Monotonicity.NEITHER, (xs[i].copy(), ys[i].copy()), n_pairs)
+    return MonotonicityVerdict(Monotonicity.NEITHER, (xs[i].copy(), ys[i].copy()), n_pairs, n_saturated)

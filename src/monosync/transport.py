@@ -40,6 +40,7 @@ __all__ = [
     "wasserstein1",
     "pullback_sample",
     "push_forward",
+    "markov_step",
     "w1_decay_curve",
 ]
 

@@ -126,6 +126,17 @@ def test_check_monotone(tmp_path):
     assert all(v["kind"] == "increasing" for v in doc["verdicts"])
 
 
+def test_check_monotone_counts_saturated_pairs(tmp_path):
+    # map 2 of cantor1d, x/3 + 2/3 >= 2/3, is clamped to 0.5 on every pair: the verdict
+    # and the exit code stay those of the clamped map, and the count says why
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"family": "cantor1d", "clamp": 0.5}))
+    assert run(["check-monotone", "--config", str(config), "--out", str(tmp_path / "m")]) == 2
+    doc = read_json(tmp_path / "m" / "monotonicity.json")
+    got = [(v["alpha"], v["kind"], v["n_saturated"], v["pairs_tested"]) for v in doc["verdicts"]]
+    assert got == [(1, "increasing", 0, 200), (2, "neither", 200, 200)]
+
+
 def test_simulate_csv_header_carries_seed(tmp_path):
     out = tmp_path / "sim"
     assert run([
@@ -341,6 +352,19 @@ _REFROZEN = {
         [("poisson_converged",)],
         "db68593e9f6c9168619c7d745094f250cbd697966fab1d2cdc6bf17b634cd94b",
     ),
+    # monotonicity.json gained n_saturated in every verdict (0 in all of them)
+    "36e184c543f442bcfbce6c22cfab395513c283d53fa56c8df387090be5f4fa01": (
+        [("verdicts", i, "n_saturated") for i in range(2)],
+        "097bedf9c17ad7c87c3e850b0298a0f80a20137fa5f6a399145ff5609c7b2817",
+    ),
+    "33dcb5ec79accabe1a1289fcc80be4b91df55271acf711cbc251a255a5128294": (
+        [("verdicts", i, "n_saturated") for i in range(8)],
+        "425a3a1e2d7bfb87e7313796a92c40af29105964584a22f6b893e759d8311169",
+    ),
+    "873eef38360687f656b2e7b2799fce3e65f63dbb714bf9c708b5ecfba5d6619f": (
+        [("verdicts", i, "n_saturated") for i in range(2)],
+        "8ce1e088b26e5a5cf5dcd38679cbe9e688e84558239e1b2de95aa840c1b2bf14",
+    ),
 }
 
 
@@ -454,10 +478,10 @@ def _digest_without(data: bytes, keys) -> str:
                  id="check-splitting-slide1d-splitting.json"),
     # monotonicity verdicts: finite-noise symbols, and box-noise parameter vectors
     pytest.param(["check-monotone", "--family", "arctanexp2d"],
-                 "monotonicity.json", "097bedf9c17ad7c87c3e850b0298a0f80a20137fa5f6a399145ff5609c7b2817",
+                 "monotonicity.json", "36e184c543f442bcfbce6c22cfab395513c283d53fa56c8df387090be5f4fa01",
                  id="check-monotone-arctanexp2d-monotonicity.json"),
     pytest.param(["check-monotone", "--family", "slide1d"],
-                 "monotonicity.json", "425a3a1e2d7bfb87e7313796a92c40af29105964584a22f6b893e759d8311169",
+                 "monotonicity.json", "33dcb5ec79accabe1a1289fcc80be4b91df55271acf711cbc251a255a5128294",
                  id="check-monotone-slide1d-monotonicity.json"),
     # the text of the CSV writer: the fitted lambda^j column, and a W1 curve too
     # short to fit a rate, whose bound column is blank; and the manifest's JSON
@@ -574,8 +598,11 @@ def test_golden_unmonotone_digest(tmp_path):
     # verdict's violating witness pair is frozen too
     out = tmp_path / "golden"
     assert run(["check-monotone", "--family", "rot2d", "--threads", "1", "--out", str(out)]) == 2
-    digest = hashlib.sha256((out / "monotonicity.json").read_bytes()).hexdigest()
-    assert digest == "8ce1e088b26e5a5cf5dcd38679cbe9e688e84558239e1b2de95aa840c1b2bf14"
+    data = (out / "monotonicity.json").read_bytes()
+    digest = hashlib.sha256(data).hexdigest()
+    assert digest == "873eef38360687f656b2e7b2799fce3e65f63dbb714bf9c708b5ecfba5d6619f"
+    keys, before = _REFROZEN[digest]
+    assert _digest_without(data, keys) == before
 
 
 def test_manifest_replays_infinite_clamp(tmp_path):

@@ -1,0 +1,23 @@
+import ast
+import importlib
+from pathlib import Path
+
+import monosync
+
+
+def test_package_exports_are_in_their_module_all():
+    # every name the package imports from one of its modules is in that module's __all__
+    tree = ast.parse(Path(monosync.__file__).read_text())
+    imports = [
+        (node.module, alias.name)
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+    ]
+    assert {module for module, _ in imports} >= {"engine", "errors", "transport"}
+    missing = [
+        f"{module}.{name}"
+        for module, name in imports
+        if name not in getattr(importlib.import_module(f"monosync.{module}"), "__all__", ())
+    ]
+    assert missing == []

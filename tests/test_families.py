@@ -190,8 +190,9 @@ def test_probe_cloud_interior_is_the_halton_sequence():
 
 
 def test_jsonable_writes_an_enum_as_its_value():
-    verdict = MonotonicityVerdict(Monotonicity.NEITHER, (np.array([0.5]), np.array([np.inf])), 3)
-    assert _jsonable(verdict, True) == {"kind": "neither", "witness": [[0.5], [None]], "pairs_tested": 3}
+    verdict = MonotonicityVerdict(Monotonicity.NEITHER, (np.array([0.5]), np.array([np.inf])), 3, 1)
+    want = {"kind": "neither", "witness": [[0.5], [None]], "pairs_tested": 3, "n_saturated": 1}
+    assert _jsonable(verdict, True) == want
 
 
 def test_saturation_flag_on_overflow(exp1d):
