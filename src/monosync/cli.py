@@ -268,7 +268,7 @@ def _run_stationary(cfg, fam, ordr, outdir) -> int:
 def _run_w1_decay(cfg, fam, ordr, outdir) -> int:
     seed = cfg["seed"]
     x0 = _parse_point(cfg.get("initial_point"), fam.dim, fam.probe_box().center)
-    initial = trans_mod.EmpiricalMeasure.dirac(x0, n_points=1)
+    initial = trans_mod.EmpiricalMeasure.dirac(x0)
     curve = trans_mod.w1_decay_curve(
         fam,
         initial,

@@ -33,7 +33,7 @@ from .errors import (
     NotConvergedError,
     UsageError,
 )
-from .families import FiniteNoise, MapFamily, _clamp_points, _default_probe
+from .families import FiniteNoise, MapFamily, _default_probe
 from .transport import EmpiricalMeasure, pullback_sample
 from .streams import derive_seed, stream_generator
 
@@ -311,7 +311,7 @@ def _pj_exact(fam: MapFamily, phi, pts: np.ndarray, j: int) -> tuple[np.ndarray,
     for a, p in enumerate(fam.noise.probs, start=1):
         if p == 0.0:
             continue
-        img, hit = _clamp_points(fam.raw_batch(a, pts), fam.clamp_bound)
+        img, hit = fam.apply_batch(a, pts)
         term, deeper = _pj_exact(fam, phi, img, j - 1)
         acc += p * term
         sat |= hit | deeper
@@ -379,7 +379,6 @@ class PoissonSolution:
     residual_norm: float
     method: str
     converged: bool
-    tol: float
     n_saturated: int  # rows whose terms 0 to J + 1 saturated the clamp (see ``_terms``)
 
 
@@ -470,7 +469,6 @@ def poisson_solve(
         residual_norm=float(np.max(np.abs(residual))),
         method=method,
         converged=converged,
-        tol=tol,
         n_saturated=n_saturated,
     )
 
@@ -479,7 +477,6 @@ def poisson_solve(
 class SigmaEstimates:
     sigma2_mg: float
     sigma2_resid: float
-    discrepancy: float
 
 
 def sigma_estimate(sol: PoissonSolution) -> SigmaEstimates:
@@ -509,7 +506,7 @@ def sigma_estimate(sol: PoissonSolution) -> SigmaEstimates:
             f"martingale variance {mg:.3e} is float rounding of an observable of "
             f"magnitude {scale:.3e} on the grid; the observable is constant there"
         )
-    return SigmaEstimates(sigma2_mg=mg, sigma2_resid=resid, discrepancy=abs(mg - resid))
+    return SigmaEstimates(sigma2_mg=mg, sigma2_resid=resid)
 
 
 @dataclass
@@ -519,7 +516,6 @@ class PathEnsemble:
     paths: np.ndarray      # (replicas, len(grid_t))
     grid_t: np.ndarray
     n: int
-    sigma2: float
     final_sums: np.ndarray  # (replicas,) un-normalized S_n
     n_saturated: int  # replicas whose start pullback or some chain step saturated the clamp
 
@@ -534,13 +530,13 @@ def partial_sum_paths(
     phi: Observable,
     sigma2: float,
     n: int,
-    grid_t: np.ndarray | None,
     replicas: int,
     seed: int,
     start: str | np.ndarray = "stationary",
 ) -> PathEnsemble:
     """Normalized partial sums ``sum_{j<=nt} phi(Z_j) / (sigma sqrt(n))``.
 
+    The paths hold the sums at the 21 times ``grid_t`` = 0, 0.05, ..., 1.
     Chains start from per-replica pullback limits by default (a stationary
     start); pass a point to exercise an arbitrary initial condition.
     """
@@ -548,13 +544,7 @@ def partial_sum_paths(
         raise UsageError(f"sigma2 {sigma2!r} is non-finite or non-positive")
     if n < 1 or replicas < 1:
         raise UsageError("n and replicas must be >= 1")
-    if grid_t is None:
-        grid_t = np.linspace(0.0, 1.0, 21)
-    grid_t = np.asarray(grid_t, dtype=float)
-    if grid_t.ndim != 1 or grid_t.size < 2 or np.any(np.diff(grid_t) <= 0):
-        raise UsageError("grid_t must be strictly increasing with >= 2 points")
-    if grid_t[0] < 0 or abs(grid_t[-1] - 1.0) > 1e-12:
-        raise UsageError("grid_t must live in [0, 1] and end at 1")
+    grid_t = np.linspace(0.0, 1.0, 21)
 
     if isinstance(start, str):
         if start != "stationary":
@@ -589,7 +579,7 @@ def partial_sum_paths(
         sums = acc[k]
         done += k
     return PathEnsemble(
-        paths=paths, grid_t=grid_t, n=n, sigma2=sigma2, final_sums=sums.copy(),
+        paths=paths, grid_t=grid_t, n=n, final_sums=sums.copy(),
         n_saturated=int(sat.sum()),
     )
 
@@ -719,7 +709,7 @@ def run_clt_analysis(
     )
     est = sigma_estimate(sol)
     ensemble = partial_sum_paths(
-        fam, phi, est.sigma2_mg, n, None, replicas, derive_seed(seed, "paths")
+        fam, phi, est.sigma2_mg, n, replicas, derive_seed(seed, "paths")
     )
     stats = fclt_tests(ensemble, min_replicas=min(500, replicas))
     report = CltReport(

@@ -7,12 +7,13 @@ Composition conventions, fixed once for the whole package:
 * reverse orbit:  ``R_j = f_{b[0]} o ... o f_{b[j-1]}(x0)``, so extending the
   block appends maps innermost and the probe images are nested.
 
-``_chain`` is the one step-and-clamp kernel: every orbit, chain and
-pullback runs through it.  Each step is one map-body call on all the rows
-that have started, each row's noise value (a symbol or a parameter vector)
-repeated over its points, then one clamp; finite and box noise take the
-same loop.  The kernel ORs each row's saturation into a flag array that
-its caller owns and yields only the points, so no step allocates flags.
+``_chain`` is the one loop: every orbit, chain and pullback runs through
+it.  Each step is one ``MapFamily.apply_batch`` call, the one
+apply-and-clamp, on all the rows that have started, each row's noise
+value (a symbol or a parameter vector) repeated over its points; finite
+and box noise take the same loop.  The kernel ORs each row's saturation
+into a flag array that its caller owns and yields only the points, so no
+step allocates flags.
 The reverse loop ``image_points_at_depths`` is a forward chain over the
 reversed blocks with the rows right-aligned, each joining the chain at
 the step that leaves it exactly its own depth.
@@ -58,7 +59,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import UsageError
-from .families import FiniteNoise, MapFamily, NoiseSpec, _clamp_points
+from .families import FiniteNoise, MapFamily, NoiseSpec
 from .order import Box
 from .streams import _MASK64, hash64, stream_generator
 
@@ -173,19 +174,19 @@ def _chain(
     ``start`` (N,), non-decreasing and passed only by the reverse loop, is
     the step at which each row joins the chain; until then the row keeps
     its point, neither clamped nor flagged.  The rows that have started
-    are therefore a prefix ``pts[:k]``.  Each step makes one ``raw_batch``
-    call on the prefix's points, each row's noise value repeated over its
-    P points, and clamps the images once: the map body maps every point
-    under its own row's map, and the clamp acts point by point.
+    are therefore a prefix ``pts[:k]``.  Each step makes one
+    ``apply_batch`` call on the prefix's points, each row's noise value
+    repeated over its P points: the map body maps every point under its
+    own row's map, and the clamp acts point by point.
     """
-    n, dim, bound = pts.shape[0], fam.dim, fam.clamp_bound
+    n, dim = pts.shape[0], fam.dim
     per_row = math.prod(pts.shape[1:-1])  # the P points that share a row's noise value
     steps = np.arange(values.shape[1])
     started = np.full(steps.size, n) if start is None else np.searchsorted(start, steps, side="right")
     for j, k in enumerate(started.tolist()):
         block = pts[:k]
         alphas = values[:k, j] if per_row == 1 else np.repeat(values[:k, j], per_row, axis=0)
-        img, psat = _clamp_points(fam.raw_batch(alphas, block.reshape(-1, dim)), bound)
+        img, psat = fam.apply_batch(alphas, block.reshape(-1, dim))
         block[...] = img.reshape(block.shape)
         if psat.any():
             sat[:k] |= psat.reshape(k, per_row).any(axis=1)
@@ -520,8 +521,7 @@ def _probe_nests(fam: MapFamily, probe: np.ndarray) -> bool:
     if not ((step >= 0).all() or (step <= 0).all()):
         return False
     q = fam.noise.q
-    raw = fam.raw_batch(np.repeat(np.arange(1, q + 1), 2), np.tile(probe, (q, 1)))
-    img, sat = _clamp_points(raw, fam.clamp_bound)
+    img, sat = fam.apply_batch(np.repeat(np.arange(1, q + 1), 2), np.tile(probe, (q, 1)))
     inside = (probe.min(axis=0) <= img) & (img <= probe.max(axis=0))
     return bool(inside.all()) and not sat.any()
 

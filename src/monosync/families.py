@@ -406,23 +406,24 @@ class MapFamily:
     """A measurable family of self-maps of the domain, with its noise law.
 
     ``params`` selects/configures the concrete maps inside the named
-    built-in family.  Outputs are clamped componentwise to
-    [-clamp_bound, clamp_bound]; clamping never happens silently, callers
-    receive a saturation flag through the batched application helpers.
+    built-in family, and with it ``dim``.  Outputs are clamped
+    componentwise to [-clamp_bound, clamp_bound]; clamping never happens
+    silently: :meth:`apply_batch` returns a saturation flag per row.
     """
 
     family: str
-    dim: int
     noise: NoiseSpec
     params: dict = field(default_factory=dict)
     domain: Box | None = None
     clamp_bound: float = 1e300
+    dim: int = field(init=False)  # the registry's dimension for ``params``
 
     def __post_init__(self):
         if self.family not in _REGISTRY:
             raise UnknownFamilyError(
                 f"unknown family {self.family!r}; known: {builtin_family_ids()}"
             )
+        object.__setattr__(self, "dim", _REGISTRY[self.family].dim(self.params))
         if not self.clamp_bound > 0:  # a NaN bound fails here too
             raise UsageError("clamp_bound must be positive")
         if self.family == "slide1d":
@@ -493,14 +494,14 @@ class MapFamily:
             a = np.broadcast_to(a, rows)
         return _REGISTRY[self.family].body(self.params, a, pts)
 
-    def apply_batch(self, alpha, points: np.ndarray) -> tuple[np.ndarray, bool]:
+    def apply_batch(self, alpha, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Apply the map selected by ``alpha`` (one value, or one per row) to a block of points.
 
-        Returns the clamped images and whether any component saturated
+        The one apply-and-clamp: returns the clamped images and per-row
+        flags, True where a component of the row's image saturated
         (non-finite or beyond the clamp bound).
         """
-        pts, sat = _clamp_points(self.raw_batch(alpha, points), self.clamp_bound)
-        return pts, bool(sat.any())
+        return _clamp_points(self.raw_batch(alpha, points), self.clamp_bound)
 
 
 def _clamp_points(raw: np.ndarray, bound: float) -> tuple[np.ndarray, np.ndarray]:
@@ -542,7 +543,7 @@ def make_family(
         )
     fdef = _REGISTRY[family]
     params = dict(params or {})
-    dim = fdef.dim(params)  # validates required params before anything else
+    fdef.dim(params)  # validates required params before anything else
     if noise is None:
         noise = FiniteNoise(tuple(probs)) if probs is not None else fdef.default_noise(params)
     elif probs is not None:
@@ -551,7 +552,6 @@ def make_family(
         domain = fdef.default_domain(params)
     return MapFamily(
         family=family,
-        dim=dim,
         noise=noise,
         params=params,
         domain=domain,
@@ -771,8 +771,8 @@ def classify_monotonicity(
         raise UsageError("n_pairs must be >= 1")
     rng = stream_generator(seed, "monotone")
     xs, ys = _sample_comparable_pairs(rng, probe, order, n_pairs)
-    fx, sat_x = _clamp_points(fam.raw_batch(alpha, xs), fam.clamp_bound)
-    fy, sat_y = _clamp_points(fam.raw_batch(alpha, ys), fam.clamp_bound)
+    fx, sat_x = fam.apply_batch(alpha, xs)
+    fy, sat_y = fam.apply_batch(alpha, ys)
     n_saturated = int(np.count_nonzero(sat_x | sat_y))
     signed = (fy - fx) * order.signs
     tol = order.strict_tol

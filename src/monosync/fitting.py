@@ -17,7 +17,6 @@ class LogLinearFit:
     intercept: float
     r_squared: float
     slope_se: float
-    n_points: int
 
 
 def loglinear_fit(xs, ys, weights=None) -> LogLinearFit:
@@ -58,4 +57,4 @@ def loglinear_fit(xs, ys, weights=None) -> LogLinearFit:
         se = float(np.sqrt(sigma2 / sxx))
     else:
         r2, se = 1.0, 0.0
-    return LogLinearFit(float(slope), float(intercept), float(r2), se, int(x.size))
+    return LogLinearFit(float(slope), float(intercept), float(r2), se)

@@ -229,14 +229,10 @@ class SigmaDecaySeries:
     replicas whose image saturated the clamp at any depth imaged.
     """
 
-    x: float
-    s: int
-    m: int
     j: np.ndarray
     p_hat: np.ndarray
     stderr: np.ndarray
     lambda_bound: float
-    replicas: int
     n_saturated: int
     truncated_at: int | None = None
 
@@ -307,14 +303,10 @@ def sigma_decay(
     else:
         lam = 0.0
     return SigmaDecaySeries(
-        x=xval,
-        s=int(s),
-        m=int(m),
         j=j_arr,
         p_hat=p_arr,
         stderr=se_arr,
         lambda_bound=lam,
-        replicas=int(replicas),
         n_saturated=int(saturated.sum()),
         truncated_at=truncated,
     )

@@ -261,8 +261,6 @@ class GapSeries:
     gap: np.ndarray
     bound: np.ndarray      # forward probe-image diameter at each checkpoint
     depth: int             # minimal backward depth of the attractor point's pullback
-    x0: np.ndarray
-    seed: int
     saturated: bool
 
     def write_csv(self, path, seed: int | None = None) -> None:
@@ -315,7 +313,5 @@ def forward_attractor_gap(
         gap=gap,
         bound=bound,
         depth=int(limit.n_used[0]),
-        x0=x[0].copy(),
-        seed=seed,
         saturated=bool(sat[0]),
     )

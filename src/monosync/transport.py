@@ -3,10 +3,11 @@
 The 1-D distance is the exact quantile coupling; small multivariate
 problems use an exact min-cost matching under the taxicab metric; larger
 ones fall back to a sliced approximation over fixed seeded directions and
-say so in the report (Rabin et al. 2011; Bonneel et al. 2015).  When each
-measure's weights are all the same float, the sliced path builds one
-coupling plan for every direction and sorts a block of projections at a
-time; its result is bit-identical to a quantile coupling per direction.
+say so in the report (Rabin et al. 2011; Bonneel et al. 2015).  When both
+measures are uniform (``EmpiricalMeasure.is_uniform``: every weight the
+same float), the sliced path builds one coupling plan for every direction
+and sorts a block of projections at a time; its result is bit-identical
+to a quantile coupling per direction.
 
 Two savings keep those bits.  :func:`w1_decay_curve` compares every step
 with one fixed reference, so it sorts the reference's projections once and
@@ -91,7 +92,8 @@ class EmpiricalMeasure:
 
     @property
     def is_uniform(self) -> bool:
-        return bool(np.allclose(self.weights, 1.0 / self.n, rtol=1e-9, atol=0.0))
+        """Whether every weight is the same float: the one uniform-weights rule of this module."""
+        return bool(np.all(self.weights == self.weights[0]))
 
     def mean(self) -> np.ndarray:
         return self.weights @ self.points
@@ -114,9 +116,8 @@ class EmpiricalMeasure:
         return cls(pts, w, meta or {})
 
     @classmethod
-    def dirac(cls, x, n_points: int = 1):
-        pt = np.asarray(x, dtype=float).reshape(1, -1)
-        return cls.uniform(np.repeat(pt, n_points, axis=0))
+    def dirac(cls, x):
+        return cls.uniform(np.array(x, dtype=float).reshape(1, -1))
 
     def resampled(self, n: int, rng: np.random.Generator) -> "EmpiricalMeasure":
         """Uniform n-point measure drawn from self (exact copy when already so)."""
@@ -256,7 +257,8 @@ def _block_costs(s1, s2, widths, i1, i2, paired_buffer) -> list[float]:
 def _w1_sliced(mu1: EmpiricalMeasure, mu2: EmpiricalMeasure) -> float:
     """Mean over fixed directions of the exact 1-D W1 between the projections.
 
-    When every weight of each measure is the same float, the cumulative
+    When both measures are uniform (:attr:`EmpiricalMeasure.is_uniform`:
+    every weight of each measure is the same float), the cumulative
     weights ``cumsum(w[argsort(x)])`` do not depend on the sort order, so
     one coupling plan serves every direction: a block of sorted projections
     is taken at a time, from the measure's kept sorted projections when
@@ -282,7 +284,7 @@ def _w1_sliced(mu1: EmpiricalMeasure, mu2: EmpiricalMeasure) -> float:
     dirs = _sliced_directions(mu1.dim, SLICED_PROJECTIONS)
     w1, w2 = mu1.weights, mu2.weights
     total = 0.0
-    if not (np.all(w1 == w1[0]) and np.all(w2 == w2[0])):
+    if not (mu1.is_uniform and mu2.is_uniform):
         for d in dirs:
             total += _w1_quantile_coupling(mu1.points @ d, w1, mu2.points @ d, w2)
         return total / SLICED_PROJECTIONS
@@ -315,16 +317,21 @@ def _w1_method(dim: int, n1: int, n2: int) -> str:
 def wasserstein1(mu1: EmpiricalMeasure, mu2: EmpiricalMeasure) -> TransportReport:
     """W1 distance between empirical measures.
 
-    One dimension is always exact (quantile coupling).  In higher dimension
-    uniform equal-size inputs up to 512 points get an exact taxicab
-    min-cost matching; anything larger is sliced over 128 fixed seeded
-    projection directions and labeled accordingly.  When each measure's
-    weights are one repeated float, the directions share one coupling plan
-    and their projections are sorted a block at a time, or read from the
-    sorted projections a measure keeps (:func:`w1_decay_curve` keeps its
-    reference's); equal sizes fill a zero-filled buffer without a gather.
-    The distance is bit-identical to one weighted quantile coupling per
-    direction, which other weights still run.
+    Every path reads one uniform-weights rule,
+    :attr:`EmpiricalMeasure.is_uniform`: every weight of a measure is the
+    same float.  Weights that differ by any amount, however small, are
+    coupled as they are.  One dimension is always exact: two uniform
+    measures of equal size pair their sorted points, any other pair takes
+    the weighted quantile coupling.  In higher dimension uniform
+    equal-size inputs up to 512 points get an exact taxicab min-cost
+    matching; anything larger is sliced over 128 fixed seeded projection
+    directions and labeled accordingly.  When both measures are uniform,
+    the directions share one coupling plan and their projections are
+    sorted a block at a time, or read from the sorted projections a
+    measure keeps (:func:`w1_decay_curve` keeps its reference's); equal
+    sizes fill a zero-filled buffer without a gather.  The distance is
+    bit-identical to one weighted quantile coupling per direction, which
+    other weights still run.
     """
     if mu1.dim != mu2.dim:
         raise UsageError("measures live in different dimensions")
@@ -372,9 +379,7 @@ def pullback_sample(
     meta = {
         "n_failed": n_failed,
         "n_saturated": int((saturated & converged).sum()),
-        "tol": tol,
         "saturated": bool(saturated.any()),
-        "seed": int(seed),
     }
     return EmpiricalMeasure.uniform(points[converged], meta)
 
@@ -417,7 +422,7 @@ def markov_step(fam: MapFamily, mu: EmpiricalMeasure) -> EmpiricalMeasure:
         if p == 0.0:
             continue
         img, sat = fam.apply_batch(a, mu.points)
-        saturated = saturated or sat
+        saturated = saturated or bool(sat.any())
         pts.append(img)
         wts.append(p * mu.weights)
     meta = dict(mu.meta)

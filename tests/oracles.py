@@ -238,7 +238,7 @@ def step_rowwise(fam, alphas, pts):
         a = int(alphas[i]) if fam.finite else alphas[i]
         img, s = fam.apply_batch(a, out[i].reshape(-1, fam.dim))
         out[i] = img.reshape(out.shape[1:])
-        sat[i] = s
+        sat[i] = s.any()
     return out, sat
 
 
@@ -257,7 +257,7 @@ def reverse_rowwise(fam, blocks, depths, base):
         for j in range(depth - 1, -1, -1):
             alpha = int(blocks[i][j]) if fam.finite else blocks[i][j]
             img, s = fam.apply_batch(alpha, img)
-            sat[i] = sat[i] or s
+            sat[i] |= s.any()
         out[i] = img
     return out, sat
 

@@ -21,3 +21,9 @@ def test_package_exports_are_in_their_module_all():
         if name not in getattr(importlib.import_module(f"monosync.{module}"), "__all__", ())
     ]
     assert missing == []
+
+
+def test_only_families_binds_the_clamp():
+    # MapFamily.apply_batch is the one apply-and-clamp; every other module calls it
+    for module in ("engine", "clt", "transport", "splitting", "sync"):
+        assert "_clamp_points" not in vars(importlib.import_module(f"monosync.{module}")), module

@@ -198,9 +198,17 @@ def test_jsonable_writes_an_enum_as_its_value():
 def test_saturation_flag_on_overflow(exp1d):
     pts = np.array([[700.0]])
     out, sat = exp1d.apply_batch(1, pts)
-    assert sat
+    assert sat.tolist() == [True]
     assert np.isfinite(out).all()
     assert out[0, 0] == exp1d.clamp_bound
+
+
+def test_apply_batch_flags_each_row():
+    # exp(5) is past the bound 10, exp(0) and exp(1) are not
+    fam = make_family("exp1d", clamp_bound=10.0)
+    img, sat = fam.apply_batch(1, np.array([[0.0], [5.0], [1.0]]))
+    assert sat.tolist() == [False, True, False]
+    assert img[:, 0].tolist() == [1.0, 10.0, np.exp(1.0)]
 
 
 def test_config_roundtrip():
@@ -239,7 +247,7 @@ def test_bounded_domains_closed_under_iteration():
             alphas = [np.array([0.0]), np.array([0.5]), np.array([1.0])]
         for a in alphas:
             img, sat = fam.apply_batch(a, pts)
-            assert not sat
+            assert not sat.any()
             assert np.all(box.contains(img, tol=1e-12)), (fid, a)
 
 
@@ -287,7 +295,7 @@ def test_clamp_leaves_a_custom_body_input_alone():
     pts = np.array([[0.5, 3.0], [np.nan, -np.inf]])
     before = pts.copy()
     img, sat = fam.apply_batch(1, pts)
-    assert sat
+    assert sat.tolist() == [True, True]
     assert np.array_equal(img, [[0.5, 1.0], [0.0, -1.0]])
     assert pts.tobytes() == before.tobytes()
 

@@ -32,6 +32,18 @@ def u(points):
     return EmpiricalMeasure.uniform(np.asarray(points, dtype=float).reshape(len(points), -1))
 
 
+def test_w1_1d_couples_near_uniform_weights_as_they_are():
+    # weights equal to 1e-10 but not one repeated float are not uniform: no sorted-pair shortcut
+    rng = np.random.default_rng(5)
+    n = 200
+    w = np.full(n, 1.0 / n) * (1.0 + 1e-10 * np.tile([1.0, -1.0], n // 2))
+    mu = EmpiricalMeasure(rng.random((n, 1)), w)
+    nu = EmpiricalMeasure.uniform(rng.random((n, 1)) ** 2)
+    assert not mu.is_uniform and np.allclose(w, 1.0 / n, rtol=1e-9, atol=0.0)
+    want = _w1_quantile_coupling(mu.points[:, 0], mu.weights, nu.points[:, 0], nu.weights)
+    assert wasserstein1(mu, nu).distance == want
+
+
 def test_w1_identity_and_diracs():
     a = u([0.1, 0.5, 0.9])
     assert wasserstein1(a, a).distance == 0.0
@@ -287,7 +299,7 @@ def test_push_forward_identity_and_const(cantor1d, const_family):
 
 
 def test_push_forward_one_step_law(cantor1d):
-    mu = EmpiricalMeasure.dirac([0.0], n_points=20_000)
+    mu = EmpiricalMeasure.uniform(np.zeros((20_000, 1)))
     out = push_forward(cantor1d, mu, 1, seed=42)
     vals = out.points[:, 0]
     assert set(np.round(np.unique(vals), 12)) <= {0.0, round(2 / 3, 12)}
