@@ -121,6 +121,15 @@ def test_pullback_depth_matches_contraction(cantor1d):
     assert 0.0 <= batch.points[0, 0] <= 1.0
 
 
+def test_pullback_probe_already_within_tol(cantor1d):
+    # a probe of diameter 0 needs no map: depth 0, the probe's mean, for every stream
+    batch = pullback_batch(cantor1d, 3, range(4), np.array([[0.3], [0.3]]), 1e-9, 64)
+    assert batch.n_used.tolist() == [0] * 4
+    assert batch.points.tolist() == [[0.3]] * 4
+    assert batch.diam.tolist() == [0.0] * 4
+    assert batch.converged.all() and not batch.saturated.any()
+
+
 def test_pullback_const_family(const_family):
     probe = probe_cloud(const_family.probe_box())
     batch = pullback_batch(const_family, 5, [0], probe, 1e-9, 4096)

@@ -133,6 +133,14 @@ def test_sigma_decay_midpoint_never_hit(cantor1d, order1):
     assert series.lambda_bound == 0.0
 
 
+def test_sigma_decay_single_positive_estimate(cantor1d, order1):
+    # 0.15 lies in [0, 1/3] but in no depth-2 interval: one positive estimate fixes lambda as p^(1/j)
+    series = sigma_decay(cantor1d, order1, m=1, x=0.15, s=1, j_max=4, replicas=200, seed=1)
+    assert series.p_hat.tolist() == [0.45, 0.0]
+    assert series.lambda_bound == 0.45
+    assert series.truncated_at == 2
+
+
 def test_sigma_decay_first_level(cantor1d, order1):
     series = sigma_decay(cantor1d, order1, m=1, x=0.1, s=1, j_max=4, replicas=4000, seed=2)
     se = max(series.stderr[0], 1e-6)

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from monosync import (
     Box,
@@ -9,6 +10,7 @@ from monosync import (
     make_family,
 )
 from monosync import sync
+from monosync.errors import DegenerateSeriesError
 
 
 def test_cantor_diameters_exact(cantor1d):
@@ -44,6 +46,26 @@ def test_fit_rate_cantor(cantor1d):
     ns = np.arange(series.n_max + 1)
     window = slice(fit.n_range[0], fit.n_range[1] + 1)
     assert np.all(mean[window] <= fit.c_hat * fit.r_hat ** ns[window] * (1 + 1e-6))
+
+
+def _hand_series(diam):
+    diam = np.asarray(diam, dtype=float)
+    boxes = np.zeros((diam.shape[1], diam.shape[0], 1))
+    return sync.DiamSeries(diam, boxes, boxes, m0=1, seed=4, saturated=np.zeros(diam.shape[0], dtype=bool))
+
+
+def test_fit_rate_bootstrap_keeps_the_fit_for_a_resample_without_steps():
+    # a resample of only the all-zero replica has no usable step: it takes the full fit's slope
+    series = _hand_series([0.5 ** np.arange(11), np.zeros(11)])
+    fit = fit_rate(series)
+    assert fit.r_hat == pytest.approx(0.5, rel=1e-12)
+    assert not fit.degenerate
+    assert fit.r_ci == pytest.approx((0.5, 0.5), rel=1e-12)
+
+
+def test_fit_rate_too_few_usable_steps_raises():
+    with pytest.raises(DegenerateSeriesError, match="only 4 usable steps"):
+        fit_rate(_hand_series([0.5 ** np.arange(5)]))
 
 
 def test_fit_rate_constant_family(const_family):

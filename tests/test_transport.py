@@ -18,6 +18,8 @@ from monosync import (
     w1_decay_curve,
     wasserstein1,
 )
+from monosync.engine import pullback_batch
+from monosync.families import _default_probe
 from monosync.streams import derive_seed, stream_generator
 from monosync.transport import (
     _calibrate_floor,
@@ -247,6 +249,13 @@ def test_kept_projections_bound_a_sliced_call_memory():
     assert peak <= ref._sorted_projections.nbytes + 2 * 2**20
 
 
+def test_markov_step_skips_a_zero_probability_symbol():
+    fam = make_family("cantor1d", probs=(1.0, 0.0))
+    mu = markov_step(fam, EmpiricalMeasure.uniform(np.linspace(0.0, 1.0, 7)[:, None]))
+    assert mu.n == 7  # map 1 only: no atoms of weight 0
+    assert mu.points[:, 0].tolist() == (np.linspace(0.0, 1.0, 7) / 3.0).tolist()
+
+
 def test_sliced_w1_unequal_weights_keep_general_path():
     fam = make_family("cantor2d", probs=(0.3, 0.7))
     rng = np.random.default_rng(43)
@@ -334,6 +343,24 @@ def test_pullback_sample_fails_on_nonconvergent_family():
         pullback_sample(rot, 1, 64, tol=1e-6, n_max=64)
 
 
+@pytest.mark.parametrize(
+    "clamp, n_max, n_failed",
+    [(1e300, 200, 1), (1e300, 160, 8), (50.0, 160, 6)],
+    ids=["drop1", "drop8", "clamped-drop6"],
+)
+def test_pullback_sample_drops_a_few_unconverged_streams(clamp, n_max, n_failed):
+    # slope-2 runs keep a few streams above tol at n_max; up to 1% of them are dropped, not fatal
+    fam = make_family("lip-pair", params={"slopes": [2.0, 0.25]}, clamp_bound=clamp)
+    mu = pullback_sample(fam, 3, 2000, tol=1e-9, n_max=n_max)
+    assert mu.meta["n_failed"] == n_failed
+    assert mu.n == 2000 - n_failed
+    batch = pullback_batch(fam, 3, range(2000), _default_probe(fam), 1e-9, n_max)
+    assert mu.points.tobytes() == batch.points[batch.converged].tobytes()
+    # only kept rows count; under the clamp some dropped rows saturated and none kept did
+    assert mu.meta["n_saturated"] == int((batch.saturated & batch.converged).sum())
+    assert (batch.saturated & ~batch.converged).any() == (clamp == 50.0)
+
+
 def test_pullback_sample_exp_sign_frequency(exp1d):
     mu = pullback_sample(exp1d, 23, 4000, tol=1e-9, n_max=512)
     frac_neg = float((mu.points[:, 0] < 0).mean())
@@ -360,6 +387,11 @@ def test_stationarity_fixed_point(cantor1d):
     floor = float(np.mean(floors))
     moved = push_forward(cantor1d, mu, 1, seed=77)
     assert wasserstein1(moved, mu).distance <= 2 * floor
+
+
+def test_w1_decay_warns_without_a_bounded_absorbing_set(exp1d):
+    curve = w1_decay_curve(exp1d, EmpiricalMeasure.dirac([0.0]), n_max=2, n_particles=64, seed=0, ref_size=64)
+    assert any(w.startswith("no bounded absorbing set detected") for w in curve.warnings)
 
 
 def test_w1_decay_from_dirac(cantor1d):
