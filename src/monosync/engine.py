@@ -60,7 +60,6 @@ import numpy as np
 
 from .errors import UsageError
 from .families import FiniteNoise, MapFamily, NoiseSpec
-from .order import Box
 from .streams import _MASK64, hash64, stream_generator
 
 __all__ = [
@@ -140,18 +139,17 @@ class OrbitTrace:
     """Positions (and optional probe-image boxes) along one noise block."""
 
     positions: np.ndarray  # (n+1, dim)
-    boxes: list[Box] | None
+    box_lo: np.ndarray | None  # (n+1, dim)
+    box_hi: np.ndarray | None  # (n+1, dim)
     saturated: bool
 
     def write_csv(self, path, seed: int | None = None) -> None:
         n, dim = self.positions.shape
         columns = {"step": np.arange(n)}
         columns.update((f"x_{i + 1}", self.positions[:, i]) for i in range(dim))
-        if self.boxes is not None:
-            lo = np.array([b.lo for b in self.boxes])
-            hi = np.array([b.hi for b in self.boxes])
-            columns.update((f"box_lo_{i + 1}", lo[:, i]) for i in range(dim))
-            columns.update((f"box_hi_{i + 1}", hi[:, i]) for i in range(dim))
+        if self.box_lo is not None:
+            columns.update((f"box_lo_{i + 1}", self.box_lo[:, i]) for i in range(dim))
+            columns.update((f"box_hi_{i + 1}", self.box_hi[:, i]) for i in range(dim))
         columns["saturated"] = np.full(n, int(self.saturated))
         _write_csv(path, seed, columns)
 
@@ -224,7 +222,7 @@ def forward_orbit(fam: MapFamily, block: np.ndarray, x0) -> OrbitTrace:
     sat = np.zeros(1, dtype=bool)
     for j, x in enumerate(_chain(fam, block[None], x, sat), start=1):
         positions[j] = x[0]
-    return OrbitTrace(positions, None, bool(sat[0]))
+    return OrbitTrace(positions, None, None, bool(sat[0]))
 
 
 def image_points_at_depths(
@@ -288,25 +286,28 @@ def reverse_orbit(
     cloud = x if probe_points is None else np.vstack([np.atleast_2d(probe_points), x])
     blocks = np.broadcast_to(block, (n + 1,) + block.shape)
     img, sat = image_points_at_depths(fam, blocks, np.arange(n + 1), cloud)
-    positions = img[:, -1, :]
-    boxes = None if probe_points is None else [Box.hull(img[j, :-1]) for j in range(n + 1)]
-    return OrbitTrace(positions, boxes, bool(sat.any()))
+    lo = hi = None
+    if probe_points is not None:
+        lo, hi = img[:, :-1].min(axis=1), img[:, :-1].max(axis=1)
+    return OrbitTrace(img[:, -1, :], lo, hi, bool(sat.any()))
 
 
-def image_box(fam: MapFamily, block, probe_points: np.ndarray) -> Box:
-    """Bounding box of the probe cloud under a block composition.
+def image_box(fam: MapFamily, blocks, depth: int, probe_points: np.ndarray):
+    """Bounding boxes of the probe cloud under each row's depth-``depth`` block prefix.
 
-    The block ``(a_0, ..., a_{m-1})`` composes with ``a_0`` applied last
-    (outermost), matching reverse-order iteration.
+    Row ``i`` composes ``blocks[i, :depth]`` as ``image_points_at_depths``
+    does, ``blocks[i, 0]`` outermost; depth 0 is the probe's own hull.
+    Returns the corners ``lo`` and ``hi``, each (N, dim), and the per-row
+    saturation flags.
     """
     pts = np.atleast_2d(np.asarray(probe_points, dtype=float))
     if pts.shape[0] < 1:
         raise UsageError("probe cloud must be nonempty")
-    values = np.asarray(block)
-    if len(values) < 1:
-        raise UsageError("block must have length >= 1")
-    img, _ = image_points_at_depths(fam, values[None], [len(values)], pts)
-    return Box.hull(img[0])
+    if depth < 0:
+        raise UsageError("depth must be >= 0")
+    blocks = np.asarray(blocks)
+    img, sat = image_points_at_depths(fam, blocks, np.full(blocks.shape[0], depth), pts)
+    return img.min(axis=1), img.max(axis=1), sat
 
 
 class _BlockTable:
@@ -520,9 +521,8 @@ def _probe_nests(fam: MapFamily, probe: np.ndarray) -> bool:
     step = (probe[1] - probe[0]) * signs
     if not ((step >= 0).all() or (step <= 0).all()):
         return False
-    q = fam.noise.q
-    img, sat = fam.apply_batch(np.repeat(np.arange(1, q + 1), 2), np.tile(probe, (q, 1)))
-    inside = (probe.min(axis=0) <= img) & (img <= probe.max(axis=0))
+    lo, hi, sat = image_box(fam, np.arange(1, fam.noise.q + 1)[:, None], 1, probe)
+    inside = (probe.min(axis=0) <= lo) & (hi <= probe.max(axis=0))
     return bool(inside.all()) and not sat.any()
 
 

@@ -51,7 +51,7 @@ from .errors import (
     UnknownFamilyError,
     UsageError,
 )
-from .order import Box, JOrder
+from .order import Box, JOrder, _strictly_less
 from .streams import stream_generator
 
 __all__ = [
@@ -726,16 +726,13 @@ def _sample_comparable_pairs(
     found = 0
     draws = 0
     max_draws = 100 * n_pairs
-    signs = order.signs
-    tol = order.strict_tol
     while found < n_pairs and draws < max_draws:
         batch = min(max(4 * (n_pairs - found), 64), max_draws - draws)
         draws += batch
         a = probe.lo + rng.random((batch, order.dim)) * (probe.hi - probe.lo)
         b = probe.lo + rng.random((batch, order.dim)) * (probe.hi - probe.lo)
-        signed = (b - a) * signs
-        less = np.all(signed > tol, axis=1)
-        greater = np.all(signed < -tol, axis=1)
+        less = _strictly_less(a, b, order)
+        greater = _strictly_less(b, a, order)
         keep_x = np.vstack([a[less], b[greater]])
         keep_y = np.vstack([b[less], a[greater]])
         take = min(len(keep_x), n_pairs - found)
@@ -774,10 +771,8 @@ def classify_monotonicity(
     fx, sat_x = fam.apply_batch(alpha, xs)
     fy, sat_y = fam.apply_batch(alpha, ys)
     n_saturated = int(np.count_nonzero(sat_x | sat_y))
-    signed = (fy - fx) * order.signs
-    tol = order.strict_tol
-    less = np.all(signed > tol, axis=1)
-    greater = np.all(signed < -tol, axis=1)
+    less = _strictly_less(fx, fy, order)
+    greater = _strictly_less(fy, fx, order)
     if bool(less.all()):
         return MonotonicityVerdict(Monotonicity.INCREASING, None, n_pairs, n_saturated)
     if bool(greater.all()):

@@ -161,16 +161,23 @@ def cmp_points(x, y, order: JOrder) -> PointCmp:
     """
     px = _as_point(x, order.dim)
     py = _as_point(y, order.dim)
-    tol = order.strict_tol
-    diff = py - px
-    if np.all(np.abs(diff) <= tol):
+    if np.all(np.abs(py - px) <= order.strict_tol):
         return PointCmp.EQUAL
-    signed = diff * order.signs
-    if np.all(signed > tol):
+    if _strictly_less(px, py, order):
         return PointCmp.LESS
-    if np.all(signed < -tol):
+    if _strictly_less(py, px, order):
         return PointCmp.GREATER
     return PointCmp.INCOMPARABLE
+
+
+def _strictly_less(x: np.ndarray, y: np.ndarray, order: JOrder) -> np.ndarray:
+    """The strict point test ``x < y``: every signed margin above ``strict_tol``, over the last axis."""
+    return np.all((y - x) * order.signs > order.strict_tol, axis=-1)
+
+
+def _strictly_below(t_hi: np.ndarray, t_lo: np.ndarray, tol: float) -> np.ndarray:
+    """The strict box test in signed box coordinates: ``t_hi + tol < t_lo`` everywhere, over the last axis."""
+    return np.all(t_hi + tol < t_lo, axis=-1)
 
 
 def _signed_box_coords(lo: np.ndarray, hi: np.ndarray, order: JOrder):
@@ -192,10 +199,9 @@ def cmp_boxes(b1: Box, b2: Box, order: JOrder) -> BoxCmp:
         raise DimensionMismatchError("box dimension does not match order dimension")
     lo1, hi1 = _signed_box_coords(b1.lo, b1.hi, order)
     lo2, hi2 = _signed_box_coords(b2.lo, b2.hi, order)
-    tol = order.strict_tol
-    if np.all(hi1 + tol < lo2):
+    if _strictly_below(hi1, lo2, order.strict_tol):
         return BoxCmp.LESS
-    if np.all(hi2 + tol < lo1):
+    if _strictly_below(hi2, lo1, order.strict_tol):
         return BoxCmp.GREATER
     return BoxCmp.INCONCLUSIVE
 

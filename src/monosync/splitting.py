@@ -30,11 +30,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engine import _BlockTable, _stream_values, _write_csv, image_points_at_depths
+from .engine import _BlockTable, _stream_values, _write_csv, image_box
 from .errors import UsageError
 from .families import FiniteNoise, MapFamily, _default_probe
 from .fitting import loglinear_fit
-from .order import JOrder, _signed_box_coords
+from .order import JOrder, _signed_box_coords, _strictly_below
 
 __all__ = [
     "SplittingReport",
@@ -93,8 +93,7 @@ def _find_ordered_pair(t_lo, t_hi, tol):
     n = t_lo.shape[0]
     for start in range(0, n, _PAIR_CHUNK):
         stop = min(start + _PAIR_CHUNK, n)
-        # below[i, j] iff t_hi[i] + tol < t_lo[j] in every coordinate
-        below = np.all(t_hi[start:stop, None, :] + tol < t_lo[None, :, :], axis=2)
+        below = _strictly_below(t_hi[start:stop, None, :], t_lo[None, :, :], tol)  # box i below box j
         if below.any():
             i_rel, j = np.unravel_index(np.argmax(below), below.shape)
             return start + int(i_rel), int(j)
@@ -113,10 +112,10 @@ def _grow_ordered_sides(t_lo, t_hi, ia, ib, candidates, tol):
     for c in candidates:
         if c == ia or c == ib:
             continue
-        if np.all(t_hi[c] + tol < b_bottom):
+        if _strictly_below(t_hi[c], b_bottom, tol):
             a_set.append(int(c))
             np.maximum(a_top, t_hi[c], out=a_top)
-        elif np.all(a_top + tol < t_lo[c]):
+        elif _strictly_below(a_top, t_lo[c], tol):
             b_set.append(int(c))
             np.minimum(b_bottom, t_lo[c], out=b_bottom)
     return np.array(sorted(a_set)), np.array(sorted(b_set))
@@ -133,10 +132,9 @@ def _split(fam: MapFamily, order: JOrder, blocks: np.ndarray, m: int, method: st
     fields of the two sides.  Without an ordered pair the report is
     unverified.
     """
-    depths = np.full(blocks.shape[0], m, dtype=np.int64)
-    pts, sat = image_points_at_depths(fam, blocks, depths, _default_probe(fam))
+    lo, hi, sat = image_box(fam, blocks, m, _default_probe(fam))
     n_saturated = int(sat.sum())
-    t_lo, t_hi = _signed_box_coords(pts.min(axis=1), pts.max(axis=1), order)
+    t_lo, t_hi = _signed_box_coords(lo, hi, order)
     pair = _find_ordered_pair(t_lo, t_hi, order.strict_tol)
     if pair is None:
         return SplittingReport(m=m, verified=False, method=method, n_saturated=n_saturated)
@@ -276,11 +274,9 @@ def sigma_decay(
     truncated = None
     saturated = np.zeros(replicas, dtype=bool)
     for j in range(1, j_max + 1):
-        depths = np.full(replicas, j * m, dtype=np.int64)
-        pts, sat = image_points_at_depths(fam, table.values, depths, probe)
+        lo, hi, sat = image_box(fam, table.values, j * m, probe)
         saturated |= sat
-        coord = pts[:, :, s - 1]
-        member = (coord.min(axis=1) <= xval) & (xval <= coord.max(axis=1))
+        member = (lo[:, s - 1] <= xval) & (xval <= hi[:, s - 1])
         p = float(member.mean())
         js.append(j)
         ps.append(p)

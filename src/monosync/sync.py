@@ -18,7 +18,7 @@ from .engine import (
     _chain,
     _taxicab_diams,
     _write_csv,
-    image_points_at_depths,
+    image_box,
     pullback_batch,
     sample_block,
 )
@@ -129,11 +129,8 @@ def diameter_series(fam: MapFamily, n_max: int, replicas: int, seed: int) -> Dia
     box_hi = np.empty((n_max + 1, replicas, fam.dim))
     saturated = np.zeros(replicas, dtype=bool)
     for n in range(n_max + 1):
-        depths = np.full(replicas, n, dtype=np.int64)
-        pts, sat = image_points_at_depths(fam, table.values, depths, probe)
+        box_lo[n], box_hi[n], sat = image_box(fam, table.values, n, probe)
         saturated |= sat
-        box_lo[n] = pts.min(axis=1)
-        box_hi[n] = pts.max(axis=1)
         diam[:, n] = (box_hi[n] - box_lo[n]).sum(axis=1)
     m0 = _detect_m0(box_lo, box_hi)
     return DiamSeries(diam=diam, box_lo=box_lo, box_hi=box_hi, m0=m0, seed=seed, saturated=saturated)
@@ -233,12 +230,11 @@ def assumption2_check(fam: MapFamily, seed: int, replicas: int = 64) -> Boundedn
         hi_u = None
         for sc in (1.0, 4.0, 16.0):
             probe = _default_probe(fam, base.scaled(sc))
-            depths = np.full(replicas, m0, dtype=np.int64)
-            pts, sat = image_points_at_depths(fam, table.values, depths, probe)
+            lo, hi, sat = image_box(fam, table.values, m0, probe)
             sat_any = sat_any or bool(sat.any())
-            per_scale.append(float(np.abs(pts).max()))
-            lo_u = pts.min(axis=(0, 1)) if lo_u is None else np.minimum(lo_u, pts.min(axis=(0, 1)))
-            hi_u = pts.max(axis=(0, 1)) if hi_u is None else np.maximum(hi_u, pts.max(axis=(0, 1)))
+            per_scale.append(float(max(abs(lo.min()), abs(hi.max()))))
+            lo_u = lo.min(axis=0) if lo_u is None else np.minimum(lo_u, lo.min(axis=0))
+            hi_u = hi.max(axis=0) if hi_u is None else np.maximum(hi_u, hi.max(axis=0))
         mags[m0] = per_scale
         small, big = per_scale[0], per_scale[-1]
         ratio = 1.0 if big <= 1e-12 else big / max(small, 1e-12)

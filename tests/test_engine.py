@@ -108,9 +108,9 @@ def test_reverse_boxes_nested(cantor1d):
     probe = probe_cloud(cantor1d.probe_box())
     block = sample_block(cantor1d.noise, 17, 0, 15)
     tr = reverse_orbit(cantor1d, block, [0.5], probe_points=probe)
-    assert tr.boxes is not None and len(tr.boxes) == 16
-    for j in range(15):
-        assert tr.boxes[j].contains_box(tr.boxes[j + 1], tol=1e-12)
+    assert tr.box_lo.shape == tr.box_hi.shape == (16, 1)
+    assert (tr.box_lo[1:] >= tr.box_lo[:-1] - 1e-12).all()
+    assert (tr.box_hi[1:] <= tr.box_hi[:-1] + 1e-12).all()
 
 
 def test_pullback_depth_matches_contraction(cantor1d):
@@ -277,10 +277,11 @@ def test_pullback_batch_rest_starts_at_the_pilot_depth(cantor1d, monkeypatch):
     calls = _record_image_calls(monkeypatch)
     batch = pullback_batch(cantor1d, 5, range(_PILOT + 64), _default_probe(cantor1d), 1e-9, 4096)
     assert (batch.n_used == 19).all()
-    # the pilot searches as a batch of its own would, then the other 64 rows
-    # are imaged at 18 and 19 (stacked, 128 rows) and all close there
+    # _probe_nests images the corners under each of the q = 2 maps; the pilot
+    # searches as a batch of its own would, then the other 64 rows are imaged
+    # at 18 and 19 (stacked, 128 rows) and all close there
     pilot = [(_PILOT, [16]), (_PILOT, [32]), (_PILOT, [24]), (_PILOT, [20]), (_PILOT, [18]), (_PILOT, [19])]
-    assert calls == pilot + [(128, [18, 19])]
+    assert calls == [(2, [1])] + pilot + [(128, [18, 19])]
 
 
 # Maps x -> A x + c with contraction 0.6 and 0.15 (sup norm): nested in the
@@ -341,7 +342,9 @@ def test_pullback_batch_without_nesting_starts_every_row_at_16(fid, probe_of, mo
     assert not _probe_nests(fam, probe)
     calls = _record_image_calls(monkeypatch)
     pullback_batch(fam, 3, range(_PILOT + 64), probe, 1e-6, 64)
-    assert calls[0] == (_PILOT + 64, [16])
+    # a declared sandwich of finite noise is imaged under the q maps before _probe_nests says no
+    checks = [(fam.noise.q, [1])] if fid in ("exp1d", "lip-pair") else []
+    assert calls[:len(checks) + 1] == checks + [(_PILOT + 64, [16])]
     assert all(rows <= _PILOT + 64 for rows, _ in calls)
 
 
@@ -496,17 +499,37 @@ def test_image_points_match_reverse_rowwise(fid, kwargs):
         assert want_sat.any() and not want_sat.all()
 
 
-@pytest.mark.parametrize("fid", ["cantor2d", "slide1d", "exp1d"])
+@pytest.mark.parametrize("fid", ["cantor2d", "slide1d", "exp1d", "rot2d"])
 def test_image_box_is_the_hull_of_the_apply_batch_loop(fid):
-    # one image_points_at_depths call, bitwise the hull of the per-map loop
+    # one image_points_at_depths call per depth, bitwise the hulls and flags of the per-map loop
     fam = make_family(fid)
-    block = sample_block(fam.noise, 4, 0, 9)
+    blocks = np.stack([sample_block(fam.noise, 4, r, 9) for r in range(6)])
     probe = probe_cloud(fam.probe_box())
-    want, _ = reverse_rowwise(fam, block[None], [len(block)], probe)
-    for given in (block, list(block)):
-        got = image_box(fam, given, probe)
-        assert got.lo.tobytes() == want[0].min(axis=0).tobytes()
-        assert got.hi.tobytes() == want[0].max(axis=0).tobytes()
+    for depth in (0, 1, 5):
+        want, want_sat = reverse_rowwise(fam, blocks, [depth] * len(blocks), probe)
+        for given in (blocks, blocks.tolist()):
+            lo, hi, sat = image_box(fam, given, depth, probe)
+            assert lo.tobytes() == want.min(axis=1).tobytes()
+            assert hi.tobytes() == want.max(axis=1).tobytes()
+            assert sat.tobytes() == want_sat.tobytes()
+
+
+def test_image_box_flags_exactly_the_saturated_rows():
+    # map 2 sends [0, 1] onto [2/3, 1], past the clamp at 0.5; map 1 onto [0, 1/3]
+    fam = make_family("cantor1d", clamp_bound=0.5)
+    lo, hi, sat = image_box(fam, [[1], [2]], 1, _default_probe(fam))
+    assert sat.tolist() == [False, True]
+    assert lo.shape == hi.shape == (2, 1)
+
+
+def test_image_box_rejects_bad_probes_and_depths(cantor1d):
+    blocks = sample_block(cantor1d.noise, 1, 0, 5)[None]
+    with pytest.raises(UsageError):
+        image_box(cantor1d, blocks, 1, np.empty((0, 1)))
+    with pytest.raises(UsageError):
+        image_box(cantor1d, blocks, -1, np.zeros((2, 1)))
+    with pytest.raises(UsageError):
+        image_box(cantor1d, blocks, 6, np.zeros((2, 1)))
 
 
 def test_image_points_reject_depth_beyond_block(cantor1d):

@@ -148,19 +148,19 @@ def test_diagonal_affine_increasing_for_every_direction_set():
 
 def test_image_box_examples(cantor1d, exp1d):
     pts01 = np.array([[0.0], [1.0]])
-    b = image_box(cantor1d, [1], pts01)
-    assert (b.lo[0], b.hi[0]) == pytest.approx((0.0, 1 / 3), abs=1e-15)
-    b2 = image_box(cantor1d, [1, 2], pts01)
-    assert (b2.lo[0], b2.hi[0]) == pytest.approx((2 / 9, 1 / 3), abs=1e-15)
-    b3 = image_box(exp1d, [2], pts01)
-    assert (b3.lo[0], b3.hi[0]) == pytest.approx((-math.e, -1.0), abs=1e-12)
+    lo, hi, _ = image_box(cantor1d, [[1, 2]], 1, pts01)
+    assert (lo[0, 0], hi[0, 0]) == pytest.approx((0.0, 1 / 3), abs=1e-15)
+    lo, hi, _ = image_box(cantor1d, [[1, 2]], 2, pts01)
+    assert (lo[0, 0], hi[0, 0]) == pytest.approx((2 / 9, 1 / 3), abs=1e-15)
+    lo, hi, _ = image_box(exp1d, [[2]], 1, pts01)
+    assert (lo[0, 0], hi[0, 0]) == pytest.approx((-math.e, -1.0), abs=1e-12)
 
 
 def test_image_box_composition_consistency(cantor1d):
     probe = probe_cloud(cantor1d.probe_box())
-    joint = image_box(cantor1d, [1, 2], probe)
+    joint = Box(*image_box(cantor1d, [[1, 2]], 2, probe)[:2])
     inner, _ = cantor1d.apply_batch(2, probe)
-    stepwise = image_box(cantor1d, [1], inner)
+    stepwise = Box(*image_box(cantor1d, [[1]], 1, inner)[:2])
     assert stepwise.contains_box(joint, tol=1e-12)
     assert joint.contains_box(stepwise, tol=1e-12)
 

@@ -8,6 +8,7 @@ import pytest
 
 import oracles
 from monosync import (
+    Box,
     BoxCmp,
     JOrder,
     UsageError,
@@ -21,6 +22,13 @@ from monosync import (
     sigma_decay,
 )
 from monosync.families import _jsonable
+
+
+def _image_boxes(fam, blocks, probe):
+    """One ``Box`` per block: the hull of the probe's image under the whole block."""
+    blocks = np.asarray(blocks)
+    lo, hi, _ = image_box(fam, blocks, blocks.shape[1], probe)
+    return [Box(row_lo, row_hi) for row_lo, row_hi in zip(lo, hi)]
 
 
 def test_exact_scan_cantor(cantor1d, order1):
@@ -62,8 +70,7 @@ def test_witness_boxes_have_disjoint_projections(cantor1d, cantor2d, order1, ord
         report = exact_splitting_scan(fam, ordr, m=1)
         assert report.verified
         probe = probe_cloud(fam.probe_box())
-        box_a = image_box(fam, report.witness_a, probe)
-        box_b = image_box(fam, report.witness_b, probe)
+        box_a, box_b = _image_boxes(fam, [report.witness_a, report.witness_b], probe)
         assert projections_disjoint(box_a, box_b)
 
 
@@ -92,8 +99,7 @@ def test_monte_carlo_continuous_noise(order1):
     assert report.verified
     # witnesses are parameter blocks whose images are strictly ordered
     probe = probe_cloud(fam.probe_box())
-    box_a = image_box(fam, report.witness_a, probe)
-    box_b = image_box(fam, report.witness_b, probe)
+    box_a, box_b = _image_boxes(fam, [report.witness_a, report.witness_b], probe)
     assert box_a.hi[0] < box_b.lo[0]
 
 
@@ -120,9 +126,8 @@ def test_monte_carlo_sides_have_ordered_image_boxes(cantor2d, order2_first):
         report = find_splitting_witness(fam, ordr, m_max=2, n_blocks=64, seed=seed)
         assert report.verified
         probe = probe_cloud(fam.probe_box())
-        boxes_b = [image_box(fam, blk, probe) for blk in report.blocks_b]
-        for blk in report.blocks_a:
-            box_a = image_box(fam, blk, probe)
+        boxes_b = _image_boxes(fam, report.blocks_b, probe)
+        for box_a in _image_boxes(fam, report.blocks_a, probe):
             assert all(cmp_boxes(box_a, box_b, ordr) is BoxCmp.LESS for box_b in boxes_b)
 
 
