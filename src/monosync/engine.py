@@ -236,9 +236,9 @@ def image_points_at_depths(
     Row ``i`` maps ``base_pts`` through
     ``f_{blocks[i,0]} o ... o f_{blocks[i, depths[i]-1]}`` (innermost last
     symbol first).  ``blocks`` is (N, L) of symbols or (N, L, d) of
-    parameters with ``L >= max(depths)``; ``base_pts`` is the (P, dim) probe
-    that every row shares.  Returns the image clouds (N, P, dim) and a
-    per-row saturation flag.
+    parameters with ``L >= max(depths)``, or one such row that every row
+    shares; ``base_pts`` is the (P, dim) probe that every row shares.
+    Returns the image clouds (N, P, dim) and a per-row saturation flag.
 
     The reverse composition is a forward chain over the reversed block, so
     this is one ``_chain`` over the columns ``D-1, ..., 0`` with ``D =
@@ -246,7 +246,8 @@ def image_points_at_depths(
     depths[i]``.  The rows are ordered by depth, deepest first, so the rows
     that have started are a prefix, and put back in place at the end.  The
     cost is ``sum(depths) * P`` map evaluations however ragged the depths
-    are.
+    are.  A shared row is read as a broadcast view of its reversed prefix,
+    so it is never copied per row.
     """
     depths = np.asarray(depths, dtype=np.int64)
     n_rows = depths.shape[0]
@@ -254,10 +255,12 @@ def image_points_at_depths(
     if depth > blocks.shape[1]:
         raise UsageError(f"depth {depth} exceeds the block length {blocks.shape[1]}")
     order = np.argsort(-depths, kind="stable")
+    values = blocks[:, :depth][:, ::-1]
+    values = np.broadcast_to(values, (n_rows,) + values.shape[1:]) if blocks.shape[0] == 1 else values[order]
     base = np.asarray(base_pts, dtype=float)
     pts = np.broadcast_to(base, (n_rows,) + base.shape).copy()
     sat = np.zeros(n_rows, dtype=bool)
-    for _ in _chain(fam, blocks[:, :depth][order, ::-1], pts, sat, start=depth - depths[order]):
+    for _ in _chain(fam, values, pts, sat, start=depth - depths[order]):
         pass
     out = np.empty_like(pts)
     out[order] = pts
@@ -281,11 +284,9 @@ def reverse_orbit(
     domain, not necessarily for the bounded stand-in probe of an unbounded
     domain).
     """
-    n = len(block)
     x = np.asarray(x0, dtype=float).reshape(1, fam.dim)
     cloud = x if probe_points is None else np.vstack([np.atleast_2d(probe_points), x])
-    blocks = np.broadcast_to(block, (n + 1,) + block.shape)
-    img, sat = image_points_at_depths(fam, blocks, np.arange(n + 1), cloud)
+    img, sat = image_points_at_depths(fam, block[None], np.arange(len(block) + 1), cloud)
     lo = hi = None
     if probe_points is not None:
         lo, hi = img[:, :-1].min(axis=1), img[:, :-1].max(axis=1)

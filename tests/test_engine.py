@@ -113,6 +113,19 @@ def test_reverse_boxes_nested(cantor1d):
     assert (tr.box_hi[1:] <= tr.box_hi[:-1] + 1e-12).all()
 
 
+def test_reverse_orbit_holds_its_block_once(cantor1d):
+    # every prefix reads one broadcast view of the reversed block, not n + 1 copies of it
+    block = sample_block(cantor1d.noise, 17, 0, 4000)
+    tracemalloc.start()
+    try:
+        tr = reverse_orbit(cantor1d, block, [0.5])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert tr.positions.shape == (4001, 1)
+    assert peak < 2 * 2**20
+
+
 def test_pullback_depth_matches_contraction(cantor1d):
     probe = probe_cloud(cantor1d.probe_box())
     batch = pullback_batch(cantor1d, 7, [0], probe, 1e-9, 4096)
