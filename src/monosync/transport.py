@@ -376,11 +376,8 @@ def pullback_sample(
     if n_failed > 0.01 * n_samples:
         worst = max(float(r.diam[~r.converged].max()) for r in results if (~r.converged).any())
         raise NotConvergedError(n_max, worst)
-    meta = {
-        "n_failed": n_failed,
-        "n_saturated": int((saturated & converged).sum()),
-        "saturated": bool(saturated.any()),
-    }
+    n_saturated = int((saturated & converged).sum())
+    meta = {"n_failed": n_failed, "n_saturated": n_saturated, "saturated": n_saturated > 0}
     return EmpiricalMeasure.uniform(points[converged], meta)
 
 

@@ -358,6 +358,7 @@ def test_pullback_sample_drops_a_few_unconverged_streams(clamp, n_max, n_failed)
     assert mu.points.tobytes() == batch.points[batch.converged].tobytes()
     # only kept rows count; under the clamp some dropped rows saturated and none kept did
     assert mu.meta["n_saturated"] == int((batch.saturated & batch.converged).sum())
+    assert mu.meta["saturated"] == (mu.meta["n_saturated"] > 0)
     assert (batch.saturated & ~batch.converged).any() == (clamp == 50.0)
 
 
