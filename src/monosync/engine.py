@@ -16,7 +16,11 @@ into a flag array that its caller owns and yields only the points, so no
 step allocates flags.
 The reverse loop ``image_points_at_depths`` is a forward chain over the
 reversed blocks with the rows right-aligned, each joining the chain at
-the step that leaves it exactly its own depth.
+the step that leaves it exactly its own depth.  ``image_box`` is the one
+image-box kernel on top of it: each row's hull of the probe's images at
+one depth, as ``lo`` and ``hi`` arrays with the row's saturation flag.
+Splitting, synchronization and the pilot's nesting check read boxes
+from it; only the pullback search and ``reverse_orbit`` read the points.
 
 The pullback limit deepens the reverse composition on a fixed stream until
 the taxicab diameter of the probe's image drops below tolerance.  The
