@@ -297,7 +297,12 @@ def reverse_orbit(
     return OrbitTrace(img[:, -1, :], lo, hi, bool(sat.any()))
 
 
-def image_box(fam: MapFamily, blocks, depth: int, probe_points: np.ndarray):
+def image_box(
+    fam: MapFamily,
+    blocks,
+    depth: int,
+    probe_points: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Bounding boxes of the probe cloud under each row's depth-``depth`` block prefix.
 
     Row ``i`` composes ``blocks[i, :depth]`` as ``image_points_at_depths``
