@@ -121,30 +121,42 @@ class MonotonicityVerdict:
     n_saturated: int  # pairs with a saturated image of x or y (see classify_monotonicity)
 
 
-# Registry entry: dimension, default noise, default domain/probe constructors,
-# the vectorized map body and the monotonicity declaration.  The body receives
-# a point block of shape (n, dim) and one parameter per point row: an (n,)
-# array of symbols for finite noise, or an (n, d) array of parameter vectors
-# for box noise; it returns the unclamped images, row i under row i's map.
+# Registry entry: the one declaration of a family.  ``box`` is its probe box,
+# and with ``bounded`` also its domain, which every member map sends into
+# itself; the box's dimension is the family's.  ``default_noise`` gives the
+# noise of a family built without one, and its kind (finite or box) is the
+# kind the family takes, unless ``either_noise``.  ``defaults`` holds the
+# params a caller may leave out: every callable of the entry gets the
+# caller's params over them.  The vectorized map body receives a point block
+# of shape (n, dim) and one parameter per point row: an (n,) array of
+# symbols for finite noise, or an (n, d) array of parameter vectors for box
+# noise; it returns the unclamped images, row i under row i's map.
 # ``monotone`` gives the signs (+1 increasing, -1 decreasing coordinate) of an
 # orthant order under which every clamped member map is increasing or
-# decreasing, or None when the family declares no such order.  ``affine``
-# gives the unclamped maps as x -> A x + c, or None: per-symbol ``(mats,
-# offs)`` of shapes (q, d, d) and (q, d) for finite noise; for box noise
-# ``(mats, offs, gain)``, one A as (1, d, d), c0 as (1, d) and a gain G, with
-# c(u) = G u + c0 for the parameter u.  It describes the body and never
-# replaces it: ``pts / 3.0`` and ``pts @ (I / 3).T`` round differently, so
-# the body stays the source of every point.
+# decreasing, or None when the family declares no such order; ``default_j``
+# then gives the increasing coordinates of a config without ``J`` (None:
+# every coordinate).  ``affine`` gives the unclamped maps as x -> A x + c, or
+# None: per-symbol ``(mats, offs)`` of shapes (q, d, d) and (q, d) for finite
+# noise; for box noise ``(mats, offs, gain)``, one A as (1, d, d), c0 as
+# (1, d) and a gain G, with c(u) = G u + c0 for the parameter u.  It
+# describes the body and never replaces it: ``pts / 3.0`` and ``pts @ (I /
+# 3).T`` round differently, so the body stays the source of every point.
 @dataclass(frozen=True)
 class _FamilyDef:
-    dim: Callable[[dict], int]
-    default_noise: Callable[[dict], NoiseSpec]
-    default_domain: Callable[[dict], Box | None]
-    default_probe: Callable[[dict], Box]
+    box: Callable[[dict], Box]
     body: Callable[[dict, np.ndarray, np.ndarray], np.ndarray]
+    bounded: bool = False
+    default_noise: Callable[[dict], NoiseSpec] = lambda p: FiniteNoise((0.5, 0.5))
+    either_noise: bool = False
+    defaults: dict = field(default_factory=dict)
     monotone: Callable[[dict], tuple[float, ...] | None] = lambda p: None
+    default_j: tuple[int, ...] | None = None
     affine: Callable[[dict], tuple | None] = lambda p: None
     config_ok: bool = True
+
+    def resolve(self, params: dict) -> dict:
+        """The caller's ``params`` over the defaults: what every callable of the entry gets."""
+        return {**self.defaults, **params}
 
 
 def _unit_box(dim: int) -> Box:
@@ -181,16 +193,10 @@ def _by_symbol(a, pts, fn):
     return np.concatenate(images).take(at, axis=0)
 
 
-def _cantor1d_body(params, a, pts):
+def _cantor_body(params, a, pts):
     # built in the gathered constants: one fewer per-point temporary than
     # ``pts / 3.0 + offsets``, with the same bits since addition commutes
-    img = _per_row(params.get("offsets", (0.0, 2.0 / 3.0)), a)
-    img += pts / 3.0
-    return img
-
-
-def _cantor2d_body(params, a, pts):
-    img = _per_row(params.get("offsets", ((0.0, 0.0), (2.0 / 3.0, -2.0 / 3.0))), a)
+    img = _per_row(params["offsets"], a)
     img += pts / 3.0
     return img
 
@@ -208,12 +214,12 @@ def _arctanexp2d_body(params, a, pts):
 
 
 def _lip_pair_body(params, a, pts):
-    slopes = _per_row(params.get("slopes", (2.0, 0.5)), a)
-    mode = params.get("mode", "linear")
+    slopes = _per_row(params["slopes"], a)
+    mode = params["mode"]
     if mode == "linear":
         return slopes * pts
     if mode == "disjoint":
-        return _per_row(params.get("offsets", (3.0, -2.0)), a) + slopes * np.tanh(pts)
+        return _per_row(params["offsets"], a) + slopes * np.tanh(pts)
     raise UsageError(f"lip-pair mode must be 'linear' or 'disjoint', got {mode!r}")
 
 
@@ -230,17 +236,13 @@ def _slide1d_body(params, a, pts):
     return pts / 3.0 + (2.0 / 3.0) * a[:, :1]
 
 
-def _rot2d_angles(params):
-    return params.get("angles", (math.pi / 6.0, math.sqrt(2.0)))
-
-
 def _rotation(t: float) -> np.ndarray:
     c, s = math.cos(t), math.sin(t)
     return np.array([[c, -s], [s, c]])
 
 
 def _rot2d_body(params, a, pts):
-    angles = _rot2d_angles(params)
+    angles = params["angles"]
     return _by_symbol(a, pts, lambda sym, rows: rows @ _rotation(angles[sym - 1]).T)
 
 
@@ -278,22 +280,18 @@ def _affine_monotone(params) -> tuple[float, ...] | None:
     return None
 
 
-def _third_plus_offsets(default):
-    """Declaration of the cantor bodies: x -> x / 3 + offsets[a - 1]."""
-
-    def affine(params):
-        offs = np.asarray(params.get("offsets", default), dtype=float)
-        offs = offs.reshape(len(offs), -1)
-        q, d = offs.shape
-        return np.broadcast_to(np.eye(d) / 3.0, (q, d, d)), offs
-
-    return affine
+def _third_plus_offsets(params):
+    """Declaration of the cantor body: x -> x / 3 + offsets[a - 1]."""
+    offs = np.asarray(params["offsets"], dtype=float)
+    offs = offs.reshape(len(offs), -1)
+    q, d = offs.shape
+    return np.broadcast_to(np.eye(d) / 3.0, (q, d, d)), offs
 
 
 def _lip_pair_affine(params):
-    if params.get("mode", "linear") != "linear":
+    if params["mode"] != "linear":
         return None  # disjoint: offsets plus slopes times tanh
-    slopes = np.asarray(params.get("slopes", (2.0, 0.5)), dtype=float).reshape(-1, 1, 1)
+    slopes = np.asarray(params["slopes"], dtype=float).reshape(-1, 1, 1)
     return slopes, np.zeros((len(slopes), 1))
 
 
@@ -309,92 +307,84 @@ def _slide1d_affine(params):
 
 
 def _rot2d_affine(params):
-    angles = _rot2d_angles(params)
+    angles = params["angles"]
     return np.array([_rotation(t) for t in angles]), np.zeros((len(angles), 2))
 
 
-# Every built-in but affine-general declares the order of its default J = {1}.
 _REGISTRY: dict[str, _FamilyDef] = {
     "cantor1d": _FamilyDef(
-        dim=lambda p: 1,
-        default_noise=lambda p: FiniteNoise((0.5, 0.5)),
-        default_domain=lambda p: _unit_box(1),
-        default_probe=lambda p: _unit_box(1),
-        body=_cantor1d_body,
+        box=lambda p: _unit_box(1),
+        bounded=True,
+        body=_cantor_body,
+        defaults={"offsets": (0.0, 2.0 / 3.0)},
         monotone=lambda p: (1.0,),
-        affine=_third_plus_offsets((0.0, 2.0 / 3.0)),
+        affine=_third_plus_offsets,
     ),
     "cantor2d": _FamilyDef(
-        dim=lambda p: 2,
-        default_noise=lambda p: FiniteNoise((0.5, 0.5)),
-        default_domain=lambda p: Box([0.0, -1.0], [1.0, 0.0]),
-        default_probe=lambda p: Box([0.0, -1.0], [1.0, 0.0]),
-        body=_cantor2d_body,
+        box=lambda p: Box([0.0, -1.0], [1.0, 0.0]),
+        bounded=True,
+        body=_cantor_body,
+        defaults={"offsets": ((0.0, 0.0), (2.0 / 3.0, -2.0 / 3.0))},
         monotone=lambda p: (1.0, -1.0),
-        affine=_third_plus_offsets(((0.0, 0.0), (2.0 / 3.0, -2.0 / 3.0))),
+        affine=_third_plus_offsets,
     ),
     "exp1d": _FamilyDef(
-        dim=lambda p: 1,
-        default_noise=lambda p: FiniteNoise((0.5, 0.5)),
-        default_domain=lambda p: None,
-        default_probe=lambda p: _sym_box(1, 3.0),
+        box=lambda p: _sym_box(1, 3.0),
         body=_exp1d_body,
         monotone=lambda p: (1.0,),
     ),
     "arctanexp2d": _FamilyDef(
-        dim=lambda p: 2,
-        default_noise=lambda p: FiniteNoise((0.5, 0.5)),
-        default_domain=lambda p: None,
-        default_probe=lambda p: _sym_box(2, 1.0),
+        box=lambda p: _sym_box(2, 1.0),
         body=_arctanexp2d_body,
         monotone=lambda p: (1.0, -1.0),
     ),
     "lip-pair": _FamilyDef(
-        dim=lambda p: 1,
-        default_noise=lambda p: FiniteNoise((0.5, 0.5)),
-        default_domain=lambda p: None,
-        default_probe=lambda p: _sym_box(1, 3.0),
+        box=lambda p: _sym_box(1, 3.0),
         body=_lip_pair_body,
+        defaults={"slopes": (2.0, 0.5), "mode": "linear", "offsets": (3.0, -2.0)},
         monotone=lambda p: (1.0,),
         affine=_lip_pair_affine,
     ),
     "affine-general": _FamilyDef(
-        dim=_affine_dim,
-        default_noise=lambda p: FiniteNoise(
-            tuple([1.0 / len(p["mats"])] * len(p["mats"]))
-        ),
-        default_domain=lambda p: None,
-        default_probe=lambda p: _sym_box(_affine_dim(p), 1.0),
+        box=lambda p: _sym_box(_affine_dim(p), 1.0),
         body=_affine_body,
+        default_noise=lambda p: FiniteNoise(tuple([1.0 / len(p["mats"])] * len(p["mats"]))),
         monotone=_affine_monotone,
         affine=_affine_general_affine,
     ),
     "slide1d": _FamilyDef(
-        dim=lambda p: 1,
-        default_noise=lambda p: BoxNoise(_unit_box(1)),
-        default_domain=lambda p: _unit_box(1),
-        default_probe=lambda p: _unit_box(1),
+        box=lambda p: _unit_box(1),
+        bounded=True,
         body=_slide1d_body,
+        default_noise=lambda p: BoxNoise(_unit_box(1)),
         monotone=lambda p: (1.0,),
         affine=_slide1d_affine,
     ),
     "rot2d": _FamilyDef(
-        dim=lambda p: 2,
-        default_noise=lambda p: FiniteNoise((0.5, 0.5)),
-        default_domain=lambda p: None,
-        default_probe=lambda p: _sym_box(2, 1.0),
+        box=lambda p: _sym_box(2, 1.0),
         body=_rot2d_body,
+        defaults={"angles": (math.pi / 6.0, math.sqrt(2.0))},
+        default_j=(1,),
         affine=_rot2d_affine,
     ),
     "custom": _FamilyDef(
-        dim=lambda p: int(p["dim"]),
-        default_noise=lambda p: FiniteNoise((0.5, 0.5)),
-        default_domain=lambda p: None,
-        default_probe=lambda p: _sym_box(int(p["dim"]), 1.0),
+        box=lambda p: _sym_box(int(p["dim"]), 1.0),
         body=_custom_body,
+        either_noise=True,
         config_ok=False,
     ),
 }
+
+
+def _family_def(family: str, config: bool = False) -> _FamilyDef:
+    """The registry entry of ``family``; with ``config``, only one a config may name."""
+    fdef = _REGISTRY.get(family)
+    if fdef is None or (config and not fdef.config_ok):
+        qualifier = "or non-configurable " if config else ""
+        raise UnknownFamilyError(
+            f"unknown {qualifier}family {family!r}; known: {builtin_family_ids()}"
+        )
+    return fdef
 
 
 def builtin_family_ids() -> tuple[str, ...]:
@@ -406,7 +396,8 @@ class MapFamily:
     """A measurable family of self-maps of the domain, with its noise law.
 
     ``params`` selects/configures the concrete maps inside the named
-    built-in family, and with it ``dim``.  Outputs are clamped
+    built-in family, and with it ``dim``; a param it leaves out takes the
+    registry's default.  Outputs are clamped
     componentwise to [-clamp_bound, clamp_bound]; clamping never happens
     silently: :meth:`apply_batch` returns a saturation flag per row.
     """
@@ -416,21 +407,19 @@ class MapFamily:
     params: dict = field(default_factory=dict)
     domain: Box | None = None
     clamp_bound: float = 1e300
-    dim: int = field(init=False)  # the registry's dimension for ``params``
+    dim: int = field(init=False)  # the dimension of the registry's box for ``params``
+    _params: dict = field(init=False, repr=False, compare=False)  # ``params`` over the defaults
 
     def __post_init__(self):
-        if self.family not in _REGISTRY:
-            raise UnknownFamilyError(
-                f"unknown family {self.family!r}; known: {builtin_family_ids()}"
-            )
-        object.__setattr__(self, "dim", _REGISTRY[self.family].dim(self.params))
+        fdef = _family_def(self.family)
+        merged = fdef.resolve(self.params)
+        object.__setattr__(self, "_params", merged)
+        object.__setattr__(self, "dim", fdef.box(merged).dim)
         if not self.clamp_bound > 0:  # a NaN bound fails here too
             raise UsageError("clamp_bound must be positive")
-        if self.family == "slide1d":
-            if not isinstance(self.noise, BoxNoise):
-                raise UsageError("slide1d draws its parameter from a box; use BoxNoise")
-        elif self.family != "custom" and not isinstance(self.noise, FiniteNoise):
-            raise UsageError(f"family {self.family!r} requires finite noise")
+        kind = type(fdef.default_noise(merged))
+        if not fdef.either_noise and not isinstance(self.noise, kind):
+            raise UsageError(f"family {self.family!r} takes {kind.__name__} only")
 
     @property
     def finite(self) -> bool:
@@ -440,7 +429,7 @@ class MapFamily:
         """Bounded region standing in for the domain when sampling images."""
         if self.domain is not None:
             return self.domain
-        return _REGISTRY[self.family].default_probe(self.params)
+        return _REGISTRY[self.family].box(self._params)
 
     def monotone_signs(self) -> np.ndarray | None:
         """Signs of an orthant order in which every clamped member map is monotone, or None.
@@ -452,7 +441,7 @@ class MapFamily:
         corners.  The declaration is exact, not sampled: it comes from the
         family's formulas (for affine-general, from the signs of S A S).
         """
-        signs = _REGISTRY[self.family].monotone(self.params)
+        signs = _REGISTRY[self.family].monotone(self._params)
         return None if signs is None else np.array(signs, dtype=float)
 
     def affine_form(self) -> tuple[np.ndarray, np.ndarray, np.ndarray | None] | None:
@@ -465,7 +454,7 @@ class MapFamily:
         parameter u, ``gain`` (d, noise dim).  Like ``monotone_signs`` this
         is exact, from the family's formulas; the clamp is not part of it.
         """
-        form = _REGISTRY[self.family].affine(self.params)
+        form = _REGISTRY[self.family].affine(self._params)
         if form is None:
             return None
         if self.finite:
@@ -492,7 +481,7 @@ class MapFamily:
         a = np.asarray(alpha)
         if a.shape != rows:
             a = np.broadcast_to(a, rows)
-        return _REGISTRY[self.family].body(self.params, a, pts)
+        return _REGISTRY[self.family].body(self._params, a, pts)
 
     def apply_batch(self, alpha, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Apply the map selected by ``alpha`` (one value, or one per row) to a block of points.
@@ -537,19 +526,16 @@ def make_family(
     noise: NoiseSpec | None = None,
 ) -> MapFamily:
     """Build a family from registry defaults, overriding selectively."""
-    if family not in _REGISTRY:
-        raise UnknownFamilyError(
-            f"unknown family {family!r}; known: {builtin_family_ids()}"
-        )
-    fdef = _REGISTRY[family]
+    fdef = _family_def(family)
     params = dict(params or {})
-    fdef.dim(params)  # validates required params before anything else
+    full = fdef.resolve(params)
+    box = fdef.box(full)  # validates required params before anything else
     if noise is None:
-        noise = FiniteNoise(tuple(probs)) if probs is not None else fdef.default_noise(params)
+        noise = FiniteNoise(tuple(probs)) if probs is not None else fdef.default_noise(full)
     elif probs is not None:
         raise UsageError("pass either probs or noise, not both")
-    if domain is None:
-        domain = fdef.default_domain(params)
+    if domain is None and fdef.bounded:
+        domain = box
     return MapFamily(
         family=family,
         noise=noise,
@@ -567,15 +553,12 @@ def family_from_config(cfg: dict) -> tuple[MapFamily, JOrder]:
     coordinates), ``clamp``, ``strict_tol``.  Without ``J`` the increasing
     coordinates are those the family's declared order
     (:meth:`MapFamily.monotone_signs`) marks +1; an undeclared family
-    compares every coordinate increasingly, except rot2d (coordinate 1).
+    takes its registry entry's ``default_j``, or every coordinate.
     """
     if "family" not in cfg:
         raise UsageError("config must name a 'family'")
     family = cfg["family"]
-    if family not in _REGISTRY or not _REGISTRY[family].config_ok:
-        raise UnknownFamilyError(
-            f"unknown or non-configurable family {family!r}; known: {builtin_family_ids()}"
-        )
+    fdef = _family_def(family, config=True)
     domain = None
     if cfg.get("domain") is not None:
         domain = Box(cfg["domain"]["lo"], cfg["domain"]["hi"])
@@ -598,16 +581,13 @@ def family_from_config(cfg: dict) -> tuple[MapFamily, JOrder]:
         if signs is not None:
             j = [i + 1 for i in np.flatnonzero(signs > 0)]
         else:
-            j = _UNDECLARED_INCREASING.get(family, range(1, fam.dim + 1))
+            j = fdef.default_j or range(1, fam.dim + 1)
     ordr = JOrder(
         dim=fam.dim,
         increasing=frozenset(int(i) for i in j),
         strict_tol=float(cfg.get("strict_tol", 1e-12)),
     )
     return fam, ordr
-
-
-_UNDECLARED_INCREASING = {"rot2d": [1]}
 
 
 def family_to_config(fam: MapFamily, ordr: JOrder) -> dict:
