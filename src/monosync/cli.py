@@ -31,7 +31,7 @@ from . import splitting as split_mod
 from . import sync as sync_mod
 from . import transport as trans_mod
 from .engine import forward_orbit, reverse_orbit, sample_block
-from .errors import MonosyncError, NotConvergedError, UsageError
+from .errors import MonosyncError, NotConvergedError, UsageError, _parse_errors
 from .families import (
     FiniteNoise,
     Monotonicity,
@@ -91,10 +91,8 @@ def _build_parser() -> _Parser:
 def _parse_point(text: str | None, dim: int, fallback: np.ndarray) -> np.ndarray:
     if text is None:
         return fallback
-    if isinstance(text, (list, tuple)):
-        vals = [float(v) for v in text]
-    else:
-        vals = [float(v) for v in str(text).split(",")]
+    with _parse_errors(f"point {text!r}"):
+        vals = [float(v) for v in (text if isinstance(text, (list, tuple)) else str(text).split(","))]
     if len(vals) != dim:
         raise UsageError(f"point has {len(vals)} coordinates, family has {dim}")
     if not np.isfinite(vals).all():

@@ -32,6 +32,7 @@ from .errors import (
     NonPositiveSigmaError,
     NotConvergedError,
     UsageError,
+    _parse_errors,
 )
 from .families import FiniteNoise, MapFamily, _default_probe
 from .transport import EmpiricalMeasure, pullback_sample
@@ -119,31 +120,32 @@ def make_observable(spec, mu: EmpiricalMeasure, center: float | None = None) -> 
     coordinate or affine observable of an affine family, else an estimate
     from :func:`stationary_mean`.
     """
-    if isinstance(spec, str):
-        if not spec.startswith("coord:"):
-            raise UsageError(f"unknown observable spec {spec!r}")
-        spec = {"kind": "coordinate", "s": int(spec.split(":", 1)[1])}
-    kind = spec.get("kind")
-    if kind == "coordinate":
-        s = int(spec.get("s", 1))
-        if not (1 <= s <= mu.dim):
-            raise UsageError(f"coordinate {s} outside 1..{mu.dim}")
-        obs = Observable(kind="coordinate", coord=s)
-    elif kind == "affine":
-        coeffs = np.asarray(spec["coeffs"], dtype=float)
-        if coeffs.shape != (mu.dim,):
-            raise UsageError("affine coefficients must match the dimension")
-        if not coeffs.any():
-            raise UsageError("affine observable must be non-constant")
-        obs = Observable(kind="affine", coeffs=coeffs, offset=float(spec.get("offset", 0.0)))
-    elif kind == "table":
-        obs = Observable(
-            kind="table",
-            table_points=np.atleast_2d(np.asarray(spec["points"], dtype=float)),
-            table_values=np.asarray(spec["values"], dtype=float),
-        )
-    else:
-        raise UsageError(f"unknown observable kind {kind!r}")
+    with _parse_errors(f"observable spec {spec!r}"):
+        if isinstance(spec, str):
+            if not spec.startswith("coord:"):
+                raise UsageError(f"unknown observable spec {spec!r}")
+            spec = {"kind": "coordinate", "s": int(spec.split(":", 1)[1])}
+        kind = spec.get("kind")
+        if kind == "coordinate":
+            s = int(spec.get("s", 1))
+            if not (1 <= s <= mu.dim):
+                raise UsageError(f"coordinate {s} outside 1..{mu.dim}")
+            obs = Observable(kind="coordinate", coord=s)
+        elif kind == "affine":
+            coeffs = np.asarray(spec["coeffs"], dtype=float)
+            if coeffs.shape != (mu.dim,):
+                raise UsageError("affine coefficients must match the dimension")
+            if not coeffs.any():
+                raise UsageError("affine observable must be non-constant")
+            obs = Observable(kind="affine", coeffs=coeffs, offset=float(spec.get("offset", 0.0)))
+        elif kind == "table":
+            obs = Observable(
+                kind="table",
+                table_points=np.atleast_2d(np.asarray(spec["points"], dtype=float)),
+                table_values=np.asarray(spec["values"], dtype=float),
+            )
+        else:
+            raise UsageError(f"unknown observable kind {kind!r}")
     if center is None:
         center = float(mu.weights @ obs.raw(mu.points))
     return replace(obs, center=float(center))

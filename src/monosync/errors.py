@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 __all__ = [
     "MonosyncError",
     "UsageError",
@@ -60,3 +62,14 @@ class NoDecayError(MonosyncError):
 
 class NonPositiveSigmaError(MonosyncError):
     """The fluctuation variance estimate came out non-positive (degenerate observable)."""
+
+
+@contextmanager
+def _parse_errors(what: str):
+    """Re-raise the KeyError, TypeError or ValueError of parsing outside input as a UsageError."""
+    try:
+        yield
+    except KeyError as exc:
+        raise UsageError(f"{what}: missing key {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"{what}: {exc}") from None

@@ -50,6 +50,7 @@ from .errors import (
     DimensionMismatchError,
     UnknownFamilyError,
     UsageError,
+    _parse_errors,
 )
 from .order import Box, JOrder, _strictly_less
 from .streams import stream_generator
@@ -559,20 +560,22 @@ def family_from_config(cfg: dict) -> tuple[MapFamily, JOrder]:
         raise UsageError("config must name a 'family'")
     family = cfg["family"]
     fdef = _family_def(family, config=True)
-    domain = None
-    if cfg.get("domain") is not None:
-        domain = Box(cfg["domain"]["lo"], cfg["domain"]["hi"])
-    noise = None
-    if cfg.get("noise_box") is not None:
-        if cfg.get("probs") is not None:
-            raise UsageError("give either probs or noise_box, not both")
-        noise = BoxNoise(Box(cfg["noise_box"]["lo"], cfg["noise_box"]["hi"]))
+    with _parse_errors("config"):
+        domain = None
+        if cfg.get("domain") is not None:
+            domain = Box(cfg["domain"]["lo"], cfg["domain"]["hi"])
+        noise = None
+        if cfg.get("noise_box") is not None:
+            if cfg.get("probs") is not None:
+                raise UsageError("give either probs or noise_box, not both")
+            noise = BoxNoise(Box(cfg["noise_box"]["lo"], cfg["noise_box"]["hi"]))
+        clamp_bound = float(cfg.get("clamp", 1e300))
     fam = make_family(
         family,
         probs=cfg.get("probs"),
         params=cfg.get("params"),
         domain=domain,
-        clamp_bound=float(cfg.get("clamp", 1e300)),
+        clamp_bound=clamp_bound,
         noise=noise,
     )
     j = cfg.get("J")
@@ -582,11 +585,12 @@ def family_from_config(cfg: dict) -> tuple[MapFamily, JOrder]:
             j = [i + 1 for i in np.flatnonzero(signs > 0)]
         else:
             j = fdef.default_j or range(1, fam.dim + 1)
-    ordr = JOrder(
-        dim=fam.dim,
-        increasing=frozenset(int(i) for i in j),
-        strict_tol=float(cfg.get("strict_tol", 1e-12)),
-    )
+    with _parse_errors("config"):
+        ordr = JOrder(
+            dim=fam.dim,
+            increasing=frozenset(int(i) for i in j),
+            strict_tol=float(cfg.get("strict_tol", 1e-12)),
+        )
     return fam, ordr
 
 

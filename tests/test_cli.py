@@ -92,6 +92,27 @@ def test_empty_sizes_are_usage_errors(tmp_path, capsys, args):
     assert not (tmp_path / "u").exists()
 
 
+_CLT_SMALL = ["--n", "20", "--replicas", "4", "--mu-size", "64", "--grid-size", "16"]
+
+
+@pytest.mark.parametrize("args", [
+    ["clt", "--family", "cantor1d", "--observable", "coord:abc", *_CLT_SMALL],
+    ["clt", *_CLT_SMALL, {"family": "cantor1d", "observable": {"kind": "affine"}}],
+    ["simulate", "--family", "cantor1d", "--x0", "abc"],
+    ["check-splitting", {"family": "cantor1d", "J": [3]}],
+    ["check-splitting", {"family": "cantor1d", "domain": {"lo": [1.0], "hi": [0.0]}}],
+], ids=["observable-coord", "observable-affine", "x0", "J", "domain"])
+def test_malformed_inputs_are_usage_errors(tmp_path, capsys, args):
+    # parsed where they enter, so the run stops before it writes anything
+    if isinstance(args[-1], dict):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(args[-1]))
+        args = args[:-1] + ["--config", str(config)]
+    assert run(args + ["--out", str(tmp_path / "new" / "out")]) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("usage error:")
+    assert not (tmp_path / "new").exists()
+
+
 @pytest.mark.parametrize("args", [
     ["sigma-decay", "--family", "cantor1d", "--s", "2"],
     ["w1-decay", "--family", "cantor2d", "--n-particles", "100", "--ref-size", "200"],
