@@ -256,6 +256,8 @@ def image_points_at_depths(
     depths = np.asarray(depths, dtype=np.int64)
     n_rows = depths.shape[0]
     depth = int(depths.max(initial=0))
+    if blocks.shape[0] not in (1, n_rows):
+        raise UsageError(f"{blocks.shape[0]} block rows for {n_rows} depths; give one row or one per depth")
     if depth > blocks.shape[1]:
         raise UsageError(f"depth {depth} exceeds the block length {blocks.shape[1]}")
     order = np.argsort(-depths, kind="stable")

@@ -217,6 +217,8 @@ def assumption2_check(fam: MapFamily, seed: int, replicas: int = 64) -> Boundedn
     holds the image of the whole box, so the magnitudes and the bound box
     are those of the whole scaled box.
     """
+    if replicas < 1:
+        raise UsageError("replicas must be >= 1")
     if fam.domain is not None:
         return BoundednessReport(True, 1, fam.domain, {})
     table = _BlockTable(fam.noise, seed, "bounded", range(replicas))

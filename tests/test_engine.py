@@ -551,6 +551,17 @@ def test_image_points_reject_depth_beyond_block(cantor1d):
         image_points_at_depths(cantor1d, blocks, np.array([6]), np.zeros((2, 1)))
 
 
+@pytest.mark.parametrize("n_rows", [2, 5])
+def test_image_points_take_one_block_row_or_one_per_depth(cantor1d, n_rows):
+    blocks = np.stack([sample_block(cantor1d.noise, 1, i, 4) for i in range(n_rows)])
+    depths = np.array([1, 2, 3])
+    with pytest.raises(UsageError, match="one row or one per depth"):
+        image_points_at_depths(cantor1d, blocks, depths, np.zeros((2, 1)))
+    shared, _ = image_points_at_depths(cantor1d, blocks[:1], depths, np.zeros((2, 1)))
+    each, _ = image_points_at_depths(cantor1d, blocks[[0, 0, 0]], depths, np.zeros((2, 1)))
+    assert shared.tobytes() == each.tobytes()
+
+
 @pytest.mark.parametrize(
     "probs", [(0.5, 0.5), (0.2, 0.3, 0.5), (0.5, 0.5 - 5e-13), (1.0,), (0.0, 0.5, 0.0, 0.5)]
 )

@@ -10,7 +10,7 @@ from monosync import (
     make_family,
 )
 from monosync import sync
-from monosync.errors import DegenerateSeriesError
+from monosync.errors import DegenerateSeriesError, UsageError
 
 
 def test_cantor_diameters_exact(cantor1d):
@@ -182,3 +182,10 @@ def test_m0_detection_spread_boxes():
     series = diameter_series(fam, n_max=6, replicas=32, seed=2)
     # hull spans ~100 while replica boxes shrink to ~0: rule never fires, fallback 1
     assert series.m0 == 1
+
+
+@pytest.mark.parametrize("fid", ["exp1d", "cantor1d"])
+def test_assumption2_check_needs_a_replica(fid):
+    # like diameter_series: no replica is no evidence, for a bounded domain too
+    with pytest.raises(UsageError, match="replicas must be >= 1"):
+        assumption2_check(make_family(fid), seed=5, replicas=0)
