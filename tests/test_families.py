@@ -1,5 +1,8 @@
+import ast
+import inspect
 import itertools
 import math
+import textwrap
 
 import numpy as np
 import pytest
@@ -11,21 +14,25 @@ from monosync import (
     Box,
     DegenerateProbeError,
     JOrder,
+    MapFamily,
     Monotonicity,
     UnknownFamilyError,
     UsageError,
+    builtin_family_ids,
     classify_monotonicity,
     family_from_config,
     family_to_config,
     image_box,
     make_family,
     probe_cloud,
+    sample_block,
 )
 from monosync.engine import _BlockTable, image_points_at_depths
 from monosync.families import (
     BoxNoise,
     FiniteNoise,
     MonotonicityVerdict,
+    _REGISTRY,
     _clamp_points,
     _default_probe,
     _jsonable,
@@ -455,3 +462,42 @@ def test_nonaffine_families_declare_no_affine_form():
         make_family("custom", params={"dim": 1, "fn": lambda a, pts: pts / 2}),
     ):
         assert fam.affine_form() is None, fam.family
+
+
+def test_family_code_names_no_registry_key():
+    # what sets a family apart lives in its registry entry, so the code that
+    # builds and checks families never tests a family's name
+    for obj in (MapFamily, make_family, family_from_config):
+        tree = ast.parse(textwrap.dedent(inspect.getsource(obj)))
+        strings = {n.value for n in ast.walk(tree) if isinstance(n, ast.Constant) and isinstance(n.value, str)}
+        assert strings.isdisjoint(_REGISTRY), obj.__name__
+
+
+@pytest.mark.parametrize("fid", builtin_family_ids())
+def test_noise_of_the_other_kind_is_a_usage_error(fid):
+    fam = make_family(fid, params=_MONOTONE_AFFINE if fid == "affine-general" else None)
+    other = BoxNoise(Box([0.0], [1.0])) if fam.finite else FiniteNoise((0.5, 0.5))
+    with pytest.raises(UsageError, match=f"family {fid!r} takes {type(fam.noise).__name__} only"):
+        MapFamily(fid, other, fam.params)
+
+
+def test_custom_takes_either_noise_kind():
+    for noise in (FiniteNoise((0.5, 0.5)), BoxNoise(Box([0.0], [1.0]))):
+        fam = make_family("custom", params={"dim": 1, "fn": lambda a, pts: pts / 2}, noise=noise)
+        assert fam.noise == noise
+
+
+def _form_bytes(form):
+    return None if form is None else [None if x is None else np.asarray(x).tobytes() for x in form]
+
+
+@pytest.mark.parametrize("fid", sorted(k for k, v in _REGISTRY.items() if v.defaults))
+def test_spelled_out_defaults_change_nothing(fid):
+    implicit = make_family(fid)
+    explicit = make_family(fid, params=dict(_REGISTRY[fid].defaults))
+    assert implicit.params == {}
+    pts = np.random.default_rng(3).normal(scale=2.0, size=(64, implicit.dim))
+    alphas = sample_block(implicit.noise, 3, 0, 64)
+    assert explicit.raw_batch(alphas, pts).tobytes() == implicit.raw_batch(alphas, pts).tobytes()
+    assert _form_bytes(explicit.affine_form()) == _form_bytes(implicit.affine_form())
+    assert _form_bytes([explicit.monotone_signs()]) == _form_bytes([implicit.monotone_signs()])
