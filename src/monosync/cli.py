@@ -71,20 +71,20 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
     for command, (help_text, _, options) in _COMMANDS.items():
         p = sub.add_parser(command, help=help_text)
-        p.add_argument("--config", type=str, default=None, help="JSON config or manifest to start from")
-        p.add_argument("--family", type=str, default=None, help="built-in family id")
-        p.add_argument("--seed", type=int, default=None, help="root seed (default 0)")
+        p.add_argument("--config", default=None, help="JSON config or manifest to start from")
+        p.add_argument("--family", default=None, help="built-in family id")
+        p.add_argument("--seed", default=None, help="root seed (default 0)")
         p.add_argument("--threads", type=int, default=1, help="accepted; has no effect")
-        p.add_argument("--out", type=str, default="monosync-out", help="output directory")
-        # every flag defaults to None, so that only a given one overrides the config
+        p.add_argument("--out", default="monosync-out", help="output directory")
+        # every flag defaults to None, so that only a given one overrides the
+        # config; a flag's text is typed by _typed, as a config's value is
         for name, spec in options.items():
             default, option_help = _option(spec)
             flag = "--" + name.replace("_", "-")
             if default is False:
                 p.add_argument(flag, action="store_true", default=None, help=option_help)
             else:
-                kind = str if default is None else type(default)
-                p.add_argument(flag, type=kind, default=None, choices=_CHOICES.get(name), help=option_help)
+                p.add_argument(flag, default=None, choices=_CHOICES.get(name), help=option_help)
     return parser
 
 
@@ -100,9 +100,39 @@ def _parse_point(text: str | None, dim: int, fallback: np.ndarray) -> np.ndarray
     return np.asarray(vals, dtype=float)
 
 
+def _typed(name: str, value, default):
+    """``value`` of option ``name`` as its default's type declares it.
+
+    A flag's text, a config's JSON value and a default all take this path.
+    An option in ``_CHOICES`` takes one of its choices; an on/off option
+    (default False) a bool; an int option an int, or text ``int`` reads; a
+    float option a real number, or text ``float`` reads.  An option whose
+    default is None or another string is left to the parser that reads it.
+    """
+    choices = _CHOICES.get(name)
+    if choices is not None:
+        if value not in choices:
+            raise UsageError(f"{name} must be one of {', '.join(choices)}, got {value!r}")
+        return value
+    if default is None or isinstance(default, str):
+        return value
+    kind = type(default)
+    if kind is bool:
+        if not isinstance(value, bool):
+            raise UsageError(f"{name} must be true or false, got {value!r}")
+        return value
+    if isinstance(value, str) or isinstance(value, (int, kind)) and not isinstance(value, bool):
+        try:
+            return kind(value)
+        except (ValueError, OverflowError):  # float(10**400) overflows
+            pass
+    raise UsageError(f"{name} must be {'an integer' if kind is int else 'a number'}, got {value!r}")
+
+
 def _resolve_config(args: argparse.Namespace) -> dict:
     command = args.command
-    cfg: dict = {"command": command, "seed": 0, **_defaults(command)}
+    defaults = {"seed": 0, **_defaults(command)}
+    cfg: dict = {"command": command, **defaults}
     if args.config:
         with open(args.config) as fh:
             loaded = json.load(fh)
@@ -117,10 +147,12 @@ def _resolve_config(args: argparse.Namespace) -> dict:
         if layout not in (None, NOISE_LAYOUT):
             raise UsageError(f"manifest has noise layout {layout!r}, not {NOISE_LAYOUT!r}")
         cfg.update(loaded)
-    for key in ("family", "seed", *_COMMANDS[command][2]):
+    for key in ("family", *defaults):
         val = getattr(args, key)
         if val is not None:
             cfg[key] = val
+    for name, default in defaults.items():
+        cfg[name] = _typed(name, cfg[name], default)
     if "family" not in cfg:
         raise UsageError("a family is required (--family or --config)")
     cfg["command"] = command
@@ -143,13 +175,13 @@ def _run_check_monotone(cfg, fam, ordr, outdir) -> int:
     if isinstance(fam.noise, FiniteNoise):
         alphas = list(range(1, fam.noise.q + 1))
     else:
-        if int(cfg["n_alphas"]) < 1:
+        if cfg["n_alphas"] < 1:
             raise UsageError("n_alphas must be >= 1")
-        alphas = list(sample_block(fam.noise, seed, 0, int(cfg["n_alphas"]), label="monotone-alpha"))
+        alphas = list(sample_block(fam.noise, seed, 0, cfg["n_alphas"], label="monotone-alpha"))
     verdicts = []
     all_monotone = True
     for a in alphas:
-        v = classify_monotonicity(fam, a, ordr, probe, n_pairs=int(cfg["n_pairs"]), seed=seed)
+        v = classify_monotonicity(fam, a, ordr, probe, n_pairs=cfg["n_pairs"], seed=seed)
         all_monotone = all_monotone and v.kind is not Monotonicity.NEITHER
         verdicts.append({"alpha": a, **_jsonable(v, True)})
     _write_json(outdir / "monotonicity.json", {"seed": seed, "verdicts": verdicts})
@@ -158,7 +190,7 @@ def _run_check_monotone(cfg, fam, ordr, outdir) -> int:
 
 def _splitting_report(cfg, fam, ordr):
     method = cfg["method"]
-    m_max = int(cfg["m_max"])
+    m_max = cfg["m_max"]
     seed = cfg["seed"]
     if method == "exact" or (method == "auto" and isinstance(fam.noise, FiniteNoise)):
         report = None
@@ -168,12 +200,12 @@ def _splitting_report(cfg, fam, ordr):
                 break
         return report
     return split_mod.find_splitting_witness(
-        fam, ordr, m_max, n_blocks=int(cfg["n_blocks"]), seed=seed
+        fam, ordr, m_max, n_blocks=cfg["n_blocks"], seed=seed
     )
 
 
 def _run_check_splitting(cfg, fam, ordr, outdir) -> int:
-    if int(cfg["m_max"]) < 1:  # an exact scan of no block length would report nothing
+    if cfg["m_max"] < 1:  # an exact scan of no block length would report nothing
         raise UsageError("m_max must be >= 1")
     report = _splitting_report(cfg, fam, ordr)
     _write_json(outdir / "splitting.json", {**_jsonable(report, True), "seed": cfg["seed"]})
@@ -182,17 +214,17 @@ def _run_check_splitting(cfg, fam, ordr, outdir) -> int:
 
 def _run_sigma_decay(cfg, fam, ordr, outdir) -> int:
     seed = cfg["seed"]
-    m = int(cfg["m"])
+    m = cfg["m"]
     scan_cfg = dict(_defaults("check-splitting"), m_max=m, seed=seed)
     report = _splitting_report(scan_cfg, fam, ordr)
     series = split_mod.sigma_decay(
         fam,
         ordr,
         m=m,
-        x=float(cfg["x"]),
-        s=int(cfg["s"]),
-        j_max=int(cfg["j_max"]),
-        replicas=int(cfg["replicas"]),
+        x=cfg["x"],
+        s=cfg["s"],
+        j_max=cfg["j_max"],
+        replicas=cfg["replicas"],
         seed=seed,
     )
     series.write_csv(outdir / "sigma_decay.csv", seed=seed)
@@ -213,7 +245,7 @@ def _run_sigma_decay(cfg, fam, ordr, outdir) -> int:
 def _run_sync_rate(cfg, fam, ordr, outdir) -> int:
     seed = cfg["seed"]
     series = sync_mod.diameter_series(
-        fam, n_max=int(cfg["n_max"]), replicas=int(cfg["replicas"]), seed=seed
+        fam, n_max=cfg["n_max"], replicas=cfg["replicas"], seed=seed
     )
     fit = sync_mod.fit_rate(series)
     series.write_csv(outdir / "diam_series.csv", fit=fit, seed=seed)
@@ -231,9 +263,9 @@ def _run_sync_rate(cfg, fam, ordr, outdir) -> int:
 
 def _run_forward_gap(cfg, fam, ordr, outdir) -> int:
     seed = cfg["seed"]
-    x0 = _parse_point(cfg.get("x0"), fam.dim, fam.probe_box().center)
+    x0 = _parse_point(cfg["x0"], fam.dim, fam.probe_box().center)
     gaps = sync_mod.forward_attractor_gap(
-        fam, seed, x0, int(cfg["n"]), tail_tol=float(cfg["tail_tol"])
+        fam, seed, x0, cfg["n"], tail_tol=cfg["tail_tol"]
     )
     gaps.write_csv(outdir / "forward_gap.csv", seed=seed)
     return EXIT_OK
@@ -244,9 +276,9 @@ def _run_stationary(cfg, fam, ordr, outdir) -> int:
     mu = trans_mod.pullback_sample(
         fam,
         seed,
-        int(cfg["n_samples"]),
-        tol=float(cfg["tol"]),
-        n_max=int(cfg["n_max"]),
+        cfg["n_samples"],
+        tol=cfg["tol"],
+        n_max=cfg["n_max"],
     )
     mu.write_csv(outdir / "stationary.csv", seed=seed)
     _write_json(
@@ -265,15 +297,15 @@ def _run_stationary(cfg, fam, ordr, outdir) -> int:
 
 def _run_w1_decay(cfg, fam, ordr, outdir) -> int:
     seed = cfg["seed"]
-    x0 = _parse_point(cfg.get("initial_point"), fam.dim, fam.probe_box().center)
+    x0 = _parse_point(cfg["initial_point"], fam.dim, fam.probe_box().center)
     initial = trans_mod.EmpiricalMeasure.dirac(x0)
     curve = trans_mod.w1_decay_curve(
         fam,
         initial,
-        n_max=int(cfg["n_max"]),
-        n_particles=int(cfg["n_particles"]),
+        n_max=cfg["n_max"],
+        n_particles=cfg["n_particles"],
         seed=seed,
-        ref_size=int(cfg["ref_size"]),
+        ref_size=cfg["ref_size"],
     )
     curve.write_csv(outdir / "w1_decay.csv", seed=seed)
     doc = {
@@ -293,22 +325,22 @@ def _run_clt(cfg, fam, ordr, outdir) -> int:
         fam,
         cfg["observable"],
         seed,
-        n=int(cfg["n"]),
-        replicas=int(cfg["replicas"]),
-        mu_size=int(cfg["mu_size"]),
-        grid_size=int(cfg["grid_size"]),
-        tol=float(cfg["tol"]),
+        n=cfg["n"],
+        replicas=cfg["replicas"],
+        mu_size=cfg["mu_size"],
+        grid_size=cfg["grid_size"],
+        tol=cfg["tol"],
     )
     _write_json(outdir / "clt_report.json", {**_jsonable(report, True), "seed": seed})
-    if cfg.get("dump_paths"):
+    if cfg["dump_paths"]:
         ensemble.write_csv(outdir / "paths.csv", seed=seed)
     return EXIT_OK
 
 
 def _run_simulate(cfg, fam, ordr, outdir) -> int:
     seed = cfg["seed"]
-    x0 = _parse_point(cfg.get("x0"), fam.dim, fam.probe_box().center)
-    block = sample_block(fam.noise, seed, int(cfg["stream_id"]), int(cfg["n"]))
+    x0 = _parse_point(cfg["x0"], fam.dim, fam.probe_box().center)
+    block = sample_block(fam.noise, seed, cfg["stream_id"], cfg["n"])
     if cfg["direction"] == "forward":
         trace = forward_orbit(fam, block, x0)
     else:
@@ -320,6 +352,8 @@ def _run_simulate(cfg, fam, ordr, outdir) -> int:
 # Each command: (help, runner, options).  An option maps to its default, or to
 # (default, help); its flag is the name with dashes, the default gives its type
 # (None: a string, False: a flag), and _CHOICES lists the values it may take.
+# _typed enforces that type and those choices on a config's value as on a
+# flag's, so a runner reads cfg[name] as it is.
 _CHOICES = {"method": ("auto", "exact", "mc"), "direction": ("forward", "reverse")}
 _COMMANDS: dict[str, tuple] = {
     "check-monotone": (

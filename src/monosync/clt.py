@@ -120,6 +120,8 @@ def make_observable(spec, mu: EmpiricalMeasure, center: float | None = None) -> 
     coordinate or affine observable of an affine family, else an estimate
     from :func:`stationary_mean`.
     """
+    if not isinstance(spec, (str, dict)):
+        raise UsageError(f"observable spec must be a string or an object, got {spec!r}")
     with _parse_errors(f"observable spec {spec!r}"):
         if isinstance(spec, str):
             if not spec.startswith("coord:"):

@@ -559,6 +559,11 @@ def family_from_config(cfg: dict) -> tuple[MapFamily, JOrder]:
     if "family" not in cfg:
         raise UsageError("config must name a 'family'")
     family = cfg["family"]
+    if not isinstance(family, str):
+        raise UsageError(f"config 'family' must be a family id, got {family!r}")
+    params = cfg.get("params")
+    if params is not None and not isinstance(params, dict):
+        raise UsageError(f"config 'params' must be an object, got {params!r}")
     fdef = _family_def(family, config=True)
     with _parse_errors("config"):
         domain = None
@@ -573,7 +578,7 @@ def family_from_config(cfg: dict) -> tuple[MapFamily, JOrder]:
     fam = make_family(
         family,
         probs=cfg.get("probs"),
-        params=cfg.get("params"),
+        params=params,
         domain=domain,
         clamp_bound=clamp_bound,
         noise=noise,

@@ -55,8 +55,8 @@ def stream_generator(seed: int, *labels) -> np.random.Generator:
 
 
 def derive_seed(seed: int, label) -> int:
-    """New root seed deterministically derived from (seed, label)."""
+    """New root seed deterministically derived from (seed, label); the seed is taken mod 2**64."""
     h = hashlib.blake2b(digest_size=8)
-    h.update(int(seed).to_bytes(8, "little", signed=False))
+    h.update((int(seed) & _MASK64).to_bytes(8, "little"))
     h.update(str(label).encode("utf-8"))
     return int.from_bytes(h.digest(), "little")

@@ -9,6 +9,7 @@ floating-point noise floor.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,7 +80,7 @@ class DiamSeries:
     def write_csv(self, path, fit: "RateFit | None" = None, seed: int | None = None) -> None:
         ns = range(self.n_max + 1)
         q05, q95 = np.quantile(self.diam, 0.05, axis=0), np.quantile(self.diam, 0.95, axis=0)
-        bound = [""] * len(ns) if fit is None else [fit.c_hat * fit.r_hat ** n for n in ns]
+        bound = [""] * len(ns) if fit is None else fit.bound(ns)
         _write_csv(path, seed, {
             "n": ns, "mean_diam": self.mean_diam(), "q05": q05, "q95": q95, "bound_c_rn": bound,
         })
@@ -96,6 +97,19 @@ class RateFit:
     r_squared: float
     warning: str | None = None
     degenerate: bool = False
+
+    def bound(self, ns) -> list[float]:
+        """The bound ``c * r^n`` at each depth of ``ns``, and ``inf`` where ``r^n`` overflows.
+
+        Computed in Python floats, so every finite cell keeps its bits.
+        """
+        out = []
+        for n in ns:
+            try:
+                out.append(self.c_hat * self.r_hat ** n)
+            except OverflowError:  # r_hat > 1 and n past the largest float
+                out.append(math.inf)
+        return out
 
 
 def _detect_m0(box_lo: np.ndarray, box_hi: np.ndarray) -> int:

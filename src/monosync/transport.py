@@ -440,7 +440,7 @@ class W1DecayCurve:
 
     def write_csv(self, path, seed: int | None = None) -> None:
         fit, ns = self.fit, self.ns.tolist()
-        bound = [""] * len(ns) if fit is None else [fit.c_hat * fit.r_hat ** n for n in ns]
+        bound = [""] * len(ns) if fit is None else fit.bound(ns)
         _write_csv(path, seed, {"n": self.ns, "w1": self.w1, "c_rn_bound": bound})
 
 

@@ -1,14 +1,19 @@
+import contextlib
 import hashlib
+import io
 import json
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from monosync import make_family, sync, transport
-from monosync.cli import EXIT_USAGE, main
+from monosync.cli import _CHOICES, _COMMANDS, EXIT_USAGE, _option, main
 from monosync.engine import _BlockTable
 from monosync.families import _default_probe
 from monosync.streams import NOISE_LAYOUT
@@ -101,7 +106,24 @@ _CLT_SMALL = ["--n", "20", "--replicas", "4", "--mu-size", "64", "--grid-size", 
     ["simulate", "--family", "cantor1d", "--x0", "abc"],
     ["check-splitting", {"family": "cantor1d", "J": [3]}],
     ["check-splitting", {"family": "cantor1d", "domain": {"lo": [1.0], "hi": [0.0]}}],
-], ids=["observable-coord", "observable-affine", "x0", "J", "domain"])
+    ["check-splitting", {"family": ["cantor1d"]}],
+    ["check-splitting", {"family": "cantor1d", "params": [1]}],
+    # an option's value is typed as its default declares, from a config as from a flag
+    ["stationary", {"family": "cantor1d", "n_samples": "abc"}],
+    ["stationary", {"family": "cantor1d", "seed": "x"}],
+    ["stationary", {"family": "cantor1d", "tol": None}],
+    ["clt", *_CLT_SMALL, {"family": "cantor1d", "observable": 5}],
+    ["stationary", {"family": "cantor1d", "n_samples": 64.9}],
+    ["check-splitting", {"family": "cantor1d", "m_max": 2.5}],
+    ["simulate", {"family": "cantor1d", "n": True}],
+    ["clt", *_CLT_SMALL, {"family": "cantor1d", "dump_paths": "no"}],
+    ["check-splitting", {"family": "cantor1d", "method": "bogus"}],
+    ["simulate", {"family": "cantor1d", "direction": "sideways"}],
+    ["stationary", "--family", "cantor1d", "--n-samples", "64.9"],
+], ids=["observable-coord", "observable-affine", "x0", "J", "domain", "family-list", "params-list",
+        "n_samples-text", "seed-text", "tol-null", "observable-int", "n_samples-fraction",
+        "m_max-fraction", "n-bool", "dump_paths-text", "method-bogus", "direction-sideways",
+        "n_samples-flag-fraction"])
 def test_malformed_inputs_are_usage_errors(tmp_path, capsys, args):
     # parsed where they enter, so the run stops before it writes anything
     if isinstance(args[-1], dict):
@@ -111,6 +133,48 @@ def test_malformed_inputs_are_usage_errors(tmp_path, capsys, args):
     assert run(args + ["--out", str(tmp_path / "new" / "out")]) == EXIT_USAGE
     assert capsys.readouterr().err.startswith("usage error:")
     assert not (tmp_path / "new").exists()
+
+
+def _wrong_values(name, default):
+    """Config values that option ``name``, of default ``default``, must refuse."""
+    kinds = [st.text(max_size=4).map(lambda t: t + "?"), st.none(),
+             st.lists(st.integers(), max_size=2), st.dictionaries(st.text(max_size=2), st.integers(), max_size=2)]
+    if name in _CHOICES:
+        kinds += [st.booleans(), st.integers(), st.floats()]
+    elif default is False:
+        kinds += [st.integers(), st.floats()]
+    elif isinstance(default, int):
+        kinds += [st.booleans(), st.floats()]
+    else:
+        kinds += [st.booleans()]
+    return st.one_of(kinds)
+
+
+# every (command, option, default) whose value is typed before the run: the
+# seed and each option but those a parser of their own reads (default None or text)
+_TYPED_OPTIONS = [
+    (command, name, default)
+    for command, (_, _, options) in _COMMANDS.items()
+    for name, default in {"seed": 0, **{k: _option(v)[0] for k, v in options.items()}}.items()
+    if name in _CHOICES or not (default is None or isinstance(default, str))
+]
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(case=st.sampled_from(_TYPED_OPTIONS).flatmap(
+    lambda c: st.tuples(st.just(c), _wrong_values(c[1], c[2]))))
+def test_config_values_of_the_wrong_kind_are_usage_errors(case):
+    # a new option whose default is mistyped, or a runner cast that bypasses
+    # the typing, lets one of these through or raises something else
+    (command, name, _), value = case
+    with tempfile.TemporaryDirectory() as tmp:
+        config, out, err = Path(tmp) / "config.json", Path(tmp) / "out", io.StringIO()
+        config.write_text(json.dumps({"family": "cantor1d", name: value}))
+        with contextlib.redirect_stderr(err):
+            code = run([command, "--config", str(config), "--out", str(out)])
+        assert code == EXIT_USAGE, (command, name, value)
+        assert err.getvalue().startswith("usage error:")
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("args", [
@@ -182,6 +246,16 @@ def test_sync_rate_artifacts(tmp_path):
     assert lines[0] == "# seed=3"
 
 
+def test_overflowing_bound_cells_are_inf(tmp_path):
+    # exp1d's fitted rate grows: c * r^n passes the largest float at n = 5
+    out = tmp_path / "exp"
+    assert run(["sync-rate", "--family", "exp1d", "--n-max", "6", "--replicas", "8", "--out", str(out)]) == 0
+    fit = read_json(out / "rate_fit.json")
+    cells = [line.rsplit(",", 1)[1] for line in (out / "diam_series.csv").read_text().splitlines()[2:]]
+    assert cells[5:] == ["inf", "inf"]
+    assert [float(c) for c in cells[:5]] == [fit["c_hat"] * fit["r_hat"] ** n for n in range(5)]
+
+
 def test_sigma_decay_command(tmp_path):
     out = tmp_path / "sig"
     assert run([
@@ -225,6 +299,36 @@ def test_w1_decay_command(tmp_path):
     doc = read_json(out / "w1_fit.json")
     assert doc["fit"] is not None
     assert doc["floor"] > 0
+
+
+@pytest.mark.parametrize(("args", "artifact"), [
+    (["w1-decay", "--family", "cantor1d", "--n-max", "2", "--n-particles", "64", "--ref-size", "64"], "w1_decay.csv"),
+    (["clt", "--family", "cantor1d", *_CLT_SMALL], "clt_report.json"),
+], ids=["w1-decay", "clt"])
+def test_negative_seed_is_its_residue_mod_2_64(tmp_path, args, artifact):
+    # every stream and derived seed takes the root seed mod 2**64: the
+    # artifacts differ only where they write the seed
+    got = []
+    for seed in ("-1", str(2**64 - 1)):
+        path = tmp_path / seed / artifact
+        assert run(args + ["--seed", seed, "--out", str(path.parent)]) == 0
+        if path.suffix == ".json":
+            got.append({k: v for k, v in read_json(path).items() if k != "seed"})
+        else:
+            got.append(path.read_text().split("\n", 1)[1])
+    assert got[0] == got[1]
+
+
+def test_flag_and_config_values_write_one_manifest(tmp_path):
+    # a float option's integer is the float it stands for, from a flag or a config
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"family": "cantor1d", "tol": 1}))
+    args = ["stationary", "--n-samples", "16"]
+    assert run(args + ["--family", "cantor1d", "--tol", "1", "--out", str(tmp_path / "flag")]) == 0
+    assert run(args + ["--config", str(config), "--out", str(tmp_path / "config")]) == 0
+    manifests = [(tmp_path / d / "manifest.json").read_bytes() for d in ("flag", "config")]
+    assert manifests[0] == manifests[1]
+    assert read_json(tmp_path / "flag" / "manifest.json")["tol"] == 1.0
 
 
 def test_clt_command(tmp_path):

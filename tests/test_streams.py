@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from monosync import Box, EmpiricalMeasure, JOrder, clt, make_family, noise_at, sample_block, splitting, transport
 from monosync.engine import _FILL_WORDS, _BlockTable
 from monosync.families import BoxNoise, FiniteNoise
-from monosync.streams import stream_generator
+from monosync.streams import derive_seed, stream_generator
 
 from oracles import finite_symbol, per_stream_table, single_stream
 
@@ -124,6 +124,15 @@ def test_sample_block_reduces_ids_mod_2_64(noise, seed, stream_id):
     got = sample_block(noise, seed, stream_id, 9, label="gap-fwd")
     want = sample_block(noise, seed, stream_id % 2**64, 9, label="gap-fwd")
     assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(-(2**70), 2**70), label=labels)
+@example(seed=-1, label="w1-floor")
+def test_derive_seed_reduces_seeds_mod_2_64(seed, label):
+    # as stream_generator and hash64 do, so a negative --seed runs every command
+    assert derive_seed(seed, label) == derive_seed(seed % 2**64, label)
+    assert derive_seed(-1, label) == derive_seed(2**64 - 1, label)
 
 
 @settings(max_examples=100, deadline=None)
