@@ -48,13 +48,9 @@ EXIT_USAGE = 1
 EXIT_UNVERIFIED = 2
 
 
-class _CliUsage(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse defaults to exit code 2; we reserve that
-        raise _CliUsage(message)
+        raise UsageError(message)
 
 
 def _option(spec) -> tuple:
@@ -234,7 +230,9 @@ def _run_sigma_decay(cfg, fam, ordr, outdir) -> int:
             "seed": seed,
             "lambda_bound": series.lambda_bound,
             "splitting": report,
-            "lambda_from_masses": 1.0 - report.rho if report.verified else None,
+            # splitting at m' <= m with masses >= rho bounds membership by (1 - rho) per m'
+            # steps, so by (1 - rho) ** (m // m') per block of m, the unit of lambda_bound
+            "lambda_from_masses": (1.0 - report.rho) ** (m // report.m) if report.verified else None,
             "truncated_at": series.truncated_at,
             "n_saturated": series.n_saturated,
         },
@@ -431,7 +429,7 @@ def main(argv=None) -> int:
         previous = manifest.read_bytes() if manifest.exists() else None
         _write_json(manifest, {**cfg, **family_to_config(fam, ordr)}, strict=False)
         return _COMMANDS[args.command][1](cfg, fam, ordr, outdir)
-    except (_CliUsage, UsageError) as exc:
+    except UsageError as exc:
         # a runner that rejects its sizes has written nothing but the
         # manifest: take it back, restoring the one it replaced, and remove
         # the directories this call made

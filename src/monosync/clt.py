@@ -23,6 +23,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 
@@ -68,57 +69,39 @@ _MOMENT_DIM_CAP = 32  # the covariance system is d^2 x d^2: at most 1024 x 1024 
 
 @dataclass(frozen=True)
 class Observable:
-    """Centered scalar observable: a coordinate, an affine form or a nearest-point table.
+    """Scalar observable of the chain's state: ``raw`` minus ``center``.
 
-    ``center`` is subtracted from the raw observable on evaluation.  In
-    :func:`run_clt_analysis` it is the stationary mean: exact (v . m + b)
-    for a coordinate or affine observable v . x + b of a family that
-    :func:`affine_moments` covers, an ergodic estimate otherwise.
+    ``raw`` maps an (n, dim) point block to its n values; ``linear`` is
+    ``(v, b)`` when ``raw(x) = v . x + b``, else None.  :func:`run_clt_analysis`
+    centers at the stationary mean: exact (v . m + b) for a linear observable
+    of a family that :func:`affine_moments` covers, an ergodic estimate otherwise.
     """
 
-    kind: str  # "coordinate" | "affine" | "table"
+    raw: Callable[[np.ndarray], np.ndarray]
+    linear: tuple[np.ndarray, float] | None = None
     center: float = 0.0
-    coord: int = 1
-    coeffs: np.ndarray | None = None
-    offset: float = 0.0
-    table_points: np.ndarray | None = None
-    table_values: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.kind == "table":
-            if self.table_points is None or self.table_values is None:
-                raise UsageError("table observable needs points and values")
-            from scipy.spatial import cKDTree
-
-            object.__setattr__(self, "_tree", cKDTree(np.atleast_2d(self.table_points)))
-
-    def raw(self, pts: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        if self.kind == "coordinate":
-            return pts[:, self.coord - 1]
-        if self.kind == "affine":
-            return pts @ self.coeffs + self.offset
-        if self.kind == "table":
-            _, idx = self._tree.query(pts)  # type: ignore[attr-defined]
-            return np.asarray(self.table_values)[idx]
-        raise UsageError(f"unknown observable kind {self.kind!r}")
 
     def __call__(self, pts: np.ndarray) -> np.ndarray:
         return self.raw(pts) - self.center
 
 
+def _block(pts) -> np.ndarray:
+    return np.atleast_2d(np.asarray(pts, dtype=float))
+
+
 def make_observable(spec, mu: EmpiricalMeasure, center: float | None = None) -> Observable:
     """Build an observable from a spec string/dict and center it.
 
-    Accepted specs: ``"coord:s"``, ``{"kind": "coordinate", "s": s}``,
-    ``{"kind": "affine", "coeffs": [...], "offset": b}``,
-    ``{"kind": "table", "points": ..., "values": ...}``.
+    The only code that knows the kinds.  ``"coord:s"`` or ``{"kind":
+    "coordinate", "s": s}`` is x_s, linear with v = e_s and b = 0;
+    ``{"kind": "affine", "coeffs": v, "offset": b}`` is v . x + b; and
+    ``{"kind": "table", "points": ..., "values": ...}`` is the value at the
+    nearest table point (one kd-tree, built here), not linear.
     The default centering constant is the weighted mean of the raw
     observable over ``mu``; pass the stationary mean when higher precision
     is needed (partial sums amplify a centering bias delta into a drift of
     order delta * sqrt(n)): the exact one from :func:`affine_moments` for a
-    coordinate or affine observable of an affine family, else an estimate
-    from :func:`stationary_mean`.
+    linear observable of an affine family, else :func:`stationary_mean`'s.
     """
     if not isinstance(spec, (str, dict)):
         raise UsageError(f"observable spec must be a string or an object, got {spec!r}")
@@ -132,34 +115,27 @@ def make_observable(spec, mu: EmpiricalMeasure, center: float | None = None) -> 
             s = int(spec.get("s", 1))
             if not (1 <= s <= mu.dim):
                 raise UsageError(f"coordinate {s} outside 1..{mu.dim}")
-            obs = Observable(kind="coordinate", coord=s)
+            # its own closure: the product with a unit vector is slower
+            obs = Observable(lambda pts: _block(pts)[:, s - 1], (np.eye(mu.dim)[s - 1], 0.0))
         elif kind == "affine":
             coeffs = np.asarray(spec["coeffs"], dtype=float)
             if coeffs.shape != (mu.dim,):
                 raise UsageError("affine coefficients must match the dimension")
             if not coeffs.any():
                 raise UsageError("affine observable must be non-constant")
-            obs = Observable(kind="affine", coeffs=coeffs, offset=float(spec.get("offset", 0.0)))
+            offset = float(spec.get("offset", 0.0))
+            obs = Observable(lambda pts: _block(pts) @ coeffs + offset, (coeffs, offset))
         elif kind == "table":
-            obs = Observable(
-                kind="table",
-                table_points=np.atleast_2d(np.asarray(spec["points"], dtype=float)),
-                table_values=np.asarray(spec["values"], dtype=float),
-            )
+            from scipy.spatial import cKDTree
+
+            tree = cKDTree(np.atleast_2d(np.asarray(spec["points"], dtype=float)))
+            values = np.asarray(spec["values"], dtype=float)
+            obs = Observable(lambda pts: values[tree.query(_block(pts))[1]])
         else:
             raise UsageError(f"unknown observable kind {kind!r}")
     if center is None:
         center = float(mu.weights @ obs.raw(mu.points))
     return replace(obs, center=float(center))
-
-
-def _linear_part(obs: Observable, dim: int) -> tuple[np.ndarray, float] | None:
-    """``(v, b)`` with ``obs.raw(x) = v . x + b``, or None for a table observable."""
-    if obs.kind == "coordinate":
-        return np.eye(dim)[obs.coord - 1], 0.0
-    if obs.kind == "affine":
-        return np.asarray(obs.coeffs, dtype=float), obs.offset
-    return None
 
 
 @dataclass(frozen=True)
@@ -496,8 +472,9 @@ def sigma_estimate(sol: PoissonSolution) -> SigmaEstimates:
     (``max |phi_values| + |term_means[0]|``): a law concentrated on one
     point leaves only rounding noise there.
     """
-    mg = float(np.mean(sol.psi**2) - np.mean(sol.p_psi**2))
-    resid = float(np.mean((sol.psi - sol.p_psi) ** 2))
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite mg raises below
+        mg = float(np.mean(sol.psi**2) - np.mean(sol.p_psi**2))
+        resid = float(np.mean((sol.psi - sol.p_psi) ** 2))
     if not (math.isfinite(mg) and mg > 0):
         raise NonPositiveSigmaError(
             f"martingale variance {mg:.3e} is non-finite or non-positive; "
@@ -696,18 +673,17 @@ def run_clt_analysis(
         raise UsageError("tol must be positive")
     mu = pullback_sample(fam, seed, mu_size)
     phi0 = make_observable(observable_spec, mu)
-    linear = _linear_part(phi0, fam.dim)
-    moments = None if linear is None else affine_moments(fam)
+    moments = None if phi0.linear is None else affine_moments(fam)
     if moments is None:
         center_method, sigma2_exact = "ergodic", None
         center, center_saturated = stationary_mean(
             fam, phi0, derive_seed(seed, "center"), replicas=center_replicas, steps=center_steps
         )
     else:
-        v, b = linear
+        v, b = phi0.linear
         center_method, sigma2_exact = "exact", moments.sigma2(v)
         center, center_saturated = float(v @ moments.mean + b), 0
-    phi = make_observable(observable_spec, mu, center=center)
+    phi = replace(phi0, center=center)
     sol = poisson_solve(
         fam, phi, mu, grid_size=grid_size, tol=tol, seed=derive_seed(seed, "poisson")
     )

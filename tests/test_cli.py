@@ -267,6 +267,23 @@ def test_sigma_decay_command(tmp_path):
     assert doc["lambda_from_masses"] == pytest.approx(0.5)
 
 
+def test_sigma_decay_masses_bound_is_per_block_of_m(tmp_path):
+    # splitting holds at m' = 1 with masses 0.3 and 0.7: membership decays by at
+    # most 0.7 a step, so by 0.7 ** 2 a block of m = 2 steps, lambda_bound's unit
+    config = tmp_path / "skew.json"
+    config.write_text(json.dumps({"family": "cantor1d", "probs": [0.3, 0.7]}))
+    out = tmp_path / "sig"
+    assert run([
+        "sigma-decay", "--config", str(config), "--m", "2", "--x", "0.1", "--replicas", "4000",
+        "--j-max", "6", "--seed", "2", "--out", str(out),
+    ]) == 0
+    doc = read_json(out / "sigma_decay.json")
+    split = doc["splitting"]
+    assert (split["m"], split["mass_a"], split["mass_b"]) == (1, 0.3, 0.7)
+    assert doc["lambda_from_masses"] == (1.0 - 0.3) ** 2 == 0.48999999999999994
+    assert doc["lambda_bound"] <= doc["lambda_from_masses"]
+
+
 def test_stationary_command(tmp_path):
     out = tmp_path / "st"
     assert run([
@@ -344,13 +361,19 @@ def test_clt_command(tmp_path):
 
 
 def test_manifest_roundtrip_bytes(tmp_path):
-    out_a = tmp_path / "A"
-    out_b = tmp_path / "B"
-    args = ["sync-rate", "--family", "cantor1d", "--n-max", "12", "--replicas", "8", "--seed", "9"]
-    assert run(args + ["--out", str(out_a)]) == 0
-    assert run(["sync-rate", "--config", str(out_a / "manifest.json"), "--out", str(out_b)]) == 0
-    for name in ("manifest.json", "diam_series.csv", "rate_fit.json"):
-        assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
+    # slide1d's manifest holds a noise box, which family_from_config reads back
+    cases = [
+        (["sync-rate", "--family", "cantor1d", "--n-max", "12", "--replicas", "8", "--seed", "9"],
+         ("manifest.json", "diam_series.csv", "rate_fit.json")),
+        (["check-splitting", "--family", "slide1d", "--seed", "3"], ("manifest.json", "splitting.json")),
+    ]
+    for i, (args, names) in enumerate(cases):
+        out_a = tmp_path / f"A{i}"
+        out_b = tmp_path / f"B{i}"
+        assert run(args + ["--out", str(out_a)]) == 0
+        assert run([args[0], "--config", str(out_a / "manifest.json"), "--out", str(out_b)]) == 0
+        for name in names:
+            assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), (args[0], name)
 
 
 # Every manifest holds the family's config, the command, seed and noise layout,
@@ -771,3 +794,22 @@ def test_non_finite_points_exit_usage(tmp_path, capsys, args):
     # a NaN start would be clamped to 0, and a NaN x is in no image: both read as results
     assert run(args + ["--out", str(tmp_path / "out")]) == EXIT_USAGE
     assert "must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args, config, message", [
+    (["stationary", "--family", "arctanexp2d", "--n-samples", "64", "--n-max", "64"], None, "not converged: "),
+    (["clt", "--n", "200", "--replicas", "100", "--mu-size", "512", "--grid-size", "256"],
+     {"family": "cantor1d", "probs": [1.0]}, "error: martingale variance"),
+    (["clt", "--family", "exp1d", "--n", "20", "--replicas", "10", "--mu-size", "32", "--grid-size", "16",
+      "--tol", "0.001", "--seed", "5"], None, "error: martingale variance"),
+], ids=["pullback-not-converged", "clt-one-point-law", "clt-overflowing-corrector"])
+def test_stopped_runs_exit_2_with_only_the_manifest(tmp_path, capsys, args, config, message):
+    # a run stopped by an exception, not a verdict: exit 2 and no report; exp1d's
+    # corrector overflows its square, which must give no RuntimeWarning
+    if config is not None:
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        args = args + ["--config", str(tmp_path / "config.json")]
+    out = tmp_path / "out"
+    assert run(args + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(message)
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]

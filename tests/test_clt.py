@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from monosync import (
@@ -31,8 +33,12 @@ def cantor_mu():
     return pullback_sample(make_family("cantor1d"), 101, 4096, tol=1e-9)
 
 
+def _first_coordinate(pts):
+    return np.atleast_2d(pts)[:, 0]
+
+
 def centered_coord(center=0.5):
-    return Observable(kind="coordinate", center=center, coord=1)
+    return Observable(_first_coordinate, (np.ones(1), 0.0), center)
 
 
 def test_transfer_exact_enumeration_affine(cantor1d, cantor_mu):
@@ -262,16 +268,45 @@ def test_make_observable_centering(cantor_mu):
         },
         cantor_mu,
     )
-    # nearest-neighbor table lookup
+    # nearest-neighbor table lookup, which has no linear form
     assert tab.raw(np.array([[0.1], [0.9]])) == pytest.approx([0.0, 1.0])
+    assert tab.linear is None
     with pytest.raises(UsageError):
         make_observable("coord:3", cantor_mu)
     with pytest.raises(UsageError):
         make_observable({"kind": "affine", "coeffs": [0.0]}, cantor_mu)
 
 
+_COORDINATE = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _linear_specs(draw):
+    dim = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        s = draw(st.integers(1, dim))
+        spec = draw(st.sampled_from([f"coord:{s}", {"kind": "coordinate", "s": s}]))
+    else:
+        coeffs = draw(st.lists(st.floats(-1e3, 1e3), min_size=dim, max_size=dim).filter(any))
+        spec = {"kind": "affine", "coeffs": coeffs, "offset": draw(st.floats(-1e3, 1e3))}
+    x = np.asarray(draw(st.lists(_COORDINATE, min_size=dim, max_size=8 * dim)))
+    return dim, spec, x[: x.size - x.size % dim].reshape(-1, dim)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(case=_linear_specs())
+def test_make_observable_linear_describes_raw(case):
+    # the linear form feeds the exact center and sigma^2, so it must be the raw observable
+    dim, spec, x = case
+    mu = EmpiricalMeasure.uniform(np.linspace(0.0, 1.0, 3 * dim).reshape(3, dim))
+    obs = make_observable(spec, mu)
+    v, b = obs.linear
+    assert v.shape == (dim,)
+    np.testing.assert_array_equal(obs.raw(x), x @ v + b)
+
+
 def test_stationary_mean_precision(cantor1d):
-    obs = Observable(kind="coordinate", center=0.0, coord=1)
+    obs = centered_coord(0.0)
     est, _ = stationary_mean(cantor1d, obs, seed=3, replicas=256, steps=4000)
     # error scale sqrt(sigma2_asym / total) with sigma2_asym = 1/4
     assert abs(est - 0.5) <= 4 * np.sqrt(0.25 / (256 * 4000))
