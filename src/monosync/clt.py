@@ -128,8 +128,13 @@ def make_observable(spec, mu: EmpiricalMeasure, center: float | None = None) -> 
         elif kind == "table":
             from scipy.spatial import cKDTree
 
-            tree = cKDTree(np.atleast_2d(np.asarray(spec["points"], dtype=float)))
+            points = np.atleast_2d(np.asarray(spec["points"], dtype=float))
             values = np.asarray(spec["values"], dtype=float)
+            if values.ndim != 1 or not values.size or points.shape != (values.size, mu.dim):
+                raise UsageError(f"table needs n >= 1 values and n points of dimension {mu.dim}")
+            if not (np.isfinite(points).all() and np.isfinite(values).all()):
+                raise UsageError("table points and values must be finite")
+            tree = cKDTree(points)
             obs = Observable(lambda pts: values[tree.query(_block(pts))[1]])
         else:
             raise UsageError(f"unknown observable kind {kind!r}")

@@ -66,10 +66,10 @@ class NonPositiveSigmaError(MonosyncError):
 
 @contextmanager
 def _parse_errors(what: str):
-    """Re-raise the KeyError, TypeError or ValueError of parsing outside input as a UsageError."""
+    """Re-raise the KeyError, TypeError, ValueError or OverflowError of parsing outside input as a UsageError."""
     try:
         yield
     except KeyError as exc:
         raise UsageError(f"{what}: missing key {exc}") from None
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise UsageError(f"{what}: {exc}") from None

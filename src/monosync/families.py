@@ -127,11 +127,14 @@ class MonotonicityVerdict:
 # itself; the box's dimension is the family's.  ``default_noise`` gives the
 # noise of a family built without one, and its kind (finite or box) is the
 # kind the family takes, unless ``either_noise``.  ``defaults`` holds the
-# params a caller may leave out: every callable of the entry gets the
-# caller's params over them.  The vectorized map body receives a point block
-# of shape (n, dim) and one parameter per point row: an (n,) array of
-# symbols for finite noise, or an (n, d) array of parameter vectors for box
-# noise; it returns the unclamped images, row i under row i's map.
+# params a caller may leave out, and ``shapes`` the row shape of each
+# per-symbol param ("d": one size shared by every param naming it; a (1,) row
+# may be a plain number).  Every callable of the entry gets the caller's params
+# over the defaults as ``read`` gives them: each shaped param a finite float
+# array of k >= q rows.  The vectorized map body receives a point block of
+# shape (n, dim) and one parameter per point row: an (n,) array of symbols for
+# finite noise, or an (n, d) array of parameter vectors for box noise; it
+# returns the unclamped images, row i under row i's map.
 # ``monotone`` gives the signs (+1 increasing, -1 decreasing coordinate) of an
 # orthant order under which every clamped member map is increasing or
 # decreasing, or None when the family declares no such order; ``default_j``
@@ -154,10 +157,26 @@ class _FamilyDef:
     default_j: tuple[int, ...] | None = None
     affine: Callable[[dict], tuple | None] = lambda p: None
     config_ok: bool = True
+    shapes: dict[str, tuple] = field(default_factory=dict)
 
-    def resolve(self, params: dict) -> dict:
-        """The caller's ``params`` over the defaults: what every callable of the entry gets."""
-        return {**self.defaults, **params}
+    def read(self, params: dict, q: int) -> dict:
+        """``params`` over the defaults, each shaped one a float (k, *row) array, k >= ``q``, or UsageError."""
+        merged, sizes = {**self.defaults, **params}, {}
+        for name, row in self.shapes.items():
+            with _parse_errors(f"param {name!r}"):
+                arr = np.array(merged[name], dtype=float)
+            arr = arr[:, None] if row == (1,) and arr.ndim == 1 else arr
+            want = tuple(sizes.setdefault(r, n) if r == "d" else r for r, n in zip(row, arr.shape[1:]))
+            if arr.ndim != len(row) + 1 or arr.shape[1:] != want or 0 in want:
+                shape = ", ".join(map(str, ("k", *row)))
+                raise UsageError(f"param {name!r} must be of shape ({shape}), got {arr.shape}")
+            if len(arr) < q:
+                raise UsageError(f"param {name!r} has {len(arr)} rows for {q} noise symbols")
+            if not np.isfinite(arr).all():
+                raise UsageError(f"param {name!r} must be finite")
+            arr.flags.writeable = False  # the family's maps: no caller of affine_form may change them
+            merged[name] = arr
+        return merged
 
 
 def _unit_box(dim: int) -> Box:
@@ -166,12 +185,6 @@ def _unit_box(dim: int) -> Box:
 
 def _sym_box(dim: int, r: float) -> Box:
     return Box(-r * np.ones(dim), r * np.ones(dim))
-
-
-def _per_row(consts, a):
-    """``consts[a - 1]`` for each row's symbol, as (n, k) rows (a scalar constant has k = 1)."""
-    c = np.asarray(consts, dtype=float)
-    return c.reshape(len(c), -1).take(a - 1, axis=0)
 
 
 def _by_symbol(a, pts, fn):
@@ -197,7 +210,7 @@ def _by_symbol(a, pts, fn):
 def _cantor_body(params, a, pts):
     # built in the gathered constants: one fewer per-point temporary than
     # ``pts / 3.0 + offsets``, with the same bits since addition commutes
-    img = _per_row(params["offsets"], a)
+    img = params["offsets"].take(a - 1, axis=0)
     img += pts / 3.0
     return img
 
@@ -215,22 +228,18 @@ def _arctanexp2d_body(params, a, pts):
 
 
 def _lip_pair_body(params, a, pts):
-    slopes = _per_row(params["slopes"], a)
+    slopes = params["slopes"].take(a - 1, axis=0)
     mode = params["mode"]
     if mode == "linear":
         return slopes * pts
     if mode == "disjoint":
-        return _per_row(params["offsets"], a) + slopes * np.tanh(pts)
+        return params["offsets"].take(a - 1, axis=0) + slopes * np.tanh(pts)
     raise UsageError(f"lip-pair mode must be 'linear' or 'disjoint', got {mode!r}")
 
 
 def _affine_body(params, a, pts):
-    def affine(sym, rows):
-        A = np.asarray(params["mats"][sym - 1], dtype=float)
-        b = np.asarray(params["offs"][sym - 1], dtype=float)
-        return rows @ A.T + b
-
-    return _by_symbol(a, pts, affine)
+    mats, offs = params["mats"], params["offs"]
+    return _by_symbol(a, pts, lambda sym, rows: rows @ mats[sym - 1].T + offs[sym - 1])
 
 
 def _slide1d_body(params, a, pts):
@@ -248,16 +257,12 @@ def _rot2d_body(params, a, pts):
 
 
 def _custom_body(params, a, pts):
+    fn = params["fn"]
+
     def call(alpha, rows):
-        return np.asarray(params["fn"](alpha, rows), dtype=float).reshape(rows.shape)
+        return np.asarray(fn(alpha, rows), dtype=float).reshape(rows.shape)
 
     return call(a, pts) if a.ndim == 2 else _by_symbol(a, pts, call)
-
-
-def _affine_dim(params) -> int:
-    if "mats" not in params or "offs" not in params:
-        raise UsageError("affine-general requires 'mats' and 'offs' params")
-    return len(np.atleast_1d(np.asarray(params["offs"][0], dtype=float)))
 
 
 def _affine_monotone(params) -> tuple[float, ...] | None:
@@ -269,13 +274,12 @@ def _affine_monotone(params) -> tuple[float, ...] | None:
     the one exception: a row whose products overflow to opposite
     infinities gives NaN, which the clamp sets to 0 and flags.
     """
-    d = _affine_dim(params)
+    d = params["mats"].shape[1]
     if d > 10:
         return None
-    mats = [np.asarray(m, dtype=float).reshape(d, d) for m in params["mats"]]
     for bits in range(2 ** (d - 1)):
         s = np.array([1.0] + [-1.0 if bits >> k & 1 else 1.0 for k in range(d - 1)])
-        sas = [s[:, None] * A * s[None, :] for A in mats]
+        sas = [s[:, None] * A * s[None, :] for A in params["mats"]]
         if all((m >= 0).all() or (m <= 0).all() for m in sas):
             return tuple(s.tolist())
     return None
@@ -283,23 +287,14 @@ def _affine_monotone(params) -> tuple[float, ...] | None:
 
 def _third_plus_offsets(params):
     """Declaration of the cantor body: x -> x / 3 + offsets[a - 1]."""
-    offs = np.asarray(params["offsets"], dtype=float)
-    offs = offs.reshape(len(offs), -1)
-    q, d = offs.shape
-    return np.broadcast_to(np.eye(d) / 3.0, (q, d, d)), offs
+    q, d = params["offsets"].shape
+    return np.broadcast_to(np.eye(d) / 3.0, (q, d, d)), params["offsets"]
 
 
 def _lip_pair_affine(params):
     if params["mode"] != "linear":
         return None  # disjoint: offsets plus slopes times tanh
-    slopes = np.asarray(params["slopes"], dtype=float).reshape(-1, 1, 1)
-    return slopes, np.zeros((len(slopes), 1))
-
-
-def _affine_general_affine(params):
-    d = _affine_dim(params)
-    mats = np.asarray(params["mats"], dtype=float).reshape(-1, d, d)
-    return mats, np.asarray(params["offs"], dtype=float).reshape(-1, d)
+    return params["slopes"][:, :, None], np.zeros((len(params["slopes"]), 1))
 
 
 def _slide1d_affine(params):
@@ -320,6 +315,7 @@ _REGISTRY: dict[str, _FamilyDef] = {
         defaults={"offsets": (0.0, 2.0 / 3.0)},
         monotone=lambda p: (1.0,),
         affine=_third_plus_offsets,
+        shapes={"offsets": (1,)},
     ),
     "cantor2d": _FamilyDef(
         box=lambda p: Box([0.0, -1.0], [1.0, 0.0]),
@@ -328,6 +324,7 @@ _REGISTRY: dict[str, _FamilyDef] = {
         defaults={"offsets": ((0.0, 0.0), (2.0 / 3.0, -2.0 / 3.0))},
         monotone=lambda p: (1.0, -1.0),
         affine=_third_plus_offsets,
+        shapes={"offsets": (2,)},
     ),
     "exp1d": _FamilyDef(
         box=lambda p: _sym_box(1, 3.0),
@@ -345,13 +342,15 @@ _REGISTRY: dict[str, _FamilyDef] = {
         defaults={"slopes": (2.0, 0.5), "mode": "linear", "offsets": (3.0, -2.0)},
         monotone=lambda p: (1.0,),
         affine=_lip_pair_affine,
+        shapes={"slopes": (1,), "offsets": (1,)},
     ),
     "affine-general": _FamilyDef(
-        box=lambda p: _sym_box(_affine_dim(p), 1.0),
+        box=lambda p: _sym_box(p["offs"].shape[1], 1.0),
         body=_affine_body,
         default_noise=lambda p: FiniteNoise(tuple([1.0 / len(p["mats"])] * len(p["mats"]))),
         monotone=_affine_monotone,
-        affine=_affine_general_affine,
+        affine=lambda p: (p["mats"], p["offs"]),
+        shapes={"offs": ("d",), "mats": ("d", "d")},
     ),
     "slide1d": _FamilyDef(
         box=lambda p: _unit_box(1),
@@ -367,6 +366,7 @@ _REGISTRY: dict[str, _FamilyDef] = {
         defaults={"angles": (math.pi / 6.0, math.sqrt(2.0))},
         default_j=(1,),
         affine=_rot2d_affine,
+        shapes={"angles": ()},
     ),
     "custom": _FamilyDef(
         box=lambda p: _sym_box(int(p["dim"]), 1.0),
@@ -398,9 +398,9 @@ class MapFamily:
 
     ``params`` selects/configures the concrete maps inside the named
     built-in family, and with it ``dim``; a param it leaves out takes the
-    registry's default.  Outputs are clamped
-    componentwise to [-clamp_bound, clamp_bound]; clamping never happens
-    silently: :meth:`apply_batch` returns a saturation flag per row.
+    registry's default.  Read once here, ``params`` stays as given.  Outputs
+    are clamped componentwise to [-clamp_bound, clamp_bound]; clamping never
+    happens silently: :meth:`apply_batch` returns a saturation flag per row.
     """
 
     family: str
@@ -409,16 +409,15 @@ class MapFamily:
     domain: Box | None = None
     clamp_bound: float = 1e300
     dim: int = field(init=False)  # the dimension of the registry's box for ``params``
-    _params: dict = field(init=False, repr=False, compare=False)  # ``params`` over the defaults
+    _params: dict = field(init=False, repr=False, compare=False)  # ``params`` over the defaults, read
 
     def __post_init__(self):
         fdef = _family_def(self.family)
-        merged = fdef.resolve(self.params)
-        object.__setattr__(self, "_params", merged)
-        object.__setattr__(self, "dim", fdef.box(merged).dim)
+        object.__setattr__(self, "_params", fdef.read(self.params, self.noise.q if self.finite else 0))
+        object.__setattr__(self, "dim", fdef.box(self._params).dim)
         if not self.clamp_bound > 0:  # a NaN bound fails here too
             raise UsageError("clamp_bound must be positive")
-        kind = type(fdef.default_noise(merged))
+        kind = type(fdef.default_noise(self._params))
         if not fdef.either_noise and not isinstance(self.noise, kind):
             raise UsageError(f"family {self.family!r} takes {kind.__name__} only")
 
@@ -529,14 +528,13 @@ def make_family(
     """Build a family from registry defaults, overriding selectively."""
     fdef = _family_def(family)
     params = dict(params or {})
-    full = fdef.resolve(params)
-    box = fdef.box(full)  # validates required params before anything else
+    full = fdef.read(params, 0)  # MapFamily checks the rows against the noise
     if noise is None:
         noise = FiniteNoise(tuple(probs)) if probs is not None else fdef.default_noise(full)
     elif probs is not None:
         raise UsageError("pass either probs or noise, not both")
     if domain is None and fdef.bounded:
-        domain = box
+        domain = fdef.box(full)
     return MapFamily(
         family=family,
         noise=noise,

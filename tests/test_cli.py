@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import subprocess
 import sys
 import tempfile
@@ -12,10 +13,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from monosync import make_family, sync, transport
+from monosync import builtin_family_ids, make_family, sync, transport
 from monosync.cli import _CHOICES, _COMMANDS, EXIT_USAGE, _option, main
 from monosync.engine import _BlockTable
-from monosync.families import _default_probe
+from monosync.families import _REGISTRY, _default_probe
 from monosync.streams import NOISE_LAYOUT
 from oracles import reverse_rowwise
 
@@ -120,10 +121,35 @@ _CLT_SMALL = ["--n", "20", "--replicas", "4", "--mu-size", "64", "--grid-size", 
     ["check-splitting", {"family": "cantor1d", "method": "bogus"}],
     ["simulate", {"family": "cantor1d", "direction": "sideways"}],
     ["stationary", "--family", "cantor1d", "--n-samples", "64.9"],
+    # a family's params are read in the shapes its registry entry declares,
+    # with a row for each noise symbol and every value finite
+    ["check-splitting", {"family": "cantor1d", "params": {"offsets": "ab"}}],
+    ["stationary", "--n-samples", "64", {"family": "cantor1d", "params": {"offsets": [[0, 1], [2, 3]]}}],
+    ["stationary", "--n-samples", "64", {"family": "cantor1d", "params": {"offsets": [0.0]}}],
+    ["stationary", "--n-samples", "64", {"family": "cantor1d", "params": {"offsets": [math.nan, 0.5]}}],
+    ["stationary", "--n-samples", "64", {"family": "cantor1d", "params": {"offsets": [10**400, 0.5]}}],
+    ["stationary", "--n-samples", "64", {"family": "lip-pair", "params": {"slopes": [1]}}],
+    ["stationary", "--n-samples", "64", {"family": "rot2d", "params": {"angles": "x"}}],
+    ["stationary", "--n-samples", "64", {"family": "rot2d", "params": {"angles": [0.1]}}],
+    ["stationary", "--n-samples", "64", {"family": "rot2d", "params": {"angles": [math.inf, 1.0]}}],
+    ["stationary", "--n-samples", "64", {"family": "affine-general",
+                                         "params": {"mats": [[1, 2, 3]], "offs": [[0, 0]]}}],
+    ["stationary", "--n-samples", "64", {"family": "affine-general",
+                                         "params": {"mats": [[[0.5, 0], [0, 0.5]]], "offs": [[0.0]]}}],
+    ["check-splitting", "--m-max", "1", {"family": "rot2d", "probs": [0.2, 0.3, 0.5]}],
+    # a table observable is n finite values at n points of the family's dimension
+    ["clt", *_CLT_SMALL, {"family": "cantor1d", "observable": {
+        "kind": "table", "points": [[0.0], [0.5], [1.0]], "values": [0.0, 1.0]}}],
+    ["clt", *_CLT_SMALL, {"family": "cantor1d", "observable": {
+        "kind": "table", "points": [[0.0, 1.0]], "values": [0.0]}}],
+    ["clt", *_CLT_SMALL, {"family": "cantor1d", "observable": {"kind": "table", "points": [], "values": []}}],
 ], ids=["observable-coord", "observable-affine", "x0", "J", "domain", "family-list", "params-list",
         "n_samples-text", "seed-text", "tol-null", "observable-int", "n_samples-fraction",
         "m_max-fraction", "n-bool", "dump_paths-text", "method-bogus", "direction-sideways",
-        "n_samples-flag-fraction"])
+        "n_samples-flag-fraction", "offsets-text", "offsets-matrix", "offsets-short", "offsets-nan",
+        "offsets-huge-int", "slopes-short", "angles-text", "angles-short", "angles-infinite",
+        "mats-flat", "mats-offs-dims", "angles-probs", "table-values-short", "table-points-dim",
+        "table-empty"])
 def test_malformed_inputs_are_usage_errors(tmp_path, capsys, args):
     # parsed where they enter, so the run stops before it writes anything
     if isinstance(args[-1], dict):
@@ -175,6 +201,36 @@ def test_config_values_of_the_wrong_kind_are_usage_errors(case):
         assert code == EXIT_USAGE, (command, name, value)
         assert err.getvalue().startswith("usage error:")
         assert not out.exists()
+
+
+# values a config's params may hold: nested lists of numbers (NaN and the
+# infinities among them), text, null and booleans
+_PARAM_VALUES = st.recursive(
+    st.floats() | st.integers() | st.text(max_size=3) | st.none() | st.booleans(),
+    lambda inner: st.lists(inner, max_size=3), max_leaves=12)
+
+
+def _fuzzed_config(fid):
+    names = sorted({*_REGISTRY[fid].shapes, *_REGISTRY[fid].defaults}) or ["unused"]
+    probs = st.lists(st.floats(0.05, 1.0), min_size=1, max_size=3).map(lambda p: [v / sum(p) for v in p])
+    params = st.dictionaries(st.sampled_from(names), _PARAM_VALUES, max_size=len(names))
+    return st.fixed_dictionaries({"family": st.just(fid)}, optional={"probs": probs, "params": params})
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(cfg=st.sampled_from(builtin_family_ids()).flatmap(_fuzzed_config))
+def test_fuzzed_family_configs_exit_cleanly(cfg):
+    # whatever a config's params hold, a run ends in an exit code, and a
+    # usage error leaves nothing behind
+    with tempfile.TemporaryDirectory() as tmp:
+        config, out, err = Path(tmp) / "config.json", Path(tmp) / "out", io.StringIO()
+        config.write_text(json.dumps(cfg))
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = run(["check-splitting", "--config", str(config), "--m-max", "1", "--out", str(out)])
+        assert code in (0, EXIT_USAGE, 2), cfg
+        if code == EXIT_USAGE:
+            assert err.getvalue().startswith("usage error:"), cfg
+            assert not out.exists(), cfg
 
 
 @pytest.mark.parametrize("args", [

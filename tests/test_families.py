@@ -491,13 +491,26 @@ def _form_bytes(form):
     return None if form is None else [None if x is None else np.asarray(x).tobytes() for x in form]
 
 
+# a default spelled out as the registry gives it, as nested lists and as an array
+_SPELLINGS = (
+    lambda v: v,
+    lambda v: np.array(v).tolist() if isinstance(v, tuple) else v,
+    lambda v: np.array(v) if isinstance(v, tuple) else v,
+)
+
+
 @pytest.mark.parametrize("fid", sorted(k for k, v in _REGISTRY.items() if v.defaults))
 def test_spelled_out_defaults_change_nothing(fid):
     implicit = make_family(fid)
-    explicit = make_family(fid, params=dict(_REGISTRY[fid].defaults))
     assert implicit.params == {}
     pts = np.random.default_rng(3).normal(scale=2.0, size=(64, implicit.dim))
     alphas = sample_block(implicit.noise, 3, 0, 64)
-    assert explicit.raw_batch(alphas, pts).tobytes() == implicit.raw_batch(alphas, pts).tobytes()
-    assert _form_bytes(explicit.affine_form()) == _form_bytes(implicit.affine_form())
-    assert _form_bytes([explicit.monotone_signs()]) == _form_bytes([implicit.monotone_signs()])
+    for spell in _SPELLINGS:
+        explicit = make_family(fid, params={k: spell(v) for k, v in _REGISTRY[fid].defaults.items()})
+        assert explicit.raw_batch(alphas, pts).tobytes() == implicit.raw_batch(alphas, pts).tobytes()
+        assert _form_bytes(explicit.affine_form()) == _form_bytes(implicit.affine_form())
+        assert _form_bytes([explicit.monotone_signs()]) == _form_bytes([implicit.monotone_signs()])
+        # each per-symbol param is read into an array once, when the family is built
+        for fam in (implicit, explicit):
+            for name in _REGISTRY[fid].shapes:
+                assert isinstance(fam._params[name], np.ndarray) and not fam._params[name].flags.writeable
