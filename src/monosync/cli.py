@@ -20,6 +20,7 @@ unverified or a limit that did not converge).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -62,7 +63,13 @@ def _defaults(command: str) -> dict:
     return {name: _option(spec)[0] for name, spec in _COMMANDS[command][2].items()}
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The one parser of this process, built on first use from ``_COMMANDS``.
+
+    Parsing leaves it as it was, and argparse makes its help formatter when
+    it prints help, so the ``-h`` text still follows ``COLUMNS``.
+    """
     parser = _Parser(prog="monosync", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     for command, (help_text, _, options) in _COMMANDS.items():

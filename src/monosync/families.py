@@ -83,6 +83,8 @@ class FiniteNoise:
         p = tuple(float(v) for v in self.probs)
         if len(p) < 1:
             raise UsageError("finite noise needs at least one symbol")
+        if not all(math.isfinite(v) for v in p):
+            raise UsageError(f"noise probabilities must be finite, got {list(p)}")
         if any(v < 0 for v in p):
             raise UsageError("noise probabilities must be non-negative")
         if abs(sum(p) - 1.0) > _PROB_TOL:
@@ -529,10 +531,13 @@ def make_family(
     fdef = _family_def(family)
     params = dict(params or {})
     full = fdef.read(params, 0)  # MapFamily checks the rows against the noise
-    if noise is None:
-        noise = FiniteNoise(tuple(probs)) if probs is not None else fdef.default_noise(full)
-    elif probs is not None:
+    if noise is not None and probs is not None:
         raise UsageError("pass either probs or noise, not both")
+    if probs is not None:
+        with _parse_errors("probs"):
+            noise = FiniteNoise(tuple(probs))
+    elif noise is None:
+        noise = fdef.default_noise(full)
     if domain is None and fdef.bounded:
         domain = fdef.box(full)
     return MapFamily(

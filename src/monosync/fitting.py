@@ -19,6 +19,25 @@ class LogLinearFit:
     slope_se: float
 
 
+def _ls_slopes(x: np.ndarray, ly: np.ndarray, w: np.ndarray):
+    """Weighted least-squares slope of each row of ``ly`` against ``x``.
+
+    ``ly`` is one series (shape (k,)) or a block of series sharing ``x``
+    and ``w`` (shape (g, k)); each sum runs along a row, so a row's slope
+    has the bits of the same row fitted alone.  Returns the slopes with
+    ``x``'s weighted mean, the rows' weighted means and ``x``'s weighted
+    sum of squares.
+    """
+    wsum = w.sum()
+    xbar = (w * x).sum() / wsum
+    ybar = (w * ly).sum(axis=-1) / wsum
+    sxx = (w * (x - xbar) ** 2).sum()
+    if sxx <= 0:
+        raise UsageError("degenerate abscissae")
+    sxy = (w * (x - xbar) * (ly - ybar[..., None])).sum(axis=-1)
+    return sxy / sxx, xbar, ybar, sxx
+
+
 def loglinear_fit(xs, ys, weights=None) -> LogLinearFit:
     """Fit ``log y = intercept + slope * x`` by (weighted) least squares.
 
@@ -38,14 +57,7 @@ def loglinear_fit(xs, ys, weights=None) -> LogLinearFit:
     if np.any(w <= 0):
         raise UsageError("weights must be positive")
     ly = np.log(y)
-    wsum = w.sum()
-    xbar = (w * x).sum() / wsum
-    ybar = (w * ly).sum() / wsum
-    sxx = (w * (x - xbar) ** 2).sum()
-    if sxx <= 0:
-        raise UsageError("degenerate abscissae")
-    sxy = (w * (x - xbar) * (ly - ybar)).sum()
-    slope = sxy / sxx
+    slope, xbar, ybar, sxx = _ls_slopes(x, ly, w)
     intercept = ybar - slope * xbar
     resid = ly - (intercept + slope * x)
     ss_res = (w * resid**2).sum()

@@ -99,6 +99,8 @@ class Box:
             raise DimensionMismatchError("box corners have different dimensions")
         if lo.size < 1:
             raise ValueError("box must have dimension >= 1")
+        if np.isnan(lo).any() or np.isnan(hi).any():
+            raise ValueError("box corners must not be NaN")
         if np.any(lo > hi):
             raise ValueError("box lower corner exceeds upper corner")
         lo.flags.writeable = False

@@ -25,7 +25,7 @@ from .engine import (
 )
 from .errors import DegenerateSeriesError, NotConvergedError, UsageError
 from .families import MapFamily, _default_probe
-from .fitting import loglinear_fit
+from .fitting import _ls_slopes, loglinear_fit
 from .order import Box
 from .streams import stream_generator
 
@@ -156,7 +156,10 @@ def fit_rate(series: DiamSeries) -> RateFit:
     Replica-mean diameters that hit exact zero early make the series
     degenerate and the rate is reported as 0 by convention.  Otherwise at
     least five usable steps past the burn-in are required.  The confidence
-    interval is a replica bootstrap.
+    interval is a replica bootstrap of 200 resamples: their replica indices
+    are drawn in one block, each resample's mean diameter sums its replicas
+    in draw order, and its slope is that of the per-resample fit, bit for
+    bit.
     """
     mean = series.mean_diam()
     ns = np.arange(series.n_max + 1)
@@ -179,16 +182,24 @@ def fit_rate(series: DiamSeries) -> RateFit:
     r_hat = float(np.exp(fit.slope))
     c_hat = float(np.exp(fit.intercept))
 
+    # each row of the one draw is what integers(0, R, size=R) draws, and each
+    # mean adds its replicas in draw order, as mean(axis=0) does
     rng = stream_generator(series.seed, "rate-bootstrap")
-    slopes = np.empty(_N_BOOT)
-    for b in range(_N_BOOT):
-        idx = rng.integers(0, series.replicas, size=series.replicas)
-        bmean = series.diam[idx].mean(axis=0)
-        bwin = window & (bmean > DIAM_FIT_FLOOR)
-        if bwin.sum() < 2:
-            slopes[b] = fit.slope
-            continue
-        slopes[b] = loglinear_fit(ns[bwin], bmean[bwin]).slope
+    idx = rng.integers(0, series.replicas, size=(_N_BOOT, series.replicas))
+    bmean = series.diam[idx[:, 0]]
+    for col in idx.T[1:]:
+        bmean += series.diam[col]
+    bmean /= series.replicas
+    bwin = window & (bmean > DIAM_FIT_FLOOR)
+    # resamples of one fit mask are fitted as one block of rows; a resample
+    # with fewer than two usable steps keeps the full fit's slope
+    slopes = np.full(_N_BOOT, fit.slope)
+    masks, group = np.unique(bwin, axis=0, return_inverse=True)
+    for g, mask in enumerate(masks):
+        if mask.sum() >= 2:
+            rows = group == g
+            x = ns[mask].astype(float)
+            slopes[rows] = _ls_slopes(x, np.log(bmean[np.ix_(rows, mask)]), np.ones_like(x))[0]
     ci = (float(np.exp(np.quantile(slopes, 0.025))), float(np.exp(np.quantile(slopes, 0.975))))
     warning = None
     if r_hat >= 1.0:

@@ -398,3 +398,43 @@ def halton_radical_inverse(n: int, dim: int) -> np.ndarray:
                 idx //= b
             out[i, d] = r
     return out
+
+
+def _slope_unweighted(x, ly):
+    """Least-squares slope of ``ly`` against ``x``, as a unit-weight fit sums it."""
+    w = np.ones_like(x)
+    wsum = w.sum()
+    xbar = (w * x).sum() / wsum
+    ybar = (w * ly).sum() / wsum
+    sxx = (w * (x - xbar) ** 2).sum()
+    sxy = (w * (x - xbar) * (ly - ybar)).sum()
+    return sxy / sxx
+
+
+def rate_bootstrap_loop(diam, m0, seed, floor, n_boot=200):
+    """A rate fit's bootstrap interval, one replica resample at a time.
+
+    ``diam`` is the (replicas, n_max + 1) diameter table.  The fit window
+    is the depths from max(m0, 1) whose mean diameter exceeds ``floor``.
+    Resample b draws ``integers(0, R, size=R)`` from the ``(seed,
+    "rate-bootstrap")`` stream, averages those replicas with ``mean(axis=0)``
+    and fits the log of its window steps over ``floor``; one with fewer than
+    two such steps keeps the full fit's slope.  Returns ((exp q2.5%, exp
+    q97.5%) of the slopes, the number of distinct resample fit masks).
+    """
+    diam = np.asarray(diam, dtype=float)
+    reps = diam.shape[0]
+    ns = np.arange(diam.shape[1], dtype=float)
+    mean = diam.mean(axis=0)
+    window = (ns >= max(m0, 1)) & (mean > floor)
+    full = _slope_unweighted(ns[window], np.log(mean[window]))
+    entropy = [seed % 2**64, _label_word("rate-bootstrap")]
+    gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
+    slopes, masks = [], set()
+    for _ in range(n_boot):
+        bmean = diam[gen.integers(0, reps, size=reps)].mean(axis=0)
+        bwin = window & (bmean > floor)
+        masks.add(bwin.tobytes())
+        slopes.append(full if bwin.sum() < 2 else _slope_unweighted(ns[bwin], np.log(bmean[bwin])))
+    lo, hi = np.quantile(slopes, 0.025), np.quantile(slopes, 0.975)
+    return (float(np.exp(lo)), float(np.exp(hi))), len(masks)

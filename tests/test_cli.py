@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from monosync import builtin_family_ids, make_family, sync, transport
-from monosync.cli import _CHOICES, _COMMANDS, EXIT_USAGE, _option, main
+from monosync.cli import _CHOICES, _COMMANDS, EXIT_USAGE, _build_parser, _option, main
 from monosync.engine import _BlockTable
 from monosync.families import _REGISTRY, _default_probe
 from monosync.streams import NOISE_LAYOUT
@@ -137,6 +137,12 @@ _CLT_SMALL = ["--n", "20", "--replicas", "4", "--mu-size", "64", "--grid-size", 
     ["stationary", "--n-samples", "64", {"family": "affine-general",
                                          "params": {"mats": [[[0.5, 0], [0, 0.5]]], "offs": [[0.0]]}}],
     ["check-splitting", "--m-max", "1", {"family": "rot2d", "probs": [0.2, 0.3, 0.5]}],
+    # noise is finite probabilities or a box without a NaN corner
+    ["check-splitting", "--m-max", "1", {"family": "cantor1d", "probs": [math.nan, 1.0]}],
+    ["check-splitting", "--m-max", "1", {"family": "cantor1d", "probs": "ab"}],
+    ["check-splitting", "--m-max", "1", {"family": "cantor1d", "probs": 5}],
+    ["check-splitting", "--m-max", "1", {"family": "slide1d", "noise_box": {"lo": [math.nan], "hi": [1.0]}}],
+    ["check-splitting", "--m-max", "1", {"family": "slide1d", "noise_box": {"lo": [0.0], "hi": [math.nan]}}],
     # a table observable is n finite values at n points of the family's dimension
     ["clt", *_CLT_SMALL, {"family": "cantor1d", "observable": {
         "kind": "table", "points": [[0.0], [0.5], [1.0]], "values": [0.0, 1.0]}}],
@@ -148,7 +154,8 @@ _CLT_SMALL = ["--n", "20", "--replicas", "4", "--mu-size", "64", "--grid-size", 
         "m_max-fraction", "n-bool", "dump_paths-text", "method-bogus", "direction-sideways",
         "n_samples-flag-fraction", "offsets-text", "offsets-matrix", "offsets-short", "offsets-nan",
         "offsets-huge-int", "slopes-short", "angles-text", "angles-short", "angles-infinite",
-        "mats-flat", "mats-offs-dims", "angles-probs", "table-values-short", "table-points-dim",
+        "mats-flat", "mats-offs-dims", "angles-probs", "probs-nan", "probs-text", "probs-number",
+        "noise-box-nan-lo", "noise-box-nan-hi", "table-values-short", "table-points-dim",
         "table-empty"])
 def test_malformed_inputs_are_usage_errors(tmp_path, capsys, args):
     # parsed where they enter, so the run stops before it writes anything
@@ -231,6 +238,14 @@ def test_fuzzed_family_configs_exit_cleanly(cfg):
         if code == EXIT_USAGE:
             assert err.getvalue().startswith("usage error:"), cfg
             assert not out.exists(), cfg
+
+
+def test_infinite_domain_corner_stays_legal(tmp_path):
+    # a box's NaN corner is refused, an infinite one is not
+    config, out = tmp_path / "config.json", tmp_path / "out"
+    config.write_text(json.dumps({"family": "cantor1d", "domain": {"lo": [-math.inf], "hi": [math.inf]}}))
+    assert run(["check-splitting", "--config", str(config), "--m-max", "1", "--out", str(out)]) in (0, 2)
+    assert read_json(out / "manifest.json")["domain"] == {"lo": [-math.inf], "hi": [math.inf]}
 
 
 @pytest.mark.parametrize("args", [
@@ -795,6 +810,57 @@ def test_numpy_only_commands_do_not_import_scipy(tmp_path):
     assert proc.returncode == 0, proc.stderr
     doc = json.loads(proc.stdout.strip().splitlines()[-1])
     assert doc == {"at_import": [], "after": [], "after_clt": [], "codes": [0, 0, 0]}
+
+
+_REUSE_RUNS = [
+    ["sync-rate", "--family", "slide1d", "--n-max", "12", "--replicas", "63", "--seed", "3"],
+    ["check-splitting", "--family", "cantor1d", "--m-max", "2"],
+    ["simulate", "--family", "exp1d", "--n", "10", "--direction", "reverse", "--seed", "7"],
+]
+
+
+def _help_text(parse, argv):
+    text = io.StringIO()
+    with contextlib.redirect_stdout(text), pytest.raises(SystemExit) as stop:
+        parse(argv)
+    assert stop.value.code == 0
+    return text.getvalue()
+
+
+def _artifacts(out):
+    return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+
+def test_one_parser_serves_every_call(tmp_path, monkeypatch):
+    # main builds its parser once per process: a good call after a usage
+    # error, an argparse error or a -h writes what a fresh process writes
+    assert _build_parser() is _build_parser()
+    src = Path(__file__).resolve().parents[1] / "src"
+    fresh = []
+    for i, args in enumerate(_REUSE_RUNS):
+        out = tmp_path / f"fresh{i}"
+        proc = subprocess.run([sys.executable, "-m", "monosync.cli", *args, "--out", str(out)],
+                              env={"PYTHONPATH": str(src)}, capture_output=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        fresh.append(_artifacts(out))
+    between = [
+        lambda: run(["check-splitting", "--family", "nope", "--out", str(tmp_path / "bad")]) == EXIT_USAGE,
+        lambda: run(["sync-rate", "--no-such-flag", "1"]) == EXIT_USAGE,
+        lambda: _help_text(run, ["simulate", "-h"]).startswith("usage:"),
+    ]
+    with contextlib.redirect_stderr(io.StringIO()):
+        for k in range(6):
+            assert between[k % 3]()
+            i = k % len(_REUSE_RUNS)
+            out = tmp_path / f"in{k}"
+            assert run(_REUSE_RUNS[i] + ["--out", str(out)]) == 0
+            assert _artifacts(out) == fresh[i], _REUSE_RUNS[i]
+    # every -h text is a freshly built parser's, at every width
+    for columns in ("60", "120"):
+        monkeypatch.setenv("COLUMNS", columns)
+        for argv in ([], *([c] for c in _COMMANDS)):
+            expected = _help_text(_build_parser.__wrapped__().parse_args, [*argv, "-h"])
+            assert _help_text(run, [*argv, "-h"]) == expected, (columns, argv)
 
 
 def test_golden_unmonotone_digest(tmp_path):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from monosync import (
     Box,
@@ -11,6 +13,8 @@ from monosync import (
 )
 from monosync import sync
 from monosync.errors import DegenerateSeriesError, UsageError
+from monosync.fitting import _ls_slopes, loglinear_fit
+from oracles import rate_bootstrap_loop
 
 
 def test_cantor_diameters_exact(cantor1d):
@@ -48,10 +52,21 @@ def test_fit_rate_cantor(cantor1d):
     assert np.all(mean[window] <= fit.c_hat * fit.r_hat ** ns[window] * (1 + 1e-6))
 
 
-def _hand_series(diam):
+def _hand_series(diam, m0=1, seed=4):
     diam = np.asarray(diam, dtype=float)
     boxes = np.zeros((diam.shape[1], diam.shape[0], 1))
-    return sync.DiamSeries(diam, boxes, boxes, m0=1, seed=4, saturated=np.zeros(diam.shape[0], dtype=bool))
+    return sync.DiamSeries(diam, boxes, boxes, m0=m0, seed=seed, saturated=np.zeros(diam.shape[0], dtype=bool))
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.int64).tolist()
+
+
+def _assert_ci_is_the_loops(series):
+    fit = fit_rate(series)
+    ci, n_masks = rate_bootstrap_loop(series.diam, series.m0, series.seed, sync.DIAM_FIT_FLOOR)
+    assert _bits(fit.r_ci) == _bits(ci)
+    return n_masks
 
 
 def test_fit_rate_bootstrap_keeps_the_fit_for_a_resample_without_steps():
@@ -61,6 +76,64 @@ def test_fit_rate_bootstrap_keeps_the_fit_for_a_resample_without_steps():
     assert fit.r_hat == pytest.approx(0.5, rel=1e-12)
     assert not fit.degenerate
     assert fit.r_ci == pytest.approx((0.5, 0.5), rel=1e-12)
+    assert _assert_ci_is_the_loops(series) == 2
+
+
+def test_fit_rate_bootstrap_fits_each_mask_group():
+    # resamples without the slow replicas fall under the fit floor at
+    # depths set by their fast replicas' mix, so they fit on shorter windows
+    rates = [0.5, 0.5, 0.25, 0.25, 0.2, 0.3, 0.35]
+    series = _hand_series([r ** np.arange(31) for r in rates], seed=9)
+    assert _assert_ci_is_the_loops(series) >= 3
+
+
+# replicas that decay at a jittered rate, some to exact zero past a depth
+_REPLICA = st.tuples(
+    st.sampled_from([0.2, 0.3, 0.5, 0.7, 0.9]), st.floats(0.9, 1.1), st.floats(0.5, 2.0),
+    st.one_of(st.none(), st.integers(1, 40)),
+)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(
+    kinds=st.lists(_REPLICA, min_size=1, max_size=6),
+    reps=st.one_of(st.integers(1, 40), st.sampled_from([63, 100, 257])),
+    n_max=st.integers(6, 40), m0=st.integers(0, 3), seed=st.integers(0, 2**64 - 1),
+)
+def test_fit_rate_bootstrap_is_the_per_resample_loop(kinds, reps, n_max, m0, seed):
+    # the batched bootstrap draws, sums and fits every resample with the
+    # loop's bits, whatever mix of windows the resamples fit on
+    ns = np.arange(n_max + 1)
+    diam = np.empty((reps, n_max + 1))
+    for i in range(reps):
+        rate, jitter, scale, zero_from = kinds[i % len(kinds)]
+        diam[i] = scale * (rate * jitter) ** ns
+        if zero_from is not None:
+            diam[i, zero_from:] = 0.0
+    series = _hand_series(diam, m0=m0, seed=seed)
+    try:
+        degenerate = fit_rate(series).degenerate
+    except DegenerateSeriesError:
+        degenerate = True
+    assume(not degenerate)
+    _assert_ci_is_the_loops(series)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(
+    k=st.integers(2, 40), rows=st.integers(1, 5), weighted=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_row_slopes_are_loglinear_fit_slopes(k, rows, weighted, seed):
+    # one slope routine behind loglinear_fit and the bootstrap: a block of
+    # rows gives each row the slope of that row fitted alone
+    rng = np.random.default_rng(seed)
+    x = np.sort(rng.uniform(0.0, 50.0, k))
+    x[-1] += 1.0  # two distinct abscissae at least
+    y = np.exp(rng.normal(0.0, 3.0, (rows, k)))
+    w = rng.uniform(0.1, 10.0, k) if weighted else None
+    slopes = _ls_slopes(x, np.log(y), np.ones(k) if w is None else w)[0]
+    assert _bits(slopes) == _bits([loglinear_fit(x, row, w).slope for row in y])
 
 
 def test_fit_rate_too_few_usable_steps_raises():
