@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 import tempfile
@@ -840,7 +841,7 @@ def test_one_parser_serves_every_call(tmp_path, monkeypatch):
     for i, args in enumerate(_REUSE_RUNS):
         out = tmp_path / f"fresh{i}"
         proc = subprocess.run([sys.executable, "-m", "monosync.cli", *args, "--out", str(out)],
-                              env={"PYTHONPATH": str(src)}, capture_output=True, timeout=120)
+                              env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         fresh.append(_artifacts(out))
     between = [
